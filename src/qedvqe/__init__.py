@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from . import analysis, builders, cli, estimate, noise, postselect, qcore, sim  # noqa: F401
+from . import analysis, builders, estimate, noise, postselect, qcore, sim  # noqa: F401

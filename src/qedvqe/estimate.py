@@ -102,16 +102,6 @@ class EnergyEstimate:
     eta: dict[str, float] = field(default_factory=lambda: {"Z": 1.0, "X": 1.0})
 
 
-def decode_logical(bits) -> tuple[int, int] | None:
-    """Parity decode of four data bits; odd-parity strings are outside the codespace."""
-    b = [int(v) for v in bits]
-    if len(b) != 4:
-        raise ValueError("expected four data bits")
-    if sum(b) % 2 == 1:
-        return None
-    return (b[0] ^ b[1], b[0] ^ b[2])
-
-
 def _data_positions(layout: MeasurementLayout, mode: str) -> tuple[int, ...]:
     pos = layout.positions_of_role(ROLE_DATA)
     want = 2 if mode == MODE_UNENCODED else 4
@@ -120,29 +110,40 @@ def _data_positions(layout: MeasurementLayout, mode: str) -> tuple[int, ...]:
     return pos
 
 
-def _term_means(weighted: dict[str, float], layout: MeasurementLayout, mode: str, basis: str):
+def _sign_table(parities, n_bits: int) -> tuple[tuple[int, ...], ...]:
+    """Row i: the +-1 eigenvalue of each parity for data-bit pattern i (MSB first)."""
+    return tuple(
+        tuple(1 - 2 * (sum((i >> (n_bits - 1 - b)) & 1 for b in bits) % 2) for bits in parities)
+        for i in range(2**n_bits)
+    )
+
+
+# Z0, Z1 and the Z0Z1 / X0X1 product as XORs of data bits. In encoded mode the
+# logical values are physical parities: Z0 -> q0^q1, Z1 -> q0^q2, ZZ and XX ->
+# q1^q2; odd-parity strings decode too, since the NONE row keeps them.
+_SIGNS = {
+    MODE_UNENCODED: _sign_table(((0,), (1,), (0, 1)), 2),
+    MODE_ENCODED: _sign_table(((0, 1), (0, 2), (1, 2)), 4),
+}
+
+
+def _term_means(weighted: dict, layout: MeasurementLayout, mode: str, basis: str):
     """Weighted means of the term observables available in one basis.
 
-    Z basis yields (Z0, Z1, Z0Z1); X basis yields the XX product. In encoded
-    mode the logical values are physical parities of the data bits:
-    Z0 -> q0^q1, Z1 -> q0^q2, and both the ZZ and XX products -> q1^q2.
+    Z basis yields (Z0, Z1, Z0Z1); X basis yields the XX product. Weights
+    are summed per data-bit pattern first, so integer counts accumulate
+    exactly and divide once.
     """
     pos = _data_positions(layout, mode)
-    total = sum(weighted.values())
+    signs = _SIGNS[mode]
+    mass = [0] * len(signs)
+    for key, w in weighted.items():
+        mass[int("".join(key[p] for p in pos), 2)] += w
+    total = sum(mass)
     if total <= 0.0:
         raise EmptySelectionError("no surviving samples")
-    acc = np.zeros(3 if basis == "Z" else 1)
-    for key, w in weighted.items():
-        b = [int(key[p]) for p in pos]
-        if mode == MODE_UNENCODED:
-            v1, v2, vp = b[0], b[1], b[0] ^ b[1]
-        else:
-            v1, v2, vp = b[0] ^ b[1], b[0] ^ b[2], b[1] ^ b[2]
-        if basis == "Z":
-            acc += w * np.array([1 - 2 * v1, 1 - 2 * v2, 1 - 2 * vp])
-        else:
-            acc += w * np.array([1 - 2 * vp])
-    return acc / total
+    columns = (0, 1, 2) if basis == "Z" else (2,)
+    return np.array([sum(m * row[c] for m, row in zip(mass, signs)) for c in columns]) / total
 
 
 def _combine(ham: H2Hamiltonian, z_means, xx_mean, n_z, n_x, eta) -> EnergyEstimate:

@@ -10,7 +10,6 @@ flip probabilities. Noise attaches to gates only; idle qubits are noiseless.
 """
 from __future__ import annotations
 
-import json
 import logging
 import warnings
 from dataclasses import dataclass
@@ -117,11 +116,6 @@ def device_model_from_config(mapping: dict) -> DeviceModel:
     return DeviceModel(depol=depol, readout=readout, **values)
 
 
-def load_device_model(path) -> DeviceModel:
-    with open(path) as fh:
-        return device_model_from_config(json.load(fh))
-
-
 def default_device_model() -> DeviceModel:
     return device_model_from_config(dict(H11E_PARAMS))
 
@@ -175,15 +169,6 @@ class DampingNoise:
 
 
 @dataclass(frozen=True)
-class PauliFault:
-    """A sampled fault: Pauli insertion or damping jump at a gate location."""
-
-    location: int
-    qubit: int
-    kind: str  # 'X' | 'Y' | 'Z' | 'DAMP'
-
-
-@dataclass(frozen=True)
 class NoisyCircuit:
     """A circuit with channel assignments per gate, init flips, and readout flips.
 
@@ -200,10 +185,6 @@ class NoisyCircuit:
     def __post_init__(self):
         if len(self.channels) != len(self.circuit.ops):
             raise ValueError("channel list must align with the gate list")
-
-    @property
-    def has_damping(self) -> bool:
-        return any(isinstance(c, DampingNoise) for slot in self.channels for c in slot)
 
     def noise_locations(self):
         """Flattened (location, channel) pairs; pre-channels use location -1."""

@@ -18,6 +18,7 @@ STRATEGY_PSA = "PSA"
 STRATEGY_PSP = "PSP"
 STRATEGY_PSAP = "PSAP"
 STRATEGIES = (STRATEGY_NONE, STRATEGY_PSA, STRATEGY_PSP, STRATEGY_PSAP)
+_A2 = "a2"  # the branch rule that runs before every strategy
 
 
 class EmptySelectionError(RuntimeError):
@@ -49,36 +50,55 @@ class SurvivalStats:
         return cls(eta, sigma, n_before, n_after)
 
 
-def _filtered(table: ShotTable, keep, layout=None) -> ShotTable:
-    counts = {k: v for k, v in table.counts.items() if keep(k)}
-    return ShotTable(
-        counts, sum(counts.values()), layout or table.layout, table.seed, table.basis
-    )
+def _checks(layout: MeasurementLayout, kind: str, branch: int = 0):
+    """The parity checks an outcome key must pass to survive one rule.
+
+    ``kind`` is a strategy kind or ``_A2``. Each check is (positions,
+    parity): the XOR of the key's bits at those positions must equal the
+    parity. NONE has no checks.
+    """
+    if kind == _A2:
+        if branch not in (0, 1):
+            raise ValueError("branch must be 0 or 1")
+        return (((layout.position_of_role(ROLE_A2),), branch),)
+    checks = []
+    if kind in (STRATEGY_PSA, STRATEGY_PSAP):
+        checks.append(((layout.position_of_role(ROLE_A1),), 0))
+    if kind in (STRATEGY_PSP, STRATEGY_PSAP):
+        data = layout.positions_of_role(ROLE_DATA)
+        if len(data) != 4:
+            raise ValueError("parity post-selection needs the four encoded data qubits")
+        checks.append((data, 0))
+    return tuple(checks)
+
+
+def _kept(weights: dict, checks) -> dict:
+    """The entries of an outcome -> weight map whose keys pass every check."""
+    return {
+        key: w for key, w in weights.items()
+        if all(sum(key[p] == "1" for p in pos) % 2 == parity for pos, parity in checks)
+    }
+
+
+def _filtered(table: ShotTable, checks) -> ShotTable:
+    counts = _kept(table.counts, checks)
+    return ShotTable(counts, sum(counts.values()), table.layout)
+
+
+def _renormalized(probs: dict, checks):
+    """(kept distribution rescaled to sum to one, kept weight)."""
+    if not checks:
+        return dict(probs), 1.0
+    kept = _kept(probs, checks)
+    weight = sum(kept.values())
+    if weight <= 0.0:
+        raise EmptySelectionError("post-selection removed all weight")
+    return {k: p / weight for k, p in kept.items()}, weight
 
 
 def select_a2_branch(table: ShotTable, branch: int) -> ShotTable:
     """Keep rows whose a2 bit equals the requested branch."""
-    if branch not in (0, 1):
-        raise ValueError("branch must be 0 or 1")
-    pos = table.layout.position_of_role(ROLE_A2)
-    return _filtered(table, lambda key: int(key[pos]) == branch)
-
-
-def _strategy_predicate(layout: MeasurementLayout, strategy: Strategy):
-    a1 = layout.position_of_role(ROLE_A1) if strategy.kind in (STRATEGY_PSA, STRATEGY_PSAP) else None
-    parity = strategy.kind in (STRATEGY_PSP, STRATEGY_PSAP)
-    data = layout.positions_of_role(ROLE_DATA)
-    if parity and len(data) != 4:
-        raise ValueError("parity post-selection needs the four encoded data qubits")
-
-    def keep(key: str) -> bool:
-        if a1 is not None and key[a1] == "1":
-            return False
-        if parity and sum(int(key[p]) for p in data) % 2 == 1:
-            return False
-        return True
-
-    return keep
+    return _filtered(table, _checks(table.layout, _A2, branch))
 
 
 def apply_strategy(table: ShotTable, strategy: Strategy):
@@ -90,32 +110,18 @@ def apply_strategy(table: ShotTable, strategy: Strategy):
     """
     if table.n_shots == 0:
         raise EmptySelectionError("cannot post-select an empty table")
-    if strategy.kind == STRATEGY_NONE:
-        return table, SurvivalStats.of(table.n_shots, table.n_shots)
-    out = _filtered(table, _strategy_predicate(table.layout, strategy))
+    out = _filtered(table, _checks(table.layout, strategy.kind))
     return out, SurvivalStats.of(table.n_shots, out.n_shots)
 
 
 def select_a2_probs(probs: dict[str, float], layout: MeasurementLayout, branch: int):
-    """Distribution twin of select_a2_branch; returns (renormalized map, branch weight)."""
-    pos = layout.position_of_role(ROLE_A2)
-    kept = {k: p for k, p in probs.items() if int(k[pos]) == branch}
-    weight = sum(kept.values())
-    if weight <= 0.0:
-        raise EmptySelectionError("a2 branch has no weight")
-    return {k: p / weight for k, p in kept.items()}, weight
+    """select_a2_branch on an exact distribution; returns (renormalized map, branch weight)."""
+    return _renormalized(probs, _checks(layout, _A2, branch))
 
 
 def apply_strategy_probs(probs: dict[str, float], layout: MeasurementLayout, strategy: Strategy):
-    """Distribution twin of apply_strategy; returns (renormalized map, eta)."""
-    if strategy.kind == STRATEGY_NONE:
-        return dict(probs), 1.0
-    keep = _strategy_predicate(layout, strategy)
-    kept = {k: p for k, p in probs.items() if keep(k)}
-    eta = sum(kept.values())
-    if eta <= 0.0:
-        raise EmptySelectionError("post-selection removed all weight")
-    return {k: p / eta for k, p in kept.items()}, eta
+    """apply_strategy on an exact distribution; returns (renormalized map, eta)."""
+    return _renormalized(probs, _checks(layout, strategy.kind))
 
 
 def red_vote(raw: ShotTable, layout: RedLayout):
@@ -151,5 +157,5 @@ def red_vote(raw: ShotTable, layout: RedLayout):
         tuple(meas.roles[i] for i in keep_positions),
         tuple(meas.names[i] for i in keep_positions),
     )
-    table = ShotTable(counts, kept, collapsed, raw.seed, raw.basis)
+    table = ShotTable(counts, kept, collapsed)
     return table, SurvivalStats.of(raw.n_shots, kept)

@@ -260,18 +260,6 @@ def circuit_from_text(text: str, n_qubits: int, roles, label="") -> Circuit:
     return Circuit(n_qubits, ops, tuple(roles), label)
 
 
-def compose(*circuits: Circuit) -> Circuit:
-    """Concatenate circuits over the same register (later measurements win)."""
-    first = circuits[0]
-    for c in circuits[1:]:
-        if c.n_qubits != first.n_qubits or c.roles != first.roles:
-            raise ValueError("compose requires identical registers")
-    ops = []
-    for c in circuits:
-        ops.extend(op for op in c.ops if op.kind != "MEASURE_Z" or c is circuits[-1])
-    return Circuit(first.n_qubits, tuple(ops), first.roles, label=first.label)
-
-
 # ---------------------------------------------------------------------------
 # state representations
 # ---------------------------------------------------------------------------
@@ -301,14 +289,8 @@ class StateVector:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
 
     def outer(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, np.outer(self.amps, self.amps.conj()))
@@ -336,12 +318,6 @@ class DensityMatrix:
         mat = np.zeros((dim, dim), dtype=complex)
         mat[0, 0] = 1.0
         return cls(n_qubits, mat)
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, self.mat.copy())
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
 
     def validate(self, tol_herm=1e-10, tol_trace=1e-10, tol_eig=1e-10):
         if np.max(np.abs(self.mat - self.mat.conj().T)) > tol_herm:
@@ -431,17 +407,6 @@ def expectation(rho: DensityMatrix, observable: np.ndarray, herm_tol=1e-10, imag
     if abs(val.imag) >= imag_tol:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
-
-
-def bits_to_index(bits) -> int:
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx
-
-
-def index_to_bits(idx: int, n: int) -> tuple[int, ...]:
-    return tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
 
 
 def bitstring(idx: int, n: int) -> str:

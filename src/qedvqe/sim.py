@@ -9,8 +9,6 @@ are partitioned into batches or workers.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +64,6 @@ class ShotTable:
     counts: dict[str, int]
     n_shots: int
     layout: MeasurementLayout
-    seed: int
-    basis: str = "Z"
 
     def __post_init__(self):
         if sum(self.counts.values()) != self.n_shots:
@@ -77,20 +73,12 @@ class ShotTable:
                 raise ValueError("bitstring length must match measured qubits")
 
     def merged(self, other: "ShotTable") -> "ShotTable":
-        if other.layout != self.layout or other.basis != self.basis:
+        if other.layout != self.layout:
             raise ValueError("cannot merge tables with different layouts")
         counts = dict(self.counts)
         for k, v in other.counts.items():
             counts[k] = counts.get(k, 0) + v
-        return ShotTable(counts, self.n_shots + other.n_shots, self.layout, self.seed, self.basis)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(self.layout.names) + ["count"])
-        for key in sorted(self.counts):
-            writer.writerow(list(key) + [self.counts[key]])
-        return buf.getvalue()
+        return ShotTable(counts, self.n_shots + other.n_shots, self.layout)
 
 
 @dataclass(frozen=True)
@@ -185,16 +173,6 @@ def born_distribution(rho: DensityMatrix, readout: ReadoutParams = ReadoutParams
     if abs(total - 1.0) > 1e-10:
         raise ValueError("distribution does not sum to 1")
     return {bitstring(i, n): float(p) for i, p in enumerate(probs) if p > 1e-15}
-
-
-def distribution_over_measured(probs: dict[str, float], circuit: Circuit) -> dict[str, float]:
-    """Marginalize a full-register distribution onto the measured qubits."""
-    measured = circuit.measured_qubits
-    out: dict[str, float] = {}
-    for key, p in probs.items():
-        sub = "".join(key[q] for q in measured)
-        out[sub] = out.get(sub, 0.0) + p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +379,7 @@ def sample_shots(
             bits = [b ^ (u < flip_p[b]) for b, u in zip(bits, u_read)]
         key = "".join("1" if b else "0" for b in bits)
         counts[key] = counts.get(key, 0) + 1
-    return ShotTable(counts, cfg.n_shots, layout, cfg.seed, "Z")
+    return ShotTable(counts, cfg.n_shots, layout)
 
 
 def sample_shots_batched(
@@ -431,6 +409,18 @@ def sample_shots_batched(
 # ---------------------------------------------------------------------------
 
 
+def _bit_channel(dist: np.ndarray, bit: int, p_up: float, p_down: float) -> np.ndarray:
+    """Asymmetric flip of one bit of a joint distribution over (q, k, l).
+
+    States are little-endian (q + 2k + 4l); the bit goes 0 -> 1 with
+    probability p_up and 1 -> 0 with p_down. A symmetric flip is
+    (alpha, alpha), amplitude damping is (0, gamma).
+    """
+    states = np.arange(dist.size)
+    moved = np.where((states >> bit) & 1, p_down, p_up) * dist
+    return dist - moved + moved[states ^ (1 << bit)]
+
+
 def red_vote_kernel(*, flip_cnot=0.0, gamma=0.0, p_init=0.0,
                     readout: ReadoutParams = ReadoutParams()):
     """Exact per-qubit kernel of the [3,1] readout gadget with unanimous vote.
@@ -442,54 +432,19 @@ def red_vote_kernel(*, flip_cnot=0.0, gamma=0.0, p_init=0.0,
     readout flips act on all three reads. Returns a 2x2 matrix K with
     K[c, b] = P(triple unanimous with value c | true bit b).
     """
-    # joint distribution over (q, k, l), little-endian bit order q + 2k + 4l
-    def flip(dist, bit_pos, alpha):
-        if alpha <= 0.0:
-            return dist
-        flipped = dist[[s ^ (1 << bit_pos) for s in range(8)]]
-        return (1.0 - alpha) * dist + alpha * flipped
-
-    def damp(dist, bit_pos, g):
-        if g <= 0.0:
-            return dist
-        out = dist.copy()
-        for s in range(8):
-            if (s >> bit_pos) & 1:
-                moved = g * dist[s]
-                out[s] -= moved
-                out[s ^ (1 << bit_pos)] += moved
-        return out
-
-    def asym_flip(dist, bit_pos, p0, p1):
-        out = dist.copy()
-        for s in range(8):
-            p = p1 if (s >> bit_pos) & 1 else p0
-            moved = p * dist[s]
-            out[s] -= moved
-            out[s ^ (1 << bit_pos)] += moved
-        return out
-
-    def cnot(dist, ctrl_pos, tgt_pos):
-        out = np.zeros_like(dist)
-        for s in range(8):
-            t = s ^ (1 << tgt_pos) if (s >> ctrl_pos) & 1 else s
-            out[t] += dist[s]
-        return out
-
     kernel = np.zeros((2, 2))
     for b in (0, 1):
         dist = np.zeros(8)
         dist[b] = 1.0
         for anc in (1, 2):  # init faults on the fresh ancillas
-            dist = flip(dist, anc, p_init)
+            dist = _bit_channel(dist, anc, p_init, p_init)
         for anc in (1, 2):
-            dist = cnot(dist, 0, anc)
-            dist = flip(dist, 0, flip_cnot)
-            dist = damp(dist, 0, gamma)
-            dist = flip(dist, anc, flip_cnot)
-            dist = damp(dist, anc, gamma)
+            dist = dist[[s ^ (1 << anc) if s & 1 else s for s in range(8)]]  # CNOT q -> anc
+            for pos in (0, anc):
+                dist = _bit_channel(dist, pos, flip_cnot, flip_cnot)
+                dist = _bit_channel(dist, pos, 0.0, gamma)
         for pos in (0, 1, 2):
-            dist = asym_flip(dist, pos, readout.p_flip0, readout.p_flip1)
+            dist = _bit_channel(dist, pos, readout.p_flip0, readout.p_flip1)
         kernel[0, b] = dist[0b000]
         kernel[1, b] = dist[0b111]
     return kernel

@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +181,8 @@ def test_red_pipeline_rows(tmp_path):
         "unencoded", "encoded/PSAP", "unencoded+red", "encoded+red/PSAP"
     ]
     for r in rows:
-        assert float(r["eta_overall_Z"]) <= 1.0
+        # kept Z shots over the 800 raw Z shots, through every filter
+        assert float(r["eta_overall_Z"]) * 800 == pytest.approx(int(r["n_Z"]), abs=1e-9)
 
 
 def test_manifest_records_gate_counts(tmp_path):
@@ -187,3 +191,19 @@ def test_manifest_records_gate_counts(tmp_path):
     assert manifest["gate_counts"]["encoded/Z"] == {"n_1q": 3, "n_2q": 7, "n_meas": 6}
     assert manifest["gate_counts"]["encoded+red/Z"]["n_2q"] == 19
     assert manifest["version"] == "0.1.0"
+
+
+def test_non_integer_worker_count_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QEDVQE_WORKERS", "two")
+    assert cli.main(["budget", "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
+    assert "QEDVQE_WORKERS" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_runpy_warning(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qedvqe.cli", "budget", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,10 +8,11 @@ from qedvqe.estimate import (
     EnergyEstimate,
     H2Hamiltonian,
     Integrals,
+    MODE_ENCODED,
     PauliTerm,
     ResourceCount,
     THETA_STAR,
-    decode_logical,
+    _term_means,
     default_h2,
     energy_from_distributions,
     energy_from_shots,
@@ -24,11 +25,14 @@ from qedvqe.postselect import EmptySelectionError
 from qedvqe.sim import MeasurementLayout, ShotTable
 
 
-def make_table(counts, roles, basis="Z", seed=0):
-    layout = MeasurementLayout(
+def make_table(counts, roles):
+    return ShotTable(dict(counts), sum(counts.values()), make_layout(roles))
+
+
+def make_layout(roles):
+    return MeasurementLayout(
         tuple(range(len(roles))), tuple(roles), tuple(f"b{i}" for i in range(len(roles)))
     )
-    return ShotTable(dict(counts), sum(counts.values()), layout, seed, basis)
 
 
 UNENC_ROLES = (qcore.ROLE_DATA, qcore.ROLE_DATA)
@@ -87,19 +91,26 @@ def test_logical_matrix_reproduces_energy_on_encoded_state():
 # ---------------------------------------------------------------------------
 
 
-def test_decode_logical_examples():
-    assert decode_logical("0000") == (0, 0)
-    assert decode_logical("1111") == (0, 0)
-    assert decode_logical("1001") == (1, 1)
-    assert decode_logical("0001") is None
+def _decoded(data_bits):
+    """Logical (Z0, Z1, ZZ) eigenvalues _term_means reads off one encoded outcome."""
+    layout = make_layout(ENC_ROLES)
+    return tuple(_term_means({"0" + data_bits + "0": 1}, layout, MODE_ENCODED, "Z"))
 
 
-def test_decode_matches_codeword_supports():
+def test_term_means_decode_codewords():
+    def signs(l1, l2):
+        return (1 - 2 * l1, 1 - 2 * l2, 1 - 2 * (l1 ^ l2))
+
+    assert _decoded("0000") == _decoded("1111") == signs(0, 0)
+    assert _decoded("1001") == signs(1, 1)
     for (l1, l2), kets in builders.CODEWORD_SUPPORT.items():
         for bits in kets:
-            assert decode_logical(bits) == (l1, l2)
-    rejects = [format(i, "04b") for i in range(16) if format(i, "04b").count("1") % 2]
-    assert all(decode_logical(b) is None for b in rejects)
+            assert _decoded(bits) == signs(l1, l2)
+    # odd-parity strings (kept by the NONE row) decode by the same parities
+    assert _decoded("0001") == signs(0, 0)
+    assert _decoded("0100") == signs(1, 0)
+    x_counts = {"0" + "0110" + "0": 3, "0" + "0101" + "0": 1}  # q1^q2 = 0, 1
+    assert tuple(_term_means(x_counts, make_layout(ENC_ROLES), MODE_ENCODED, "X")) == (0.5,)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +120,9 @@ def test_decode_matches_codeword_supports():
 
 def test_energy_theta_zero_from_synthetic_tables():
     ham = default_h2()
-    z = make_table({"00": 1000}, UNENC_ROLES, "Z")
+    z = make_table({"00": 1000}, UNENC_ROLES)
     # theta = 0 X-basis outcomes are uniform: the XX estimate vanishes
-    x = make_table({"00": 250, "01": 250, "10": 250, "11": 250}, UNENC_ROLES, "X")
+    x = make_table({"00": 250, "01": 250, "10": 250, "11": 250}, UNENC_ROLES)
     est = energy_from_shots(z, x, ham, mode="unencoded")
     assert est.mean == pytest.approx(ham.g0 + ham.g1 + ham.g2 + ham.g3, abs=1e-12)
     assert est.mean == pytest.approx(-1.116152, abs=1e-6)
@@ -156,10 +167,10 @@ def _xx_mean(x_probs):
 def test_encoded_energy_uses_logical_parities():
     ham = default_h2()
     # pure |11>-bar support: 0110 and 1001 decode to logical (1,1)
-    z = make_table({"0" + "0110" + "0": 600, "0" + "1001" + "0": 400}, ENC_ROLES, "Z")
+    z = make_table({"0" + "0110" + "0": 600, "0" + "1001" + "0": 400}, ENC_ROLES)
     # X table balances q1 xor q2 so the logical XX estimate vanishes
     x = make_table({"0" + "0000" + "0": 250, "0" + "0101" + "0": 250,
-                    "0" + "1111" + "0": 250, "0" + "1010" + "0": 250}, ENC_ROLES, "X")
+                    "0" + "1111" + "0": 250, "0" + "1010" + "0": 250}, ENC_ROLES)
     est = energy_from_shots(z, x, ham, mode="encoded")
     # <Z1> = <Z2> = -1, <ZZ> = +1, <XX> = 0
     assert est.mean == pytest.approx(ham.g0 - ham.g1 - ham.g2 + ham.g3, abs=1e-12)
@@ -179,8 +190,8 @@ def test_variance_identity_at_optimum():
 
 def test_sem_combines_per_basis_counts():
     ham = default_h2()
-    z = make_table({"00": 900, "11": 100}, UNENC_ROLES, "Z")
-    x = make_table({"00": 300, "01": 100}, UNENC_ROLES, "X")
+    z = make_table({"00": 900, "11": 100}, UNENC_ROLES)
+    x = make_table({"00": 300, "01": 100}, UNENC_ROLES)
     est = energy_from_shots(z, x, ham, mode="unencoded")
     mz = [0.8, 0.8, 1.0]
     mx = 0.5
@@ -196,8 +207,8 @@ def test_sem_combines_per_basis_counts():
 
 def test_mean_is_linear_in_term_estimates():
     ham = default_h2()
-    z = make_table({"00": 700, "01": 200, "11": 100}, UNENC_ROLES, "Z")
-    x = make_table({"00": 300, "10": 100}, UNENC_ROLES, "X")
+    z = make_table({"00": 700, "01": 200, "11": 100}, UNENC_ROLES)
+    x = make_table({"00": 300, "10": 100}, UNENC_ROLES)
     est = energy_from_shots(z, x, ham, mode="unencoded")
     z1 = (700 + 200 - 100) / 1000  # (-1)^{b0}
     z2 = (700 - 200 - 100) / 1000
@@ -209,8 +220,8 @@ def test_mean_is_linear_in_term_estimates():
 
 def test_energy_errors_on_empty_tables():
     ham = default_h2()
-    z = make_table({}, UNENC_ROLES, "Z")
-    x = make_table({"00": 1}, UNENC_ROLES, "X")
+    z = make_table({}, UNENC_ROLES)
+    x = make_table({"00": 1}, UNENC_ROLES)
     with pytest.raises(EmptySelectionError):
         energy_from_shots(z, x, ham)
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from qedvqe.noise import (
     default_device_model,
     depolarize_kraus,
     device_model_from_config,
-    load_device_model,
     noiseless,
 )
 
@@ -159,17 +157,13 @@ def test_device_config_echoes_datasheet_values():
     assert model.p_init == pytest.approx(3.62e-5)
 
 
-def test_device_config_unknown_key_warns_but_loads(tmp_path):
+def test_device_config_unknown_key_warns_but_loads():
     cfg = dict(noise.H11E_PARAMS)
     cfg["Qubit Teleportation Whimsy"] = 0.1
     with pytest.warns(UserWarning, match="Whimsy"):
         model = device_model_from_config(cfg)
     assert model.depol.p2 == pytest.approx(8.8e-4)
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(cfg))
-    with pytest.warns(UserWarning):
-        loaded = load_device_model(path)
-    assert loaded == model
+    assert model == default_device_model()
 
 
 def test_crosstalk_placeholders_logged_not_simulated(caplog):

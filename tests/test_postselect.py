@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qedvqe import builders, noise, qcore, sim
+from qedvqe.estimate import default_h2, energy_from_distributions, energy_from_shots
 from qedvqe.postselect import (
     EmptySelectionError,
     Strategy,
@@ -19,11 +22,11 @@ from qedvqe.sim import MeasurementLayout, ShotTable, TrajectoryConfig
 ENC_ROLES = (qcore.ROLE_A1,) + (qcore.ROLE_DATA,) * 4 + (qcore.ROLE_A2,)
 
 
-def enc_table(counts, seed=0):
-    layout = MeasurementLayout(
-        tuple(range(6)), ENC_ROLES, ("a1", "q0", "q1", "q2", "q3", "a2")
-    )
-    return ShotTable(dict(counts), sum(counts.values()), layout, seed)
+ENC_LAYOUT = MeasurementLayout(tuple(range(6)), ENC_ROLES, ("a1", "q0", "q1", "q2", "q3", "a2"))
+
+
+def enc_table(counts):
+    return ShotTable(dict(counts), sum(counts.values()), ENC_LAYOUT)
 
 
 def spec_rows():
@@ -77,7 +80,7 @@ def test_apply_strategy_empty_table_raises():
 
 def test_select_a2_branch_requires_role():
     layout = MeasurementLayout((0, 1), (qcore.ROLE_DATA,) * 2, ("q0", "q1"))
-    table = ShotTable({"00": 3}, 3, layout, 0)
+    table = ShotTable({"00": 3}, 3, layout)
     with pytest.raises(ValueError):
         select_a2_branch(table, 0)
     with pytest.raises(ValueError):
@@ -119,7 +122,7 @@ def test_branch_one_carries_theta_plus_pi_statistics():
 # ---------------------------------------------------------------------------
 
 
-def red_table(counts, base_roles, seed=0):
+def red_table(counts, base_roles):
     n_base = len(base_roles)
     n = n_base + 2 * n_base
     qubits = tuple(range(n))
@@ -128,7 +131,7 @@ def red_table(counts, base_roles, seed=0):
     layout = MeasurementLayout(qubits, roles, names)
     triples = tuple((m, n_base + 2 * m, n_base + 2 * m + 1) for m in range(n_base))
     # bit order in keys: base qubits first, then ancilla pairs
-    return ShotTable(dict(counts), sum(counts.values()), layout, seed), builders.RedLayout(triples)
+    return ShotTable(dict(counts), sum(counts.values()), layout), builders.RedLayout(triples)
 
 
 def test_red_vote_unanimity_rules():
@@ -185,15 +188,37 @@ def test_eta_decreases_with_noise_and_x_basis_below_z():
         assert x.eta <= z.eta + 3 * (z.sigma_eta + x.sigma_eta)
 
 
-def test_distribution_twins_match_table_filters():
-    table = spec_rows()
+ENC_COUNTS = st.dictionaries(
+    st.integers(0, 63).map(lambda i: format(i, "06b")), st.integers(1, 50), min_size=1, max_size=24
+)
+
+
+def _selected(counts, kind):
+    """The count path and the probability path through a2 = 0 and one strategy."""
+    table = enc_table(counts)
     probs = {k: v / table.n_shots for k, v in table.counts.items()}
-    for kind in ("NONE", "PSA", "PSP", "PSAP"):
-        kept_t, st = apply_strategy(table, Strategy(kind))
-        kept_p, eta = apply_strategy_probs(probs, table.layout, Strategy(kind))
-        assert eta == pytest.approx(st.eta)
+    branch = select_a2_branch(table, 0)
+    branch_p, w = select_a2_probs(probs, ENC_LAYOUT, 0)
+    assert w == pytest.approx(branch.n_shots / table.n_shots)
+    kept_t, stats = apply_strategy(branch, Strategy(kind))
+    kept_p, eta = apply_strategy_probs(branch_p, ENC_LAYOUT, Strategy(kind))
+    return kept_t, stats, kept_p, eta
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=ENC_COUNTS, x=ENC_COUNTS, kind=st.sampled_from(("NONE", "PSA", "PSP", "PSAP")))
+def test_distribution_twins_match_table_filters(z, x, kind):
+    # some key survives a2 = 0 and PSAP in each basis, so neither path raises
+    assume(all(any(k[0] == k[5] == "0" and k[1:5].count("1") % 2 == 0 for k in c) for c in (z, x)))
+    sel = {}
+    for basis, counts in (("Z", z), ("X", x)):
+        kept_t, stats, kept_p, eta = _selected(counts, kind)
+        assert eta == pytest.approx(stats.eta)
         want = {k: v / kept_t.n_shots for k, v in kept_t.counts.items()}
         assert set(kept_p) == set(want)
         assert all(kept_p[k] == pytest.approx(want[k]) for k in want)
-    sel_p, w = select_a2_probs(probs, table.layout, 0)
-    assert w == pytest.approx(1.0)
+        sel[basis] = (kept_t, kept_p)
+    ham = default_h2()
+    shots = energy_from_shots(sel["Z"][0], sel["X"][0], ham, mode="encoded")
+    exact = energy_from_distributions(sel["Z"][1], sel["X"][1], ENC_LAYOUT, ham, mode="encoded")
+    assert shots.mean == pytest.approx(exact.mean, abs=1e-12)

@@ -12,7 +12,6 @@ from qedvqe.qcore import (
     StateVector,
     apply_gate,
     cnot,
-    compose,
     expectation,
     h,
     kron,
@@ -198,11 +197,3 @@ def test_circuit_text_roundtrip():
     back = qcore.circuit_from_text(text, 2, circ.roles)
     assert back.ops == circ.ops
 
-
-def test_compose_concatenates_and_keeps_last_measurements():
-    a = Circuit(2, (h(0),), (ROLE_DATA, ROLE_DATA))
-    b = Circuit(2, (cnot(0, 1), measure(0), measure(1)), (ROLE_DATA, ROLE_DATA))
-    c = compose(a, b)
-    assert [op.kind for op in c.ops] == ["H", "CNOT", "MEASURE_Z", "MEASURE_Z"]
-    sv = run_circuit(c)
-    assert np.allclose(sv.amps, [SQ2, 0, 0, SQ2])
