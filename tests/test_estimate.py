@@ -97,18 +97,22 @@ def _decoded(data_bits):
     return tuple(_term_means({"0" + data_bits + "0": 1}, layout, MODE_ENCODED, "Z"))
 
 
-def test_term_means_decode_codewords():
-    def signs(l1, l2):
-        return (1 - 2 * l1, 1 - 2 * l2, 1 - 2 * (l1 ^ l2))
+def _signs(l1, l2):
+    return (1 - 2 * l1, 1 - 2 * l2, 1 - 2 * (l1 ^ l2))
 
-    assert _decoded("0000") == _decoded("1111") == signs(0, 0)
-    assert _decoded("1001") == signs(1, 1)
+
+def test_decode_logical_examples():
+    assert _decoded("0000") == _decoded("1111") == _signs(0, 0)
+    assert _decoded("1001") == _signs(1, 1)
+    # odd-parity strings (kept by the NONE row) decode by the same parities
+    assert _decoded("0001") == _signs(0, 0)
+    assert _decoded("0100") == _signs(1, 0)
+
+
+def test_decode_matches_codeword_supports():
     for (l1, l2), kets in builders.CODEWORD_SUPPORT.items():
         for bits in kets:
-            assert _decoded(bits) == signs(l1, l2)
-    # odd-parity strings (kept by the NONE row) decode by the same parities
-    assert _decoded("0001") == signs(0, 0)
-    assert _decoded("0100") == signs(1, 0)
+            assert _decoded(bits) == _signs(l1, l2)
     x_counts = {"0" + "0110" + "0": 3, "0" + "0101" + "0": 1}  # q1^q2 = 0, 1
     assert tuple(_term_means(x_counts, make_layout(ENC_ROLES), MODE_ENCODED, "X")) == (0.5,)
 
