@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    MAX_QUBITS,
     ROLE_A1,
     ROLE_A2,
     ROLE_DATA,
@@ -142,19 +141,18 @@ def build_syndrome_circuit() -> Circuit:
     return Circuit(6, tuple(ops), roles, label="syndrome_422")
 
 
-def wrap_with_red(circuit: Circuit, max_qubits: int = MAX_QUBITS):
+def wrap_with_red(circuit: Circuit):
     """Append [3,1] readout encoding: two fresh ancillas per measured qubit.
 
     Each measured qubit is copied onto two |0> ancillas by CNOTs immediately
     before measurement; all three are measured. Returns the wrapped circuit
-    and the RedLayout recording the triples.
+    and the RedLayout recording the triples. Circuit rejects a wrapped
+    register larger than qcore.MAX_QUBITS.
     """
     measured = circuit.measured_qubits
     if not measured:
         raise ValueError("circuit has no terminal measurements to encode")
     n_new = circuit.n_qubits + 2 * len(measured)
-    if n_new > max_qubits:
-        raise ValueError(f"RED wrapping needs {n_new} qubits, exceeding the cap {max_qubits}")
     ops = [op for op in circuit.ops if op.kind != "MEASURE_Z"]
     triples = []
     nxt = circuit.n_qubits

@@ -125,27 +125,31 @@ ENERGY_HEADER = (
 )
 
 
-def _sample_both_bases(build, model, shots, seed, tag, max_qubits=20):
-    tables = {}
+def _sample_both_bases(build, model, shots, seed, tag):
+    """Sample the Z and X circuits of one study row.
+
+    build(basis) returns (circuit, RedLayout or None). Both bases measure the
+    same qubits, so the Z build's layout is returned with the shot tables.
+    """
+    tables, layouts = {}, {}
     for basis in ("Z", "X"):
-        circ = build(basis)
+        circ, layouts[basis] = build(basis)
         nc = noise.attach_noise(circ, model)
         run_seed = _sub_seed(seed, f"{tag}/{basis}")
-        tables[basis] = sim.sample_shots_batched(nc, sim.TrajectoryConfig(shots, run_seed, max_qubits))
-    return tables
+        tables[basis] = sim.sample_shots_batched(nc, sim.TrajectoryConfig(shots, run_seed))
+    return tables, layouts["Z"]
 
 
 def _unencoded_row(ham, model, shots, seed, theta, tag="unencoded", red=False):
     def build(basis):
         circ = builders.build_unencoded_ansatz(theta, basis)
-        return builders.wrap_with_red(circ)[0] if red else circ
+        return builders.wrap_with_red(circ) if red else (circ, None)
 
-    tables = _sample_both_bases(build, model, shots, seed, tag)
+    tables, red_layout = _sample_both_bases(build, model, shots, seed, tag)
     etas, stats = {}, {}
     if red:
-        layout = builders.wrap_with_red(builders.build_unencoded_ansatz(theta, "Z"))[1]
         for b in "ZX":
-            tables[b], stats[b] = postselect.red_vote(tables[b], layout)
+            tables[b], stats[b] = postselect.red_vote(tables[b], red_layout)
             etas[b] = stats[b].eta
     else:
         for b in "ZX":
@@ -162,15 +166,12 @@ def _unencoded_row(ham, model, shots, seed, theta, tag="unencoded", red=False):
 def _encoded_rows(ham, model, shots, seed, theta, strategies, red=False, tag="encoded"):
     def build(basis):
         circ = builders.build_encoded_ansatz(theta, basis)
-        return builders.wrap_with_red(circ)[0] if red else circ
+        return builders.wrap_with_red(circ) if red else (circ, None)
 
-    tables = _sample_both_bases(build, model, shots, seed, tag + ("+red" if red else ""))
-    red_eta = {"Z": 1.0, "X": 1.0}
+    tables, red_layout = _sample_both_bases(build, model, shots, seed, tag + ("+red" if red else ""))
     if red:
-        layout = builders.wrap_with_red(builders.build_encoded_ansatz(theta, "Z"))[1]
         for b in "ZX":
-            tables[b], st = postselect.red_vote(tables[b], layout)
-            red_eta[b] = st.eta
+            tables[b], _ = postselect.red_vote(tables[b], red_layout)
     branch = {b: postselect.select_a2_branch(tables[b], 0) for b in "ZX"}
     rows, ests = [], {}
     for kind in strategies:
@@ -186,7 +187,7 @@ def _encoded_rows(ham, model, shots, seed, theta, strategies, red=False, tag="en
             etas["Z"], etas["X"], stats["Z"].sigma_eta, stats["X"].sigma_eta,
             est.n_used["Z"], est.n_used["X"], seed,
         ))
-        ests[kind] = (est, red_eta)
+        ests[kind] = est
     return rows, ests
 
 
@@ -416,7 +417,7 @@ def exp_red_pipeline(cfg: dict):
         row, est = _unencoded_row(ham, model, shots, seed, theta, tag=f"unenc/red={red}", red=red)
         enc, ests = _encoded_rows(ham, model, shots, seed, theta, ["PSAP"], red=red)
         # eta_overall_Z: kept Z shots over raw Z shots, through every filter
-        for r, e in ((row, est), (enc[0], ests["PSAP"][0])):
+        for r, e in ((row, est), (enc[0], ests["PSAP"])):
             rows.append(r + (1e3 * abs(e.mean - estimate.E_STAR_HA), r[8] / shots))
     header = ENERGY_HEADER + ("delta_mHa", "eta_overall_Z")
     summary = "\n".join(f"{r[0]:22s} {r[1]:9.2f} mHa  delta={r[-2]:.2f}  eta={100 * r[-1]:.1f}%" for r in rows)

@@ -48,7 +48,7 @@ _SWAP = np.array(
 PARAMETRIC_KINDS = ("RY", "RZ")
 UNITARY_1Q_KINDS = tuple(_FIXED_1Q) + PARAMETRIC_KINDS
 UNITARY_2Q_KINDS = ("CNOT", "SWAP")
-NONUNITARY_KINDS = ("MEASURE_Z", "RESET")
+NONUNITARY_KINDS = ("MEASURE_Z",)
 GATE_KINDS = UNITARY_1Q_KINDS + UNITARY_2Q_KINDS + NONUNITARY_KINDS
 
 
@@ -163,10 +163,6 @@ def swap(a, b):
 
 def measure(q):
     return Gate("MEASURE_Z", (q,))
-
-
-def reset(q):
-    return Gate("RESET", (q,))
 
 
 def gate_from_text(line: str) -> Gate:

@@ -9,24 +9,37 @@ are partitioned into batches or workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .noise import DampingNoise, NoisyCircuit, PauliNoise, ReadoutParams
+from .builders import wrap_with_red
+from .noise import (
+    DampingNoise,
+    DepolarizingParams,
+    DeviceModel,
+    NoisyCircuit,
+    PauliNoise,
+    ReadoutParams,
+    attach_noise,
+)
 from .qcore import (
+    ROLE_DATA,
     Circuit,
     DensityMatrix,
     StateVector,
     apply_unitary_dm,
     apply_unitary_sv,
     bitstring,
+    measure,
+    x,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
 )
 
 DENSITY_QUBIT_CAP = 12
+TRAJECTORY_QUBIT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -85,7 +98,6 @@ class ShotTable:
 class TrajectoryConfig:
     n_shots: int
     seed: int = 0
-    max_qubits: int = 20
 
     def __post_init__(self):
         if self.n_shots < 1:
@@ -112,30 +124,17 @@ def _damping_channel_dm(mat, n, ch: DampingNoise):
         + apply_unitary_dm(mat, n, k1, (ch.qubit,))
     )
 
-def _reset_channel_dm(mat, n, qubit):
-    k0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    k1 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    return (
-        apply_unitary_dm(mat, n, k0, (qubit,))
-        + apply_unitary_dm(mat, n, k1, (qubit,))
-    )
-
-
-def evolve_density(noisy: NoisyCircuit, max_qubits: int = DENSITY_QUBIT_CAP) -> DensityMatrix:
+def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
     """Exact mixed state after all gates and channels, before measurement/readout."""
     circ = noisy.circuit
     n = circ.n_qubits
-    if n > max_qubits:
-        raise ValueError(f"density backend capped at {max_qubits} qubits, got {n}")
+    if n > DENSITY_QUBIT_CAP:
+        raise ValueError(f"density backend capped at {DENSITY_QUBIT_CAP} qubits, got {n}")
     mat = DensityMatrix.zero(n).mat
     for ch in noisy.pre_channels:
         mat = _pauli_channel_dm(mat, n, ch)
     for op, slot in zip(circ.ops, noisy.channels):
-        if op.kind == "MEASURE_Z":
-            pass
-        elif op.kind == "RESET":
-            mat = _reset_channel_dm(mat, n, op.targets[0])
-        else:
+        if op.is_unitary:
             mat = apply_unitary_dm(mat, n, op.matrix(), op.qubits)
         for ch in slot:
             if isinstance(ch, PauliNoise):
@@ -158,17 +157,20 @@ def _readout_kernel(readout: ReadoutParams) -> np.ndarray:
     )
 
 
+def _push_bits(t: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Apply a per-bit 2x2 kernel (column = true bit) to every axis of a joint distribution."""
+    for q in range(t.ndim):
+        t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [q])), 0, q)
+    return t
+
+
 def born_distribution(rho: DensityMatrix, readout: ReadoutParams = ReadoutParams()) -> dict[str, float]:
     """Diagonal Born probabilities convolved with independent readout flips."""
     probs = rho.diagonal()
     probs = np.clip(probs, 0.0, None)
     n = rho.n_qubits
     if not readout.trivial:
-        t = probs.reshape((2,) * n)
-        kern = _readout_kernel(readout)
-        for q in range(n):
-            t = np.moveaxis(np.tensordot(kern, t, axes=([1], [q])), 0, q)
-        probs = t.reshape(-1)
+        probs = _push_bits(probs.reshape((2,) * n), _readout_kernel(readout)).reshape(-1)
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise ValueError("distribution does not sum to 1")
@@ -204,8 +206,6 @@ class _Trajectory:
     def __init__(self, noisy: NoisyCircuit):
         self.noisy = noisy
         self.n = noisy.circuit.n_qubits
-        self.locations = noisy.noise_locations()
-        self.n_loc = len(self.locations)
 
     def _pop1_frac(self, amps, qubit):
         """Occupation of |1> on the qubit, relative to the current norm."""
@@ -237,12 +237,6 @@ class _Trajectory:
             tmp = p0.copy()
             p0[...] = p1
             p1[...] = tmp
-        elif op.kind == "SWAP":
-            a, b = sorted(op.targets)
-            view = self._quad_view(amps, a, b)
-            tmp = view[:, 0, :, 1, :].copy()
-            view[:, 0, :, 1, :] = view[:, 1, :, 0, :]
-            view[:, 1, :, 0, :] = tmp
         else:
             amps[...] = apply_unitary_sv(amps, self.n, op.matrix(), op.qubits)
 
@@ -279,13 +273,7 @@ class _Trajectory:
             self._apply_channel(amps, ch, u_loc[k])
             k += 1
         for op, slot in zip(self.noisy.circuit.ops, self.noisy.channels):
-            if op.kind == "MEASURE_Z":
-                pass
-            elif op.kind == "RESET":
-                # builders never emit RESET (fresh-ancilla policy); the exact
-                # channel is mixed-state only, so it lives in the density backend
-                raise ValueError("RESET is not supported by the trajectory backend")
-            else:
+            if op.kind != "MEASURE_Z":
                 self._apply_gate(amps, op)
             for ch in slot:
                 self._apply_channel(amps, ch, u_loc[k])
@@ -295,23 +283,24 @@ class _Trajectory:
     def no_jump_reference(self):
         """One sweep with no Pauli faults and no damping jumps.
 
-        Returns (final normalized amps, [(location, p_jump), ...]) so the
-        common fault-free shot can be resolved without evolving.
+        Returns (final normalized amps, fault thresholds): a shot is fault-free
+        when every location's uniform reaches its threshold, which is p_total
+        for Pauli noise and the reference p_jump for damping. Such a shot is
+        resolved without evolving.
         """
         amps = StateVector.zero(self.n).amps
-        thresholds = []
-        k = len(self.noisy.pre_channels)
+        thresholds = [ch.p_total for ch in self.noisy.pre_channels]
         for op, slot in zip(self.noisy.circuit.ops, self.noisy.channels):
             if op.is_unitary:
                 self._apply_gate(amps, op)
             for ch in slot:
-                if isinstance(ch, DampingNoise):
-                    p_jump = ch.gamma * self._pop1_frac(amps, ch.qubit)
-                    thresholds.append((k, p_jump))
-                    _, a1 = _half_planes(amps, ch.qubit)
-                    a1[...] *= np.sqrt(1.0 - ch.gamma)
-                k += 1
-        return amps / np.linalg.norm(amps), thresholds
+                if isinstance(ch, PauliNoise):
+                    thresholds.append(ch.p_total)
+                    continue
+                thresholds.append(ch.gamma * self._pop1_frac(amps, ch.qubit))
+                _, a1 = _half_planes(amps, ch.qubit)
+                a1[...] *= np.sqrt(1.0 - ch.gamma)
+        return amps / np.linalg.norm(amps), np.array(thresholds)
 
 
 def sample_shots(
@@ -325,46 +314,32 @@ def sample_shots(
     reference evolution; shots with any fault are evolved individually.
     """
     circ = noisy.circuit
-    if circ.n_qubits > cfg.max_qubits:
+    if circ.n_qubits > TRAJECTORY_QUBIT_CAP:
         raise ValueError(
-            f"trajectory backend capped at {cfg.max_qubits} qubits, got {circ.n_qubits}"
+            f"trajectory backend capped at {TRAJECTORY_QUBIT_CAP} qubits, got {circ.n_qubits}"
         )
     measured = circ.measured_qubits
     if not measured:
         raise ValueError("circuit has no terminal measurements")
-    if any(op.kind == "RESET" for op in circ.ops):
-        raise ValueError("RESET is not supported by the trajectory backend")
     layout = MeasurementLayout.of(circ)
     traj = _Trajectory(noisy)
 
-    ref_amps, damp_thresholds = traj.no_jump_reference()
+    ref_amps, thresholds = traj.no_jump_reference()
     ref_cdf = np.cumsum(np.abs(ref_amps) ** 2)
     ref_cdf[-1] = 1.0
-
-    pauli_idx = np.array(
-        [i for i, (_, ch) in enumerate(traj.locations) if isinstance(ch, PauliNoise)],
-        dtype=int,
-    )
-    pauli_p = np.array(
-        [ch.p_total for _, ch in traj.locations if isinstance(ch, PauliNoise)]
-    )
-    damp_idx = np.array([k for k, _ in damp_thresholds], dtype=int)
-    damp_p = np.array([p for _, p in damp_thresholds])
 
     flip_p = np.array(
         [noisy.readout.p_flip0, noisy.readout.p_flip1]
     )
     skip_readout = noisy.readout.trivial
     n_meas = len(measured)
-    n_loc = traj.n_loc
+    n_loc = thresholds.size
 
     counts: dict[str, int] = {}
     for i in range(cfg.n_shots):
         gen = _shot_generator(cfg.seed, shot_offset + i)
         u_loc = gen.random(n_loc) if n_loc else np.empty(0)
-        fault_free = bool(
-            np.all(u_loc[pauli_idx] >= pauli_p) if pauli_idx.size else True
-        ) and bool(np.all(u_loc[damp_idx] >= damp_p) if damp_idx.size else True)
+        fault_free = bool(np.all(u_loc >= thresholds))
         u_out = gen.random()
         if fault_free:
             idx = int(np.searchsorted(ref_cdf, u_out, side="right"))
@@ -394,11 +369,7 @@ def sample_shots_batched(
     done = 0
     while done < cfg.n_shots:
         take = min(batch_size, cfg.n_shots - done)
-        part = sample_shots(
-            noisy,
-            TrajectoryConfig(take, cfg.seed, cfg.max_qubits),
-            shot_offset=done,
-        )
+        part = sample_shots(noisy, TrajectoryConfig(take, cfg.seed), shot_offset=done)
         table = part if table is None else table.merged(part)
         done += take
     return table
@@ -409,64 +380,34 @@ def sample_shots_batched(
 # ---------------------------------------------------------------------------
 
 
-def _bit_channel(dist: np.ndarray, bit: int, p_up: float, p_down: float) -> np.ndarray:
-    """Asymmetric flip of one bit of a joint distribution over (q, k, l).
-
-    States are little-endian (q + 2k + 4l); the bit goes 0 -> 1 with
-    probability p_up and 1 -> 0 with p_down. A symmetric flip is
-    (alpha, alpha), amplitude damping is (0, gamma).
-    """
-    states = np.arange(dist.size)
-    moved = np.where((states >> bit) & 1, p_down, p_up) * dist
-    return dist - moved + moved[states ^ (1 << bit)]
-
-
-def red_vote_kernel(*, flip_cnot=0.0, gamma=0.0, p_init=0.0,
-                    readout: ReadoutParams = ReadoutParams()):
+def red_vote_kernel_for(model) -> np.ndarray:
     """Exact per-qubit kernel of the [3,1] readout gadget with unanimous vote.
 
     Everything downstream of the ansatz is diagonal in the computational
-    basis, so the two copy-CNOTs plus their noise act as a classical channel
-    on each measured bit: X/Y components of depolarizing noise flip the bit,
-    damping sends 1 -> 0, init faults pre-flip the fresh ancillas, and
-    readout flips act on all three reads. Returns a 2x2 matrix K with
+    basis, so the gadget acts as a classical channel on each measured bit.
+    The kernel is the density-backend run of the gadget that wrap_with_red
+    appends to a one-qubit read, under the channels attach_noise gives it
+    for this model. The read qubit's prep-gate noise and init flip belong to
+    the ansatz and are dropped. Returns a 2x2 matrix K with
     K[c, b] = P(triple unanimous with value c | true bit b).
     """
     kernel = np.zeros((2, 2))
     for b in (0, 1):
-        dist = np.zeros(8)
-        dist[b] = 1.0
-        for anc in (1, 2):  # init faults on the fresh ancillas
-            dist = _bit_channel(dist, anc, p_init, p_init)
-        for anc in (1, 2):
-            dist = dist[[s ^ (1 << anc) if s & 1 else s for s in range(8)]]  # CNOT q -> anc
-            for pos in (0, anc):
-                dist = _bit_channel(dist, pos, flip_cnot, flip_cnot)
-                dist = _bit_channel(dist, pos, 0.0, gamma)
-        for pos in (0, 1, 2):
-            dist = _bit_channel(dist, pos, readout.p_flip0, readout.p_flip1)
-        kernel[0, b] = dist[0b000]
-        kernel[1, b] = dist[0b111]
+        read = Circuit(1, (x(0),) * b + (measure(0),), (ROLE_DATA,))
+        gadget = attach_noise(wrap_with_red(read)[0], model)
+        gadget = replace(
+            gadget,
+            channels=((),) * b + gadget.channels[b:],
+            pre_channels=tuple(ch for ch in gadget.pre_channels if ch.qubit != 0),
+        )
+        probs = born_distribution(evolve_density(gadget), gadget.readout)
+        kernel[:, b] = probs.get("000", 0.0), probs.get("111", 0.0)
     return kernel
 
 
-def red_vote_kernel_for(model) -> np.ndarray:
-    """Vote kernel with flip/damp/init rates taken from a noise model."""
-    from .noise import DepolarizingParams, DeviceModel
-
-    if isinstance(model, DepolarizingParams):
-        return red_vote_kernel(flip_cnot=2.0 * model.p2 / 3.0)
-    if isinstance(model, DeviceModel):
-        r2 = model.emission_ratio_2q
-        return red_vote_kernel(
-            flip_cnot=2.0 * (1.0 - r2) * model.depol.p2 / 3.0,
-            gamma=r2 * model.depol.p2,
-            p_init=model.p_init,
-            readout=model.readout,
-        )
-    if isinstance(model, ReadoutParams):
-        return red_vote_kernel(readout=model)
-    raise TypeError("model must be DepolarizingParams, DeviceModel, or ReadoutParams")
+def red_vote_kernel(*, readout: ReadoutParams = ReadoutParams()) -> np.ndarray:
+    """Vote kernel of a gadget whose only noise is readout flips."""
+    return red_vote_kernel_for(DeviceModel(DepolarizingParams(p2=0.0), readout=readout))
 
 
 def red_vote_distribution(probs: dict[str, float], kernel: np.ndarray):
@@ -480,9 +421,7 @@ def red_vote_distribution(probs: dict[str, float], kernel: np.ndarray):
     t = np.zeros((2,) * n)
     for key, p in probs.items():
         t[tuple(int(c) for c in key)] += p
-    for q in range(n):
-        t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [q])), 0, q)
-    flat = t.reshape(-1)
+    flat = _push_bits(t, kernel).reshape(-1)
     eta = float(flat.sum())
     out = {
         bitstring(i, n): float(p / eta) for i, p in enumerate(flat) if p > 0.0

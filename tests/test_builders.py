@@ -273,8 +273,10 @@ def test_red_wrap_noiseless_triples_unanimous():
 
 
 def test_red_wrap_budget_guard():
-    with pytest.raises(ValueError):
-        wrap_with_red(build_encoded_ansatz(0.1, BASIS_Z), max_qubits=17)
+    # 9 measured qubits wrap to 27, past the register limit every Circuit enforces
+    n = qcore.MAX_QUBITS // 3 + 1
+    with pytest.raises(ValueError, match="n_qubits"):
+        wrap_with_red(Circuit(n, tuple(qcore.measure(q) for q in range(n)), (qcore.ROLE_DATA,) * n))
 
 
 def test_red_wrap_requires_measurements():

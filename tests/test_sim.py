@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qedvqe import builders, noise, qcore
+from qedvqe import builders, noise, qcore, sim
 from qedvqe.noise import DepolarizingParams, ReadoutParams
 from qedvqe.qcore import Circuit, ROLE_DATA
 from qedvqe.sim import (
@@ -26,6 +28,17 @@ def tvd(a: dict, b: dict) -> float:
 
 def empirical(table: ShotTable) -> dict:
     return {k: v / table.n_shots for k, v in table.counts.items()}
+
+
+def all_measured(n: int) -> Circuit:
+    return Circuit(n, tuple(qcore.measure(q) for q in range(n)), (ROLE_DATA,) * n)
+
+
+def refuse_allocation(monkeypatch, state_class):
+    def zero(n_qubits):
+        pytest.fail(f"allocated a {n_qubits}-qubit {state_class.__name__}")
+
+    monkeypatch.setattr(state_class, "zero", staticmethod(zero))
 
 
 # ---------------------------------------------------------------------------
@@ -51,21 +64,13 @@ def test_full_depolarizing_single_gate_population():
     assert rho.mat[1, 1].real == pytest.approx(2 / 3, abs=1e-12)
 
 
-def test_evolve_density_trace_and_cap():
+def test_evolve_density_trace_and_cap(monkeypatch):
     circ = builders.build_encoded_ansatz(0.3, "Z")
     rho = evolve_density(noise.attach_noise(circ, DepolarizingParams(p2=0.05)))
     assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        evolve_density(noise.noiseless(circ), max_qubits=5)
-
-
-def test_reset_gate_density_semantics():
-    circ = Circuit(1, (qcore.h(0), qcore.reset(0), qcore.measure(0)), (ROLE_DATA,))
-    rho = evolve_density(noise.noiseless(circ))
-    assert rho.mat[0, 0].real == pytest.approx(1.0)
-    # the exact reset channel is mixed-state only
-    with pytest.raises(ValueError, match="RESET"):
-        sample_shots(noise.noiseless(circ), TrajectoryConfig(5, seed=0))
+    refuse_allocation(monkeypatch, qcore.DensityMatrix)
+    with pytest.raises(ValueError, match="capped"):
+        evolve_density(noise.noiseless(all_measured(sim.DENSITY_QUBIT_CAP + 1)))
 
 
 def test_born_distribution_basics():
@@ -148,10 +153,46 @@ def test_trajectories_match_density_under_device_model():
     assert tvd(probs, empirical(table)) < bound
 
 
-def test_trajectory_qubit_cap():
-    circ = builders.build_encoded_ansatz(0.1, "Z")
-    with pytest.raises(ValueError):
-        sample_shots(noise.noiseless(circ), TrajectoryConfig(10, seed=0, max_qubits=4))
+def test_trajectory_qubit_cap(monkeypatch):
+    refuse_allocation(monkeypatch, qcore.StateVector)
+    with pytest.raises(ValueError, match="capped"):
+        sample_shots(
+            noise.noiseless(all_measured(sim.TRAJECTORY_QUBIT_CAP + 1)), TrajectoryConfig(10, seed=0)
+        )
+
+
+def random_gate_circuit(rng, n: int) -> Circuit:
+    """Every gate kind the builders use plus SWAP, twice each, on random qubits.
+
+    CNOT appears with its control both below and above its target.
+    """
+    kinds = ["H", "S", "RY", "RZ", "X", "Y", "Z", "SWAP", "CNOT_up", "CNOT_down"] * 2
+    rng.shuffle(kinds)
+    ops = []
+    for kind in kinds:
+        q = int(rng.integers(n))
+        lo, hi = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        if kind == "SWAP":
+            ops.append(qcore.swap(lo, hi))
+        elif kind == "CNOT_up":
+            ops.append(qcore.cnot(lo, hi))
+        elif kind == "CNOT_down":
+            ops.append(qcore.cnot(hi, lo))
+        elif kind in ("RY", "RZ"):
+            ops.append(qcore.Gate(kind, (q,), angle=float(rng.uniform(-math.pi, math.pi))))
+        else:
+            ops.append(qcore.Gate(kind, (q,)))
+    return Circuit(n, tuple(ops) + all_measured(n).ops, (ROLE_DATA,) * n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trajectory_gate_kernels_match_density_on_random_circuits(seed):
+    nc = noise.noiseless(random_gate_circuit(np.random.default_rng(seed), 3))
+    n_shots = 20000
+    table = sample_shots(nc, TrajectoryConfig(n_shots, seed=seed))
+    probs = born_distribution(evolve_density(nc))
+    bound = 5 * math.sqrt(len(probs) / n_shots)
+    assert tvd(probs, empirical(table)) < bound
 
 
 def test_shot_table_merge_guards():
@@ -177,6 +218,61 @@ def test_red_layout_names_follow_role_names():
 # ---------------------------------------------------------------------------
 # exact readout-encoding model
 # ---------------------------------------------------------------------------
+
+
+def _flip(dist: np.ndarray, bit: int, p_up: float, p_down: float) -> np.ndarray:
+    """Asymmetric flip of one bit of a little-endian joint distribution (q + 2k + 4l).
+
+    The bit goes 0 -> 1 with probability p_up and 1 -> 0 with p_down; a
+    symmetric flip is (alpha, alpha), amplitude damping is (0, gamma).
+    """
+    states = np.arange(dist.size)
+    moved = np.where((states >> bit) & 1, p_down, p_up) * dist
+    return dist - moved + moved[states ^ (1 << bit)]
+
+
+def red_vote_chain(model: noise.DeviceModel) -> np.ndarray:
+    """Closed-form vote kernel of the readout gadget, written out by hand.
+
+    Init flips pre-flip the two fresh ancillas; each copy-CNOT's depolarizing
+    X/Y weight flips both of its bits and its emission weight damps them;
+    readout flips act on all three reads.
+    """
+    r2, p2 = model.emission_ratio_2q, model.depol.p2
+    flip, gamma = 2.0 * (1.0 - r2) * p2 / 3.0, r2 * p2
+    kernel = np.zeros((2, 2))
+    for b in (0, 1):
+        dist = np.zeros(8)
+        dist[b] = 1.0
+        for anc in (1, 2):
+            dist = _flip(dist, anc, model.p_init, model.p_init)
+        for anc in (1, 2):
+            dist = dist[[s ^ (1 << anc) if s & 1 else s for s in range(8)]]  # CNOT q -> anc
+            for pos in (0, anc):
+                dist = _flip(dist, pos, flip, flip)
+                dist = _flip(dist, pos, 0.0, gamma)
+        for pos in (0, 1, 2):
+            dist = _flip(dist, pos, model.readout.p_flip0, model.readout.p_flip1)
+        kernel[:, b] = dist[0b000], dist[0b111]
+    return kernel
+
+
+RATE = st.floats(0.0, 1.0)
+DEVICE_MODELS = st.builds(
+    lambda p1, p2, f0, f1, p_init, r1, r2: noise.DeviceModel(
+        DepolarizingParams(p2=p2, p1=p1), ReadoutParams(f0, f1),
+        p_init=p_init, emission_ratio_1q=r1, emission_ratio_2q=r2,
+    ),
+    RATE, RATE, RATE, RATE, RATE, RATE, RATE,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=DEVICE_MODELS)
+def test_red_kernel_matches_closed_form_chain(model):
+    kern = red_vote_kernel_for(model)
+    assert np.max(np.abs(kern - red_vote_chain(model))) < 1e-12
+    assert np.all(kern.sum(axis=0) <= 1.0 + 1e-12)
 
 
 def test_red_kernel_noise_free_is_identity():
