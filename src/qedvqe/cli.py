@@ -6,6 +6,10 @@ across re-runs of the same config and seed. Passing a previously written
 manifest as --config re-runs it. The QEDVQE_WORKERS environment variable
 sizes the worker pool for sweep points; output ordering is canonical
 regardless of scheduling.
+
+Exit codes: 0 success, 2 a config value that cannot be used (the message
+names its key), 3 a post-selection that kept no shot, 4 an internal error
+(the traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import json
 import os
 import sys
 import time
+import traceback
 import zlib
 from pathlib import Path
 
@@ -43,6 +48,7 @@ EXPERIMENTS = (
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_EMPTY_SELECTION = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
@@ -55,6 +61,42 @@ def _require(cfg: dict, key: str, default=None):
     if default is not None:
         return default
     raise ConfigError(f"missing required config key {key!r}")
+
+
+def _read(cfg: dict, key: str, default, convert=float):
+    """cfg[key], or default when absent, passed through convert.
+
+    Any failure to convert is reported as a ConfigError naming the key, so a
+    bad value is rejected where it is read, before the work that would use it.
+    """
+    raw = cfg.get(key, default)
+    try:
+        return convert(raw)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: cannot use {raw!r} ({exc})") from None
+
+
+def _count(minimum: int):
+    def convert(raw) -> int:
+        value = int(raw)
+        if value != float(raw):
+            raise ValueError("must be a whole number")
+        if value < minimum:
+            raise ValueError(f"must be at least {minimum}")
+        return value
+
+    return convert
+
+
+def _rates(raw) -> list[float]:
+    rates = [float(p) for p in raw]
+    if not all(0.0 <= p <= 1.0 for p in rates):
+        raise ValueError("every rate must be in [0, 1]")
+    return rates
+
+
+def _strategies(raw) -> list[str]:
+    return [postselect.Strategy(kind).kind for kind in raw]
 
 
 def _sub_seed(master: int, tag: str) -> int:
@@ -93,8 +135,7 @@ def write_csv(path: Path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _parse_noise(cfg: dict):
-    spec = cfg.get("noise", {"kind": "depolarizing", "p2": 0.0})
+def _noise_model(spec: dict):
     kind = spec.get("kind", "depolarizing")
     if kind == "depolarizing":
         return noise.DepolarizingParams(
@@ -105,14 +146,17 @@ def _parse_noise(cfg: dict):
         params = dict(noise.H11E_PARAMS)
         params.update({k: v for k, v in spec.items() if k != "kind"})
         return noise.device_model_from_config(params)
-    raise ConfigError(f"unknown noise kind {kind!r}")
+    raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def _ham(cfg: dict) -> estimate.H2Hamiltonian:
-    g = cfg.get("hamiltonian")
+def _hamiltonian(g) -> estimate.H2Hamiltonian:
     if g is None:
         return estimate.default_h2()
     return estimate.H2Hamiltonian(*(float(g[k]) for k in ("g0", "g1", "g2", "g3", "g4")))
+
+
+def _ham(cfg: dict) -> estimate.H2Hamiltonian:
+    return _read(cfg, "hamiltonian", None, _hamiltonian)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +291,10 @@ def shot_limit_estimates(ham, model, theta, strategies=("NONE", "PSA", "PSP", "P
 
 def exp_scan(cfg: dict):
     ham = _ham(cfg)
-    model = _parse_noise(cfg)
-    n_points = int(cfg.get("points", 150))
-    seed = int(cfg.get("seed", 0))
-    encoded = bool(cfg.get("encoded", False))
+    model = _read(cfg, "noise", {}, _noise_model)
+    n_points = _read(cfg, "points", 150, _count(2))
+    seed = _read(cfg, "seed", 0, int)
+    encoded = _read(cfg, "encoded", False, bool)
 
     def runner(theta: float) -> estimate.EnergyEstimate:
         if encoded:
@@ -285,11 +329,11 @@ def exp_scan(cfg: dict):
 def exp_table2(cfg: dict):
     ham = _ham(cfg)
     # the comparison table is defined at the chemical-accuracy threshold noise
-    model = _parse_noise(cfg) if "noise" in cfg else noise.DepolarizingParams(p2=0.0009)
-    shots = int(cfg.get("shots", 200000))
-    seed = int(cfg.get("seed", 0))
-    theta = float(cfg.get("theta", estimate.THETA_STAR))
-    strategies = list(cfg.get("strategies", ["NONE", "PSA", "PSP", "PSAP"]))
+    model = _read(cfg, "noise", {"p2": 0.0009}, _noise_model)
+    shots = _read(cfg, "shots", 200000, _count(1))
+    seed = _read(cfg, "seed", 0, int)
+    theta = _read(cfg, "theta", estimate.THETA_STAR)
+    strategies = _read(cfg, "strategies", ["NONE", "PSA", "PSP", "PSAP"], _strategies)
 
     rows = []
     row, _ = _unencoded_row(ham, model, shots, seed, theta)
@@ -315,11 +359,11 @@ def exp_table2(cfg: dict):
 
 def exp_sweep_depol(cfg: dict):
     ham = _ham(cfg)
-    shots = int(cfg.get("shots", 20000))
-    seed = int(cfg.get("seed", 0))
-    theta = float(cfg.get("theta", estimate.THETA_STAR))
-    grid = [float(p) for p in cfg.get("p2_grid", (0.0005, 0.001, 0.002, 0.005, 0.01))]
-    strategies = list(cfg.get("strategies", ["NONE", "PSA", "PSP", "PSAP"]))
+    shots = _read(cfg, "shots", 20000, _count(1))
+    seed = _read(cfg, "seed", 0, int)
+    theta = _read(cfg, "theta", estimate.THETA_STAR)
+    grid = _read(cfg, "p2_grid", (0.0005, 0.001, 0.002, 0.005, 0.01), _rates)
+    strategies = _read(cfg, "strategies", ["NONE", "PSA", "PSP", "PSAP"], _strategies)
 
     point = functools.partial(
         _sweep_point, ham=ham, shots=shots, seed=seed, theta=theta, strategies=strategies
@@ -367,9 +411,9 @@ def _analysis_point(p2, theta, seed):
 
 
 def _analysis_rows(cfg: dict):
-    theta = float(cfg.get("theta", estimate.THETA_STAR))
-    seed = int(cfg.get("seed", 0))
-    grid = [float(p) for p in cfg.get("p2_grid", (0.001, 0.005, 0.01, 0.02, 0.05, 0.10))]
+    theta = _read(cfg, "theta", estimate.THETA_STAR)
+    seed = _read(cfg, "seed", 0, int)
+    grid = _read(cfg, "p2_grid", (0.001, 0.005, 0.01, 0.02, 0.05, 0.10), _rates)
     point = functools.partial(_analysis_point, theta=theta, seed=seed)
     return _pmap(point, grid)
 
@@ -385,8 +429,8 @@ def exp_logical_error(cfg: dict):
 
 
 def exp_stateprep(cfg: dict):
-    seed = int(cfg.get("seed", 0))
-    grid = [float(p) for p in cfg.get("p2_grid", (0.001, 0.005, 0.01, 0.02, 0.05, 0.10))]
+    seed = _read(cfg, "seed", 0, int)
+    grid = _read(cfg, "p2_grid", (0.001, 0.005, 0.01, 0.02, 0.05, 0.10), _rates)
     rows = []
     ideal = builders.prep_target_state().outer()
     for p2 in grid:
@@ -405,12 +449,12 @@ def exp_stateprep(cfg: dict):
 def exp_red_pipeline(cfg: dict):
     """Device-model comparison of the four study rows, with and without RED."""
     ham = _ham(cfg)
-    model = _parse_noise({"noise": cfg.get("noise", {"kind": "device"})})
+    model = _read(cfg, "noise", {"kind": "device"}, _noise_model)
     if not isinstance(model, noise.DeviceModel):
         raise ConfigError("red-pipeline expects a device noise model")
-    shots = int(cfg.get("shots", 20000))
-    seed = int(cfg.get("seed", 0))
-    theta = float(cfg.get("theta", estimate.THETA_STAR))
+    shots = _read(cfg, "shots", 20000, _count(1))
+    seed = _read(cfg, "seed", 0, int)
+    theta = _read(cfg, "theta", estimate.THETA_STAR)
 
     rows = []
     for red in (False, True):
@@ -425,9 +469,12 @@ def exp_red_pipeline(cfg: dict):
 
 
 def exp_budget(cfg: dict):
-    variance = float(cfg.get("variance", 0.04700))
-    target = float(cfg.get("target_sem", 0.0005))
-    shots = estimate.shot_budget(variance, target)
+    variance = _read(cfg, "variance", 0.04700)
+    target = _read(cfg, "target_sem", 0.0005)
+    try:
+        shots = estimate.shot_budget(variance, target)
+    except ValueError as exc:
+        raise ConfigError(f"config keys 'variance', 'target_sem': {exc}") from None
     header = ("variance_Ha2", "target_sem_Ha", "shots")
     return {"budget.csv": (header, [(variance, target, shots)])}, {"shots": shots}, str(shots)
 
@@ -449,8 +496,8 @@ def exp_hqc(cfg: dict):
 
     constructions, not the published post-transpilation table, and are never
     asserted against it."""
-    shots = int(cfg.get("shots", 188000))
-    theta = float(cfg.get("theta", estimate.THETA_STAR))
+    shots = _read(cfg, "shots", 188000, _count(0))
+    theta = _read(cfg, "theta", estimate.THETA_STAR)
     rows = []
     for label, circ in _study_circuits(theta).items():
         rc = estimate.ResourceCount.of_circuit(circ, shots)
@@ -460,8 +507,8 @@ def exp_hqc(cfg: dict):
 
 
 def exp_coeffs(cfg: dict):
-    ints_cfg = _require(cfg, "integrals")
-    ints = estimate.Integrals(**{k: float(v) for k, v in ints_cfg.items()})
+    _require(cfg, "integrals")
+    ints = _read(cfg, "integrals", None, lambda g: estimate.Integrals(**{k: float(v) for k, v in g.items()}))
     g = estimate.integrals_to_coeffs(ints)
     header = ("g0", "g1", "g2", "g3", "g4")
     return {"coeffs.csv": (header, [g])}, {"coeffs": list(g)}, " ".join(repr(v) for v in g)
@@ -507,7 +554,8 @@ def run(config: dict, out_dir) -> int:
     try:
         _worker_count()  # a malformed QEDVQE_WORKERS fails before any work
         tables, extra, summary = RUNNERS[experiment](config)
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        gate_counts = _gate_counts(_read(config, "theta", estimate.THETA_STAR))
+    except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except postselect.EmptySelectionError as exc:
@@ -515,6 +563,10 @@ def run(config: dict, out_dir) -> int:
         write_csv(out / "empty_selection.csv", ("experiment", "eta", "seed"),
                   [(experiment, 0.0, config["seed"])])
         return EXIT_EMPTY_SELECTION
+    except Exception:
+        traceback.print_exc()
+        print(f"error: internal error while running {experiment!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     for name, (header, rows) in tables.items():
         write_csv(out / name, header, rows)
     manifest = {
@@ -525,7 +577,7 @@ def run(config: dict, out_dir) -> int:
         "seed": config["seed"],
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "outputs": sorted(tables.keys()),
-        "gate_counts": _gate_counts(float(config.get("theta", estimate.THETA_STAR))),
+        "gate_counts": gate_counts,
         "wall_time_s": round(time.time() - started, 3),
     }
     manifest.update(extra)
@@ -538,8 +590,13 @@ def run(config: dict, out_dir) -> int:
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {str(path)!r} must hold a JSON object")
     # a manifest is itself a valid config carrier
     if "tool" in raw and isinstance(raw.get("config"), dict):
         return raw["config"]
@@ -558,7 +615,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
 
-    config = load_config(args.config) if args.config else {}
+    try:
+        config = load_config(args.config) if args.config else {}
+    except ConfigError as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     config["experiment"] = args.experiment
     if args.seed is not None:
         config["seed"] = args.seed

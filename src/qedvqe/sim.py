@@ -5,7 +5,8 @@ insertions plus jump/no-jump amplitude-damping branches on statevectors, so
 it reaches register sizes (18 qubits with readout encoding) that the density
 backend cannot. Each shot draws from its own counter-based RNG stream keyed
 by (master seed, shot index), which makes results independent of how shots
-are partitioned into batches or workers.
+are partitioned into batches or workers. The streams of a whole batch are
+computed together as arrays, and only shots that carry a fault are evolved.
 """
 from __future__ import annotations
 
@@ -40,6 +41,10 @@ from .qcore import (
 
 DENSITY_QUBIT_CAP = 12
 TRAJECTORY_QUBIT_CAP = 20
+# Shots whose streams are drawn and resolved as one set of arrays: enough to
+# amortise numpy's per-call cost, few enough that the arrays stay in cache and
+# a 10^4-shot batch needs no more memory than the per-shot loop it replaced.
+_SHOT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -164,17 +169,22 @@ def _push_bits(t: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return t
 
 
-def born_distribution(rho: DensityMatrix, readout: ReadoutParams = ReadoutParams()) -> dict[str, float]:
-    """Diagonal Born probabilities convolved with independent readout flips."""
-    probs = rho.diagonal()
-    probs = np.clip(probs, 0.0, None)
+def _read_probabilities(rho: DensityMatrix, readout: ReadoutParams) -> np.ndarray:
+    """Diagonal Born probabilities convolved with independent readout flips,
+    as a full vector over basis-state indices."""
+    probs = np.clip(rho.diagonal(), 0.0, None)
     n = rho.n_qubits
     if not readout.trivial:
         probs = _push_bits(probs.reshape((2,) * n), _readout_kernel(readout)).reshape(-1)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
+    if abs(probs.sum() - 1.0) > 1e-10:
         raise ValueError("distribution does not sum to 1")
-    return {bitstring(i, n): float(p) for i, p in enumerate(probs) if p > 1e-15}
+    return probs
+
+
+def born_distribution(rho: DensityMatrix, readout: ReadoutParams = ReadoutParams()) -> dict[str, float]:
+    """Read-out probabilities by bitstring, without outcomes at or below 1e-15."""
+    probs = _read_probabilities(rho, readout)
+    return {bitstring(i, rho.n_qubits): float(p) for i, p in enumerate(probs) if p > 1e-15}
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +192,46 @@ def born_distribution(rho: DensityMatrix, readout: ReadoutParams = ReadoutParams
 # ---------------------------------------------------------------------------
 
 
-def _shot_generator(seed: int, shot_index: int) -> np.random.Generator:
-    # Counter-based stream: each shot owns a disjoint 2^128-draw block.
-    counter = np.array([0, 0, shot_index, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+# Philox4x64-10 round multipliers and key bumps (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """High and low 64-bit words of the 128-bit products m * x, from 32-bit limbs."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x0, x1 = x & _LO32, x >> _S32
+    p01, p10 = m0 * x1, m1 * x0
+    mid = (m0 * x0 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
+    hi = m1 * x1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    return hi, np.uint64(m) * x
+
+
+def _philox_uniforms(seed: int, shot_offset: int, n_shots: int, n_draws: int) -> np.ndarray:
+    """(n_shots, n_draws) uniforms; row i is the stream of shot shot_offset + i.
+
+    Counter-based streams: each shot owns a disjoint 2^128-draw block. Row i
+    equals Generator(Philox(key=seed, counter=[0, 0, shot, 0])).random(n_draws)
+    bit for bit: that generator bumps the counter before each four-word block,
+    so block b is Philox4x64-10 of counter [b + 1, 0, shot, 0] under key
+    [seed, 0], and each double is the top 53 bits of a word.
+    """
+    n_blocks = -(-n_draws // 4)
+    # block counters along axis 1, shot counters along axis 0; the first two
+    # rounds stay broadcast rows and columns
+    c0 = np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :]
+    c2 = (np.uint64(shot_offset) + np.arange(n_shots, dtype=np.uint64))[:, None]
+    c1 = c3 = np.uint64(0)
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
+        k1 = np.uint64(r * _PHILOX_W[1] % 2**64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(n_shots, 4 * n_blocks)
+    return (words[:, :n_draws] >> np.uint64(11)) * 2.0**-53
 
 
 def _half_planes(amps: np.ndarray, qubit: int):
@@ -310,8 +356,10 @@ def sample_shots(
 
     Shot i (global index shot_offset + i) consumes only its own RNG stream:
     one uniform per noise location, one for the terminal Z-basis outcome, and
-    one per measured qubit for readout flips. Fault-free shots reuse a cached
-    reference evolution; shots with any fault are evolved individually.
+    one per measured qubit for readout flips. The streams of a block of shots
+    are drawn in one array pass. Its fault-free shots resolve together against
+    a cached reference evolution; only shots with a fault are evolved, one by
+    one. Outcomes appear in the table in the order of their first shot.
     """
     circ = noisy.circuit
     if circ.n_qubits > TRAJECTORY_QUBIT_CAP:
@@ -328,32 +376,29 @@ def sample_shots(
     ref_cdf = np.cumsum(np.abs(ref_amps) ** 2)
     ref_cdf[-1] = 1.0
 
-    flip_p = np.array(
-        [noisy.readout.p_flip0, noisy.readout.p_flip1]
-    )
-    skip_readout = noisy.readout.trivial
-    n_meas = len(measured)
-    n_loc = thresholds.size
-
-    counts: dict[str, int] = {}
-    for i in range(cfg.n_shots):
-        gen = _shot_generator(cfg.seed, shot_offset + i)
-        u_loc = gen.random(n_loc) if n_loc else np.empty(0)
-        fault_free = bool(np.all(u_loc >= thresholds))
-        u_out = gen.random()
-        if fault_free:
-            idx = int(np.searchsorted(ref_cdf, u_out, side="right"))
-        else:
-            amps = traj.run(u_loc)
-            cdf = np.cumsum(np.abs(amps) ** 2)
+    n_loc, n_meas = thresholds.size, len(measured)
+    n_read = 0 if noisy.readout.trivial else n_meas
+    shifts = circ.n_qubits - 1 - np.array(measured)
+    place = 1 << np.arange(n_meas - 1, -1, -1)
+    flip_p = np.array([noisy.readout.p_flip0, noisy.readout.p_flip1])
+    codes = np.empty(cfg.n_shots, dtype=np.int64)
+    for start in range(0, cfg.n_shots, _SHOT_BLOCK):
+        n = min(_SHOT_BLOCK, cfg.n_shots - start)
+        u = _philox_uniforms(cfg.seed, shot_offset + start, n, n_loc + 1 + n_read)
+        u_loc, u_out, u_read = u[:, :n_loc], u[:, n_loc], u[:, n_loc + 1:]
+        idx = np.searchsorted(ref_cdf, u_out, side="right")
+        for i in np.flatnonzero(~np.all(u_loc >= thresholds, axis=1)):  # faulty shots
+            cdf = np.cumsum(np.abs(traj.run(u_loc[i])) ** 2)
             cdf /= cdf[-1]
-            idx = int(np.searchsorted(cdf, u_out, side="right"))
-        bits = [(idx >> (circ.n_qubits - 1 - q)) & 1 for q in measured]
-        if not skip_readout:
-            u_read = gen.random(n_meas)
-            bits = [b ^ (u < flip_p[b]) for b, u in zip(bits, u_read)]
-        key = "".join("1" if b else "0" for b in bits)
-        counts[key] = counts.get(key, 0) + 1
+            idx[i] = np.searchsorted(cdf, u_out[i], side="right")
+        bits = (idx[:, None] >> shifts) & 1
+        if n_read:
+            bits ^= u_read < flip_p[bits]
+        codes[start:start + n] = bits @ place
+
+    values, first, tally = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    counts = {bitstring(int(v), n_meas): int(c) for v, c in zip(values[order], tally[order])}
     return ShotTable(counts, cfg.n_shots, layout)
 
 
@@ -400,8 +445,8 @@ def red_vote_kernel_for(model) -> np.ndarray:
             channels=((),) * b + gadget.channels[b:],
             pre_channels=tuple(ch for ch in gadget.pre_channels if ch.qubit != 0),
         )
-        probs = born_distribution(evolve_density(gadget), gadget.readout)
-        kernel[:, b] = probs.get("000", 0.0), probs.get("111", 0.0)
+        probs = _read_probabilities(evolve_density(gadget), gadget.readout)
+        kernel[:, b] = probs[0b000], probs[0b111]
     return kernel
 
 

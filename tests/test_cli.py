@@ -57,6 +57,42 @@ def test_invalid_noise_kind_is_config_error(tmp_path):
     assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize(
+    "experiment, cfg, key",
+    [
+        ("table2", {"shots": 0}, "shots"),
+        ("sweep-depol", {"shots": 2.5}, "shots"),
+        ("scan", {"noise": {"kind": "depolarizing", "p2": "lots"}}, "noise"),
+        ("table2", {"shots": 10, "strategies": ["PSA", "PSQ"]}, "strategies"),
+    ],
+)
+def test_unusable_config_value_names_its_key(tmp_path, capsys, experiment, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([experiment, "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["budget", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
+    assert "cfg.json" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_reported_as_config_error(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("sampler bug")
+
+    monkeypatch.setattr(cli.sim, "sample_shots", broken)
+    assert cli.main(["table2", "--shots", "10", "--out", str(tmp_path)]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "sampler bug" in err
+    assert "invalid config" not in err
+
+
 def test_hqc_experiment_counts(tmp_path):
     cli.main(["hqc", "--out", str(tmp_path), "--shots", "125400"])
     rows = {r["circuit"]: r for r in read_rows(tmp_path / "hqc.csv")}

@@ -99,19 +99,99 @@ def test_noiseless_sampling_theta_zero():
     assert table.counts == {"00": 1000}
 
 
-def test_seed_determinism_and_partition_invariance():
-    nc = noise.attach_noise(builders.build_encoded_ansatz(-0.22967, "Z"), DepolarizingParams(p2=0.01))
-    a = sample_shots(nc, TrajectoryConfig(4000, seed=9))
-    b = sample_shots(nc, TrajectoryConfig(4000, seed=9))
-    assert a.counts == b.counts
-    c = sample_shots_batched(nc, TrajectoryConfig(4000, seed=9), batch_size=313)
-    assert c.counts == a.counts
-    # manual split at arbitrary offsets merges identically
-    first = sample_shots(nc, TrajectoryConfig(1500, seed=9))
-    rest = sample_shots(nc, TrajectoryConfig(2500, seed=9), shot_offset=1500)
-    assert first.merged(rest).counts == a.counts
-    different = sample_shots(nc, TrajectoryConfig(4000, seed=10))
-    assert different.counts != a.counts
+def _shot_generator(seed: int, shot_index: int) -> np.random.Generator:
+    """Reference stream of one shot: numpy's own Philox, keyed by (seed, shot index)."""
+    counter = np.array([0, 0, shot_index, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+
+
+def replay_per_shot(noisy, n_shots: int, seed: int, shot_offset: int = 0) -> dict:
+    """Per-shot sampling loop: one reference stream per shot, drawn and resolved in turn."""
+    traj = sim._Trajectory(noisy)
+    ref_amps, thresholds = traj.no_jump_reference()
+    ref_cdf = np.cumsum(np.abs(ref_amps) ** 2)
+    ref_cdf[-1] = 1.0
+    flip_p, n = (noisy.readout.p_flip0, noisy.readout.p_flip1), noisy.circuit.n_qubits
+    counts = {}
+    for i in range(n_shots):
+        gen = _shot_generator(seed, shot_offset + i)
+        u_loc = gen.random(thresholds.size)
+        u_out = gen.random()
+        cdf = ref_cdf
+        if not np.all(u_loc >= thresholds):
+            cdf = np.cumsum(np.abs(traj.run(u_loc)) ** 2)
+            cdf /= cdf[-1]
+        idx = int(np.searchsorted(cdf, u_out, side="right"))
+        bits = [(idx >> (n - 1 - q)) & 1 for q in noisy.circuit.measured_qubits]
+        if not noisy.readout.trivial:
+            bits = [b ^ (u < flip_p[b]) for b, u in zip(bits, gen.random(len(bits)))]
+        key = "".join("1" if b else "0" for b in bits)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    first_shot=st.integers(0, 2**64 - 4),
+    n_shots=st.integers(1, 3),
+    n_draws=st.integers(0, 130),
+)
+def test_philox_uniforms_match_reference_stream(seed, first_shot, n_shots, n_draws):
+    rows = sim._philox_uniforms(seed, first_shot, n_shots, n_draws)
+    assert rows.shape == (n_shots, n_draws)
+    for i in range(n_shots):
+        want = _shot_generator(seed, first_shot + i).random(n_draws)
+        assert rows[i].tobytes() == want.tobytes()
+
+
+ENCODED = builders.build_encoded_ansatz(-0.22967, "Z")
+
+
+@pytest.mark.parametrize(
+    "noisy, n_shots, shot_offset",
+    [
+        (noise.noiseless(builders.build_unencoded_ansatz(0.3, "X")), 500, 0),
+        (noise.attach_noise(ENCODED, DepolarizingParams(p2=0.0009)), 3000, 0),
+        (noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10)), 600, 4321),
+        (noise.attach_noise(ENCODED, noise.default_device_model()), 2000, 77),
+        (
+            noise.attach_noise(
+                builders.wrap_with_red(builders.build_unencoded_ansatz(-0.22967, "Z"))[0],
+                noise.default_device_model(),
+            ),
+            300, 0,
+        ),
+    ],
+    ids=["noiseless", "encoded-p2=0.09%", "encoded-p2=10%", "encoded-device", "unencoded+red-device"],
+)
+def test_block_sampler_matches_per_shot_loop(noisy, n_shots, shot_offset):
+    want = replay_per_shot(noisy, n_shots, seed=2024, shot_offset=shot_offset)
+    got = sample_shots(noisy, TrajectoryConfig(n_shots, seed=2024), shot_offset=shot_offset)
+    assert got.counts == want
+    assert list(got.counts) == list(want)  # first-appearance order, which float sums follow
+
+
+PARTITION_NOISY = noise.attach_noise(ENCODED, DepolarizingParams(p2=0.01))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    batch_size=st.integers(1, 700),
+    split=st.integers(1, 599),
+)
+def test_seed_determinism_and_partition_invariance(seed, batch_size, split):
+    n_shots = 600
+    whole = sample_shots(PARTITION_NOISY, TrajectoryConfig(n_shots, seed=seed))
+    again = sample_shots(PARTITION_NOISY, TrajectoryConfig(n_shots, seed=seed))
+    batched = sample_shots_batched(PARTITION_NOISY, TrajectoryConfig(n_shots, seed=seed), batch_size)
+    first = sample_shots(PARTITION_NOISY, TrajectoryConfig(split, seed=seed))
+    rest = sample_shots(PARTITION_NOISY, TrajectoryConfig(n_shots - split, seed=seed), shot_offset=split)
+    for table in (again, batched, first.merged(rest)):
+        assert list(table.counts.items()) == list(whole.counts.items())
+    different = sample_shots(PARTITION_NOISY, TrajectoryConfig(n_shots, seed=seed ^ 1))
+    assert different.counts != whole.counts
 
 
 def test_a2_branch_frequency_is_binomial_half():
@@ -288,6 +368,13 @@ def test_red_kernel_readout_only_survival():
     assert kern[1, 1] == pytest.approx((1 - 4e-3) ** 3, abs=1e-15)
     assert kern[1, 0] == pytest.approx(1e-3**3, abs=1e-18)
     assert kern[0, 1] == pytest.approx(4e-3**3, abs=1e-15)
+
+
+def test_red_kernel_keeps_entries_below_the_distribution_cutoff():
+    ro = ReadoutParams(p_flip0=1e-6, p_flip1=1e-6)
+    assert red_vote_kernel(readout=ro)[1, 0] == pytest.approx(1e-18, rel=1e-6)
+    # the bitstring map still drops such outcomes
+    assert "111" not in born_distribution(qcore.StateVector(3, [1] + [0] * 7).outer(), ro)
 
 
 def test_red_vote_distribution_matches_trajectory_vote():
