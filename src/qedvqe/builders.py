@@ -13,7 +13,6 @@ analytic output states returned by the ``*_target_state`` helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,20 +35,6 @@ from .qcore import (
 
 BASIS_Z = "Z"
 BASIS_X = "X"
-
-
-@dataclass(frozen=True)
-class RedLayout:
-    """Readout-encoding triples: (measured qubit, readout ancilla A, readout ancilla B)."""
-
-    triples: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for _, a, b in self.triples:
-            if a in seen or b in seen or a == b:
-                raise ValueError("readout qubits must appear in exactly one triple")
-            seen.update((a, b))
 
 
 def _check_basis(basis: str):
@@ -141,13 +126,15 @@ def build_syndrome_circuit() -> Circuit:
     return Circuit(6, tuple(ops), roles, label="syndrome_422")
 
 
-def wrap_with_red(circuit: Circuit):
+def wrap_with_red(circuit: Circuit) -> Circuit:
     """Append [3,1] readout encoding: two fresh ancillas per measured qubit.
 
-    Each measured qubit is copied onto two |0> ancillas by CNOTs immediately
-    before measurement; all three are measured. Returns the wrapped circuit
-    and the RedLayout recording the triples. Circuit rejects a wrapped
-    register larger than qcore.MAX_QUBITS.
+    The i-th measured qubit is copied onto the |0> ancillas n + 2i and
+    n + 2i + 1 (n = circuit.n_qubits) by CNOTs immediately before
+    measurement; all three are measured. The gadget is sampled as its exact
+    per-bit channel (sim.red_vote_kernel_for), so the wrapped circuit serves
+    that kernel and the gate counts. Circuit rejects a wrapped register
+    larger than qcore.MAX_QUBITS.
     """
     measured = circuit.measured_qubits
     if not measured:
@@ -164,8 +151,7 @@ def wrap_with_red(circuit: Circuit):
     for m, a, b in triples:
         ops += [measure(m), measure(a), measure(b)]
     roles = circuit.roles + (ROLE_RED,) * (2 * len(measured))
-    wrapped = Circuit(n_new, tuple(ops), roles, label=circuit.label + "+red")
-    return wrapped, RedLayout(tuple(triples))
+    return Circuit(n_new, tuple(ops), roles, label=circuit.label + "+red")
 
 
 # ---------------------------------------------------------------------------

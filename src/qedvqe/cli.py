@@ -7,17 +7,20 @@ manifest as --config re-runs it. The QEDVQE_WORKERS environment variable
 sizes the worker pool for sweep points; output ordering is canonical
 regardless of scheduling.
 
-Exit codes: 0 success, 2 a config value that cannot be used (the message
-names its key), 3 a post-selection that kept no shot, 4 an internal error
-(the traceback goes to stderr).
+Config keys an experiment does not read (see CONFIG_KEYS) are named in a
+warning on stderr before the run. Exit codes: 0 success, 2 a config value
+that cannot be used (the message names its key), 3 a post-selection that
+kept no shot, 4 an internal error (the traceback goes to stderr).
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -86,6 +89,19 @@ def _count(minimum: int):
         return value
 
     return convert
+
+
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
+def _flag(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise TypeError("must be true or false")
+    return raw
 
 
 def _rates(raw) -> list[float]:
@@ -169,36 +185,27 @@ ENERGY_HEADER = (
 )
 
 
-def _sample_both_bases(build, model, shots, seed, tag):
-    """Sample the Z and X circuits of one study row.
+def _sample_both_bases(build, theta, model, shots, seed, tag, red):
+    """Sample the Z and X circuits build(theta, basis) of one study row.
 
-    build(basis) returns (circuit, RedLayout or None). Both bases measure the
-    same qubits, so the Z build's layout is returned with the shot tables.
+    With red, every measured bit is read through the readout-encoding vote
+    kernel, so each table holds only the shots whose votes all passed.
     """
-    tables, layouts = {}, {}
+    vote = sim.red_vote_kernel_for(model) if red else None
+    tables = {}
     for basis in ("Z", "X"):
-        circ, layouts[basis] = build(basis)
-        nc = noise.attach_noise(circ, model)
+        nc = noise.attach_noise(build(theta, basis), model)
+        if red:
+            nc = dataclasses.replace(nc, readout=vote)
         run_seed = _sub_seed(seed, f"{tag}/{basis}")
         tables[basis] = sim.sample_shots_batched(nc, sim.TrajectoryConfig(shots, run_seed))
-    return tables, layouts["Z"]
+    return tables
 
 
 def _unencoded_row(ham, model, shots, seed, theta, tag="unencoded", red=False):
-    def build(basis):
-        circ = builders.build_unencoded_ansatz(theta, basis)
-        return builders.wrap_with_red(circ) if red else (circ, None)
-
-    tables, red_layout = _sample_both_bases(build, model, shots, seed, tag)
-    etas, stats = {}, {}
-    if red:
-        for b in "ZX":
-            tables[b], stats[b] = postselect.red_vote(tables[b], red_layout)
-            etas[b] = stats[b].eta
-    else:
-        for b in "ZX":
-            etas[b] = 1.0
-            stats[b] = postselect.SurvivalStats.of(tables[b].n_shots, tables[b].n_shots)
+    tables = _sample_both_bases(builders.build_unencoded_ansatz, theta, model, shots, seed, tag, red)
+    stats = {b: postselect.SurvivalStats.of(shots, tables[b].n_shots) for b in "ZX"}
+    etas = {b: stats[b].eta for b in "ZX"}
     est = estimate.energy_from_shots(tables["Z"], tables["X"], ham, mode="unencoded", eta=etas)
     return (
         "unencoded" + ("+red" if red else ""), est.mean * 1e3, est.sem * 1e3, est.variance,
@@ -208,14 +215,9 @@ def _unencoded_row(ham, model, shots, seed, theta, tag="unencoded", red=False):
 
 
 def _encoded_rows(ham, model, shots, seed, theta, strategies, red=False, tag="encoded"):
-    def build(basis):
-        circ = builders.build_encoded_ansatz(theta, basis)
-        return builders.wrap_with_red(circ) if red else (circ, None)
-
-    tables, red_layout = _sample_both_bases(build, model, shots, seed, tag + ("+red" if red else ""))
-    if red:
-        for b in "ZX":
-            tables[b], _ = postselect.red_vote(tables[b], red_layout)
+    tables = _sample_both_bases(
+        builders.build_encoded_ansatz, theta, model, shots, seed, tag + ("+red" if red else ""), red
+    )
     branch = {b: postselect.select_a2_branch(tables[b], 0) for b in "ZX"}
     rows, ests = [], {}
     for kind in strategies:
@@ -294,7 +296,7 @@ def exp_scan(cfg: dict):
     model = _read(cfg, "noise", {}, _noise_model)
     n_points = _read(cfg, "points", 150, _count(2))
     seed = _read(cfg, "seed", 0, int)
-    encoded = _read(cfg, "encoded", False, bool)
+    encoded = _read(cfg, "encoded", False, _flag)
 
     def runner(theta: float) -> estimate.EnergyEstimate:
         if encoded:
@@ -332,7 +334,7 @@ def exp_table2(cfg: dict):
     model = _read(cfg, "noise", {"p2": 0.0009}, _noise_model)
     shots = _read(cfg, "shots", 200000, _count(1))
     seed = _read(cfg, "seed", 0, int)
-    theta = _read(cfg, "theta", estimate.THETA_STAR)
+    theta = _read(cfg, "theta", estimate.THETA_STAR, _finite)
     strategies = _read(cfg, "strategies", ["NONE", "PSA", "PSP", "PSAP"], _strategies)
 
     rows = []
@@ -361,7 +363,7 @@ def exp_sweep_depol(cfg: dict):
     ham = _ham(cfg)
     shots = _read(cfg, "shots", 20000, _count(1))
     seed = _read(cfg, "seed", 0, int)
-    theta = _read(cfg, "theta", estimate.THETA_STAR)
+    theta = _read(cfg, "theta", estimate.THETA_STAR, _finite)
     grid = _read(cfg, "p2_grid", (0.0005, 0.001, 0.002, 0.005, 0.01), _rates)
     strategies = _read(cfg, "strategies", ["NONE", "PSA", "PSP", "PSAP"], _strategies)
 
@@ -411,7 +413,7 @@ def _analysis_point(p2, theta, seed):
 
 
 def _analysis_rows(cfg: dict):
-    theta = _read(cfg, "theta", estimate.THETA_STAR)
+    theta = _read(cfg, "theta", estimate.THETA_STAR, _finite)
     seed = _read(cfg, "seed", 0, int)
     grid = _read(cfg, "p2_grid", (0.001, 0.005, 0.01, 0.02, 0.05, 0.10), _rates)
     point = functools.partial(_analysis_point, theta=theta, seed=seed)
@@ -454,7 +456,7 @@ def exp_red_pipeline(cfg: dict):
         raise ConfigError("red-pipeline expects a device noise model")
     shots = _read(cfg, "shots", 20000, _count(1))
     seed = _read(cfg, "seed", 0, int)
-    theta = _read(cfg, "theta", estimate.THETA_STAR)
+    theta = _read(cfg, "theta", estimate.THETA_STAR, _finite)
 
     rows = []
     for red in (False, True):
@@ -486,8 +488,8 @@ def _study_circuits(theta: float) -> dict:
         "unencoded/X": builders.build_unencoded_ansatz(theta, "X"),
         "encoded/Z": builders.build_encoded_ansatz(theta, "Z"),
         "encoded/X": builders.build_encoded_ansatz(theta, "X"),
-        "unencoded+red/Z": builders.wrap_with_red(builders.build_unencoded_ansatz(theta, "Z"))[0],
-        "encoded+red/Z": builders.wrap_with_red(builders.build_encoded_ansatz(theta, "Z"))[0],
+        "unencoded+red/Z": builders.wrap_with_red(builders.build_unencoded_ansatz(theta, "Z")),
+        "encoded+red/Z": builders.wrap_with_red(builders.build_encoded_ansatz(theta, "Z")),
     }
 
 
@@ -497,7 +499,7 @@ def exp_hqc(cfg: dict):
     constructions, not the published post-transpilation table, and are never
     asserted against it."""
     shots = _read(cfg, "shots", 188000, _count(0))
-    theta = _read(cfg, "theta", estimate.THETA_STAR)
+    theta = _read(cfg, "theta", estimate.THETA_STAR, _finite)
     rows = []
     for label, circ in _study_circuits(theta).items():
         rc = estimate.ResourceCount.of_circuit(circ, shots)
@@ -513,6 +515,21 @@ def exp_coeffs(cfg: dict):
     header = ("g0", "g1", "g2", "g3", "g4")
     return {"coeffs.csv": (header, [g])}, {"coeffs": list(g)}, " ".join(repr(v) for v in g)
 
+
+# The top-level keys each experiment reads, besides "experiment", "seed" and
+# "theta", which every run accepts (run reads theta for the gate counts).
+CONFIG_KEYS = {
+    "scan": ("hamiltonian", "noise", "points", "encoded"),
+    "sweep-depol": ("hamiltonian", "shots", "p2_grid", "strategies"),
+    "table2": ("hamiltonian", "noise", "shots", "strategies"),
+    "fidelity-sweep": ("p2_grid",),
+    "logical-error": ("p2_grid",),
+    "stateprep": ("p2_grid",),
+    "red-pipeline": ("hamiltonian", "noise", "shots"),
+    "budget": ("variance", "target_sem"),
+    "hqc": ("shots",),
+    "coeffs": ("integrals",),
+}
 
 RUNNERS = {
     "scan": exp_scan,
@@ -549,12 +566,16 @@ def run(config: dict, out_dir) -> int:
         print(f"error: unknown or missing experiment {experiment!r}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     config.setdefault("seed", 0)
+    for key in config:
+        if key not in ("experiment", "seed", "theta") + CONFIG_KEYS[experiment]:
+            print(f"warning: config key {key!r} is not read by {experiment!r}; ignored", file=sys.stderr)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
         _worker_count()  # a malformed QEDVQE_WORKERS fails before any work
+        theta = _read(config, "theta", estimate.THETA_STAR, _finite)
         tables, extra, summary = RUNNERS[experiment](config)
-        gate_counts = _gate_counts(_read(config, "theta", estimate.THETA_STAR))
+        gate_counts = _gate_counts(theta)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -5,14 +5,16 @@ probability p, split p/3 per Pauli. Two-qubit gates get independent
 single-qubit channels on both qubits, each with the two-qubit parameter.
 Device models divert a configured fraction of each gate's error weight into
 amplitude damping (spontaneous emission to |0>), add per-qubit
-initialization flips, and tag terminal measurements with asymmetric readout
-flip probabilities. Noise attaches to gates only; idle qubits are noiseless.
+initialization flips, and read terminal measurements through asymmetric
+readout flips. Noise attaches to gates only; idle qubits are noiseless.
 """
 from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, kron
 
@@ -50,8 +52,14 @@ class ReadoutParams:
         _check_prob(self.p_flip1, "p_flip1")
 
     @property
-    def trivial(self) -> bool:
-        return self.p_flip0 == 0.0 and self.p_flip1 == 0.0
+    def kernel(self) -> np.ndarray:
+        """Per-bit read kernel K[read, true]; every column sums to one."""
+        return np.array(
+            [
+                [1.0 - self.p_flip0, self.p_flip1],
+                [self.p_flip0, 1.0 - self.p_flip1],
+            ]
+        )
 
 
 @dataclass(frozen=True)
@@ -168,23 +176,30 @@ class DampingNoise:
     gamma: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyCircuit:
-    """A circuit with channel assignments per gate, init flips, and readout flips.
+    """A circuit with channel assignments per gate, init flips, and a read stage.
 
     ``channels[i]`` lists the noise applied after ``circuit.ops[i]``;
     ``pre_channels`` holds the initialization bit-flip channels applied at
-    circuit start.
+    circuit start. ``readout`` is the per-bit read kernel K[read, true]
+    applied to every measured bit. A column may sum to less than one:
+    1 - K[0, b] - K[1, b] is the probability that reading a true b drops
+    the shot, as a failed readout-encoding vote does. Plain readout flips
+    (``ReadoutParams.kernel``) drop nothing.
     """
 
     circuit: Circuit
     channels: tuple[tuple, ...]
     pre_channels: tuple = ()
-    readout: ReadoutParams = ReadoutParams()
+    readout: np.ndarray = field(default_factory=lambda: ReadoutParams().kernel)
 
     def __post_init__(self):
         if len(self.channels) != len(self.circuit.ops):
             raise ValueError("channel list must align with the gate list")
+        kernel = self.readout
+        if kernel.shape != (2, 2) or np.any(kernel < 0.0) or np.any(kernel.sum(axis=0) > 1.0 + 1e-12):
+            raise ValueError("readout must be a 2x2 kernel with non-negative entries and column sums <= 1")
 
     def noise_locations(self):
         """Flattened (location, channel) pairs; pre-channels use location -1."""
@@ -204,8 +219,8 @@ def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
     Every 1q gate is followed by the single-qubit channel, every 2q gate by
     independent channels on both its qubits. For a DeviceModel, the emission
     ratio of each gate's error weight becomes amplitude damping and the
-    remainder stays depolarizing; init flips and readout flips are attached
-    at the boundaries.
+    remainder stays depolarizing; init flips and the readout-flip kernel are
+    attached at the boundaries.
     """
     if isinstance(model, DepolarizingParams):
         depol, readout, p_init = model, ReadoutParams(), 0.0
@@ -243,4 +258,4 @@ def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
     pre = tuple(
         PauliNoise(q, p_init, 0.0, 0.0) for q in range(circuit.n_qubits)
     ) if p_init > 0.0 else ()
-    return NoisyCircuit(circuit, tuple(channels), pre, readout)
+    return NoisyCircuit(circuit, tuple(channels), pre, readout.kernel)

@@ -1,16 +1,16 @@
-"""Shot-filtering rules: a2 branch selection, PSA/PSP/PSAP, and the RED vote.
+"""Shot-filtering rules: a2 branch selection and PSA/PSP/PSAP.
 
 Survival fractions follow the study's normalization: the QED strategies are
-normalized to the a2=0-selected population, while the readout-encoding vote
-is normalized to the raw shot total (it runs first in the pipeline).
+normalized to the a2=0-selected population. The readout-encoding vote is not
+a rule here: the sampler applies it as it reads each bit (sim.sample_shots),
+and its survival is the kept shots over the raw shot total.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .builders import RedLayout
-from .qcore import ROLE_A1, ROLE_A2, ROLE_DATA, ROLE_RED
+from .qcore import ROLE_A1, ROLE_A2, ROLE_DATA
 from .sim import MeasurementLayout, ShotTable
 
 STRATEGY_NONE = "NONE"
@@ -123,39 +123,3 @@ def apply_strategy_probs(probs: dict[str, float], layout: MeasurementLayout, str
     """apply_strategy on an exact distribution; returns (renormalized map, eta)."""
     return _renormalized(probs, _checks(layout, strategy.kind))
 
-
-def red_vote(raw: ShotTable, layout: RedLayout):
-    """Keep rows whose readout triples are unanimous, collapsing each triple.
-
-    The collapsed table covers the original measured qubits only; survival is
-    normalized to the raw shot total.
-    """
-    if raw.n_shots == 0:
-        raise EmptySelectionError("cannot vote on an empty table")
-    meas = raw.layout
-    index_of = {q: i for i, q in enumerate(meas.qubits)}
-    try:
-        triples = [
-            (index_of[m], index_of[a], index_of[b]) for m, a, b in layout.triples
-        ]
-    except KeyError as exc:
-        raise ValueError(f"RED layout names unmeasured qubit {exc}") from exc
-    red_positions = {p for _, a, b in triples for p in (a, b)}
-    if meas.positions_of_role(ROLE_RED) != tuple(sorted(red_positions)):
-        raise ValueError("RED layout does not match the table's readout qubits")
-    keep_positions = [i for i in range(len(meas.qubits)) if i not in red_positions]
-
-    counts: dict[str, int] = {}
-    kept = 0
-    for key, c in raw.counts.items():
-        if all(key[m] == key[a] == key[b] for m, a, b in triples):
-            sub = "".join(key[i] for i in keep_positions)
-            counts[sub] = counts.get(sub, 0) + c
-            kept += c
-    collapsed = MeasurementLayout(
-        tuple(meas.qubits[i] for i in keep_positions),
-        tuple(meas.roles[i] for i in keep_positions),
-        tuple(meas.names[i] for i in keep_positions),
-    )
-    table = ShotTable(counts, kept, collapsed)
-    return table, SurvivalStats.of(raw.n_shots, kept)

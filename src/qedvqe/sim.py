@@ -2,11 +2,14 @@
 
 The trajectory backend unravels each attached channel into stochastic Pauli
 insertions plus jump/no-jump amplitude-damping branches on statevectors, so
-it reaches register sizes (18 qubits with readout encoding) that the density
-backend cannot. Each shot draws from its own counter-based RNG stream keyed
-by (master seed, shot index), which makes results independent of how shots
-are partitioned into batches or workers. The streams of a whole batch are
-computed together as arrays, and only shots that carry a fault are evolved.
+it reaches register sizes (up to TRAJECTORY_QUBIT_CAP qubits) that the
+density backend cannot. Each shot draws from its own counter-based RNG
+stream keyed by (master seed, shot index), which makes results independent
+of how shots are partitioned into batches or workers. The streams of a whole
+batch are computed together as arrays, and only shots that carry a fault are
+evolved. Both backends read measured bits through the circuit's per-bit read
+kernel; the readout-encoding gadget is such a kernel (red_vote_kernel_for),
+so a readout-encoded run samples the 2- or 6-qubit circuit it encodes.
 """
 from __future__ import annotations
 
@@ -152,16 +155,6 @@ def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
     return DensityMatrix(n, mat)
 
 
-def _readout_kernel(readout: ReadoutParams) -> np.ndarray:
-    # column = true bit, row = read bit
-    return np.array(
-        [
-            [1.0 - readout.p_flip0, readout.p_flip1],
-            [readout.p_flip0, 1.0 - readout.p_flip1],
-        ]
-    )
-
-
 def _push_bits(t: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Apply a per-bit 2x2 kernel (column = true bit) to every axis of a joint distribution."""
     for q in range(t.ndim):
@@ -169,13 +162,12 @@ def _push_bits(t: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return t
 
 
-def _read_probabilities(rho: DensityMatrix, readout: ReadoutParams) -> np.ndarray:
-    """Diagonal Born probabilities convolved with independent readout flips,
-    as a full vector over basis-state indices."""
+def _read_probabilities(rho: DensityMatrix, kernel: np.ndarray) -> np.ndarray:
+    """Diagonal Born probabilities pushed through a lossless per-bit read
+    kernel K[read, true], as a full vector over basis-state indices."""
     probs = np.clip(rho.diagonal(), 0.0, None)
-    n = rho.n_qubits
-    if not readout.trivial:
-        probs = _push_bits(probs.reshape((2,) * n), _readout_kernel(readout)).reshape(-1)
+    if not np.array_equal(kernel, np.eye(2)):
+        probs = _push_bits(probs.reshape((2,) * rho.n_qubits), kernel).reshape(-1)
     if abs(probs.sum() - 1.0) > 1e-10:
         raise ValueError("distribution does not sum to 1")
     return probs
@@ -183,7 +175,7 @@ def _read_probabilities(rho: DensityMatrix, readout: ReadoutParams) -> np.ndarra
 
 def born_distribution(rho: DensityMatrix, readout: ReadoutParams = ReadoutParams()) -> dict[str, float]:
     """Read-out probabilities by bitstring, without outcomes at or below 1e-15."""
-    probs = _read_probabilities(rho, readout)
+    probs = _read_probabilities(rho, readout.kernel)
     return {bitstring(i, rho.n_qubits): float(p) for i, p in enumerate(probs) if p > 1e-15}
 
 
@@ -356,8 +348,11 @@ def sample_shots(
 
     Shot i (global index shot_offset + i) consumes only its own RNG stream:
     one uniform per noise location, one for the terminal Z-basis outcome, and
-    one per measured qubit for readout flips. The streams of a block of shots
-    are drawn in one array pass. Its fault-free shots resolve together against
+    one per measured qubit for its read, unless the read kernel K is the
+    identity. A bit whose true value is b reads as 1 - b when its uniform u
+    is below K[1 - b, b], and drops the shot when u >= K[0, b] + K[1, b];
+    the table holds the kept shots. The streams of a block of shots are
+    drawn in one array pass. Its fault-free shots resolve together against
     a cached reference evolution; only shots with a fault are evolved, one by
     one. Outcomes appear in the table in the order of their first shot.
     """
@@ -377,11 +372,15 @@ def sample_shots(
     ref_cdf[-1] = 1.0
 
     n_loc, n_meas = thresholds.size, len(measured)
-    n_read = 0 if noisy.readout.trivial else n_meas
+    kernel = noisy.readout
+    # an identity read needs no draws; omitting them leaves the earlier ones as they are
+    n_read = 0 if np.array_equal(kernel, np.eye(2)) else n_meas
+    # by true bit b: misread below K[1 - b, b], dropped at or above the column sum
+    flip_p, keep_p = kernel[[1, 0], [0, 1]], kernel.sum(axis=0)
     shifts = circ.n_qubits - 1 - np.array(measured)
     place = 1 << np.arange(n_meas - 1, -1, -1)
-    flip_p = np.array([noisy.readout.p_flip0, noisy.readout.p_flip1])
     codes = np.empty(cfg.n_shots, dtype=np.int64)
+    kept = np.ones(cfg.n_shots, dtype=bool)
     for start in range(0, cfg.n_shots, _SHOT_BLOCK):
         n = min(_SHOT_BLOCK, cfg.n_shots - start)
         u = _philox_uniforms(cfg.seed, shot_offset + start, n, n_loc + 1 + n_read)
@@ -393,13 +392,15 @@ def sample_shots(
             idx[i] = np.searchsorted(cdf, u_out[i], side="right")
         bits = (idx[:, None] >> shifts) & 1
         if n_read:
+            kept[start:start + n] = np.all(u_read < keep_p[bits], axis=1)
             bits ^= u_read < flip_p[bits]
         codes[start:start + n] = bits @ place
 
+    codes = codes[kept]
     values, first, tally = np.unique(codes, return_index=True, return_counts=True)
     order = np.argsort(first)
     counts = {bitstring(int(v), n_meas): int(c) for v, c in zip(values[order], tally[order])}
-    return ShotTable(counts, cfg.n_shots, layout)
+    return ShotTable(counts, codes.size, layout)
 
 
 def sample_shots_batched(
@@ -434,12 +435,13 @@ def red_vote_kernel_for(model) -> np.ndarray:
     appends to a one-qubit read, under the channels attach_noise gives it
     for this model. The read qubit's prep-gate noise and init flip belong to
     the ansatz and are dropped. Returns a 2x2 matrix K with
-    K[c, b] = P(triple unanimous with value c | true bit b).
+    K[c, b] = P(triple unanimous with value c | true bit b); set as a
+    NoisyCircuit's readout, it is the read stage of a readout-encoded run.
     """
     kernel = np.zeros((2, 2))
     for b in (0, 1):
         read = Circuit(1, (x(0),) * b + (measure(0),), (ROLE_DATA,))
-        gadget = attach_noise(wrap_with_red(read)[0], model)
+        gadget = attach_noise(wrap_with_red(read), model)
         gadget = replace(
             gadget,
             channels=((),) * b + gadget.channels[b:],

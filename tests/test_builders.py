@@ -251,24 +251,33 @@ def test_transversal_hadamard_is_logical_hadamard_up_to_swap():
 # ---------------------------------------------------------------------------
 
 
+def red_triples(circ):
+    """(measured qubit, ancilla, ancilla): the i-th measured qubit of an
+    n-qubit circuit is copied onto ancillas n + 2i and n + 2i + 1."""
+    n = circ.n_qubits
+    return [(m, n + 2 * i, n + 2 * i + 1) for i, m in enumerate(circ.measured_qubits)]
+
+
 def test_red_wrap_sizes_and_triples():
-    wrapped, layout = wrap_with_red(build_unencoded_ansatz(0.4, BASIS_Z))
-    assert wrapped.n_qubits == 6
-    assert len(layout.triples) == 2
-    wrapped, layout = wrap_with_red(build_encoded_ansatz(0.4, BASIS_Z))
-    assert wrapped.n_qubits == 18
-    assert len(layout.triples) == 6
-    for m, a, b in layout.triples:
-        assert wrapped.roles[a] == wrapped.roles[b] == qcore.ROLE_RED
+    for base, n_wrapped in ((build_unencoded_ansatz(0.4, BASIS_Z), 6), (build_encoded_ansatz(0.4, BASIS_Z), 18)):
+        wrapped = wrap_with_red(base)
+        assert wrapped.n_qubits == n_wrapped
+        assert wrapped.measured_qubits == tuple(range(n_wrapped))
+        copies = [op.qubits for op in wrapped.ops if op.kind == "CNOT"][-2 * len(base.measured_qubits):]
+        want = []
+        for m, a, b in red_triples(base):
+            assert wrapped.roles[a] == wrapped.roles[b] == qcore.ROLE_RED
+            want += [(m, a), (m, b)]
+        assert copies == want
 
 
 def test_red_wrap_noiseless_triples_unanimous():
-    wrapped, layout = wrap_with_red(build_unencoded_ansatz(1.1, BASIS_Z))
+    base = build_unencoded_ansatz(1.1, BASIS_Z)
+    wrapped = wrap_with_red(base)
     probs = born(wrapped)
-    meas = wrapped.measured_qubits
-    pos = {q: i for i, q in enumerate(meas)}
+    pos = {q: i for i, q in enumerate(wrapped.measured_qubits)}
     for key, p in probs.items():
-        for m, a, b in layout.triples:
+        for m, a, b in red_triples(base):
             assert key[pos[m]] == key[pos[a]] == key[pos[b]]
 
 

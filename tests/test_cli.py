@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qedvqe import cli, estimate
+from qedvqe import builders, cli, estimate, noise, postselect, sim
 
 
 def read_rows(path):
@@ -64,6 +64,8 @@ def test_invalid_noise_kind_is_config_error(tmp_path):
         ("sweep-depol", {"shots": 2.5}, "shots"),
         ("scan", {"noise": {"kind": "depolarizing", "p2": "lots"}}, "noise"),
         ("table2", {"shots": 10, "strategies": ["PSA", "PSQ"]}, "strategies"),
+        ("table2", {"shots": 10, "theta": "nan"}, "theta"),
+        ("scan", {"points": 2, "encoded": "false"}, "encoded"),
     ],
 )
 def test_unusable_config_value_names_its_key(tmp_path, capsys, experiment, cfg, key):
@@ -71,6 +73,44 @@ def test_unusable_config_value_names_its_key(tmp_path, capsys, experiment, cfg, 
     path.write_text(json.dumps(cfg))
     assert cli.main([experiment, "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_unknown_config_keys_warn_before_the_run(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"varience": 1.0, "shot": 5}))
+    assert cli.main(["budget", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert read_rows(tmp_path / "budget.csv")[0]["shots"] == "188000"
+    err = capsys.readouterr().err
+    assert "'varience'" in err and "'shot'" in err
+    # the warning comes before the run, so a run that then fails still names the keys
+    path.write_text(json.dumps({"varience": 1.0, "shot": 5, "target_sem": -1.0, "theta": 0.1}))
+    assert cli.main(["budget", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "'varience'" in err and "'shot'" in err and "'theta'" not in err.split("error:")[0]
+
+
+def test_declared_config_keys_are_the_keys_read():
+    """Each experiment reads exactly the keys CONFIG_KEYS declares for it."""
+
+    class Recorder(dict):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.read = set()
+
+        def get(self, key, default=None):
+            self.read.add(key)
+            return super().get(key, default)
+
+        def __contains__(self, key):
+            self.read.add(key)
+            return super().__contains__(key)
+
+    ints = {k: 0.0 for k in ("h00", "h11", "h22", "h33", "h2002", "h3113", "h2112", "h0330", "h2103", "h2013")}
+    small = {"shots": 300, "points": 2, "p2_grid": [0.01], "integrals": ints}
+    for experiment, runner in cli.RUNNERS.items():
+        cfg = Recorder(small)
+        runner(cfg)
+        assert cfg.read - {"seed", "theta"} == set(cli.CONFIG_KEYS[experiment]), experiment
 
 
 @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
@@ -243,3 +283,46 @@ def test_module_entry_point_runs_without_runpy_warning(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def red_pipeline_limits(theta=estimate.THETA_STAR):
+    """Exact limits of the red-pipeline rows, from the chain of acceptance
+    criterion 10: evolve_density -> the vote kernel (or, without readout
+    encoding, the readout flips) -> a2 = 0 -> PSAP -> energy_from_distributions.
+    Returns {label: (energy in mHa, eta_overall_Z)}."""
+    model = noise.default_device_model()
+    kernel = sim.red_vote_kernel_for(model)
+    out = {}
+    for mode, build in (("unencoded", builders.build_unencoded_ansatz), ("encoded", builders.build_encoded_ansatz)):
+        layout = sim.MeasurementLayout.of(build(theta, "Z"))
+        for red in (False, True):
+            dists, etas = {}, {}
+            for basis in "ZX":
+                rho = sim.evolve_density(noise.attach_noise(build(theta, basis), model))
+                if red:
+                    probs, etas[basis] = sim.red_vote_distribution(sim.born_distribution(rho), kernel)
+                else:
+                    probs, etas[basis] = sim.born_distribution(rho, model.readout), 1.0
+                if mode == "encoded":
+                    probs, w_a2 = postselect.select_a2_probs(probs, layout, 0)
+                    probs, eta_ps = postselect.apply_strategy_probs(probs, layout, postselect.Strategy("PSAP"))
+                    etas[basis] *= w_a2 * eta_ps
+                dists[basis] = probs
+            est = estimate.energy_from_distributions(dists["Z"], dists["X"], layout, estimate.default_h2(), mode)
+            label = mode + ("+red" if red else "") + ("/PSAP" if mode == "encoded" else "")
+            out[label] = (1e3 * est.mean, etas["Z"])
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_red_pipeline_agrees_with_the_exact_chain(tmp_path, seed):
+    shots = 20000
+    assert cli.main(["red-pipeline", "--out", str(tmp_path), "--shots", str(shots), "--seed", str(seed)]) == 0
+    limits = red_pipeline_limits()
+    rows = read_rows(tmp_path / "red_pipeline.csv")
+    assert sorted(r["label"] for r in rows) == sorted(limits)
+    for r in rows:
+        energy, eta = limits[r["label"]]
+        assert abs(float(r["energy_mHa"]) - energy) <= 5 * float(r["sem_mHa"]), r["label"]
+        sigma = math.sqrt(eta * (1 - eta) / shots)
+        assert abs(float(r["eta_overall_Z"]) - eta) <= 4 * sigma + 1e-12, r["label"]

@@ -91,7 +91,8 @@ def test_device_model_emission_split_and_init():
     assert kinds == [PauliNoise, DampingNoise, PauliNoise, DampingNoise]
     assert slot[0].p_total == pytest.approx(0.6e-3)
     assert slot[1].gamma == pytest.approx(0.4e-3)
-    assert nc.readout == model.readout
+    assert np.array_equal(nc.readout, model.readout.kernel)
+    assert np.array_equal(nc.readout, [[1 - 1e-3, 4e-3], [1e-3, 1 - 4e-3]])
 
 
 def test_fault_average_reproduces_channel_density():

@@ -13,7 +13,6 @@ from qedvqe.postselect import (
     SurvivalStats,
     apply_strategy,
     apply_strategy_probs,
-    red_vote,
     select_a2_branch,
     select_a2_probs,
 )
@@ -122,48 +121,71 @@ def test_branch_one_carries_theta_plus_pi_statistics():
 # ---------------------------------------------------------------------------
 
 
-def red_table(counts, base_roles):
-    n_base = len(base_roles)
-    n = n_base + 2 * n_base
-    qubits = tuple(range(n))
-    roles = tuple(base_roles) + (qcore.ROLE_RED,) * (2 * n_base)
-    names = tuple(f"b{i}" for i in range(n))
-    layout = MeasurementLayout(qubits, roles, names)
-    triples = tuple((m, n_base + 2 * m, n_base + 2 * m + 1) for m in range(n_base))
-    # bit order in keys: base qubits first, then ancilla pairs
-    return ShotTable(dict(counts), sum(counts.values()), layout), builders.RedLayout(triples)
+def red_vote(raw: ShotTable):
+    """The readout-encoding vote, applied to the shots of a wrap_with_red circuit.
+
+    The reference for the sampler's vote kernel: keeps the rows whose readout
+    triples are unanimous and collapses each triple onto its measured bit. In
+    a wrapped layout the n encoded bits come first and the i-th one's
+    readout pair sits at positions n + 2i and n + 2i + 1. Survival is
+    normalized to the raw shot total.
+    """
+    if raw.n_shots == 0:
+        raise EmptySelectionError("cannot vote on an empty table")
+    meas = raw.layout
+    red = meas.positions_of_role(qcore.ROLE_RED)
+    n = len(meas.roles) - len(red)
+    if red != tuple(range(n, len(meas.roles))) or len(red) != 2 * n:
+        raise ValueError("table is not the readout of a wrap_with_red circuit")
+    counts = {}
+    for key, c in raw.counts.items():
+        if all(key[i] == key[n + 2 * i] == key[n + 2 * i + 1] for i in range(n)):
+            counts[key[:n]] = counts.get(key[:n], 0) + c
+    kept = sum(counts.values())
+    collapsed = MeasurementLayout(meas.qubits[:n], meas.roles[:n], meas.names[:n])
+    return ShotTable(counts, kept, collapsed), SurvivalStats.of(raw.n_shots, kept)
+
+
+def red_table(counts, roles):
+    names = tuple(f"b{i}" for i in range(len(roles)))
+    layout = MeasurementLayout(tuple(range(len(roles))), tuple(roles), names)
+    return ShotTable(dict(counts), sum(counts.values()), layout)
+
+
+RED_1 = (qcore.ROLE_DATA, qcore.ROLE_RED, qcore.ROLE_RED)
 
 
 def test_red_vote_unanimity_rules():
-    # single measured qubit, triples (q, a, b) -> key order q a b
-    table, layout = red_table({"000": 7, "111": 2, "010": 3}, (qcore.ROLE_DATA,))
-    voted, st = red_vote(table, layout)
+    # single measured qubit, triple (q, a, b) -> key order q a b
+    voted, st = red_vote(red_table({"000": 7, "111": 2, "010": 3}, RED_1))
     assert voted.counts == {"0": 7, "1": 2}
+    assert voted.layout.roles == (qcore.ROLE_DATA,)
     assert st.n_before == 12 and st.n_after == 9
     assert st.eta == pytest.approx(9 / 12)
+    # two measured qubits: bits first, then the pairs (q0: 2, 3; q1: 4, 5)
+    voted, _ = red_vote(red_table({"010011": 4, "011011": 1}, RED_1[:1] * 2 + RED_1[1:] * 2))
+    assert voted.counts == {"01": 4}
 
 
 def test_red_vote_layout_mismatch():
-    table, _ = red_table({"000": 1}, (qcore.ROLE_DATA,))
-    bad = builders.RedLayout(((0, 1, 5),))
-    with pytest.raises(ValueError):
-        red_vote(table, bad)
+    for roles in (RED_1[:2], (qcore.ROLE_RED, qcore.ROLE_DATA, qcore.ROLE_RED)):
+        with pytest.raises(ValueError):
+            red_vote(red_table({"0" * len(roles): 1}, roles))
 
 
 def test_red_vote_empty_raises():
-    table, layout = red_table({"000": 0}, (qcore.ROLE_DATA,))
     with pytest.raises(EmptySelectionError):
-        red_vote(table, layout)
+        red_vote(red_table({"000": 0}, RED_1))
 
 
 def test_vote_commutes_with_a2_selection():
     model = noise.default_device_model()
-    wrapped, layout = builders.wrap_with_red(builders.build_encoded_ansatz(0.4, "Z"))
+    wrapped = builders.wrap_with_red(builders.build_encoded_ansatz(0.4, "Z"))
     raw = sim.sample_shots(noise.attach_noise(wrapped, model), TrajectoryConfig(4000, seed=11))
-    voted_first, _ = red_vote(raw, layout)
+    voted_first, _ = red_vote(raw)
     a = apply_strategy(select_a2_branch(voted_first, 0), Strategy("PSAP"))[0]
     selected_first = select_a2_branch(raw, 0)
-    voted_second, _ = red_vote(selected_first, layout)
+    voted_second, _ = red_vote(selected_first)
     b = apply_strategy(voted_second, Strategy("PSAP"))[0]
     assert a.counts == b.counts
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from qedvqe.sim import (
     sample_shots,
     sample_shots_batched,
 )
+from test_postselect import red_vote  # the string-key vote, oracle of the vote kernel
 
 
 def tvd(a: dict, b: dict) -> float:
@@ -111,7 +113,7 @@ def replay_per_shot(noisy, n_shots: int, seed: int, shot_offset: int = 0) -> dic
     ref_amps, thresholds = traj.no_jump_reference()
     ref_cdf = np.cumsum(np.abs(ref_amps) ** 2)
     ref_cdf[-1] = 1.0
-    flip_p, n = (noisy.readout.p_flip0, noisy.readout.p_flip1), noisy.circuit.n_qubits
+    kernel, n = noisy.readout, noisy.circuit.n_qubits
     counts = {}
     for i in range(n_shots):
         gen = _shot_generator(seed, shot_offset + i)
@@ -123,8 +125,11 @@ def replay_per_shot(noisy, n_shots: int, seed: int, shot_offset: int = 0) -> dic
             cdf /= cdf[-1]
         idx = int(np.searchsorted(cdf, u_out, side="right"))
         bits = [(idx >> (n - 1 - q)) & 1 for q in noisy.circuit.measured_qubits]
-        if not noisy.readout.trivial:
-            bits = [b ^ (u < flip_p[b]) for b, u in zip(bits, gen.random(len(bits)))]
+        if not np.array_equal(kernel, np.eye(2)):
+            reads = list(zip(bits, gen.random(len(bits))))
+            if any(u >= kernel[0, b] + kernel[1, b] for b, u in reads):
+                continue  # a failed vote drops the shot
+            bits = [b ^ (u < kernel[1 - b, b]) for b, u in reads]
         key = "".join("1" if b else "0" for b in bits)
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -146,6 +151,13 @@ def test_philox_uniforms_match_reference_stream(seed, first_shot, n_shots, n_dra
 
 
 ENCODED = builders.build_encoded_ansatz(-0.22967, "Z")
+DEVICE = noise.default_device_model()
+# drops a read of 0 with probability 0.2 and a read of 1 with 0.4
+LOSSY_KERNEL = np.array([[0.6, 0.1], [0.2, 0.5]])
+
+
+def with_readout(noisy, kernel):
+    return dataclasses.replace(noisy, readout=kernel)
 
 
 @pytest.mark.parametrize(
@@ -154,22 +166,25 @@ ENCODED = builders.build_encoded_ansatz(-0.22967, "Z")
         (noise.noiseless(builders.build_unencoded_ansatz(0.3, "X")), 500, 0),
         (noise.attach_noise(ENCODED, DepolarizingParams(p2=0.0009)), 3000, 0),
         (noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10)), 600, 4321),
-        (noise.attach_noise(ENCODED, noise.default_device_model()), 2000, 77),
+        (noise.attach_noise(ENCODED, DEVICE), 2000, 77),
         (
-            noise.attach_noise(
-                builders.wrap_with_red(builders.build_unencoded_ansatz(-0.22967, "Z"))[0],
-                noise.default_device_model(),
-            ),
+            noise.attach_noise(builders.wrap_with_red(builders.build_unencoded_ansatz(-0.22967, "Z")), DEVICE),
             300, 0,
         ),
+        (with_readout(noise.attach_noise(ENCODED, DEVICE), red_vote_kernel_for(DEVICE)), 2000, 5),
+        (with_readout(noise.attach_noise(ENCODED, DepolarizingParams(p2=0.05)), LOSSY_KERNEL), 1500, 900),
     ],
-    ids=["noiseless", "encoded-p2=0.09%", "encoded-p2=10%", "encoded-device", "unencoded+red-device"],
+    ids=[
+        "noiseless", "encoded-p2=0.09%", "encoded-p2=10%", "encoded-device", "unencoded+red-device",
+        "encoded-device-vote", "encoded-p2=5%-lossy",
+    ],
 )
 def test_block_sampler_matches_per_shot_loop(noisy, n_shots, shot_offset):
     want = replay_per_shot(noisy, n_shots, seed=2024, shot_offset=shot_offset)
     got = sample_shots(noisy, TrajectoryConfig(n_shots, seed=2024), shot_offset=shot_offset)
     assert got.counts == want
     assert list(got.counts) == list(want)  # first-appearance order, which float sums follow
+    assert got.n_shots == sum(want.values())
 
 
 PARTITION_NOISY = noise.attach_noise(ENCODED, DepolarizingParams(p2=0.01))
@@ -285,10 +300,10 @@ def test_shot_table_merge_guards():
 
 
 def test_red_layout_names_follow_role_names():
-    wrapped, _ = builders.wrap_with_red(builders.build_unencoded_ansatz(0.0, "Z"))
+    wrapped = builders.wrap_with_red(builders.build_unencoded_ansatz(0.0, "Z"))
     t = sample_shots(noise.noiseless(wrapped), TrajectoryConfig(5, seed=0))
     assert t.layout.names == ("q0", "q1", "r0", "s0", "r1", "s1")
-    wrapped, _ = builders.wrap_with_red(builders.build_encoded_ansatz(0.0, "Z"))
+    wrapped = builders.wrap_with_red(builders.build_encoded_ansatz(0.0, "Z"))
     t = sample_shots(noise.noiseless(wrapped), TrajectoryConfig(5, seed=0))
     names = ",".join(t.layout.names)
     assert names.startswith("a1,q0,q1,q2,q3,a2,k0,l0")
@@ -380,14 +395,33 @@ def test_red_kernel_keeps_entries_below_the_distribution_cutoff():
 def test_red_vote_distribution_matches_trajectory_vote():
     model = noise.default_device_model()
     base = builders.build_encoded_ansatz(-0.22967, "Z")
-    wrapped, layout = builders.wrap_with_red(base)
     n_shots = 30000
-    raw = sample_shots(noise.attach_noise(wrapped, model), TrajectoryConfig(n_shots, seed=31))
-    from qedvqe import postselect
-
-    voted, stats = postselect.red_vote(raw, layout)
+    raw = sample_shots(noise.attach_noise(builders.wrap_with_red(base), model), TrajectoryConfig(n_shots, seed=31))
+    voted, stats = red_vote(raw)
     probs6 = born_distribution(evolve_density(noise.attach_noise(base, model)))
     filt, eta = red_vote_distribution(probs6, red_vote_kernel_for(model))
     assert stats.eta == pytest.approx(eta, abs=5 * math.sqrt(eta * (1 - eta) / n_shots))
     bound = 5 * math.sqrt(len(filt) / stats.n_after)
     assert tvd(filt, {k: v / stats.n_after for k, v in voted.counts.items()}) < bound
+
+
+def test_sampled_vote_channel_matches_exact_vote():
+    # the sampler reads each bit through the vote kernel and drops failed votes
+    kernel = red_vote_kernel_for(DEVICE)
+    nc = noise.attach_noise(ENCODED, DEVICE)
+    n_shots = 50000
+    table = sample_shots(with_readout(nc, kernel), TrajectoryConfig(n_shots, seed=37))
+    probs, eta = red_vote_distribution(born_distribution(evolve_density(nc)), kernel)
+    assert table.n_shots / n_shots == pytest.approx(eta, abs=5 * math.sqrt(eta * (1 - eta) / n_shots))
+    bound = 5 * math.sqrt(len(probs) / table.n_shots)
+    assert tvd(probs, empirical(table)) < bound
+
+
+def test_lossless_kernel_never_drops():
+    # (1 - p) + p rounds to exactly 1.0, above every draw (at most 1 - 2^-53)
+    rng = np.random.default_rng(0)
+    rates = np.concatenate([rng.random(20000), rng.random(2000) * 1e-6, [0.0, 2**-53, 0.5, 1.0]])
+    for p, q in zip(rates, np.roll(rates, 1)):
+        assert ReadoutParams(p, q).kernel.sum(axis=0).tolist() == [1.0, 1.0]
+    nc = noise.attach_noise(ENCODED, DEVICE)
+    assert sample_shots(nc, TrajectoryConfig(3000, seed=3)).n_shots == 3000
