@@ -185,56 +185,68 @@ ENERGY_HEADER = (
 )
 
 
-def _sample_both_bases(build, theta, model, shots, seed, tag, red):
-    """Sample the Z and X circuits build(theta, basis) of one study row.
+def _study_rows(ham, model, theta, encoded, strategies=(), red=False, shots=None, seed=0, tag=""):
+    """The study rows of one ansatz: build -> attach_noise -> read kernel
+    (readout flips, or the vote with red) -> read -> a2 = 0 -> strategy
+    (encoded only) -> estimate, with nothing renormalized between steps.
 
-    With red, every measured bit is read through the readout-encoding vote
-    kernel, so each table holds only the shots whose votes all passed.
+    Only the read forks: sample_shots_batched under the sub-seed of
+    tag/basis, or with shots=None its exact limit sim.shot_limit_table.
+    Returns [(label, EnergyEstimate, SurvivalStats by basis, eta_overall_Z)],
+    eta_overall_Z being the kept over the raw Z weight. SEM, sigma_eta and
+    n_used mean something for sampled rows only.
     """
+    build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
     vote = sim.red_vote_kernel_for(model) if red else None
-    tables = {}
+    tables, raw = {}, {}
     for basis in ("Z", "X"):
         nc = noise.attach_noise(build(theta, basis), model)
         if red:
             nc = dataclasses.replace(nc, readout=vote)
-        run_seed = _sub_seed(seed, f"{tag}/{basis}")
-        tables[basis] = sim.sample_shots_batched(nc, sim.TrajectoryConfig(shots, run_seed))
-    return tables
+        if shots is None:
+            tables[basis], raw[basis] = sim.shot_limit_table(nc)
+        else:
+            cfg = sim.TrajectoryConfig(shots, _sub_seed(seed, f"{tag}/{basis}"))
+            tables[basis], raw[basis] = sim.sample_shots_batched(nc, cfg), shots
+    mode = "encoded" if encoded else "unencoded"
+    name = mode + ("+red" if red else "")
+
+    def row(label, picked):  # picked: basis -> (selected table, its survival)
+        (z, z_stats), (x, x_stats) = picked["Z"], picked["X"]
+        est = estimate.energy_from_shots(z, x, ham, mode=mode, eta={"Z": z_stats.eta, "X": x_stats.eta})
+        return label, est, {"Z": z_stats, "X": x_stats}, z.n_shots / raw["Z"]
+
+    if not encoded:
+        return [row(name, {b: (tables[b], postselect.SurvivalStats.of(raw[b], tables[b].n_shots)) for b in "ZX"})]
+    branch = {b: postselect.select_a2_branch(tables[b], 0) for b in "ZX"}
+    return [
+        row(f"{name}/{kind}", {b: postselect.apply_strategy(branch[b], postselect.Strategy(kind)) for b in "ZX"})
+        for kind in strategies
+    ]
+
+
+def _row(label, est, stats, seed):
+    """The ENERGY_HEADER columns of one sampled study row."""
+    return (
+        label, est.mean * 1e3, est.sem * 1e3, est.variance,
+        stats["Z"].eta, stats["X"].eta, stats["Z"].sigma_eta, stats["X"].sigma_eta,
+        est.n_used["Z"], est.n_used["X"], seed,
+    )
 
 
 def _unencoded_row(ham, model, shots, seed, theta, tag="unencoded", red=False):
-    tables = _sample_both_bases(builders.build_unencoded_ansatz, theta, model, shots, seed, tag, red)
-    stats = {b: postselect.SurvivalStats.of(shots, tables[b].n_shots) for b in "ZX"}
-    etas = {b: stats[b].eta for b in "ZX"}
-    est = estimate.energy_from_shots(tables["Z"], tables["X"], ham, mode="unencoded", eta=etas)
-    return (
-        "unencoded" + ("+red" if red else ""), est.mean * 1e3, est.sem * 1e3, est.variance,
-        etas["Z"], etas["X"], stats["Z"].sigma_eta, stats["X"].sigma_eta,
-        est.n_used["Z"], est.n_used["X"], seed,
-    ), est
+    ((label, est, stats, _),) = _study_rows(ham, model, theta, False, red=red, shots=shots, seed=seed, tag=tag)
+    return _row(label, est, stats, seed), est
 
 
 def _encoded_rows(ham, model, shots, seed, theta, strategies, red=False, tag="encoded"):
-    tables = _sample_both_bases(
-        builders.build_encoded_ansatz, theta, model, shots, seed, tag + ("+red" if red else ""), red
+    rows = _study_rows(
+        ham, model, theta, True, strategies, red=red, shots=shots, seed=seed, tag=tag + ("+red" if red else "")
     )
-    branch = {b: postselect.select_a2_branch(tables[b], 0) for b in "ZX"}
-    rows, ests = [], {}
-    for kind in strategies:
-        strat = postselect.Strategy(kind)
-        sel, stats = {}, {}
-        for b in "ZX":
-            sel[b], stats[b] = postselect.apply_strategy(branch[b], strat)
-        etas = {b: stats[b].eta for b in "ZX"}
-        est = estimate.energy_from_shots(sel["Z"], sel["X"], ham, mode="encoded", eta=etas)
-        name = "encoded" + ("+red" if red else "") + "/" + kind
-        rows.append((
-            name, est.mean * 1e3, est.sem * 1e3, est.variance,
-            etas["Z"], etas["X"], stats["Z"].sigma_eta, stats["X"].sigma_eta,
-            est.n_used["Z"], est.n_used["X"], seed,
-        ))
-        ests[kind] = est
-    return rows, ests
+    return (
+        [_row(label, est, stats, seed) for label, est, stats, _ in rows],
+        {kind: est for kind, (_, est, _, _) in zip(strategies, rows)},
+    )
 
 
 def _density_strategy_energy(ham, model, theta, kind):
@@ -249,41 +261,15 @@ def _density_strategy_energy(ham, model, theta, kind):
 
 
 def shot_limit_estimates(ham, model, theta, strategies=("NONE", "PSA", "PSP", "PSAP")):
-    """Infinite-shot limit of the shot pipeline: exact outcome distributions
-    pushed through the same selection rules and parity estimators.
+    """Infinite-shot limit of the shot pipeline: the exact side of _study_rows.
 
     Unlike the projected-density energies, this keeps the measurement's
     phase collapse, so it is the converged value of the sampled estimators.
-    Returns {label: (EnergyEstimate, eta_by_basis)} including 'unencoded'.
+    Returns {label: (EnergyEstimate with SEM 0, eta_by_basis)} including 'unencoded'.
     """
-    out = {}
-    lay2 = sim.MeasurementLayout.of(builders.build_unencoded_ansatz(theta, "Z"))
-    dists = {
-        b: sim.born_distribution(
-            sim.evolve_density(noise.attach_noise(builders.build_unencoded_ansatz(theta, b), model)),
-            getattr(model, "readout", noise.ReadoutParams()),
-        )
-        for b in "ZX"
-    }
-    out["unencoded"] = (
-        estimate.energy_from_distributions(dists["Z"], dists["X"], lay2, ham, "unencoded"),
-        {"Z": 1.0, "X": 1.0},
-    )
-    lay6 = sim.MeasurementLayout.of(builders.build_encoded_ansatz(theta, "Z"))
-    branch = {}
-    for b in "ZX":
-        probs = sim.born_distribution(
-            sim.evolve_density(noise.attach_noise(builders.build_encoded_ansatz(theta, b), model)),
-            getattr(model, "readout", noise.ReadoutParams()),
-        )
-        branch[b], _ = postselect.select_a2_probs(probs, lay6, 0)
-    for kind in strategies:
-        sel, etas = {}, {}
-        for b in "ZX":
-            sel[b], etas[b] = postselect.apply_strategy_probs(branch[b], lay6, postselect.Strategy(kind))
-        est = estimate.energy_from_distributions(sel["Z"], sel["X"], lay6, ham, "encoded", eta=etas)
-        out[f"encoded/{kind}"] = (est, etas)
-    return out
+    rows = _study_rows(ham, model, theta, False) + _study_rows(ham, model, theta, True, strategies)
+    no_shots = {"sem": 0.0, "n_used": {"Z": 0, "X": 0}}
+    return {label: (dataclasses.replace(est, **no_shots), est.eta) for label, est, _, _ in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +446,12 @@ def exp_red_pipeline(cfg: dict):
 
     rows = []
     for red in (False, True):
-        row, est = _unencoded_row(ham, model, shots, seed, theta, tag=f"unenc/red={red}", red=red)
-        enc, ests = _encoded_rows(ham, model, shots, seed, theta, ["PSAP"], red=red)
-        # eta_overall_Z: kept Z shots over raw Z shots, through every filter
-        for r, e in ((row, est), (enc[0], ests["PSAP"])):
-            rows.append(r + (1e3 * abs(e.mean - estimate.E_STAR_HA), r[8] / shots))
+        study = _study_rows(ham, model, theta, False, red=red, shots=shots, seed=seed, tag=f"unenc/red={red}")
+        study += _study_rows(
+            ham, model, theta, True, ["PSAP"], red=red, shots=shots, seed=seed, tag="encoded" + ("+red" if red else "")
+        )
+        for label, est, stats, eta_overall in study:
+            rows.append(_row(label, est, stats, seed) + (1e3 * abs(est.mean - estimate.E_STAR_HA), eta_overall))
     header = ENERGY_HEADER + ("delta_mHa", "eta_overall_Z")
     summary = "\n".join(f"{r[0]:22s} {r[1]:9.2f} mHa  delta={r[-2]:.2f}  eta={100 * r[-1]:.1f}%" for r in rows)
     return {"red_pipeline.csv": (header, rows)}, {}, summary
@@ -531,6 +518,13 @@ CONFIG_KEYS = {
     "coeffs": ("integrals",),
 }
 
+# The keys read inside nested config objects. A device noise spec is not
+# listed: noise.device_model_from_config warns about unknown data-sheet rows.
+NESTED_KEYS = {
+    "noise": ("kind", "p2", "p1"),
+    "hamiltonian": ("g0", "g1", "g2", "g3", "g4"),
+}
+
 RUNNERS = {
     "scan": exp_scan,
     "sweep-depol": exp_sweep_depol,
@@ -558,6 +552,15 @@ def _gate_counts(theta: float):
     return out
 
 
+def _unread_keys(config: dict, experiment: str):
+    """The config keys the experiment does not read, nested ones as 'parent.key'."""
+    for key, value in config.items():
+        if key not in ("experiment", "seed", "theta") + CONFIG_KEYS[experiment]:
+            yield key
+        elif key in NESTED_KEYS and isinstance(value, dict) and value.get("kind") != "device":
+            yield from (f"{key}.{sub}" for sub in value if sub not in NESTED_KEYS[key])
+
+
 def run(config: dict, out_dir) -> int:
     """Run one experiment; writes manifest + CSVs, returns a process exit code."""
     out = Path(out_dir)
@@ -566,9 +569,8 @@ def run(config: dict, out_dir) -> int:
         print(f"error: unknown or missing experiment {experiment!r}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     config.setdefault("seed", 0)
-    for key in config:
-        if key not in ("experiment", "seed", "theta") + CONFIG_KEYS[experiment]:
-            print(f"warning: config key {key!r} is not read by {experiment!r}; ignored", file=sys.stderr)
+    for key in _unread_keys(config, experiment):
+        print(f"warning: config key {key!r} is not read by {experiment!r}; ignored", file=sys.stderr)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:

@@ -3,7 +3,8 @@
 Survival fractions follow the study's normalization: the QED strategies are
 normalized to the a2=0-selected population. The readout-encoding vote is not
 a rule here: the sampler applies it as it reads each bit (sim.sample_shots),
-and its survival is the kept shots over the raw shot total.
+and its survival is the kept shots over the raw shot total. The rules filter
+a ShotTable, sampled or exact (sim.shot_limit_table), and never rescale it.
 """
 from __future__ import annotations
 
@@ -72,28 +73,13 @@ def _checks(layout: MeasurementLayout, kind: str, branch: int = 0):
     return tuple(checks)
 
 
-def _kept(weights: dict, checks) -> dict:
-    """The entries of an outcome -> weight map whose keys pass every check."""
-    return {
-        key: w for key, w in weights.items()
+def _filtered(table: ShotTable, checks) -> ShotTable:
+    """The table's entries whose keys pass every check, weights unchanged."""
+    counts = {
+        key: w for key, w in table.counts.items()
         if all(sum(key[p] == "1" for p in pos) % 2 == parity for pos, parity in checks)
     }
-
-
-def _filtered(table: ShotTable, checks) -> ShotTable:
-    counts = _kept(table.counts, checks)
     return ShotTable(counts, sum(counts.values()), table.layout)
-
-
-def _renormalized(probs: dict, checks):
-    """(kept distribution rescaled to sum to one, kept weight)."""
-    if not checks:
-        return dict(probs), 1.0
-    kept = _kept(probs, checks)
-    weight = sum(kept.values())
-    if weight <= 0.0:
-        raise EmptySelectionError("post-selection removed all weight")
-    return {k: p / weight for k, p in kept.items()}, weight
 
 
 def select_a2_branch(table: ShotTable, branch: int) -> ShotTable:
@@ -114,12 +100,19 @@ def apply_strategy(table: ShotTable, strategy: Strategy):
     return out, SurvivalStats.of(table.n_shots, out.n_shots)
 
 
+def _normalized(table: ShotTable) -> dict:
+    if table.n_shots <= 0.0:
+        raise EmptySelectionError("post-selection removed all weight")
+    return {key: w / table.n_shots for key, w in table.counts.items()}
+
+
 def select_a2_probs(probs: dict[str, float], layout: MeasurementLayout, branch: int):
     """select_a2_branch on an exact distribution; returns (renormalized map, branch weight)."""
-    return _renormalized(probs, _checks(layout, _A2, branch))
+    out = select_a2_branch(ShotTable(probs, sum(probs.values()), layout), branch)
+    return _normalized(out), out.n_shots
 
 
 def apply_strategy_probs(probs: dict[str, float], layout: MeasurementLayout, strategy: Strategy):
     """apply_strategy on an exact distribution; returns (renormalized map, eta)."""
-    return _renormalized(probs, _checks(layout, strategy.kind))
-
+    out, stats = apply_strategy(ShotTable(probs, sum(probs.values()), layout), strategy)
+    return _normalized(out), stats.eta

@@ -165,18 +165,6 @@ def measure(q):
     return Gate("MEASURE_Z", (q,))
 
 
-def gate_from_text(line: str) -> Gate:
-    parts = line.split()
-    kind = parts[0]
-    if kind in PARAMETRIC_KINDS:
-        qubits, angle = [int(p) for p in parts[1:-1]], float(parts[-1])
-    else:
-        qubits, angle = [int(p) for p in parts[1:]], None
-    if kind == "CNOT":
-        return Gate(kind, (qubits[1],), control=qubits[0])
-    return Gate(kind, tuple(qubits), angle=angle)
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over a fixed register with per-qubit role tags.
@@ -249,11 +237,6 @@ class Circuit:
     def to_text(self) -> str:
         """Line-oriented serialization: one gate per line, KIND qubits [angle]."""
         return "\n".join(op.to_text() for op in self.ops) + "\n"
-
-
-def circuit_from_text(text: str, n_qubits: int, roles, label="") -> Circuit:
-    ops = tuple(gate_from_text(line) for line in text.splitlines() if line.strip())
-    return Circuit(n_qubits, ops, tuple(roles), label)
 
 
 # ---------------------------------------------------------------------------

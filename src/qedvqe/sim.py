@@ -80,10 +80,11 @@ class MeasurementLayout:
 
 @dataclass
 class ShotTable:
-    """Raw measured bitstring counts; index 0 of a key is the first measured qubit."""
+    """Bitstring -> shot count (or probability, in a shot_limit_table) and
+    their total; index 0 of a key is the first measured qubit."""
 
-    counts: dict[str, int]
-    n_shots: int
+    counts: dict[str, int | float]
+    n_shots: int | float
     layout: MeasurementLayout
 
     def __post_init__(self):
@@ -155,28 +156,50 @@ def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
     return DensityMatrix(n, mat)
 
 
-def _push_bits(t: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Apply a per-bit 2x2 kernel (column = true bit) to every axis of a joint distribution."""
-    for q in range(t.ndim):
-        t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [q])), 0, q)
-    return t
+def _read(probs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """A distribution over basis-state indices read through the per-bit kernel
+    K[read, true] on every bit; a lossy kernel leaves less mass, never more."""
+    if not np.array_equal(kernel, np.eye(2)):
+        t = probs.reshape((2,) * (probs.size.bit_length() - 1))
+        for q in range(t.ndim):
+            t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [q])), 0, q)
+        probs = t.reshape(-1)
+    if probs.sum() > 1.0 + 1e-10:
+        raise ValueError("read kernel created probability mass")
+    return probs
 
 
 def _read_probabilities(rho: DensityMatrix, kernel: np.ndarray) -> np.ndarray:
-    """Diagonal Born probabilities pushed through a lossless per-bit read
-    kernel K[read, true], as a full vector over basis-state indices."""
+    """The Born diagonal, checked to sum to 1, read through a per-bit kernel
+    that may be lossy, as a full vector over basis-state indices."""
     probs = np.clip(rho.diagonal(), 0.0, None)
-    if not np.array_equal(kernel, np.eye(2)):
-        probs = _push_bits(probs.reshape((2,) * rho.n_qubits), kernel).reshape(-1)
     if abs(probs.sum() - 1.0) > 1e-10:
-        raise ValueError("distribution does not sum to 1")
-    return probs
+        raise ValueError("Born distribution does not sum to 1")
+    return _read(probs, kernel)
+
+
+def _outcomes(probs: np.ndarray) -> dict[str, float]:
+    """A probability vector as outcome -> probability, without outcomes at or below 1e-15."""
+    n = probs.size.bit_length() - 1
+    return {bitstring(i, n): float(p) for i, p in enumerate(probs) if p > 1e-15}
 
 
 def born_distribution(rho: DensityMatrix, readout: ReadoutParams = ReadoutParams()) -> dict[str, float]:
     """Read-out probabilities by bitstring, without outcomes at or below 1e-15."""
-    probs = _read_probabilities(rho, readout.kernel)
-    return {bitstring(i, rho.n_qubits): float(p) for i, p in enumerate(probs) if p > 1e-15}
+    return _outcomes(_read_probabilities(rho, readout.kernel))
+
+
+def shot_limit_table(noisy: NoisyCircuit) -> tuple[ShotTable, float]:
+    """The infinite-shot limit of sample_shots and its raw total, the trace.
+
+    The Born vector of evolve_density read through the circuit's read kernel,
+    as probability weights of every (measured) qubit; a lossy kernel keeps
+    less than the raw total, and nothing is renormalized.
+    """
+    rho = evolve_density(noisy)
+    probs = _outcomes(_read_probabilities(rho, noisy.readout))
+    table = ShotTable(probs, sum(probs.values()), MeasurementLayout.of(noisy.circuit))
+    return table, float(np.trace(rho.mat).real)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +487,8 @@ def red_vote_distribution(probs: dict[str, float], kernel: np.ndarray):
     """
     if not probs:
         raise ValueError("empty distribution")
-    n = len(next(iter(probs)))
-    t = np.zeros((2,) * n)
-    for key, p in probs.items():
-        t[tuple(int(c) for c in key)] += p
-    flat = _push_bits(t, kernel).reshape(-1)
+    t = np.zeros(2 ** len(next(iter(probs))))
+    t[[int(key, 2) for key in probs]] = list(probs.values())
+    flat = _read(t, kernel)
     eta = float(flat.sum())
-    out = {
-        bitstring(i, n): float(p / eta) for i, p in enumerate(flat) if p > 0.0
-    }
-    return out, eta
+    return {key: p / eta for key, p in _outcomes(flat).items()}, eta

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -87,6 +88,40 @@ def test_unknown_config_keys_warn_before_the_run(tmp_path, capsys):
     assert cli.main(["budget", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert "'varience'" in err and "'shot'" in err and "'theta'" not in err.split("error:")[0]
+
+
+H2_COEFFS = {"g0": -0.349833, "g1": -0.388748, "g2": -0.388748, "g3": 0.0111772, "g4": 0.181771}
+
+
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        ({"noise": {"kind": "depolarizing", "p_2": 0.05}, "points": 5}, "noise.p_2"),
+        ({"hamiltonian": dict(H2_COEFFS, g5=1.0), "points": 5}, "hamiltonian.g5"),
+    ],
+)
+def test_unknown_nested_config_keys_warn_before_the_run(tmp_path, monkeypatch, capsys, cfg, path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    warning = f"warning: config key {path!r} is not read by 'scan'; ignored"
+    assert cli.main(["scan", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert warning in capsys.readouterr().err
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulation started")
+
+    # the warning comes before any simulation work
+    monkeypatch.setattr(cli.sim, "evolve_density", broken)
+    assert cli.main(["scan", "--config", str(config), "--out", str(tmp_path)]) == cli.EXIT_INTERNAL
+    assert warning in capsys.readouterr().err.split("Traceback")[0]
+
+
+def test_device_noise_spec_keeps_its_data_sheet_warning(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"noise": {"kind": "device", "p_2": 0.05}, "points": 2}))
+    with pytest.warns(UserWarning, match="'p_2'"):
+        assert cli.main(["scan", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert "noise.p_2" not in capsys.readouterr().err
 
 
 def test_declared_config_keys_are_the_keys_read():
@@ -326,3 +361,32 @@ def test_red_pipeline_agrees_with_the_exact_chain(tmp_path, seed):
         assert abs(float(r["energy_mHa"]) - energy) <= 5 * float(r["sem_mHa"]), r["label"]
         sigma = math.sqrt(eta * (1 - eta) / shots)
         assert abs(float(r["eta_overall_Z"]) - eta) <= 4 * sigma + 1e-12, r["label"]
+
+
+@pytest.mark.parametrize("red", [False, True])
+def test_exact_rows_match_the_hand_written_chain(red):
+    """The exact side of the study-row pipeline against red_pipeline_limits."""
+    model, ham, theta = noise.default_device_model(), estimate.default_h2(), estimate.THETA_STAR
+    limits = red_pipeline_limits()
+    rows = cli._study_rows(ham, model, theta, False, (), red) + cli._study_rows(ham, model, theta, True, ["PSAP"], red)
+    assert len(rows) == 2
+    for label, est, _, eta_overall in rows:
+        energy, eta = limits[label]
+        assert abs(est.mean - energy / 1e3) <= 1e-12, label  # energy is in mHa
+        assert abs(eta_overall - eta) <= 1e-12, label
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_lossy_read_keeps_the_vote_survival(encoded):
+    """Reading the Born vector through the vote kernel keeps the weight that
+    red_vote_distribution reports as the vote's survival."""
+    model = noise.default_device_model()
+    kernel = sim.red_vote_kernel_for(model)
+    build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
+    for basis in "ZX":
+        nc = noise.attach_noise(build(estimate.THETA_STAR, basis), model)
+        table, raw = sim.shot_limit_table(dataclasses.replace(nc, readout=kernel))
+        _, eta = sim.red_vote_distribution(sim.born_distribution(sim.evolve_density(nc)), kernel)
+        assert eta < 0.999  # the kernel is lossy
+        assert abs(table.n_shots - eta) <= 1e-15
+        assert abs(raw - 1.0) <= 1e-10

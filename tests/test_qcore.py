@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qedvqe import qcore
 from qedvqe.qcore import (
     Circuit,
     DensityMatrix,
@@ -182,18 +181,4 @@ def test_circuit_terminal_measurement_invariant():
         Circuit(1, (measure(0), h(0)), (ROLE_DATA,))
     # measurement on another qubit is fine
     Circuit(2, (measure(0), h(1), measure(1)), (ROLE_DATA, ROLE_DATA))
-
-
-def test_circuit_text_roundtrip():
-    circ = Circuit(
-        2,
-        (h(0), rz(0.5, 1), cnot(0, 1), measure(0), measure(1)),
-        (ROLE_DATA, ROLE_DATA),
-        label="t",
-    )
-    text = circ.to_text()
-    assert text.splitlines()[0] == "H 0"
-    assert text.splitlines()[2] == "CNOT 0 1"
-    back = qcore.circuit_from_text(text, 2, circ.roles)
-    assert back.ops == circ.ops
 

@@ -83,6 +83,18 @@ def test_born_distribution_basics():
     assert all(p == pytest.approx(0.25) for p in probs.values())
 
 
+def test_read_through_a_lossy_kernel_checks_mass_before_and_after():
+    rho = qcore.DensityMatrix(2, np.eye(4) / 4)
+    vote = np.array([[0.9, 0.0], [0.05, 0.8]])  # keeps 0.95 of the 0s and 0.8 of the 1s
+    probs = sim._read_probabilities(rho, vote)
+    assert probs.sum() == pytest.approx(((0.95 + 0.8) / 2) ** 2, abs=1e-15)
+    with pytest.raises(ValueError, match="created probability mass"):
+        sim._read_probabilities(rho, np.array([[1.0, 0.0], [1e-9, 1.0]]))
+    # the Born diagonal is checked before the push, so a lossy kernel cannot hide lost trace
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        sim._read_probabilities(qcore.DensityMatrix(2, np.eye(4) / 5), vote)
+
+
 def test_born_distribution_readout_flip():
     rho = qcore.StateVector(1, [1, 0]).outer()
     probs = born_distribution(rho, ReadoutParams(p_flip0=1e-3))
