@@ -193,8 +193,8 @@ def _study_rows(ham, model, theta, encoded, strategies=(), red=False, shots=None
     Only the read forks: sample_shots_batched under the sub-seed of
     tag/basis, or with shots=None its exact limit sim.shot_limit_table.
     Returns [(label, EnergyEstimate, SurvivalStats by basis, eta_overall_Z)],
-    eta_overall_Z being the kept over the raw Z weight. SEM, sigma_eta and
-    n_used mean something for sampled rows only.
+    eta_overall_Z being the kept over the raw Z weight. Exact rows have SEM 0
+    and n_used 0; sigma_eta means something for sampled rows only.
     """
     build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
     vote = sim.red_vote_kernel_for(model) if red else None
@@ -213,7 +213,11 @@ def _study_rows(ham, model, theta, encoded, strategies=(), red=False, shots=None
 
     def row(label, picked):  # picked: basis -> (selected table, its survival)
         (z, z_stats), (x, x_stats) = picked["Z"], picked["X"]
-        est = estimate.energy_from_shots(z, x, ham, mode=mode, eta={"Z": z_stats.eta, "X": x_stats.eta})
+        eta = {"Z": z_stats.eta, "X": x_stats.eta}
+        if shots is None:
+            est = estimate.energy_from_distributions(z.counts, x.counts, z.layout, ham, mode=mode, eta=eta)
+        else:
+            est = estimate.energy_from_shots(z, x, ham, mode=mode, eta=eta)
         return label, est, {"Z": z_stats, "X": x_stats}, z.n_shots / raw["Z"]
 
     if not encoded:
@@ -268,8 +272,7 @@ def shot_limit_estimates(ham, model, theta, strategies=("NONE", "PSA", "PSP", "P
     Returns {label: (EnergyEstimate with SEM 0, eta_by_basis)} including 'unencoded'.
     """
     rows = _study_rows(ham, model, theta, False) + _study_rows(ham, model, theta, True, strategies)
-    no_shots = {"sem": 0.0, "n_used": {"Z": 0, "X": 0}}
-    return {label: (dataclasses.replace(est, **no_shots), est.eta) for label, est, _, _ in rows}
+    return {label: (est, est.eta) for label, est, _, _ in rows}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Device models divert a configured fraction of each gate's error weight into
 amplitude damping (spontaneous emission to |0>), add per-qubit
 initialization flips, and read terminal measurements through asymmetric
 readout flips. Noise attaches to gates only; idle qubits are noiseless.
+Each channel's Kraus operators (``kraus``) state how it acts on a density matrix.
 """
 from __future__ import annotations
 
@@ -163,6 +164,12 @@ class PauliNoise:
     def p_total(self) -> float:
         return self.p_x + self.p_y + self.p_z
 
+    @property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        """Kraus operators: sqrt(p) times each Pauli, the identity taking the rest."""
+        weighted = ((1.0 - self.p_total, PAULI_I), (self.p_x, PAULI_X), (self.p_y, PAULI_Y), (self.p_z, PAULI_Z))
+        return tuple(np.sqrt(p) * sigma for p, sigma in weighted if p > 0.0)
+
     @classmethod
     def depolarizing(cls, qubit: int, p: float) -> "PauliNoise":
         return cls(qubit, p / 3.0, p / 3.0, p / 3.0)
@@ -174,6 +181,12 @@ class DampingNoise:
 
     qubit: int
     gamma: float
+
+    @property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        """Kraus operators: no jump (|1> shrinks) and the jump |1> -> |0>."""
+        no_jump = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - self.gamma)]], dtype=complex)
+        return no_jump, np.array([[0.0, np.sqrt(self.gamma)], [0.0, 0.0]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)

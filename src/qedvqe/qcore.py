@@ -328,11 +328,14 @@ def apply_unitary_sv(amps: np.ndarray, n: int, mat: np.ndarray, qubits) -> np.nd
     return t.reshape(-1)
 
 
-def apply_unitary_dm(mat_rho: np.ndarray, n: int, mat: np.ndarray, qubits) -> np.ndarray:
-    t = mat_rho.reshape((2,) * (2 * n))
-    t = _apply_matrix_axes(t, mat, qubits)
-    t = _apply_matrix_axes(t, mat.conj(), [n + q for q in qubits])
-    return t.reshape(2**n, 2**n)
+def apply_kraus(rho: np.ndarray, kraus, qubits) -> np.ndarray:
+    """rho -> sum K rho K^dagger on ``qubits``, for rho as a 2^n x 2^n matrix or
+    a (2,)*2n tensor (kept in its shape): one contraction of sum K (x) K* into
+    the row axes ``qubits`` and the column axes n + ``qubits``. A gate U is [U]."""
+    n = (rho.size.bit_length() - 1) // 2
+    superop = np.einsum("kia,kjb->ijab", kraus, np.conj(kraus))
+    t = _apply_matrix_axes(rho.reshape((2,) * (2 * n)), superop, tuple(qubits) + tuple(n + q for q in qubits))
+    return t.reshape(rho.shape)
 
 
 def apply_gate(state, gate: Gate):
@@ -345,7 +348,7 @@ def apply_gate(state, gate: Gate):
     if isinstance(state, StateVector):
         return StateVector(state.n_qubits, apply_unitary_sv(state.amps, state.n_qubits, mat, gate.qubits))
     if isinstance(state, DensityMatrix):
-        return DensityMatrix(state.n_qubits, apply_unitary_dm(state.mat, state.n_qubits, mat, gate.qubits))
+        return DensityMatrix(state.n_qubits, apply_kraus(state.mat, (mat,), gate.qubits))
     raise TypeError("state must be StateVector or DensityMatrix")
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .builders import wrap_with_red
 from .noise import (
-    DampingNoise,
     DepolarizingParams,
     DeviceModel,
     NoisyCircuit,
@@ -32,14 +31,12 @@ from .qcore import (
     Circuit,
     DensityMatrix,
     StateVector,
-    apply_unitary_dm,
+    _apply_matrix_axes,
+    apply_kraus,
     apply_unitary_sv,
     bitstring,
     measure,
     x,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
 )
 
 DENSITY_QUBIT_CAP = 12
@@ -118,38 +115,21 @@ class TrajectoryConfig:
 # ---------------------------------------------------------------------------
 
 
-def _pauli_channel_dm(mat, n, ch: PauliNoise):
-    out = (1.0 - ch.p_total) * mat
-    for p, sigma in ((ch.p_x, PAULI_X), (ch.p_y, PAULI_Y), (ch.p_z, PAULI_Z)):
-        if p > 0.0:
-            out = out + p * apply_unitary_dm(mat, n, sigma, (ch.qubit,))
-    return out
-
-def _damping_channel_dm(mat, n, ch: DampingNoise):
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - ch.gamma)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(ch.gamma)], [0.0, 0.0]], dtype=complex)
-    return (
-        apply_unitary_dm(mat, n, k0, (ch.qubit,))
-        + apply_unitary_dm(mat, n, k1, (ch.qubit,))
-    )
-
 def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
     """Exact mixed state after all gates and channels, before measurement/readout."""
     circ = noisy.circuit
     n = circ.n_qubits
     if n > DENSITY_QUBIT_CAP:
         raise ValueError(f"density backend capped at {DENSITY_QUBIT_CAP} qubits, got {n}")
-    mat = DensityMatrix.zero(n).mat
+    rho = DensityMatrix.zero(n).mat.reshape((2,) * (2 * n))
     for ch in noisy.pre_channels:
-        mat = _pauli_channel_dm(mat, n, ch)
+        rho = apply_kraus(rho, ch.kraus, (ch.qubit,))
     for op, slot in zip(circ.ops, noisy.channels):
         if op.is_unitary:
-            mat = apply_unitary_dm(mat, n, op.matrix(), op.qubits)
+            rho = apply_kraus(rho, (op.matrix(),), op.qubits)
         for ch in slot:
-            if isinstance(ch, PauliNoise):
-                mat = _pauli_channel_dm(mat, n, ch)
-            else:
-                mat = _damping_channel_dm(mat, n, ch)
+            rho = apply_kraus(rho, ch.kraus, (ch.qubit,))
+    mat = rho.reshape(2**n, 2**n)
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"evolved density trace drifted to {tr}")
@@ -162,7 +142,7 @@ def _read(probs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if not np.array_equal(kernel, np.eye(2)):
         t = probs.reshape((2,) * (probs.size.bit_length() - 1))
         for q in range(t.ndim):
-            t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [q])), 0, q)
+            t = _apply_matrix_axes(t, kernel, (q,))
         probs = t.reshape(-1)
     if probs.sum() > 1.0 + 1e-10:
         raise ValueError("read kernel created probability mass")

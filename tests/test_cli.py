@@ -376,6 +376,17 @@ def test_exact_rows_match_the_hand_written_chain(red):
         assert abs(eta_overall - eta) <= 1e-12, label
 
 
+def test_exact_rows_report_no_sampling_error():
+    """Exact rows hold probabilities, not shots, so the estimator itself
+    gives them SEM 0 and n_used 0."""
+    ham, model, theta = estimate.default_h2(), noise.DepolarizingParams(p2=9e-4), estimate.THETA_STAR
+    for red in (False, True):
+        rows = cli._study_rows(ham, model, theta, False, (), red)
+        rows += cli._study_rows(ham, model, theta, True, ("NONE", "PSA", "PSP", "PSAP"), red)
+        for label, est, _, _ in rows:
+            assert est.sem == 0.0 and est.n_used == {"Z": 0, "X": 0}, label
+
+
 @pytest.mark.parametrize("encoded", [False, True])
 def test_lossy_read_keeps_the_vote_survival(encoded):
     """Reading the Born vector through the vote kernel keeps the weight that

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qedvqe import builders, noise, qcore, sim
 from qedvqe.noise import (
@@ -51,6 +53,16 @@ def test_depolarize_kraus_trace_preserving(p, arity):
     total = sum(w * u.conj().T @ u for w, u in chan)
     assert np.max(np.abs(total - np.eye(dim))) < 1e-12
     assert sum(w for w, _ in chan) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), st.floats(0.0, 1.0))
+def test_every_channel_kraus_set_is_complete(weights, gamma):
+    scale = max(1.0, sum(weights))  # p_x + p_y + p_z <= 1
+    p_x, p_y, p_z = (w / scale for w in weights)
+    for channel in (PauliNoise(0, p_x, p_y, p_z), DampingNoise(0, gamma)):
+        total = sum(k.conj().T @ k for k in channel.kraus)
+        assert np.max(np.abs(total - np.eye(2))) <= 1e-12
 
 
 def test_attach_noise_zero_params_reproduces_noiseless_evolution():

@@ -75,6 +75,72 @@ def test_evolve_density_trace_and_cap(monkeypatch):
         evolve_density(noise.noiseless(all_measured(sim.DENSITY_QUBIT_CAP + 1)))
 
 
+@st.composite
+def noisy_circuits(draw):
+    """A random 1-2 qubit circuit with init flips and random depolarizing and
+    damping slots, and its Kraus-sum oracle: per step, the weighted operators
+    (w, K) on the whole register, rho -> sum w K rho K^dagger. The oracle's
+    channels come from depolarize_kraus and hand-written pairs."""
+    n = draw(st.integers(1, 2))
+    prob = st.floats(0.0, 1.0)
+
+    def on(op, q):  # a one-qubit operator on qubit q; qubit 0 is the most significant
+        return np.kron(np.kron(np.eye(2**q), op), np.eye(2 ** (n - 1 - q)))
+
+    flips = [draw(prob) for _ in range(n)]
+    pre = tuple(noise.PauliNoise(q, p, 0.0, 0.0) for q, p in enumerate(flips))
+    bit_flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    steps = [[(1.0 - p, on(np.eye(2), q)), (p, on(bit_flip, q))] for q, p in enumerate(flips)]
+    kinds = ("H", "X", "Y", "Z", "S", "RY", "RZ") + (("CNOT", "SWAP") if n == 2 else ())
+    ops, channels = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "CNOT":
+            c = draw(st.integers(0, 1))
+            op = qcore.cnot(c, 1 - c)
+        elif kind == "SWAP":
+            op = qcore.swap(0, 1)
+        else:
+            angle = draw(st.floats(-math.pi, math.pi)) if kind in ("RY", "RZ") else None
+            op = qcore.Gate(kind, (draw(st.integers(0, n - 1)),), angle=angle)
+        if len(op.qubits) == 1:
+            u = on(op.matrix(), op.qubits[0])
+        else:  # a (1, 0) gate is its (0, 1) matrix conjugated by the qubit exchange
+            exchange = np.eye(4)[[0, 2, 1, 3]]
+            u = op.matrix() if op.qubits == (0, 1) else exchange @ op.matrix() @ exchange
+        ops.append(op)
+        steps.append([(1.0, u)])
+        slot = []
+        for q in op.qubits:
+            for damping, p in draw(st.lists(st.tuples(st.booleans(), prob), max_size=2)):
+                if damping:
+                    slot.append(noise.DampingNoise(q, p))
+                    pair = (np.diag([1.0, math.sqrt(1.0 - p)]), np.array([[0.0, math.sqrt(p)], [0.0, 0.0]]))
+                    steps.append([(1.0, on(k, q)) for k in pair])
+                else:
+                    slot.append(noise.PauliNoise.depolarizing(q, p))
+                    steps.append([(w, on(k, q)) for w, k in noise.depolarize_kraus(p)])
+        channels.append(tuple(slot))
+    circ = Circuit(n, tuple(ops), (ROLE_DATA,) * n)
+    return noise.NoisyCircuit(circ, tuple(channels), pre), steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(noisy_circuits())
+def test_evolve_density_matches_a_kraus_sum_oracle(case):
+    noisy, steps = case
+    dim = 2**noisy.circuit.n_qubits
+    want = np.zeros((dim, dim), dtype=complex)
+    want[0, 0] = 1.0
+    for step in steps:
+        want = sum(w * k @ want @ k.conj().T for w, k in step)
+    rho = evolve_density(noisy).mat
+    assert np.max(np.abs(rho - want)) <= 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
 def test_born_distribution_basics():
     sv = qcore.StateVector(2, [0, 1, 0, 0])  # |01>
     assert born_distribution(sv.outer()) == {"01": pytest.approx(1.0)}
@@ -93,6 +159,15 @@ def test_read_through_a_lossy_kernel_checks_mass_before_and_after():
     # the Born diagonal is checked before the push, so a lossy kernel cannot hide lost trace
     with pytest.raises(ValueError, match="does not sum to 1"):
         sim._read_probabilities(qcore.DensityMatrix(2, np.eye(4) / 5), vote)
+    # each bit's push is one _apply_matrix_axes call: the float operations of
+    # this tensordot/moveaxis loop, so the read equals it bit for bit
+    model = noise.default_device_model()
+    rho = evolve_density(noise.attach_noise(builders.build_encoded_ansatz(0.3, "X"), model))
+    for kernel in (model.readout.kernel, red_vote_kernel_for(model)):
+        t = np.clip(rho.diagonal(), 0.0, None).reshape((2,) * 6)
+        for q in range(6):
+            t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [q])), 0, q)
+        assert np.array_equal(sim._read_probabilities(rho, kernel), t.reshape(-1))
 
 
 def test_born_distribution_readout_flip():
