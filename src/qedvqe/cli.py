@@ -1,20 +1,25 @@
 """Reproduction driver: one subcommand per experiment, config in, CSV + manifest out.
 
-Every experiment writes a manifest.json (resolved config, tool version, gate
-counts, wall time) plus one or more CSV files whose bodies are byte-identical
-across re-runs of the same config and seed. Passing a previously written
-manifest as --config re-runs it. The QEDVQE_WORKERS environment variable
-sizes the worker pool for sweep points; output ordering is canonical
-regardless of scheduling.
+Every experiment writes a manifest.json (the config as given, the converted
+seed, tool version, gate counts, wall time) plus one or more CSV files whose
+bodies are byte-identical across re-runs of the same config and seed. Passing a
+previously written manifest as --config re-runs it. The QEDVQE_WORKERS
+environment variable sizes the worker pool for sweep points; output ordering is
+canonical regardless of scheduling.
 
-Config keys an experiment does not read (see CONFIG_KEYS) are named in a
-warning on stderr before the run. Exit codes: 0 success, 2 a config value
-that cannot be used (the message names its key), 3 a post-selection that
-kept no shot, 4 an internal error (the traceback goes to stderr).
+EXPERIMENTS is the one table of experiments: each runner and, for every config
+key it reads, the key's default and the conversion that checks it. SEED and
+THETA are accepted by every run. Before any work, run warns on stderr about the
+keys an experiment does not read (nested ones as 'noise.p_2'), converts every
+declared key, and then calls the runner with the converted values as keyword
+arguments. Exit codes: 0 success, 2 a config value that cannot be used (the
+message names its key), 3 a post-selection that kept no shot, 4 an internal
+error (the traceback goes to stderr).
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import csv
 import dataclasses
@@ -35,19 +40,6 @@ from . import analysis, builders, estimate, noise, postselect, qcore, sim
 
 CSV_SCHEMA_VERSION = 1
 
-EXPERIMENTS = (
-    "scan",
-    "sweep-depol",
-    "table2",
-    "fidelity-sweep",
-    "logical-error",
-    "stateprep",
-    "red-pipeline",
-    "budget",
-    "hqc",
-    "coeffs",
-)
-
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_EMPTY_SELECTION = 3
@@ -58,32 +50,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, key: str, default=None):
-    if key in cfg:
-        return cfg[key]
-    if default is not None:
-        return default
-    raise ConfigError(f"missing required config key {key!r}")
+REQUIRED = object()  # the default of a key that has none
 
 
-def _read(cfg: dict, key: str, default, convert=float):
-    """cfg[key], or default when absent, passed through convert.
-
-    Any failure to convert is reported as a ConfigError naming the key, so a
-    bad value is rejected where it is read, before the work that would use it.
-    """
-    raw = cfg.get(key, default)
-    try:
-        return convert(raw)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: cannot use {raw!r} ({exc})") from None
+# One config key: its default (or REQUIRED) and the conversion that checks it.
+Key = collections.namedtuple("Key", "default convert")
 
 
-def _count(minimum: int):
+def _count(minimum):
     def convert(raw) -> int:
-        value = int(raw)
-        if value != float(raw):
+        if isinstance(raw, float) and not raw.is_integer():
             raise ValueError("must be a whole number")
+        value = int(raw)
         if value < minimum:
             raise ValueError(f"must be at least {minimum}")
         return value
@@ -113,6 +91,58 @@ def _rates(raw) -> list[float]:
 
 def _strategies(raw) -> list[str]:
     return [postselect.Strategy(kind).kind for kind in raw]
+
+
+def _nested(*keys):
+    """Declares the keys a converter reads inside its config object; run warns about any other."""
+
+    def declare(convert):
+        convert.nested = keys
+        return convert
+
+    return declare
+
+
+@_nested("kind", "p2", "p1")
+def _noise_model(spec: dict):
+    kind = spec.get("kind", "depolarizing")
+    if kind == "depolarizing":
+        return noise.DepolarizingParams(
+            p2=float(spec.get("p2", 0.0)),
+            p1=None if spec.get("p1") is None else float(spec["p1"]),
+        )
+    if kind == "device":
+        params = dict(noise.H11E_PARAMS)
+        params.update({k: v for k, v in spec.items() if k != "kind"})
+        return noise.device_model_from_config(params)
+    raise ValueError(f"unknown noise kind {kind!r}")
+
+
+def _device_model(spec: dict) -> noise.DeviceModel:
+    model = _noise_model(spec)
+    if not isinstance(model, noise.DeviceModel):
+        raise ValueError("must be a device noise model")
+    return model
+
+
+@_nested("g0", "g1", "g2", "g3", "g4")
+def _hamiltonian(g) -> estimate.H2Hamiltonian:
+    if g is None:
+        return estimate.default_h2()
+    return estimate.H2Hamiltonian(*(float(g[k]) for k in ("g0", "g1", "g2", "g3", "g4")))
+
+
+def _integrals(g) -> estimate.Integrals:
+    return estimate.Integrals(**{k: float(v) for k, v in g.items()})
+
+
+# The keys more than one experiment reads. A key's default and its conversion
+# are stated once; SEED and THETA are accepted by every run.
+SEED = Key(0, _count(-math.inf))  # any whole number
+THETA = Key(estimate.THETA_STAR, _finite)
+HAMILTONIAN = Key(None, _hamiltonian)
+STRATEGIES = Key(["NONE", "PSA", "PSP", "PSAP"], _strategies)
+P2_GRID = Key((0.001, 0.005, 0.01, 0.02, 0.05, 0.10), _rates)
 
 
 def _sub_seed(master: int, tag: str) -> int:
@@ -151,28 +181,9 @@ def write_csv(path: Path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _noise_model(spec: dict):
-    kind = spec.get("kind", "depolarizing")
-    if kind == "depolarizing":
-        return noise.DepolarizingParams(
-            p2=float(spec.get("p2", 0.0)),
-            p1=None if spec.get("p1") is None else float(spec["p1"]),
-        )
-    if kind == "device":
-        params = dict(noise.H11E_PARAMS)
-        params.update({k: v for k, v in spec.items() if k != "kind"})
-        return noise.device_model_from_config(params)
-    raise ValueError(f"unknown noise kind {kind!r}")
-
-
-def _hamiltonian(g) -> estimate.H2Hamiltonian:
-    if g is None:
-        return estimate.default_h2()
-    return estimate.H2Hamiltonian(*(float(g[k]) for k in ("g0", "g1", "g2", "g3", "g4")))
-
-
-def _ham(cfg: dict) -> estimate.H2Hamiltonian:
-    return _read(cfg, "hamiltonian", None, _hamiltonian)
+def _evolve(circ, model) -> qcore.DensityMatrix:
+    """The density matrix of a circuit under a noise model."""
+    return sim.evolve_density(noise.attach_noise(circ, model))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +266,7 @@ def _encoded_rows(ham, model, shots, seed, theta, strategies, red=False, tag="en
 
 def _density_strategy_energy(ham, model, theta, kind):
     """Infinite-shot energy of a projected encoded state (Z-basis circuit)."""
-    circ = builders.build_encoded_ansatz(theta, "Z")
-    rho = sim.evolve_density(noise.attach_noise(circ, model))
+    rho = _evolve(builders.build_encoded_ansatz(theta, "Z"), model)
     if kind == "NONE":
         rho_sel = analysis.project_qubit(rho, 5, 0)
     else:
@@ -280,34 +290,25 @@ def shot_limit_estimates(ham, model, theta, strategies=("NONE", "PSA", "PSP", "P
 # ---------------------------------------------------------------------------
 
 
-def exp_scan(cfg: dict):
-    ham = _ham(cfg)
-    model = _read(cfg, "noise", {}, _noise_model)
-    n_points = _read(cfg, "points", 150, _count(2))
-    seed = _read(cfg, "seed", 0, int)
-    encoded = _read(cfg, "encoded", False, _flag)
-
+def exp_scan(hamiltonian, noise, points, encoded, seed):
     def runner(theta: float) -> estimate.EnergyEstimate:
         if encoded:
-            circ = builders.build_encoded_ansatz(theta, "Z")
-            rho = sim.evolve_density(noise.attach_noise(circ, model))
-            rho = analysis.project_qubit(rho, 5, 0)
-            obs = ham.logical_matrix()
+            rho = analysis.project_qubit(_evolve(builders.build_encoded_ansatz(theta, "Z"), noise), 5, 0)
+            obs = hamiltonian.logical_matrix()
             words = ("IZZIII", "IZIZII", "IIZZII", "IIXXII")
         else:
-            circ = builders.build_unencoded_ansatz(theta, "Z")
-            rho = sim.evolve_density(noise.attach_noise(circ, model))
-            obs = ham.matrix()
+            rho = _evolve(builders.build_unencoded_ansatz(theta, "Z"), noise)
+            obs = hamiltonian.matrix()
             words = ("ZI", "IZ", "ZZ", "XX")
         mean = qcore.expectation(rho, obs)
-        gs = (ham.g1, ham.g2, ham.g3, ham.g4)
+        gs = (hamiltonian.g1, hamiltonian.g2, hamiltonian.g3, hamiltonian.g4)
         var = sum(
             g * g * max(0.0, 1.0 - qcore.expectation(rho, qcore.pauli_word(w)) ** 2)
             for g, w in zip(gs, words)
         )
         return estimate.EnergyEstimate(mean, var, 0.0, {"Z": 0, "X": 0})
 
-    theta_min, curve = estimate.scan_theta(runner, n_points)
+    theta_min, curve = estimate.scan_theta(runner, points)
     rows = [
         (theta, est.mean, est.sem, est.variance, est.eta["Z"], est.eta["X"], seed)
         for theta, est in curve
@@ -317,28 +318,16 @@ def exp_scan(cfg: dict):
     return {"scan.csv": (header, rows)}, {"theta_min": theta_min}, summary
 
 
-def exp_table2(cfg: dict):
-    ham = _ham(cfg)
-    # the comparison table is defined at the chemical-accuracy threshold noise
-    model = _read(cfg, "noise", {"p2": 0.0009}, _noise_model)
-    shots = _read(cfg, "shots", 200000, _count(1))
-    seed = _read(cfg, "seed", 0, int)
-    theta = _read(cfg, "theta", estimate.THETA_STAR, _finite)
-    strategies = _read(cfg, "strategies", ["NONE", "PSA", "PSP", "PSAP"], _strategies)
-
-    rows = []
-    row, _ = _unencoded_row(ham, model, shots, seed, theta)
-    rows.append(row)
-    enc_rows, _ = _encoded_rows(ham, model, shots, seed, theta, strategies)
-    rows.extend(enc_rows)
+def exp_table2(hamiltonian, noise, shots, strategies, seed, theta):
+    rows = [_unencoded_row(hamiltonian, noise, shots, seed, theta)[0]]
+    rows += _encoded_rows(hamiltonian, noise, shots, seed, theta, strategies)[0]
     density = [
         ("density/unencoded", 1e3 * qcore.expectation(
-            sim.evolve_density(noise.attach_noise(builders.build_unencoded_ansatz(theta, "Z"), model)),
-            ham.matrix(),
+            _evolve(builders.build_unencoded_ansatz(theta, "Z"), noise), hamiltonian.matrix()
         ), seed)
     ]
     density += [
-        (f"density/{kind}", 1e3 * _density_strategy_energy(ham, model, theta, kind), seed)
+        (f"density/{kind}", 1e3 * _density_strategy_energy(hamiltonian, noise, theta, kind), seed)
         for kind in strategies
     ]
     summary = "\n".join(f"{r[0]:20s} {r[1]:9.2f} mHa  eta_Z={100 * r[4]:.3f}%" for r in rows)
@@ -348,31 +337,21 @@ def exp_table2(cfg: dict):
     }, {}, summary
 
 
-def exp_sweep_depol(cfg: dict):
-    ham = _ham(cfg)
-    shots = _read(cfg, "shots", 20000, _count(1))
-    seed = _read(cfg, "seed", 0, int)
-    theta = _read(cfg, "theta", estimate.THETA_STAR, _finite)
-    grid = _read(cfg, "p2_grid", (0.0005, 0.001, 0.002, 0.005, 0.01), _rates)
-    strategies = _read(cfg, "strategies", ["NONE", "PSA", "PSP", "PSAP"], _strategies)
-
+def exp_sweep_depol(hamiltonian, shots, p2_grid, strategies, seed, theta):
     point = functools.partial(
-        _sweep_point, ham=ham, shots=shots, seed=seed, theta=theta, strategies=strategies
+        _sweep_point, ham=hamiltonian, shots=shots, seed=seed, theta=theta, strategies=strategies
     )
-    blocks = _pmap(point, grid)
+    blocks = _pmap(point, p2_grid)
     rows = [row for block in blocks for row in block]
     header = ("p2",) + ENERGY_HEADER
-    return {"sweep_depol.csv": (header, rows)}, {}, f"{len(grid)} noise points x {1 + len(strategies)} rows"
+    return {"sweep_depol.csv": (header, rows)}, {}, f"{len(p2_grid)} noise points x {1 + len(strategies)} rows"
 
 
 def _sweep_point(p2, ham, shots, seed, theta, strategies):
     model = noise.DepolarizingParams(p2=p2)
-    out = []
-    row, _ = _unencoded_row(ham, model, shots, seed, theta, tag=f"p2={p2!r}/unenc")
-    out.append((p2,) + row)
-    enc, _ = _encoded_rows(ham, model, shots, seed, theta, strategies, tag=f"p2={p2!r}/enc")
-    out.extend((p2,) + r for r in enc)
-    return out
+    rows = [_unencoded_row(ham, model, shots, seed, theta, tag=f"p2={p2!r}/unenc")[0]]
+    rows += _encoded_rows(ham, model, shots, seed, theta, strategies, tag=f"p2={p2!r}/enc")[0]
+    return [(p2,) + row for row in rows]
 
 
 ANALYSIS_HEADER = (
@@ -383,8 +362,8 @@ ANALYSIS_HEADER = (
 
 def _analysis_point(p2, theta, seed):
     model = noise.DepolarizingParams(p2=p2)
-    rho_u = sim.evolve_density(noise.attach_noise(builders.build_unencoded_ansatz(theta, "Z"), model))
-    rho_e = sim.evolve_density(noise.attach_noise(builders.build_encoded_ansatz(theta, "Z"), model))
+    rho_u = _evolve(builders.build_unencoded_ansatz(theta, "Z"), model)
+    rho_e = _evolve(builders.build_encoded_ansatz(theta, "Z"), model)
     ideal_u = builders.unencoded_target_state(theta).outer()
     ideal_full = builders.encoded_target_state(theta).outer()
     ideal_branch = builders.encoded_branch_state(theta, 0).outer()
@@ -401,32 +380,21 @@ def _analysis_point(p2, theta, seed):
     )
 
 
-def _analysis_rows(cfg: dict):
-    theta = _read(cfg, "theta", estimate.THETA_STAR, _finite)
-    seed = _read(cfg, "seed", 0, int)
-    grid = _read(cfg, "p2_grid", (0.001, 0.005, 0.01, 0.02, 0.05, 0.10), _rates)
-    point = functools.partial(_analysis_point, theta=theta, seed=seed)
-    return _pmap(point, grid)
-
-
-def exp_fidelity_sweep(cfg: dict):
-    rows = _analysis_rows(cfg)
+def exp_fidelity_sweep(p2_grid, seed, theta):
+    rows = _pmap(functools.partial(_analysis_point, theta=theta, seed=seed), p2_grid)
     return {"fidelity_sweep.csv": (ANALYSIS_HEADER, rows)}, {}, f"{len(rows)} noise points"
 
 
-def exp_logical_error(cfg: dict):
-    rows = _analysis_rows(cfg)
+def exp_logical_error(p2_grid, seed, theta):
+    rows = _pmap(functools.partial(_analysis_point, theta=theta, seed=seed), p2_grid)
     return {"logical_error.csv": (ANALYSIS_HEADER, rows)}, {}, f"{len(rows)} noise points"
 
 
-def exp_stateprep(cfg: dict):
-    seed = _read(cfg, "seed", 0, int)
-    grid = _read(cfg, "p2_grid", (0.001, 0.005, 0.01, 0.02, 0.05, 0.10), _rates)
+def exp_stateprep(p2_grid, seed):
     rows = []
     ideal = builders.prep_target_state().outer()
-    for p2 in grid:
-        model = noise.DepolarizingParams(p2=p2)
-        rho = sim.evolve_density(noise.attach_noise(builders.build_state_prep_422(True), model))
+    for p2 in p2_grid:
+        rho = _evolve(builders.build_state_prep_422(True), noise.DepolarizingParams(p2=p2))
         f_raw = analysis.fidelity(ideal, rho)
         f = {
             kind: analysis.fidelity(ideal, analysis.project_state(rho, kind))
@@ -437,21 +405,14 @@ def exp_stateprep(cfg: dict):
     return {"stateprep.csv": (header, rows)}, {}, f"{len(rows)} noise points"
 
 
-def exp_red_pipeline(cfg: dict):
+def exp_red_pipeline(hamiltonian, noise, shots, seed, theta):
     """Device-model comparison of the four study rows, with and without RED."""
-    ham = _ham(cfg)
-    model = _read(cfg, "noise", {"kind": "device"}, _noise_model)
-    if not isinstance(model, noise.DeviceModel):
-        raise ConfigError("red-pipeline expects a device noise model")
-    shots = _read(cfg, "shots", 20000, _count(1))
-    seed = _read(cfg, "seed", 0, int)
-    theta = _read(cfg, "theta", estimate.THETA_STAR, _finite)
-
     rows = []
     for red in (False, True):
-        study = _study_rows(ham, model, theta, False, red=red, shots=shots, seed=seed, tag=f"unenc/red={red}")
+        study = _study_rows(hamiltonian, noise, theta, False, red=red, shots=shots, seed=seed, tag=f"unenc/red={red}")
         study += _study_rows(
-            ham, model, theta, True, ["PSAP"], red=red, shots=shots, seed=seed, tag="encoded" + ("+red" if red else "")
+            hamiltonian, noise, theta, True, ["PSAP"], red=red, shots=shots, seed=seed,
+            tag="encoded" + ("+red" if red else ""),
         )
         for label, est, stats, eta_overall in study:
             rows.append(_row(label, est, stats, seed) + (1e3 * abs(est.mean - estimate.E_STAR_HA), eta_overall))
@@ -460,15 +421,13 @@ def exp_red_pipeline(cfg: dict):
     return {"red_pipeline.csv": (header, rows)}, {}, summary
 
 
-def exp_budget(cfg: dict):
-    variance = _read(cfg, "variance", 0.04700)
-    target = _read(cfg, "target_sem", 0.0005)
+def exp_budget(variance, target_sem):
     try:
-        shots = estimate.shot_budget(variance, target)
+        shots = estimate.shot_budget(variance, target_sem)
     except ValueError as exc:
-        raise ConfigError(f"config keys 'variance', 'target_sem': {exc}") from None
+        raise ConfigError(f"config key 'variance' or config key 'target_sem': {exc}") from None
     header = ("variance_Ha2", "target_sem_Ha", "shots")
-    return {"budget.csv": (header, [(variance, target, shots)])}, {"shots": shots}, str(shots)
+    return {"budget.csv": (header, [(variance, target_sem, shots)])}, {"shots": shots}, str(shots)
 
 
 def _study_circuits(theta: float) -> dict:
@@ -483,13 +442,11 @@ def _study_circuits(theta: float) -> dict:
     }
 
 
-def exp_hqc(cfg: dict):
+def exp_hqc(shots, theta):
     """Device-credit costs for the study circuits; counts are this package's
 
     constructions, not the published post-transpilation table, and are never
     asserted against it."""
-    shots = _read(cfg, "shots", 188000, _count(0))
-    theta = _read(cfg, "theta", estimate.THETA_STAR, _finite)
     rows = []
     for label, circ in _study_circuits(theta).items():
         rc = estimate.ResourceCount.of_circuit(circ, shots)
@@ -498,47 +455,40 @@ def exp_hqc(cfg: dict):
     return {"hqc.csv": (header, rows)}, {}, f"{len(rows)} circuits at {shots} shots"
 
 
-def exp_coeffs(cfg: dict):
-    _require(cfg, "integrals")
-    ints = _read(cfg, "integrals", None, lambda g: estimate.Integrals(**{k: float(v) for k, v in g.items()}))
-    g = estimate.integrals_to_coeffs(ints)
+def exp_coeffs(integrals):
+    g = estimate.integrals_to_coeffs(integrals)
     header = ("g0", "g1", "g2", "g3", "g4")
     return {"coeffs.csv": (header, [g])}, {"coeffs": list(g)}, " ".join(repr(v) for v in g)
 
 
-# The top-level keys each experiment reads, besides "experiment", "seed" and
-# "theta", which every run accepts (run reads theta for the gate counts).
-CONFIG_KEYS = {
-    "scan": ("hamiltonian", "noise", "points", "encoded"),
-    "sweep-depol": ("hamiltonian", "shots", "p2_grid", "strategies"),
-    "table2": ("hamiltonian", "noise", "shots", "strategies"),
-    "fidelity-sweep": ("p2_grid",),
-    "logical-error": ("p2_grid",),
-    "stateprep": ("p2_grid",),
-    "red-pipeline": ("hamiltonian", "noise", "shots"),
-    "budget": ("variance", "target_sem"),
-    "hqc": ("shots",),
-    "coeffs": ("integrals",),
-}
-
-# The keys read inside nested config objects. A device noise spec is not
-# listed: noise.device_model_from_config warns about unknown data-sheet rows.
-NESTED_KEYS = {
-    "noise": ("kind", "p2", "p1"),
-    "hamiltonian": ("g0", "g1", "g2", "g3", "g4"),
-}
-
-RUNNERS = {
-    "scan": exp_scan,
-    "sweep-depol": exp_sweep_depol,
-    "table2": exp_table2,
-    "fidelity-sweep": exp_fidelity_sweep,
-    "logical-error": exp_logical_error,
-    "stateprep": exp_stateprep,
-    "red-pipeline": exp_red_pipeline,
-    "budget": exp_budget,
-    "hqc": exp_hqc,
-    "coeffs": exp_coeffs,
+# Each experiment's runner and the config keys it reads, each with its default
+# and conversion; run passes them to the runner as keyword arguments. A run also
+# accepts "experiment" and the SEED and THETA keys (it reads theta for the gate
+# counts and records seed in the manifest).
+EXPERIMENTS = {
+    "scan": (exp_scan, dict(
+        hamiltonian=HAMILTONIAN, noise=Key({}, _noise_model), points=Key(150, _count(2)),
+        encoded=Key(False, _flag), seed=SEED,
+    )),
+    "sweep-depol": (exp_sweep_depol, dict(
+        hamiltonian=HAMILTONIAN, shots=Key(20000, _count(1)),
+        p2_grid=Key((0.0005, 0.001, 0.002, 0.005, 0.01), _rates), strategies=STRATEGIES, seed=SEED, theta=THETA,
+    )),
+    # the comparison table is defined at the chemical-accuracy threshold noise
+    "table2": (exp_table2, dict(
+        hamiltonian=HAMILTONIAN, noise=Key({"p2": 0.0009}, _noise_model), shots=Key(200000, _count(1)),
+        strategies=STRATEGIES, seed=SEED, theta=THETA,
+    )),
+    "fidelity-sweep": (exp_fidelity_sweep, dict(p2_grid=P2_GRID, seed=SEED, theta=THETA)),
+    "logical-error": (exp_logical_error, dict(p2_grid=P2_GRID, seed=SEED, theta=THETA)),
+    "stateprep": (exp_stateprep, dict(p2_grid=P2_GRID, seed=SEED)),
+    "red-pipeline": (exp_red_pipeline, dict(
+        hamiltonian=HAMILTONIAN, noise=Key({"kind": "device"}, _device_model), shots=Key(20000, _count(1)),
+        seed=SEED, theta=THETA,
+    )),
+    "budget": (exp_budget, dict(variance=Key(0.04700, _finite), target_sem=Key(0.0005, _finite))),
+    "hqc": (exp_hqc, dict(shots=Key(188000, _count(0)), theta=THETA)),
+    "coeffs": (exp_coeffs, dict(integrals=Key(REQUIRED, _integrals))),
 }
 
 
@@ -555,39 +505,54 @@ def _gate_counts(theta: float):
     return out
 
 
-def _unread_keys(config: dict, experiment: str):
-    """The config keys the experiment does not read, nested ones as 'parent.key'."""
+def _unread_keys(config: dict, keys: dict):
+    """The config keys an experiment does not read, nested ones as 'parent.key'.
+
+    A device noise spec is left to noise.device_model_from_config, which warns
+    about unknown data-sheet rows.
+    """
     for key, value in config.items():
-        if key not in ("experiment", "seed", "theta") + CONFIG_KEYS[experiment]:
+        if key not in keys and key != "experiment":
             yield key
-        elif key in NESTED_KEYS and isinstance(value, dict) and value.get("kind") != "device":
-            yield from (f"{key}.{sub}" for sub in value if sub not in NESTED_KEYS[key])
+        elif isinstance(value, dict) and hasattr(keys[key].convert, "nested") and value.get("kind") != "device":
+            yield from (f"{key}.{sub}" for sub in value if sub not in keys[key].convert.nested)
+
+
+def _convert(config: dict, key: str, spec: Key):
+    """config[key], or the key's default, converted; a value it cannot use is a ConfigError naming the key."""
+    if key not in config and spec.default is REQUIRED:
+        raise ConfigError(f"missing required config key {key!r}")
+    raw = config.get(key, spec.default)
+    try:
+        return spec.convert(raw)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: cannot use {raw!r} ({exc})") from None
 
 
 def run(config: dict, out_dir) -> int:
     """Run one experiment; writes manifest + CSVs, returns a process exit code."""
     out = Path(out_dir)
     experiment = config.get("experiment")
-    if experiment not in RUNNERS:
+    if experiment not in EXPERIMENTS:
         print(f"error: unknown or missing experiment {experiment!r}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    config.setdefault("seed", 0)
-    for key in _unread_keys(config, experiment):
+    runner, reads = EXPERIMENTS[experiment]
+    keys = {"seed": SEED, "theta": THETA, **reads}
+    for key in _unread_keys(config, keys):
         print(f"warning: config key {key!r} is not read by {experiment!r}; ignored", file=sys.stderr)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
         _worker_count()  # a malformed QEDVQE_WORKERS fails before any work
-        theta = _read(config, "theta", estimate.THETA_STAR, _finite)
-        tables, extra, summary = RUNNERS[experiment](config)
-        gate_counts = _gate_counts(theta)
+        values = {key: _convert(config, key, spec) for key, spec in keys.items()}
+        tables, extra, summary = runner(**{key: values[key] for key in reads})
+        gate_counts = _gate_counts(values["theta"])
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except postselect.EmptySelectionError as exc:
         print(f"error: empty post-selection: {exc}", file=sys.stderr)
-        write_csv(out / "empty_selection.csv", ("experiment", "eta", "seed"),
-                  [(experiment, 0.0, config["seed"])])
+        write_csv(out / "empty_selection.csv", ("experiment", "eta", "seed"), [(experiment, 0.0, values["seed"])])
         return EXIT_EMPTY_SELECTION
     except Exception:
         traceback.print_exc()
@@ -600,7 +565,7 @@ def run(config: dict, out_dir) -> int:
         "version": __version__,
         "experiment": experiment,
         "config": config,
-        "seed": config["seed"],
+        "seed": values["seed"],
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "outputs": sorted(tables.keys()),
         "gate_counts": gate_counts,

@@ -211,11 +211,14 @@ def scan_theta(runner, n_points: int = 150, lo: float = -math.pi, hi: float = ma
 
 def shot_budget(variance: float, target_sem: float) -> int:
     """Shots needed so that sqrt(variance / N) <= target_sem, rounded up."""
-    if variance < 0.0 or target_sem <= 0.0:
-        raise ValueError("variance must be >= 0 and target_sem > 0")
+    if not (0.0 <= variance < math.inf and 0.0 < target_sem < math.inf):
+        raise ValueError("variance must be finite and >= 0, and target_sem finite and > 0")
     if variance == 0.0:
         return 1
-    ratio = variance / (target_sem * target_sem)
+    square = target_sem * target_sem
+    ratio = variance / square if square > 0.0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError("variance / target_sem**2 is too large to count shots")
     return max(1, math.ceil(ratio - 1e-9))
 
 

@@ -354,15 +354,9 @@ def apply_gate(state, gate: Gate):
 
 def kron(a, b):
     """Tensor product; the left factor occupies the lower qubit indices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim == 1 and b.ndim == 1:
-        size = a.size * b.size
-    else:
-        size = a.shape[0] * b.shape[0]
-    if size > 2**MAX_QUBITS:
+    if np.shape(a)[0] * np.shape(b)[0] > 2**MAX_QUBITS:  # refuse before any copy
         raise ValueError(f"kron result exceeds {MAX_QUBITS}-qubit limit")
-    return np.kron(a, b)
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def kron_all(*factors):

@@ -1,10 +1,13 @@
 import csv
 import dataclasses
+import dis
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +33,13 @@ def test_budget_experiment(tmp_path):
 
 def test_budget_custom_target(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"variance": 0.04, "target_sem": 0.001}))
+    cfg.write_text(json.dumps({"variance": 0.04, "target_sem": 0.001, "seed": 3.0}))
     cli.main(["budget", "--config", str(cfg), "--out", str(tmp_path)])
     assert read_rows(tmp_path / "budget.csv")[0]["shots"] == "40000"
+    # the manifest records the converted seed, and the config as given
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["seed"] == 3 and isinstance(manifest["seed"], int)
+    assert repr(manifest["config"]["seed"]) == "3.0"
 
 
 def test_coeffs_experiment(tmp_path):
@@ -67,6 +74,10 @@ def test_invalid_noise_kind_is_config_error(tmp_path):
         ("table2", {"shots": 10, "strategies": ["PSA", "PSQ"]}, "strategies"),
         ("table2", {"shots": 10, "theta": "nan"}, "theta"),
         ("scan", {"points": 2, "encoded": "false"}, "encoded"),
+        ("budget", {"variance": "inf"}, "variance"),
+        ("budget", {"target_sem": 1e-300}, "target_sem"),
+        ("scan", {"points": 2, "seed": 2.5}, "seed"),
+        ("red-pipeline", {"shots": 10, "noise": {"kind": "depolarizing", "p2": 0.01}}, "noise"),
     ],
 )
 def test_unusable_config_value_names_its_key(tmp_path, capsys, experiment, cfg, key):
@@ -124,8 +135,27 @@ def test_device_noise_spec_keeps_its_data_sheet_warning(tmp_path, capsys):
     assert "noise.p_2" not in capsys.readouterr().err
 
 
+def _loaded_names(code):
+    """Every local, cell or global name the code (nested functions included) loads."""
+    for ins in dis.get_instructions(code):
+        if ins.opname.startswith("LOAD") and ins.opname != "LOAD_CONST":
+            yield from ins.argval if isinstance(ins.argval, tuple) else (ins.argval,)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _loaded_names(const)
+
+
 def test_declared_config_keys_are_the_keys_read():
-    """Each experiment reads exactly the keys CONFIG_KEYS declares for it."""
+    """Each runner takes and reads exactly the keys its EXPERIMENTS entry
+    declares, and each converter of a nested object reads exactly the nested
+    keys declared beside it."""
+    for experiment, (runner, keys) in cli.EXPERIMENTS.items():
+        params = inspect.signature(runner).parameters
+        assert set(params) == set(keys), experiment
+        assert all(p.default is inspect.Parameter.empty for p in params.values()), experiment
+        assert set(params) <= set(_loaded_names(runner.__code__)), experiment
+        # the keys every run accepts are declared once
+        assert keys.get("seed", cli.SEED) is cli.SEED and keys.get("theta", cli.THETA) is cli.THETA
 
     class Recorder(dict):
         def __init__(self, *args):
@@ -136,16 +166,19 @@ def test_declared_config_keys_are_the_keys_read():
             self.read.add(key)
             return super().get(key, default)
 
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
         def __contains__(self, key):
             self.read.add(key)
             return super().__contains__(key)
 
-    ints = {k: 0.0 for k in ("h00", "h11", "h22", "h33", "h2002", "h3113", "h2112", "h0330", "h2103", "h2013")}
-    small = {"shots": 300, "points": 2, "p2_grid": [0.01], "integrals": ints}
-    for experiment, runner in cli.RUNNERS.items():
-        cfg = Recorder(small)
-        runner(cfg)
-        assert cfg.read - {"seed", "theta"} == set(cli.CONFIG_KEYS[experiment]), experiment
+    depolarizing = {"kind": "depolarizing", "p2": 0.01, "p1": 0.001}
+    for convert, spec in ((cli._noise_model, depolarizing), (cli._hamiltonian, H2_COEFFS)):
+        nested = Recorder(spec)
+        convert(nested)
+        assert nested.read == set(convert.nested), convert.__name__
 
 
 @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])

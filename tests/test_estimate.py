@@ -274,8 +274,9 @@ def test_shot_budget_reference_values():
     assert shot_budget(0.04700, 0.5e-3) == 188000
     assert shot_budget(0.04, 1e-3) == 40000
     assert shot_budget(0.0, 1e-3) == 1
-    with pytest.raises(ValueError):
-        shot_budget(0.1, 0.0)
+    for variance, target_sem in ((0.1, 0.0), (math.inf, 1e-3), (0.1, math.nan), (0.047, 1e-300), (1e308, 1e-3)):
+        with pytest.raises(ValueError):
+            shot_budget(variance, target_sem)
 
 
 def test_hqc_cost_examples():

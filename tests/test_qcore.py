@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,9 +130,18 @@ def test_kron_associativity():
 
 
 def test_kron_overflow_guard():
-    big = np.eye(2 ** 13)
-    with pytest.raises(ValueError):
-        kron(kron(big, big), np.eye(4))
+    # zero-stride views hold no data, so a refusal that copies its inputs shows
+    big = np.broadcast_to(np.ones(1), (2 ** 13, 2 ** 13))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            kron(big, big)
+        with pytest.raises(ValueError):
+            kron(big[0], np.broadcast_to(np.ones(1), (2 ** 12,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_expectation_basics():
