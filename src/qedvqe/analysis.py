@@ -57,16 +57,15 @@ def build_projector(kind: str) -> np.ndarray:
     return kron_all(_P0, code)
 
 
-def project_state(rho: DensityMatrix, kind: str, min_support: float = 1e-14) -> DensityMatrix:
+def project_state(rho: DensityMatrix, kind: str) -> DensityMatrix:
     """Normalized projected state Pi rho Pi / Tr(Pi rho Pi)."""
-    pi = build_projector(kind)
-    return project_with(rho, pi, min_support)
+    return project_with(rho, build_projector(kind))
 
 
-def project_with(rho: DensityMatrix, projector: np.ndarray, min_support: float = 1e-14) -> DensityMatrix:
+def project_with(rho: DensityMatrix, projector: np.ndarray) -> DensityMatrix:
     mat = projector @ rho.mat @ projector.conj().T
     weight = np.trace(mat).real
-    if weight <= min_support:
+    if weight <= 1e-14:
         raise ValueError("projection has vanishing support (total rejection)")
     return DensityMatrix(rho.n_qubits, mat / weight)
 
@@ -77,9 +76,9 @@ def qubit_value_projector(n_qubits: int, qubit: int, value: int) -> np.ndarray:
     return kron_all(*factors)
 
 
-def project_qubit(rho: DensityMatrix, qubit: int, value: int, min_support: float = 1e-14) -> DensityMatrix:
+def project_qubit(rho: DensityMatrix, qubit: int, value: int) -> DensityMatrix:
     """Condition a density matrix on a computational value of one qubit."""
-    return project_with(rho, qubit_value_projector(rho.n_qubits, qubit, value), min_support)
+    return project_with(rho, qubit_value_projector(rho.n_qubits, qubit, value))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

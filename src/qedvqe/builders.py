@@ -67,7 +67,7 @@ def build_unencoded_ansatz(theta: float, basis: str = BASIS_Z) -> Circuit:
     if basis == BASIS_X:
         ops += [h(0), h(1)]
     ops += [measure(0), measure(1)]
-    return Circuit(2, tuple(ops), (ROLE_DATA, ROLE_DATA), label=f"unencoded[{basis}]")
+    return Circuit(2, tuple(ops), (ROLE_DATA, ROLE_DATA))
 
 
 def _prep_ops(with_verification: bool) -> list[Gate]:
@@ -85,7 +85,7 @@ def build_state_prep_422(with_verification: bool = True) -> Circuit:
     """Logical |00>-bar preparation over (a1, q0..q3), all qubits measured."""
     ops = _prep_ops(with_verification) + [measure(q) for q in range(5)]
     roles = (ROLE_A1, ROLE_DATA, ROLE_DATA, ROLE_DATA, ROLE_DATA)
-    return Circuit(5, tuple(ops), roles, label="state_prep_422")
+    return Circuit(5, tuple(ops), roles)
 
 
 def build_encoded_ansatz(theta: float, basis: str = BASIS_Z) -> Circuit:
@@ -106,7 +106,7 @@ def build_encoded_ansatz(theta: float, basis: str = BASIS_Z) -> Circuit:
         ops += [h(q) for q in (1, 2, 3, 4)]
     ops += [measure(q) for q in range(6)]
     roles = (ROLE_A1, ROLE_DATA, ROLE_DATA, ROLE_DATA, ROLE_DATA, ROLE_A2)
-    return Circuit(6, tuple(ops), roles, label=f"encoded[{basis}]")
+    return Circuit(6, tuple(ops), roles)
 
 
 def build_syndrome_circuit() -> Circuit:
@@ -123,7 +123,7 @@ def build_syndrome_circuit() -> Circuit:
     ops += [cnot(q, sx) for q in range(4)]
     ops += [measure(q) for q in range(6)]
     roles = (ROLE_DATA,) * 4 + (ROLE_SYNDROME, ROLE_SYNDROME)
-    return Circuit(6, tuple(ops), roles, label="syndrome_422")
+    return Circuit(6, tuple(ops), roles)
 
 
 def wrap_with_red(circuit: Circuit) -> Circuit:
@@ -151,7 +151,7 @@ def wrap_with_red(circuit: Circuit) -> Circuit:
     for m, a, b in triples:
         ops += [measure(m), measure(a), measure(b)]
     roles = circuit.roles + (ROLE_RED,) * (2 * len(measured))
-    return Circuit(n_new, tuple(ops), roles, label=circuit.label + "+red")
+    return Circuit(n_new, tuple(ops), roles)
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def _study_rows(ham, model, theta, encoded, strategies=(), red=False, shots=None
         else:
             cfg = sim.TrajectoryConfig(shots, _sub_seed(seed, f"{tag}/{basis}"))
             tables[basis], raw[basis] = sim.sample_shots_batched(nc, cfg), shots
-    mode = "encoded" if encoded else "unencoded"
+    mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
     name = mode + ("+red" if red else "")
 
     def row(label, picked):  # picked: basis -> (selected table, its survival)
@@ -249,15 +249,13 @@ def _row(label, est, stats, seed):
     )
 
 
-def _unencoded_row(ham, model, shots, seed, theta, tag="unencoded", red=False):
-    ((label, est, stats, _),) = _study_rows(ham, model, theta, False, red=red, shots=shots, seed=seed, tag=tag)
+def _unencoded_row(ham, model, shots, seed, theta, tag="unencoded"):
+    ((label, est, stats, _),) = _study_rows(ham, model, theta, False, shots=shots, seed=seed, tag=tag)
     return _row(label, est, stats, seed), est
 
 
-def _encoded_rows(ham, model, shots, seed, theta, strategies, red=False, tag="encoded"):
-    rows = _study_rows(
-        ham, model, theta, True, strategies, red=red, shots=shots, seed=seed, tag=tag + ("+red" if red else "")
-    )
+def _encoded_rows(ham, model, shots, seed, theta, strategies, tag="encoded"):
+    rows = _study_rows(ham, model, theta, True, strategies, shots=shots, seed=seed, tag=tag)
     return (
         [_row(label, est, stats, seed) for label, est, stats, _ in rows],
         {kind: est for kind, (_, est, _, _) in zip(strategies, rows)},
@@ -291,21 +289,19 @@ def shot_limit_estimates(ham, model, theta, strategies=("NONE", "PSA", "PSP", "P
 
 
 def exp_scan(hamiltonian, noise, points, encoded, seed):
+    # the operators that do not depend on theta are built once per scan
+    mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
+    build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
+    a2_zero = analysis.qubit_value_projector(6, 5, 0) if encoded else None
+    obs = hamiltonian.observable(mode)
+    terms = [(g, qcore.pauli_word(w)) for g, w in zip(hamiltonian.coeffs[1:], estimate.WORDS[mode][1:])]
+
     def runner(theta: float) -> estimate.EnergyEstimate:
+        rho = _evolve(build(theta, "Z"), noise)
         if encoded:
-            rho = analysis.project_qubit(_evolve(builders.build_encoded_ansatz(theta, "Z"), noise), 5, 0)
-            obs = hamiltonian.logical_matrix()
-            words = ("IZZIII", "IZIZII", "IIZZII", "IIXXII")
-        else:
-            rho = _evolve(builders.build_unencoded_ansatz(theta, "Z"), noise)
-            obs = hamiltonian.matrix()
-            words = ("ZI", "IZ", "ZZ", "XX")
+            rho = analysis.project_with(rho, a2_zero)
         mean = qcore.expectation(rho, obs)
-        gs = (hamiltonian.g1, hamiltonian.g2, hamiltonian.g3, hamiltonian.g4)
-        var = sum(
-            g * g * max(0.0, 1.0 - qcore.expectation(rho, qcore.pauli_word(w)) ** 2)
-            for g, w in zip(gs, words)
-        )
+        var = sum(g * g * max(0.0, 1.0 - qcore.expectation(rho, p) ** 2) for g, p in terms)
         return estimate.EnergyEstimate(mean, var, 0.0, {"Z": 0, "X": 0})
 
     theta_min, curve = estimate.scan_theta(runner, points)
@@ -533,7 +529,7 @@ def run(config: dict, out_dir) -> int:
     """Run one experiment; writes manifest + CSVs, returns a process exit code."""
     out = Path(out_dir)
     experiment = config.get("experiment")
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         print(f"error: unknown or missing experiment {experiment!r}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     runner, reads = EXPERIMENTS[experiment]

@@ -9,7 +9,7 @@ quadrature using each basis's post-selected sample count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -21,16 +21,14 @@ MODE_UNENCODED = "unencoded"
 MODE_ENCODED = "encoded"
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    coeff: float
-    word: str  # per logical qubit, e.g. "ZI"
-
-    def __post_init__(self):
-        if not math.isfinite(self.coeff):
-            raise ValueError("coefficient must be finite")
-        if len(self.word) != 2 or any(c not in "IXYZ" for c in self.word):
-            raise ValueError("word must be two of I/X/Y/Z")
+# Each term's Pauli word in coefficient order (g0 I, g1 Z0, g2 Z1, g3 Z0Z1,
+# g4 X0X1), on the register of each mode: (q0, q1), or (a1, q0..q3, a2). In the
+# [[4,2,2]] code each logical term is a parity of data qubits: Z0 -> q0 q1,
+# Z1 -> q0 q2, Z0Z1 and X0X1 -> q1 q2.
+WORDS = {
+    MODE_UNENCODED: ("II", "ZI", "IZ", "ZZ", "XX"),
+    MODE_ENCODED: ("IIIIII", "IZZIII", "IZIZII", "IIZZII", "IIXXII"),
+}
 
 
 @dataclass(frozen=True)
@@ -42,26 +40,25 @@ class H2Hamiltonian:
     g2: float
     g3: float
     g4: float
-    geometry_angstrom: float = 0.74
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("coefficients must be finite")
 
     @property
-    def terms(self) -> tuple[PauliTerm, ...]:
-        return (
-            PauliTerm(self.g0, "II"),
-            PauliTerm(self.g1, "ZI"),
-            PauliTerm(self.g2, "IZ"),
-            PauliTerm(self.g3, "ZZ"),
-            PauliTerm(self.g4, "XX"),
-        )
+    def coeffs(self) -> tuple[float, ...]:
+        return (self.g0, self.g1, self.g2, self.g3, self.g4)
+
+    def observable(self, mode: str) -> np.ndarray:
+        """The Hamiltonian as a matrix on the mode's register."""
+        return sum(g * pauli_word(w) for g, w in zip(self.coeffs, WORDS[mode]))
 
     def matrix(self) -> np.ndarray:
-        return sum(t.coeff * pauli_word(t.word) for t in self.terms)
+        return self.observable(MODE_UNENCODED)
 
     def logical_matrix(self) -> np.ndarray:
         """Physical observable over (a1, q0..q3, a2) realizing the logical terms."""
-        words = ("IIIIII", "IZZIII", "IZIZII", "IIZZII", "IIXXII")
-        coeffs = (self.g0, self.g1, self.g2, self.g3, self.g4)
-        return sum(c * pauli_word(w) for c, w in zip(coeffs, words))
+        return self.observable(MODE_ENCODED)
 
     def closed_form_energy(self, theta: float) -> float:
         """Noiseless energy of the ansatz state at angle theta."""
@@ -102,52 +99,31 @@ class EnergyEstimate:
     eta: dict[str, float] = field(default_factory=lambda: {"Z": 1.0, "X": 1.0})
 
 
-def _data_positions(layout: MeasurementLayout, mode: str) -> tuple[int, ...]:
-    pos = layout.positions_of_role(ROLE_DATA)
-    want = 2 if mode == MODE_UNENCODED else 4
-    if len(pos) != want:
-        raise ValueError(f"{mode} mode needs {want} data qubits, layout has {len(pos)}")
-    return pos
-
-
-def _sign_table(parities, n_bits: int) -> tuple[tuple[int, ...], ...]:
-    """Row i: the +-1 eigenvalue of each parity for data-bit pattern i (MSB first)."""
-    return tuple(
-        tuple(1 - 2 * (sum((i >> (n_bits - 1 - b)) & 1 for b in bits) % 2) for bits in parities)
-        for i in range(2**n_bits)
-    )
-
-
-# Z0, Z1 and the Z0Z1 / X0X1 product as XORs of data bits. In encoded mode the
-# logical values are physical parities: Z0 -> q0^q1, Z1 -> q0^q2, ZZ and XX ->
-# q1^q2; odd-parity strings decode too, since the NONE row keeps them.
-_SIGNS = {
-    MODE_UNENCODED: _sign_table(((0,), (1,), (0, 1)), 2),
-    MODE_ENCODED: _sign_table(((0, 1), (0, 2), (1, 2)), 4),
-}
-
-
 def _term_means(weighted: dict, layout: MeasurementLayout, mode: str, basis: str):
-    """Weighted means of the term observables available in one basis.
+    """Weighted means of the term observables measured in one basis.
 
-    Z basis yields (Z0, Z1, Z0Z1); X basis yields the XX product. Weights
-    are summed per data-bit pattern first, so integer counts accumulate
+    The terms are those whose words hold only I and the basis letter: Z0, Z1
+    and Z0Z1 in the Z basis, X0X1 in the X basis. Each outcome's eigenvalue
+    is the parity of its bits where the word is not I, so odd-parity encoded
+    strings decode too (the NONE row keeps them). Integer counts accumulate
     exactly and divide once.
     """
-    pos = _data_positions(layout, mode)
-    signs = _SIGNS[mode]
-    mass = [0] * len(signs)
+    words = [w for w in WORDS[mode][1:] if set(w) <= {"I", basis}]
+    supports = [[p for p, c in enumerate(w) if c != "I"] for w in words]
+    if len(words[0]) != len(layout.roles) or any(layout.roles[p] != ROLE_DATA for s in supports for p in s):
+        raise ValueError(f"the {mode} words do not read the data qubits of a layout with roles {layout.roles}")
+    sums, total = [0] * len(words), 0
     for key, w in weighted.items():
-        mass[int("".join(key[p] for p in pos), 2)] += w
-    total = sum(mass)
+        total += w
+        for t, support in enumerate(supports):
+            sums[t] += -w if sum(key[p] == "1" for p in support) % 2 else w
     if total <= 0.0:
         raise EmptySelectionError("no surviving samples")
-    columns = (0, 1, 2) if basis == "Z" else (2,)
-    return np.array([sum(m * row[c] for m, row in zip(mass, signs)) for c in columns]) / total
+    return np.array(sums) / total
 
 
 def _combine(ham: H2Hamiltonian, z_means, xx_mean, n_z, n_x, eta) -> EnergyEstimate:
-    gs = (ham.g1, ham.g2, ham.g3, ham.g4)
+    gs = ham.coeffs[1:]
     means = (z_means[0], z_means[1], z_means[2], xx_mean)
     ns = (n_z, n_z, n_z, n_x)
     mean = ham.g0 + sum(g * m for g, m in zip(gs, means))
@@ -247,6 +223,8 @@ class Integrals:
     h0101: float = 0.0
 
     def __post_init__(self, tol: float = 1e-10):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("integrals must be finite")
         if abs(self.h2013 - self.h2103) > tol:
             raise ValueError("integral symmetry violated: h2013 != h2103")
         if abs(self.h2112 - self.h0330) > tol:

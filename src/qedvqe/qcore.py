@@ -176,7 +176,6 @@ class Circuit:
     n_qubits: int
     ops: tuple[Gate, ...]
     roles: tuple[str, ...]
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -210,29 +209,6 @@ class Circuit:
         n2 = sum(1 for op in self.ops if op.is_unitary and len(op.qubits) == 2)
         nm = sum(1 for op in self.ops if op.kind == "MEASURE_Z")
         return n1, n2, nm
-
-    def qubit_names(self) -> tuple[str, ...]:
-        """Stable display names: a1, q0..q3, a2, sX/sZ, and RED readout pairs."""
-        names = []
-        counters = {ROLE_DATA: 0, ROLE_RED: 0, ROLE_SYNDROME: 0}
-        n_plain = self.n_qubits - self.roles.count(ROLE_RED)
-        red_pair = ("r", "s") if n_plain == 2 else ("k", "l")
-        for role in self.roles:
-            if role == ROLE_A1:
-                names.append("a1")
-            elif role == ROLE_A2:
-                names.append("a2")
-            elif role == ROLE_DATA:
-                names.append(f"q{counters[ROLE_DATA]}")
-                counters[ROLE_DATA] += 1
-            elif role == ROLE_SYNDROME:
-                names.append(("sX", "sZ")[counters[ROLE_SYNDROME] % 2])
-                counters[ROLE_SYNDROME] += 1
-            else:
-                i = counters[ROLE_RED]
-                names.append(f"{red_pair[i % 2]}{i // 2}")
-                counters[ROLE_RED] += 1
-        return tuple(names)
 
     def to_text(self) -> str:
         """Line-oriented serialization: one gate per line, KIND qubits [angle]."""

@@ -49,21 +49,15 @@ _SHOT_BLOCK = 1024
 
 @dataclass(frozen=True)
 class MeasurementLayout:
-    """Measured qubits in ascending index order, with their roles and names."""
+    """Measured qubits in ascending index order, with their roles."""
 
     qubits: tuple[int, ...]
     roles: tuple[str, ...]
-    names: tuple[str, ...]
 
     @classmethod
     def of(cls, circuit: Circuit) -> "MeasurementLayout":
         measured = circuit.measured_qubits
-        names = circuit.qubit_names()
-        return cls(
-            measured,
-            tuple(circuit.roles[q] for q in measured),
-            tuple(names[q] for q in measured),
-        )
+        return cls(measured, tuple(circuit.roles[q] for q in measured))
 
     def positions_of_role(self, role: str) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.roles) if r == role)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qedvqe import analysis, builders, noise, qcore, sim
 from qedvqe.analysis import (
@@ -24,9 +26,9 @@ def embed_data_state(data_vec, a1=0, a2=0):
     return StateVector(6, qcore.kron_all(e1, data_vec, e2))
 
 
-def random_density(rng, n):
+def random_density(rng, n, rank=None):
     dim = 2**n
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = rng.normal(size=(dim, rank or dim)) + 1j * rng.normal(size=(dim, rank or dim))
     m = m @ m.conj().T
     return DensityMatrix(n, m / np.trace(m).real)
 
@@ -72,15 +74,26 @@ def test_s_p_trace_on_maximally_mixed():
     assert np.trace(pi @ rho.mat).real == pytest.approx(8 / 32, abs=1e-12)
 
 
-def test_projector_hierarchy_on_random_states():
-    rng = np.random.default_rng(0)
-    pa, pp, pap = (build_projector(k) for k in ("PI_A", "PI_P", "PI_AP"))
-    for _ in range(5):
-        rho = random_density(rng, 6)
-        wa = np.trace(pa @ rho.mat).real
-        wp = np.trace(pp @ rho.mat).real
-        wap = np.trace(pap @ rho.mat).real
-        assert wap <= min(wa, wp) + 1e-12
+PROJECTORS = {kind: build_projector(kind) for kind in RANKS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 64))
+def test_projector_hierarchy_on_random_states(seed, rank):
+    """Every projector is a Hermitian idempotent, and the product rules keep
+    no more weight than either factor: PI_AP against PI_A and PI_P, S_AP
+    against S_A and S_P."""
+    rng = np.random.default_rng(seed)
+    for n, (a, p, ap) in ((6, ("PI_A", "PI_P", "PI_AP")), (5, ("S_A", "S_P", "S_AP"))):
+        rho = random_density(rng, n, rank)
+        weight = {}
+        for kind in (a, p, ap):
+            pi = PROJECTORS[kind]
+            assert np.max(np.abs(pi - pi.conj().T)) < 1e-12
+            assert np.max(np.abs(pi @ pi - pi)) < 1e-12
+            weight[kind] = np.trace(pi @ rho.mat).real
+            assert -1e-12 <= weight[kind] <= 1.0 + 1e-12
+        assert weight[ap] <= min(weight[a], weight[p]) + 1e-12
 
 
 # ---------------------------------------------------------------------------

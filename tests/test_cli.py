@@ -42,13 +42,17 @@ def test_budget_custom_target(tmp_path):
     assert repr(manifest["config"]["seed"]) == "3.0"
 
 
+INTEGRALS = {
+    "h00": -1.0, "h11": 0.0, "h22": 0.0, "h33": -1.0,
+    "h2002": 0.0, "h3113": 0.0, "h2112": 0.0, "h0330": 0.0,
+    "h2103": 0.0, "h2013": 0.0,
+}
+H2_COEFFS = {"g0": -0.349833, "g1": -0.388748, "g2": -0.388748, "g3": 0.0111772, "g4": 0.181771}
+
+
 def test_coeffs_experiment(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"integrals": {
-        "h00": -1.0, "h11": 0.0, "h22": 0.0, "h33": -1.0,
-        "h2002": 0.0, "h3113": 0.0, "h2112": 0.0, "h0330": 0.0,
-        "h2103": 0.0, "h2013": 0.0,
-    }}))
+    cfg.write_text(json.dumps({"integrals": INTEGRALS}))
     rc = cli.main(["coeffs", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     row = read_rows(tmp_path / "coeffs.csv")[0]
@@ -78,6 +82,11 @@ def test_invalid_noise_kind_is_config_error(tmp_path):
         ("budget", {"target_sem": 1e-300}, "target_sem"),
         ("scan", {"points": 2, "seed": 2.5}, "seed"),
         ("red-pipeline", {"shots": 10, "noise": {"kind": "depolarizing", "p2": 0.01}}, "noise"),
+        ("scan", {"points": 2, "hamiltonian": dict(H2_COEFFS, g0=math.inf)}, "hamiltonian"),
+        ("scan", {"points": 2, "encoded": True, "hamiltonian": dict(H2_COEFFS, g0=math.nan)}, "hamiltonian"),
+        ("sweep-depol", {"shots": 10, "hamiltonian": dict(H2_COEFFS, g1=math.nan)}, "hamiltonian"),
+        ("coeffs", {"integrals": dict(INTEGRALS, h00=math.inf)}, "integrals"),
+        ("coeffs", {"integrals": dict(INTEGRALS, h2103=math.nan, h2013=math.nan)}, "integrals"),
     ],
 )
 def test_unusable_config_value_names_its_key(tmp_path, capsys, experiment, cfg, key):
@@ -85,6 +94,12 @@ def test_unusable_config_value_names_its_key(tmp_path, capsys, experiment, cfg, 
     path.write_text(json.dumps(cfg))
     assert cli.main([experiment, "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", [["scan"], {"name": "scan"}, None, "sacn"])
+def test_unknown_experiment_is_config_error(tmp_path, capsys, experiment):
+    assert cli.run({"experiment": experiment}, tmp_path) == cli.EXIT_BAD_CONFIG
+    assert f"unknown or missing experiment {experiment!r}" in capsys.readouterr().err
 
 
 def test_unknown_config_keys_warn_before_the_run(tmp_path, capsys):
@@ -100,8 +115,6 @@ def test_unknown_config_keys_warn_before_the_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'varience'" in err and "'shot'" in err and "'theta'" not in err.split("error:")[0]
 
-
-H2_COEFFS = {"g0": -0.349833, "g1": -0.388748, "g2": -0.388748, "g3": 0.0111772, "g4": 0.181771}
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qedvqe import builders, noise, qcore, sim
 from qedvqe.estimate import (
@@ -9,9 +11,10 @@ from qedvqe.estimate import (
     H2Hamiltonian,
     Integrals,
     MODE_ENCODED,
-    PauliTerm,
+    MODE_UNENCODED,
     ResourceCount,
     THETA_STAR,
+    WORDS,
     _term_means,
     default_h2,
     energy_from_distributions,
@@ -30,9 +33,7 @@ def make_table(counts, roles):
 
 
 def make_layout(roles):
-    return MeasurementLayout(
-        tuple(range(len(roles))), tuple(roles), tuple(f"b{i}" for i in range(len(roles)))
-    )
+    return MeasurementLayout(tuple(range(len(roles))), tuple(roles))
 
 
 UNENC_ROLES = (qcore.ROLE_DATA, qcore.ROLE_DATA)
@@ -49,20 +50,22 @@ def test_default_coefficients():
     assert (ham.g0, ham.g1, ham.g2, ham.g3, ham.g4) == (
         -0.349833, -0.388748, -0.388748, 0.0111772, 0.181771
     )
-    assert ham.geometry_angstrom == 0.74
-    assert [t.word for t in ham.terms] == ["II", "ZI", "IZ", "ZZ", "XX"]
+    assert ham.coeffs == (ham.g0, ham.g1, ham.g2, ham.g3, ham.g4)
 
 
-def test_pauli_term_validation():
-    with pytest.raises(ValueError):
-        PauliTerm(1.0, "ZIX")
-    with pytest.raises(ValueError):
-        PauliTerm(float("inf"), "ZI")
+def test_hamiltonian_rejects_non_finite_coefficients():
+    for bad in (math.inf, -math.inf, math.nan):
+        for i in range(5):
+            coeffs = [0.1] * 5
+            coeffs[i] = bad
+            with pytest.raises(ValueError):
+                H2Hamiltonian(*coeffs)
 
 
 def test_matrix_matches_term_sum():
     ham = default_h2()
-    want = sum(t.coeff * qcore.pauli_word(t.word) for t in ham.terms)
+    words = ("II", "ZI", "IZ", "ZZ", "XX")
+    want = sum(g * qcore.pauli_word(w) for g, w in zip(ham.coeffs, words))
     assert np.allclose(ham.matrix(), want)
     # ground energy of the matrix equals the analytic scan minimum
     evals = np.linalg.eigvalsh(ham.matrix())
@@ -115,6 +118,52 @@ def test_decode_matches_codeword_supports():
             assert _decoded(bits) == _signs(l1, l2)
     x_counts = {"0" + "0110" + "0": 3, "0" + "0101" + "0": 1}  # q1^q2 = 0, 1
     assert tuple(_term_means(x_counts, make_layout(ENC_ROLES), MODE_ENCODED, "X")) == (0.5,)
+
+
+@pytest.mark.parametrize(
+    "mode, roles",
+    [
+        (MODE_ENCODED, UNENC_ROLES),
+        (MODE_UNENCODED, ENC_ROLES),
+        # the right length, but the encoded words would read the ancillas
+        (MODE_ENCODED, (qcore.ROLE_DATA,) + (qcore.ROLE_A1,) * 4 + (qcore.ROLE_DATA,)),
+    ],
+)
+def test_words_that_do_not_fit_the_layout_are_rejected(mode, roles):
+    for basis in "ZX":
+        with pytest.raises(ValueError):
+            _term_means({"0" * len(roles): 1}, make_layout(roles), mode, basis)
+
+
+def _z_side(word):
+    """The computational-basis word that reads the same parity as an X word."""
+    return word.replace("X", "Z")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    encoded=st.booleans(),
+    theta=st.floats(-math.pi, math.pi),
+    p2=st.floats(0.0, 0.2),
+    coeffs=st.tuples(*[st.floats(-2.0, 2.0)] * 5),
+)
+def test_decoded_means_equal_density_expectations(encoded, theta, p2, coeffs):
+    """The parity decode of the exact Born distribution is Tr(P rho) for every word."""
+    mode = MODE_ENCODED if encoded else MODE_UNENCODED
+    build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
+    model = noise.DepolarizingParams(p2=p2)
+    rho = {b: sim.evolve_density(noise.attach_noise(build(theta, b), model)) for b in "ZX"}
+    probs = {b: sim.born_distribution(rho[b]) for b in "ZX"}
+    layout = MeasurementLayout.of(build(theta, "Z"))
+    _, z0, z1, zz, xx = WORDS[mode]
+    want_z = [qcore.expectation(rho["Z"], qcore.pauli_word(w)) for w in (z0, z1, zz)]
+    want_xx = qcore.expectation(rho["X"], qcore.pauli_word(_z_side(xx)))
+    assert np.allclose(_term_means(probs["Z"], layout, mode, "Z"), want_z, rtol=0, atol=1e-9)
+    assert _term_means(probs["X"], layout, mode, "X")[0] == pytest.approx(want_xx, abs=1e-9)
+    ham = H2Hamiltonian(*coeffs)
+    est = energy_from_distributions(probs["Z"], probs["X"], layout, ham, mode)
+    want = ham.g0 + sum(g * m for g, m in zip(ham.coeffs[1:], want_z + [want_xx]))
+    assert est.mean == pytest.approx(want, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

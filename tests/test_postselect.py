@@ -21,7 +21,7 @@ from qedvqe.sim import MeasurementLayout, ShotTable, TrajectoryConfig
 ENC_ROLES = (qcore.ROLE_A1,) + (qcore.ROLE_DATA,) * 4 + (qcore.ROLE_A2,)
 
 
-ENC_LAYOUT = MeasurementLayout(tuple(range(6)), ENC_ROLES, ("a1", "q0", "q1", "q2", "q3", "a2"))
+ENC_LAYOUT = MeasurementLayout(tuple(range(6)), ENC_ROLES)
 
 
 def enc_table(counts):
@@ -78,7 +78,7 @@ def test_apply_strategy_empty_table_raises():
 
 
 def test_select_a2_branch_requires_role():
-    layout = MeasurementLayout((0, 1), (qcore.ROLE_DATA,) * 2, ("q0", "q1"))
+    layout = MeasurementLayout((0, 1), (qcore.ROLE_DATA,) * 2)
     table = ShotTable({"00": 3}, 3, layout)
     with pytest.raises(ValueError):
         select_a2_branch(table, 0)
@@ -142,13 +142,12 @@ def red_vote(raw: ShotTable):
         if all(key[i] == key[n + 2 * i] == key[n + 2 * i + 1] for i in range(n)):
             counts[key[:n]] = counts.get(key[:n], 0) + c
     kept = sum(counts.values())
-    collapsed = MeasurementLayout(meas.qubits[:n], meas.roles[:n], meas.names[:n])
+    collapsed = MeasurementLayout(meas.qubits[:n], meas.roles[:n])
     return ShotTable(counts, kept, collapsed), SurvivalStats.of(raw.n_shots, kept)
 
 
 def red_table(counts, roles):
-    names = tuple(f"b{i}" for i in range(len(roles)))
-    layout = MeasurementLayout(tuple(range(len(roles))), tuple(roles), names)
+    layout = MeasurementLayout(tuple(range(len(roles))), tuple(roles))
     return ShotTable(dict(counts), sum(counts.values()), layout)
 
 
