@@ -7,9 +7,11 @@ density backend cannot. Each shot draws from its own counter-based RNG
 stream keyed by (master seed, shot index), which makes results independent
 of how shots are partitioned into batches or workers. The streams of a whole
 batch are computed together as arrays, and only shots that carry a fault are
-evolved. Both backends read measured bits through the circuit's per-bit read
-kernel; the readout-encoding gadget is such a kernel (red_vote_kernel_for),
-so a readout-encoded run samples the 2- or 6-qubit circuit it encodes.
+evolved: each distinct fault history once, and the new histories of a batch
+together, as the rows of one (B, 2^n) statevector array. Both backends read
+measured bits through the circuit's per-bit read kernel; the
+readout-encoding gadget is such a kernel (red_vote_kernel_for), so a
+readout-encoded run samples the 2- or 6-qubit circuit it encodes.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .qcore import (
     ROLE_DATA,
     Circuit,
     DensityMatrix,
-    StateVector,
     _apply_matrix_axes,
     apply_kraus,
     apply_unitary_sv,
@@ -42,9 +43,14 @@ from .qcore import (
 DENSITY_QUBIT_CAP = 12
 TRAJECTORY_QUBIT_CAP = 20
 # Shots whose streams are drawn and resolved as one set of arrays: enough to
-# amortise numpy's per-call cost, few enough that the arrays stay in cache and
-# a 10^4-shot batch needs no more memory than the per-shot loop it replaced.
+# amortise numpy's per-call cost, few enough that the arrays stay in cache.
+# Faulty shots are evolved in passes of at most _PASS_AMPS amplitudes (B rows
+# of 2^n: 1024 rows at 6 qubits, one row from 16 qubits up), and a call keeps
+# at most _MEMO_BYTES of cdfs of the fault codes it has evolved (16384 at
+# 6 qubits, 4 at 18), so sampling stays within a few MB of the per-shot loop.
 _SHOT_BLOCK = 1024
+_PASS_AMPS = 2**16
+_MEMO_BYTES = 2**23
 
 
 @dataclass(frozen=True)
@@ -224,40 +230,94 @@ def _philox_uniforms(seed: int, shot_offset: int, n_shots: int, n_draws: int) ->
 
 
 def _half_planes(amps: np.ndarray, qubit: int):
-    """Views of the qubit=0 and qubit=1 halves of a statevector."""
-    view = amps.reshape(2**qubit, 2, -1)
-    return view[:, 0, :], view[:, 1, :]
+    """Views of the qubit=0 and qubit=1 halves of a (B, 2^n) batch of statevectors."""
+    view = amps.reshape(amps.shape[0], 2**qubit, 2, -1)
+    return view[:, :, 0, :], view[:, :, 1, :]
+
+
+def _rows(mask: np.ndarray):
+    """An index of the rows in mask. Indexing rows copies their half-planes,
+    so when mask holds every row this is Ellipsis, which works in place."""
+    return Ellipsis if mask.all() else mask
+
+
+# Fault codes, one per shot and noise location: the Pauli inserted, or at a
+# damping location the shot's uniform when it is below gamma. _QUIET is no
+# Pauli, or a damping draw at or above gamma, which never jumps; no uniform
+# reaches it.
+_QUIET, _X, _Y, _Z = 1.0, 2.0, 3.0, 4.0
 
 
 class _Trajectory:
-    """Sequential statevector evolution replaying pre-drawn uniforms.
+    """Statevector evolution of a batch of shots, replaying pre-drawn uniforms.
 
-    States are kept unnormalized while damping no-jump factors accumulate;
-    since p_jump = gamma * pop1 / norm^2 never exceeds gamma, a jump decision
-    only needs the occupation when its uniform falls below gamma, which keeps
-    the common no-jump case to a single half-plane scaling.
+    Each row of a (B, 2^n) array is one shot's statevector. Gates act on
+    every row at once, and each row goes through the same float operations
+    as it would alone. States are kept unnormalized while damping no-jump
+    factors accumulate; since p_jump = gamma * pop1 / norm^2 never exceeds
+    gamma, a jump decision only needs the occupation when its uniform falls
+    below gamma, which keeps the common no-jump case to a single half-plane
+    scaling.
     """
 
     def __init__(self, noisy: NoisyCircuit):
         self.noisy = noisy
         self.n = noisy.circuit.n_qubits
+        self._scratch = np.empty((3, 0), dtype=complex)  # grown by _apply_1q
+        # (gates, channels) in order: the init flips, then each op and its slot
+        self._steps = [((), noisy.pre_channels)] + [
+            ((op,) if op.is_unitary else (), slot) for op, slot in zip(noisy.circuit.ops, noisy.channels)
+        ]
+        # per noise location, the thresholds fault_codes compares against
+        locations = [ch for _, slot in self._steps for ch in slot]
+        self._pauli = np.array([isinstance(ch, PauliNoise) for ch in locations], dtype=bool)
+        paulis = [ch if p else PauliNoise(0, 0.0, 0.0, 0.0) for ch, p in zip(locations, self._pauli)]
+        self._p_x = np.array([ch.p_x for ch in paulis])
+        self._p_xy = np.array([ch.p_x + ch.p_y for ch in paulis])
+        self._p_total = np.array([ch.p_total for ch in paulis])
+        self._gamma = np.array([0.0 if p else ch.gamma for ch, p in zip(locations, self._pauli)])
+
+    def fault_codes(self, u_loc: np.ndarray) -> np.ndarray:
+        """The fault signature of each row of uniforms: one code per location.
+
+        Rows with equal codes evolve through the same float operations, so a
+        shot may take its distribution from any shot with the same codes.
+        """
+        kind = np.where(
+            u_loc >= self._p_total,
+            _QUIET,
+            np.where(u_loc < self._p_x, _X, np.where(u_loc < self._p_xy, _Y, _Z)),
+        )
+        return np.where(self._pauli, kind, np.where(u_loc < self._gamma, u_loc, _QUIET))
 
     def _pop1_frac(self, amps, qubit):
-        """Occupation of |1> on the qubit, relative to the current norm."""
+        """Occupation of |1> on the qubit of a one-row batch, relative to its norm."""
         _, a1 = _half_planes(amps, qubit)
         w1 = float(np.vdot(a1, a1).real)
         total = float(np.vdot(amps, amps).real)
         return w1 / total if total > 0.0 else 0.0
 
     def _apply_1q(self, amps, mat, qubit):
+        # the products go to contiguous scratch, as fresh arrays would, so their
+        # float operations are unchanged; reusing it spares a large register
+        # the page faults of three new half-size arrays per gate
         a0, a1 = _half_planes(amps, qubit)
-        t = mat[0, 0] * a0 + mat[0, 1] * a1
-        a1[...] = mat[1, 0] * a0 + mat[1, 1] * a1
+        size = amps.size // 2
+        if self._scratch.shape[1] < size:
+            self._scratch = np.empty((3, size), dtype=complex)
+        t, s, u = (b[:size].reshape(a0.shape) for b in self._scratch)
+        np.multiply(mat[0, 0], a0, out=t)
+        np.multiply(mat[0, 1], a1, out=u)
+        t += u
+        np.multiply(mat[1, 0], a0, out=s)
+        np.multiply(mat[1, 1], a1, out=u)
+        s += u
+        a1[...] = s
         a0[...] = t
 
     def _quad_view(self, amps, qa, qb):
-        """5-D view exposing qubits qa < qb as explicit axes 1 and 3."""
-        return amps.reshape(2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
+        """6-D view exposing qubits qa < qb as explicit axes 2 and 4."""
+        return amps.reshape(amps.shape[0], 2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
 
     def _apply_gate(self, amps, op):
         if len(op.qubits) == 1:
@@ -266,52 +326,66 @@ class _Trajectory:
             c, t = op.control, op.targets[0]
             view = self._quad_view(amps, min(c, t), max(c, t))
             if c < t:
-                p0, p1 = view[:, 1, :, 0, :], view[:, 1, :, 1, :]
+                p0, p1 = view[:, :, 1, :, 0, :], view[:, :, 1, :, 1, :]
             else:
-                p0, p1 = view[:, 0, :, 1, :], view[:, 1, :, 1, :]
+                p0, p1 = view[:, :, 0, :, 1, :], view[:, :, 1, :, 1, :]
             tmp = p0.copy()
             p0[...] = p1
             p1[...] = tmp
         else:
-            amps[...] = apply_unitary_sv(amps, self.n, op.matrix(), op.qubits)
+            for row in amps:
+                row[...] = apply_unitary_sv(row, self.n, op.matrix(), op.qubits)
 
-    def _apply_channel(self, amps, ch, u):
+    def _apply_channel(self, amps, ch, codes):
+        """Apply one location, given its code for every row."""
+        a0, a1 = _half_planes(amps, ch.qubit)
         if isinstance(ch, PauliNoise):
-            if u >= ch.p_total:
-                return
-            a0, a1 = _half_planes(amps, ch.qubit)
-            if u < ch.p_x:  # X
-                t = a0.copy()
-                a0[...] = a1
-                a1[...] = t
-            elif u < ch.p_x + ch.p_y:  # Y
-                t = a0.copy()
-                a0[...] = -1j * a1
-                a1[...] = 1j * t
-            else:  # Z
-                a1[...] *= -1.0
+            for kind in (_X, _Y, _Z):
+                drew = codes == kind
+                if not drew.any():
+                    continue
+                rows = _rows(drew)
+                if kind == _Z:
+                    a1[rows] *= -1.0
+                    continue
+                t = a0[rows].copy()
+                if kind == _X:
+                    a0[rows] = a1[rows]
+                    a1[rows] = t
+                else:
+                    a0[rows] = -1j * a1[rows]
+                    a1[rows] = 1j * t
             return
-        # damping: p_jump <= gamma, so u >= gamma settles no-jump cheaply
-        if u < ch.gamma and u < ch.gamma * self._pop1_frac(amps, ch.qubit):
-            a0, a1 = _half_planes(amps, ch.qubit)
-            a0[...] = a1
-            a1[...] = 0.0
-        else:
-            _, a1 = _half_planes(amps, ch.qubit)
-            a1[...] *= np.sqrt(1.0 - ch.gamma)
+        # damping: only a draw below gamma can jump, and then it reads its own row's state
+        jump = np.zeros(codes.size, dtype=bool)
+        for r in np.flatnonzero(codes < ch.gamma):
+            jump[r] = codes[r] < ch.gamma * self._pop1_frac(amps[r:r + 1], ch.qubit)
+        if jump.any():
+            rows = _rows(jump)
+            a0[rows] = a1[rows]
+            a1[rows] = 0.0
+        if not jump.all():
+            a1[_rows(~jump)] *= np.sqrt(1.0 - ch.gamma)
+
+    def _zero(self, n_rows: int) -> np.ndarray:
+        amps = np.zeros((n_rows, 2**self.n), dtype=complex)
+        amps[:, 0] = 1.0
+        return amps
 
     def run(self, u_loc: np.ndarray) -> np.ndarray:
-        """Evolve one shot; u_loc holds one uniform per noise location."""
-        amps = StateVector.zero(self.n).amps
+        """Evolve one shot per row of u_loc, which holds one uniform per noise
+        location, into a (B, 2^n) array of unnormalized statevectors."""
+        codes = self.fault_codes(u_loc)
+        # a Pauli location that no row drew is skipped; damping always scales
+        skip = (self._pauli & np.all(codes == _QUIET, axis=0)).tolist()
+        amps = self._zero(len(u_loc))
         k = 0
-        for ch in self.noisy.pre_channels:
-            self._apply_channel(amps, ch, u_loc[k])
-            k += 1
-        for op, slot in zip(self.noisy.circuit.ops, self.noisy.channels):
-            if op.kind != "MEASURE_Z":
+        for gates, slot in self._steps:
+            for op in gates:
                 self._apply_gate(amps, op)
             for ch in slot:
-                self._apply_channel(amps, ch, u_loc[k])
+                if not skip[k]:
+                    self._apply_channel(amps, ch, codes[:, k])
                 k += 1
         return amps
 
@@ -323,19 +397,49 @@ class _Trajectory:
         for Pauli noise and the reference p_jump for damping. Such a shot is
         resolved without evolving.
         """
-        amps = StateVector.zero(self.n).amps
-        thresholds = [ch.p_total for ch in self.noisy.pre_channels]
-        for op, slot in zip(self.noisy.circuit.ops, self.noisy.channels):
-            if op.is_unitary:
+        amps = self._zero(1)
+        thresholds = []
+        for gates, slot in self._steps:
+            for op in gates:
                 self._apply_gate(amps, op)
             for ch in slot:
                 if isinstance(ch, PauliNoise):
                     thresholds.append(ch.p_total)
                     continue
                 thresholds.append(ch.gamma * self._pop1_frac(amps, ch.qubit))
-                _, a1 = _half_planes(amps, ch.qubit)
-                a1[...] *= np.sqrt(1.0 - ch.gamma)
-        return amps / np.linalg.norm(amps), np.array(thresholds)
+                self._apply_channel(amps, ch, np.array([_QUIET]))
+        return amps[0] / np.linalg.norm(amps[0]), np.array(thresholds)
+
+
+def _faulty_outcomes(traj: _Trajectory, u_loc, u_out, memo: dict) -> np.ndarray:
+    """Basis-state indices of shots that carry a fault, one per row of u_loc.
+
+    Shots are grouped by their fault codes. A group whose codes are in memo
+    takes its cdf from there; the others are evolved once per group, in
+    passes of at most _PASS_AMPS amplitudes, and enter memo while it holds
+    less than _MEMO_BYTES of cdfs. Each shot resolves on its group's cdf.
+    """
+    codes, first, inverse = np.unique(traj.fault_codes(u_loc), axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    shots = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    keys = [c.tobytes() for c in codes]
+    idx = np.empty(len(u_out), dtype=np.intp)
+    new = []
+    for g, key in enumerate(keys):
+        if key in memo:
+            idx[shots[g]] = np.searchsorted(memo[key], u_out[shots[g]], side="right")
+        else:
+            new.append(g)
+    rows, memo_cap = max(1, _PASS_AMPS >> traj.n), _MEMO_BYTES // (8 << traj.n)
+    for lo in range(0, len(new), rows):
+        part = new[lo:lo + rows]
+        cdfs = np.cumsum(np.abs(traj.run(u_loc[first[part]])) ** 2, axis=1)
+        cdfs /= cdfs[:, -1:].copy()
+        for g, cdf in zip(part, cdfs):
+            idx[shots[g]] = np.searchsorted(cdf, u_out[shots[g]], side="right")
+            if len(memo) < memo_cap:
+                memo[keys[g]] = cdf
+    return idx
 
 
 def sample_shots(
@@ -350,8 +454,10 @@ def sample_shots(
     is below K[1 - b, b], and drops the shot when u >= K[0, b] + K[1, b];
     the table holds the kept shots. The streams of a block of shots are
     drawn in one array pass. Its fault-free shots resolve together against
-    a cached reference evolution; only shots with a fault are evolved, one by
-    one. Outcomes appear in the table in the order of their first shot.
+    a cached reference evolution. Shots with a fault are grouped by their
+    fault codes, and each group not seen before in this call is evolved
+    once, as one row of a batched statevector array. Outcomes appear in the
+    table in the order of their first shot.
     """
     circ = noisy.circuit
     if circ.n_qubits > TRAJECTORY_QUBIT_CAP:
@@ -378,15 +484,15 @@ def sample_shots(
     place = 1 << np.arange(n_meas - 1, -1, -1)
     codes = np.empty(cfg.n_shots, dtype=np.int64)
     kept = np.ones(cfg.n_shots, dtype=bool)
+    memo = {}  # fault codes -> cdf, kept for this call
     for start in range(0, cfg.n_shots, _SHOT_BLOCK):
         n = min(_SHOT_BLOCK, cfg.n_shots - start)
         u = _philox_uniforms(cfg.seed, shot_offset + start, n, n_loc + 1 + n_read)
         u_loc, u_out, u_read = u[:, :n_loc], u[:, n_loc], u[:, n_loc + 1:]
         idx = np.searchsorted(ref_cdf, u_out, side="right")
-        for i in np.flatnonzero(~np.all(u_loc >= thresholds, axis=1)):  # faulty shots
-            cdf = np.cumsum(np.abs(traj.run(u_loc[i])) ** 2)
-            cdf /= cdf[-1]
-            idx[i] = np.searchsorted(cdf, u_out[i], side="right")
+        faulty = np.flatnonzero(~np.all(u_loc >= thresholds, axis=1))
+        if faulty.size:
+            idx[faulty] = _faulty_outcomes(traj, u_loc[faulty], u_out[faulty], memo)
         bits = (idx[:, None] >> shifts) & 1
         if n_read:
             kept[start:start + n] = np.all(u_read < keep_p[bits], axis=1)

@@ -208,7 +208,7 @@ def replay_per_shot(noisy, n_shots: int, seed: int, shot_offset: int = 0) -> dic
         u_out = gen.random()
         cdf = ref_cdf
         if not np.all(u_loc >= thresholds):
-            cdf = np.cumsum(np.abs(traj.run(u_loc)) ** 2)
+            cdf = np.cumsum(np.abs(traj.run(u_loc[None])[0]) ** 2)
             cdf /= cdf[-1]
         idx = int(np.searchsorted(cdf, u_out, side="right"))
         bits = [(idx >> (n - 1 - q)) & 1 for q in noisy.circuit.measured_qubits]
@@ -272,6 +272,159 @@ def test_block_sampler_matches_per_shot_loop(noisy, n_shots, shot_offset):
     assert got.counts == want
     assert list(got.counts) == list(want)  # first-appearance order, which float sums follow
     assert got.n_shots == sum(want.values())
+
+
+@st.composite
+def sampled_circuits(draw):
+    """A random 1-3 qubit circuit with init flips, random Pauli and damping
+    slots (on measurements too), terminal measurements of a random nonempty
+    subset of qubits, and a random read kernel, lossy or not."""
+    n = draw(st.integers(1, 3))
+    rate = st.floats(0.0, 1.0 / 3.0)
+    kinds = ("H", "X", "Y", "Z", "S", "RY", "RZ") + (("CNOT", "SWAP") if n > 1 else ())
+    ops = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("CNOT", "SWAP"):
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            ops.append(qcore.cnot(a, b) if kind == "CNOT" else qcore.swap(a, b))
+        else:
+            angle = draw(st.floats(-math.pi, math.pi)) if kind in ("RY", "RZ") else None
+            ops.append(qcore.Gate(kind, (draw(st.integers(0, n - 1)),), angle=angle))
+    measured = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    ops += [qcore.measure(q) for q in sorted(measured)]
+    channels = []
+    for op in ops:
+        slot = []
+        for q in op.qubits:
+            for damping in draw(st.lists(st.booleans(), max_size=2)):
+                if damping:
+                    slot.append(noise.DampingNoise(q, draw(st.floats(0.0, 1.0))))
+                else:
+                    slot.append(noise.PauliNoise(q, draw(rate), draw(rate), draw(rate)))
+        channels.append(tuple(slot))
+    pre = tuple(noise.PauliNoise(q, draw(rate), 0.0, 0.0) for q in range(n) if draw(st.booleans()))
+    # column b keeps a read of b with probability keep[b] and misreads it with flip[b]
+    keep = [draw(st.sampled_from((1.0, 0.9, 0.55))) for _ in range(2)]
+    flip = [draw(rate) for _ in range(2)]
+    lossy = np.array([[keep[0] - flip[0], flip[1]], [flip[0], keep[1] - flip[1]]])
+    kernel = draw(st.sampled_from((np.eye(2), lossy)))
+    circ = Circuit(n, tuple(ops), (ROLE_DATA,) * n)
+    return noise.NoisyCircuit(circ, tuple(channels), pre, kernel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    noisy=sampled_circuits(),
+    n_shots=st.integers(1, 2 * sim._SHOT_BLOCK + 300),
+    shot_offset=st.integers(0, 2**40),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_sampler_matches_per_shot_loop_on_random_circuits(noisy, n_shots, shot_offset, seed):
+    # shots that share fault codes share one evolution, within a block and across blocks
+    want = replay_per_shot(noisy, n_shots, seed=seed, shot_offset=shot_offset)
+    got = sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed), shot_offset=shot_offset)
+    assert list(got.counts.items()) == list(want.items())
+    assert got.n_shots == sum(want.values())
+
+
+def test_full_memo_leaves_counts_unchanged(monkeypatch):
+    # past the memo's byte cap, shots still resolve from their own block's passes
+    noisy = noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10))
+    want = replay_per_shot(noisy, 2500, seed=8, shot_offset=123)
+    monkeypatch.setattr(sim, "_MEMO_BYTES", 3 * 8 * 2**noisy.circuit.n_qubits)  # three cdfs
+    got = sample_shots(noisy, TrajectoryConfig(2500, seed=8), shot_offset=123)
+    assert list(got.counts.items()) == list(want.items())
+
+
+def trajectory_oracle(noisy, u_row) -> np.ndarray:
+    """One shot's normalized final state, written out with qcore contractions:
+    a Pauli location inserts X, Y or Z below p_x, p_x + p_y and p_total, and a
+    damping location jumps when its uniform is below the jump probability."""
+    n = noisy.circuit.n_qubits
+    amps = qcore.StateVector.zero(n).amps
+    steps = [((), noisy.pre_channels)] + [
+        ((op,) if op.is_unitary else (), slot) for op, slot in zip(noisy.circuit.ops, noisy.channels)
+    ]
+    uniforms = iter(u_row)
+    for gates, slot in steps:
+        for op in gates:
+            amps = qcore.apply_unitary_sv(amps, n, op.matrix(), op.qubits)
+        for ch in slot:
+            u = next(uniforms)
+            if isinstance(ch, noise.PauliNoise):
+                if u >= ch.p_total:
+                    continue
+                mat = qcore.PAULI_X if u < ch.p_x else qcore.PAULI_Y if u < ch.p_x + ch.p_y else qcore.PAULI_Z
+            else:
+                no_jump, jump = ch.kraus
+                jumped = qcore.apply_unitary_sv(amps, n, jump, (ch.qubit,))
+                mat = jump if u < np.vdot(jumped, jumped).real else no_jump
+            amps = qcore.apply_unitary_sv(amps, n, mat, (ch.qubit,))
+            amps /= np.linalg.norm(amps)
+    return amps
+
+
+def test_batched_trajectory_rows_equal_one_row_passes():
+    noisy = noise.attach_noise(ENCODED, DEVICE)
+    locations = noisy.pre_channels + tuple(ch for slot in noisy.channels for ch in slot)
+    damping = [k for k, ch in enumerate(locations) if isinstance(ch, noise.DampingNoise)]
+    pauli = [k for k, ch in enumerate(locations) if isinstance(ch, noise.PauliNoise) and ch.p_x > 0.0]
+    assert damping and pauli
+    rng = np.random.default_rng(5)
+    n_rows = 8
+    u = rng.random((n_rows, len(locations)))
+    for k, ch in enumerate(locations):  # about a third of the draws fault or decide a jump
+        limit = ch.p_total if isinstance(ch, noise.PauliNoise) else ch.gamma
+        hit = rng.random(n_rows) < 0.3
+        u[hit, k] = rng.random(hit.sum()) * limit
+    for k in damping:  # row 0 jumps wherever |1> holds more than 1e-3 of the state
+        u[0, k] = 1e-3 * locations[k].gamma
+    u[:, pauli[len(pauli) // 2]] = 0.0  # every row draws X at this location
+    traj = sim._Trajectory(noisy)
+    batch = traj.run(u)
+    assert batch.shape == (n_rows, 2**noisy.circuit.n_qubits)
+    for r in range(n_rows):
+        assert batch[r].tobytes() == traj.run(u[r:r + 1])[0].tobytes()
+        want = trajectory_oracle(noisy, u[r])
+        assert np.max(np.abs(batch[r] / np.linalg.norm(batch[r]) - want)) < 1e-12
+
+
+def test_one_qubit_kernel_equals_the_plain_products():
+    # the kernel writes its products into reused scratch; each row must still
+    # equal mat @ (a0, a1) written as plain array expressions, bit for bit
+    rng = np.random.default_rng(11)
+    traj = sim._Trajectory(noise.noiseless(all_measured(1)))
+    for n in range(1, 8):
+        for qubit in range(n):
+            mat = np.exp(1j * rng.uniform(-math.pi, math.pi, (2, 2))) * rng.uniform(0.1, 1.0, (2, 2))
+            amps = rng.standard_normal((3, 2**n)) + 1j * rng.standard_normal((3, 2**n))
+            want = amps.copy()
+            traj._apply_1q(amps, mat, qubit)
+            for row in want:
+                a0, a1 = row.reshape(2**qubit, 2, -1)[:, 0], row.reshape(2**qubit, 2, -1)[:, 1]
+                t = mat[0, 0] * a0 + mat[0, 1] * a1
+                a1[...] = mat[1, 0] * a0 + mat[1, 1] * a1
+                a0[...] = t
+            assert amps.tobytes() == want.tobytes()
+
+
+def test_faulty_passes_stay_within_the_amplitude_budget(monkeypatch):
+    n = 10
+    ops = tuple(qcore.h(q) for q in range(n)) + tuple(qcore.cnot(q, q + 1) for q in range(n - 1))
+    circ = Circuit(n, ops + all_measured(n).ops, (ROLE_DATA,) * n)
+    noisy = noise.attach_noise(circ, DepolarizingParams(p2=0.2, p1=0.05))
+    rows = []
+    run = sim._Trajectory.run
+
+    def recording_run(self, u_loc):
+        rows.append(u_loc.shape[0])
+        return run(self, u_loc)
+
+    monkeypatch.setattr(sim._Trajectory, "run", recording_run)
+    table = sample_shots(noisy, TrajectoryConfig(1500, seed=9))
+    assert table.n_shots == 1500
+    assert max(rows) == max(1, 2**16 >> n)  # the budget binds, and is never exceeded
 
 
 PARTITION_NOISY = noise.attach_noise(ENCODED, DepolarizingParams(p2=0.01))
