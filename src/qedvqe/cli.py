@@ -218,7 +218,8 @@ def _study_rows(ham, model, theta, encoded, strategies=(), red=False, shots=None
             tables[basis], raw[basis] = sim.shot_limit_table(nc)
         else:
             cfg = sim.TrajectoryConfig(shots, _sub_seed(seed, f"{tag}/{basis}"))
-            tables[basis], raw[basis] = sim.sample_shots_batched(nc, cfg), shots
+            # one call per circuit, so its fault-history memo serves every shot
+            tables[basis], raw[basis] = sim.sample_shots_batched(nc, cfg, shots), shots
     mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
     name = mode + ("+red" if red else "")
 
@@ -376,14 +377,15 @@ def _analysis_point(p2, theta, seed):
     )
 
 
-def exp_fidelity_sweep(p2_grid, seed, theta):
-    rows = _pmap(functools.partial(_analysis_point, theta=theta, seed=seed), p2_grid)
-    return {"fidelity_sweep.csv": (ANALYSIS_HEADER, rows)}, {}, f"{len(rows)} noise points"
+def _analysis_runner(csv_name):
+    """The one runner of fidelity-sweep and logical-error, which differ only in
+    the CSV they write: fidelities and the logical-error split over p2_grid."""
 
+    def exp_analysis(p2_grid, seed, theta):
+        rows = _pmap(functools.partial(_analysis_point, theta=theta, seed=seed), p2_grid)
+        return {csv_name: (ANALYSIS_HEADER, rows)}, {}, f"{len(rows)} noise points"
 
-def exp_logical_error(p2_grid, seed, theta):
-    rows = _pmap(functools.partial(_analysis_point, theta=theta, seed=seed), p2_grid)
-    return {"logical_error.csv": (ANALYSIS_HEADER, rows)}, {}, f"{len(rows)} noise points"
+    return exp_analysis
 
 
 def exp_stateprep(p2_grid, seed):
@@ -475,8 +477,8 @@ EXPERIMENTS = {
         hamiltonian=HAMILTONIAN, noise=Key({"p2": 0.0009}, _noise_model), shots=Key(200000, _count(1)),
         strategies=STRATEGIES, seed=SEED, theta=THETA,
     )),
-    "fidelity-sweep": (exp_fidelity_sweep, dict(p2_grid=P2_GRID, seed=SEED, theta=THETA)),
-    "logical-error": (exp_logical_error, dict(p2_grid=P2_GRID, seed=SEED, theta=THETA)),
+    "fidelity-sweep": (_analysis_runner("fidelity_sweep.csv"), dict(p2_grid=P2_GRID, seed=SEED, theta=THETA)),
+    "logical-error": (_analysis_runner("logical_error.csv"), dict(p2_grid=P2_GRID, seed=SEED, theta=THETA)),
     "stateprep": (exp_stateprep, dict(p2_grid=P2_GRID, seed=SEED)),
     "red-pipeline": (exp_red_pipeline, dict(
         hamiltonian=HAMILTONIAN, noise=Key({"kind": "device"}, _device_model), shots=Key(20000, _count(1)),

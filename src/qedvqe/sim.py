@@ -2,16 +2,16 @@
 
 The trajectory backend unravels each attached channel into stochastic Pauli
 insertions plus jump/no-jump amplitude-damping branches on statevectors, so
-it reaches register sizes (up to TRAJECTORY_QUBIT_CAP qubits) that the
-density backend cannot. Each shot draws from its own counter-based RNG
-stream keyed by (master seed, shot index), which makes results independent
-of how shots are partitioned into batches or workers. The streams of a whole
-batch are computed together as arrays, and only shots that carry a fault are
-evolved: each distinct fault history once, and the new histories of a batch
-together, as the rows of one (B, 2^n) statevector array. Both backends read
-measured bits through the circuit's per-bit read kernel; the
-readout-encoding gadget is such a kernel (red_vote_kernel_for), so a
-readout-encoded run samples the 2- or 6-qubit circuit it encodes.
+it reaches registers (up to TRAJECTORY_QUBIT_CAP qubits) that the density
+backend cannot. Shot i owns its own Philox4x64-10 stream, so batching never
+changes results: the nb = ceil(n_draws / 4) counter blocks i * nb + 1 to
+(i + 1) * nb under key seed mod 2^64, which numpy draws as
+Generator(Philox(key=seed % 2**64).advance(i * nb)).random(n_draws). Only
+shots that carry a fault are evolved, each distinct fault history once, as
+rows of one (B, 2^n) statevector array. Both backends read measured bits
+through the circuit's per-bit read kernel; the readout-encoding gadget is
+such a kernel (red_vote_kernel_for), so a readout-encoded run samples the 2-
+or 6-qubit circuit it encodes.
 """
 from __future__ import annotations
 
@@ -187,45 +187,21 @@ def shot_limit_table(noisy: NoisyCircuit) -> tuple[ShotTable, float]:
 # ---------------------------------------------------------------------------
 
 
-# Philox4x64-10 round multipliers and key bumps (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-
-
-def _mulhilo(m: int, x: np.ndarray):
-    """High and low 64-bit words of the 128-bit products m * x, from 32-bit limbs."""
-    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x0, x1 = x & _LO32, x >> _S32
-    p01, p10 = m0 * x1, m1 * x0
-    mid = (m0 * x0 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
-    hi = m1 * x1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
-    return hi, np.uint64(m) * x
-
-
 def _philox_uniforms(seed: int, shot_offset: int, n_shots: int, n_draws: int) -> np.ndarray:
     """(n_shots, n_draws) uniforms; row i is the stream of shot shot_offset + i.
 
-    Counter-based streams: each shot owns a disjoint 2^128-draw block. Row i
-    equals Generator(Philox(key=seed, counter=[0, 0, shot, 0])).random(n_draws)
-    bit for bit: that generator bumps the counter before each four-word block,
-    so block b is Philox4x64-10 of counter [b + 1, 0, shot, 0] under key
-    [seed, 0], and each double is the top 53 bits of a word.
+    Counter-based streams (Salmon et al., SC'11): under key seed mod 2^64,
+    shot s owns the nb = ceil(n_draws / 4) four-word Philox4x64-10 blocks of
+    counters s * nb + 1 to (s + 1) * nb, and each double is the top 53 bits
+    of a word. The streams of consecutive shots are contiguous, so numpy's
+    Philox walks a whole block of shots in one call. Row i equals, bit for bit,
+    Generator(Philox(key=seed % 2**64).advance((shot_offset + i) * nb)).random(n_draws).
     """
     n_blocks = -(-n_draws // 4)
-    # block counters along axis 1, shot counters along axis 0; the first two
-    # rounds stay broadcast rows and columns
-    c0 = np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :]
-    c2 = (np.uint64(shot_offset) + np.arange(n_shots, dtype=np.uint64))[:, None]
-    c1 = c3 = np.uint64(0)
-    for r in range(10):
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
-        k1 = np.uint64(r * _PHILOX_W[1] % 2**64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(n_shots, 4 * n_blocks)
+    # numpy.random is imported on first use, here: it costs about 6 MB, and
+    # the density backend never samples
+    bits = np.random.Philox(key=seed % 2**64).advance(shot_offset * n_blocks)
+    words = bits.random_raw(n_shots * 4 * n_blocks).reshape(n_shots, 4 * n_blocks)
     return (words[:, :n_draws] >> np.uint64(11)) * 2.0**-53
 
 
@@ -395,7 +371,9 @@ class _Trajectory:
         Returns (final normalized amps, fault thresholds): a shot is fault-free
         when every location's uniform reaches its threshold, which is p_total
         for Pauli noise and the reference p_jump for damping. Such a shot is
-        resolved without evolving.
+        resolved without evolving. A damping location that empties the no-jump
+        branch (gamma = 1 on a qubit with no |0> weight) makes every shot jump
+        there: its threshold is infinite, and the returned amps are all zero.
         """
         amps = self._zero(1)
         thresholds = []
@@ -408,7 +386,10 @@ class _Trajectory:
                     continue
                 thresholds.append(ch.gamma * self._pop1_frac(amps, ch.qubit))
                 self._apply_channel(amps, ch, np.array([_QUIET]))
-        return amps[0] / np.linalg.norm(amps[0]), np.array(thresholds)
+                if not amps.any():
+                    thresholds[-1] = np.inf
+        norm = np.linalg.norm(amps[0])
+        return amps[0] / (norm or 1.0), np.array(thresholds)
 
 
 def _faulty_outcomes(traj: _Trajectory, u_loc, u_out, memo: dict) -> np.ndarray:
@@ -452,12 +433,12 @@ def sample_shots(
     one per measured qubit for its read, unless the read kernel K is the
     identity. A bit whose true value is b reads as 1 - b when its uniform u
     is below K[1 - b, b], and drops the shot when u >= K[0, b] + K[1, b];
-    the table holds the kept shots. The streams of a block of shots are
-    drawn in one array pass. Its fault-free shots resolve together against
-    a cached reference evolution. Shots with a fault are grouped by their
-    fault codes, and each group not seen before in this call is evolved
-    once, as one row of a batched statevector array. Outcomes appear in the
-    table in the order of their first shot.
+    the table holds the kept shots. The streams of a block of shots come
+    from one Philox call (_philox_uniforms). Its fault-free shots resolve
+    together against a cached reference evolution. Shots with a fault are
+    grouped by their fault codes, and each group not seen before in this
+    call is evolved once, as one row of a batched statevector array.
+    Outcomes appear in the table in the order of their first shot.
     """
     circ = noisy.circuit
     if circ.n_qubits > TRAJECTORY_QUBIT_CAP:
@@ -476,7 +457,7 @@ def sample_shots(
 
     n_loc, n_meas = thresholds.size, len(measured)
     kernel = noisy.readout
-    # an identity read needs no draws; omitting them leaves the earlier ones as they are
+    # an identity read needs no draws
     n_read = 0 if np.array_equal(kernel, np.eye(2)) else n_meas
     # by true bit b: misread below K[1 - b, b], dropped at or above the column sum
     flip_p, keep_p = kernel[[1, 0], [0, 1]], kernel.sum(axis=0)

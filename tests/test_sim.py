@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,10 +189,12 @@ def test_noiseless_sampling_theta_zero():
     assert table.counts == {"00": 1000}
 
 
-def _shot_generator(seed: int, shot_index: int) -> np.random.Generator:
-    """Reference stream of one shot: numpy's own Philox, keyed by (seed, shot index)."""
-    counter = np.array([0, 0, shot_index, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+def _shot_generator(seed: int, shot_index: int, n_draws: int) -> np.random.Generator:
+    """Reference stream of one shot of n_draws uniforms: numpy's own Philox
+    under key seed mod 2^64, advanced past the ceil(n_draws / 4) counter blocks
+    of every earlier shot."""
+    bits = np.random.Philox(key=seed % 2**64).advance(shot_index * -(-n_draws // 4))
+    return np.random.Generator(bits)
 
 
 def replay_per_shot(noisy, n_shots: int, seed: int, shot_offset: int = 0) -> dict:
@@ -201,9 +204,10 @@ def replay_per_shot(noisy, n_shots: int, seed: int, shot_offset: int = 0) -> dic
     ref_cdf = np.cumsum(np.abs(ref_amps) ** 2)
     ref_cdf[-1] = 1.0
     kernel, n = noisy.readout, noisy.circuit.n_qubits
+    n_read = 0 if np.array_equal(kernel, np.eye(2)) else len(noisy.circuit.measured_qubits)
     counts = {}
     for i in range(n_shots):
-        gen = _shot_generator(seed, shot_offset + i)
+        gen = _shot_generator(seed, shot_offset + i, thresholds.size + 1 + n_read)
         u_loc = gen.random(thresholds.size)
         u_out = gen.random()
         cdf = ref_cdf
@@ -224,7 +228,7 @@ def replay_per_shot(noisy, n_shots: int, seed: int, shot_offset: int = 0) -> dic
 
 @settings(max_examples=200, deadline=None)
 @given(
-    seed=st.integers(0, 2**63 - 1),
+    seed=st.integers(-(2**70), 2**70),  # reduced mod 2^64, negative and wide seeds included
     first_shot=st.integers(0, 2**64 - 4),
     n_shots=st.integers(1, 3),
     n_draws=st.integers(0, 130),
@@ -233,8 +237,23 @@ def test_philox_uniforms_match_reference_stream(seed, first_shot, n_shots, n_dra
     rows = sim._philox_uniforms(seed, first_shot, n_shots, n_draws)
     assert rows.shape == (n_shots, n_draws)
     for i in range(n_shots):
-        want = _shot_generator(seed, first_shot + i).random(n_draws)
+        want = _shot_generator(seed, first_shot + i, n_draws).random(n_draws)
         assert rows[i].tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first_shot=st.integers(0, 2**64),
+    n_draws=st.integers(0, 40),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+)
+def test_philox_uniforms_split_into_any_shot_ranges(seed, first_shot, n_draws, sizes):
+    # one call over a shot range equals the calls over any split of it, stacked
+    whole = sim._philox_uniforms(seed, first_shot, sum(sizes), n_draws)
+    starts = np.cumsum([0] + sizes[:-1])
+    parts = [sim._philox_uniforms(seed, first_shot + int(a), n, n_draws) for a, n in zip(starts, sizes)]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
 ENCODED = builders.build_encoded_ansatz(-0.22967, "Z")
@@ -335,6 +354,19 @@ def test_full_memo_leaves_counts_unchanged(monkeypatch):
     monkeypatch.setattr(sim, "_MEMO_BYTES", 3 * 8 * 2**noisy.circuit.n_qubits)  # three cdfs
     got = sample_shots(noisy, TrajectoryConfig(2500, seed=8), shot_offset=123)
     assert list(got.counts.items()) == list(want.items())
+
+
+def test_damping_that_empties_the_no_jump_branch_makes_every_shot_faulty():
+    # gamma = 1 on |1> leaves the reference's no-jump branch empty: every shot
+    # jumps there to |0>, and nothing divides by its zero norm
+    circ = Circuit(1, (qcore.x(0), qcore.measure(0)), (ROLE_DATA,))
+    noisy = noise.NoisyCircuit(circ, ((noise.DampingNoise(0, 1.0),), ()), (), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amps, thresholds = sim._Trajectory(noisy).no_jump_reference()
+        table = sample_shots(noisy, TrajectoryConfig(300, seed=3))
+    assert not amps.any() and thresholds.tolist() == [np.inf]
+    assert table.counts == {"0": 300}
 
 
 def trajectory_oracle(noisy, u_row) -> np.ndarray:
