@@ -16,12 +16,13 @@ the study uses each in its own context.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .builders import codeword
-from .qcore import DensityMatrix, kron_all
+from .qcore import DensityMatrix, StateVector, kron_all
 
 PROJECTOR_KINDS = ("PI_A", "PI_P", "PI_AP", "S_A", "S_P", "S_AP")
 
@@ -38,23 +39,19 @@ def _code_projector() -> np.ndarray:
     return out
 
 
+@functools.cache
 def build_projector(kind: str) -> np.ndarray:
     """Hermitian idempotent projector for the requested post-selection rule."""
     if kind not in PROJECTOR_KINDS:
         raise ValueError(f"unknown projector kind {kind!r}")
-    code = _code_projector()
-    eye4 = np.eye(16, dtype=complex)
-    if kind == "PI_A":
-        return kron_all(_P0, eye4, _P0)
-    if kind == "PI_P":
-        return kron_all(_I2, code, _P0)
-    if kind == "PI_AP":
-        return kron_all(_P0, code, _P0)
-    if kind == "S_A":
-        return kron_all(_P0, eye4)
-    if kind == "S_P":
-        return kron_all(_I2, code)
-    return kron_all(_P0, code)
+    code, eye4 = _code_projector(), np.eye(16, dtype=complex)
+    factors = {
+        "PI_A": (_P0, eye4, _P0), "PI_P": (_I2, code, _P0), "PI_AP": (_P0, code, _P0),
+        "S_A": (_P0, eye4), "S_P": (_I2, code), "S_AP": (_P0, code),
+    }[kind]
+    out = kron_all(*factors)
+    out.setflags(write=False)  # built once and shared by every caller
+    return out
 
 
 def project_state(rho: DensityMatrix, kind: str) -> DensityMatrix:
@@ -70,10 +67,13 @@ def project_with(rho: DensityMatrix, projector: np.ndarray) -> DensityMatrix:
     return DensityMatrix(rho.n_qubits, mat / weight)
 
 
+@functools.cache
 def qubit_value_projector(n_qubits: int, qubit: int, value: int) -> np.ndarray:
     factors = [_I2] * n_qubits
     factors[qubit] = _P0 if value == 0 else np.array([[0, 0], [0, 1]], dtype=complex)
-    return kron_all(*factors)
+    out = kron_all(*factors)
+    out.setflags(write=False)
+    return out
 
 
 def project_qubit(rho: DensityMatrix, qubit: int, value: int) -> DensityMatrix:
@@ -90,19 +90,28 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def fidelity(rho1: DensityMatrix, rho2: DensityMatrix, pure_tol: float = 1e-10) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho2) rho1 sqrt(rho2)))^2.
+def _pure_ket(state, pure_tol: float) -> np.ndarray | None:
+    """A StateVector's amplitudes, a rank-one DensityMatrix's top eigenvector, else None."""
+    if isinstance(state, StateVector):
+        return state.amps
+    vals, vecs = np.linalg.eigh(state.mat)
+    return vecs[:, -1] if vals[:-1].max(initial=0.0) < pure_tol else None
 
-    When either argument is rank one the pure-state shortcut <psi|rho|psi>
-    is used; the two routes agree to the stated tolerance and the general
-    eigendecomposition route remains available for mixed/mixed pairs.
+
+def fidelity(rho1, rho2, pure_tol: float = 1e-10) -> float:
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho2) rho1 sqrt(rho2)))^2; either state may be a StateVector.
+
+    When either state is pure (a ket, or a DensityMatrix of rank one) the
+    shortcut <psi|rho|psi> is used; the two routes agree to the stated tolerance
+    and the general eigendecomposition route remains available for mixed/mixed pairs.
     """
-    if rho1.mat.shape != rho2.mat.shape:
+    if rho1.n_qubits != rho2.n_qubits:
         raise ValueError("fidelity needs equal dimensions")
+    if isinstance(rho2, StateVector):  # a ket is taken first, without eigh
+        rho1, rho2 = rho2, rho1
     for a, b in ((rho1, rho2), (rho2, rho1)):
-        vals, vecs = np.linalg.eigh(a.mat)
-        if vals[:-1].max(initial=0.0) < pure_tol:
-            psi = vecs[:, -1]
+        psi = _pure_ket(a, pure_tol)
+        if psi is not None:
             return float(np.clip((psi.conj() @ b.mat @ psi).real, 0.0, 1.0))
     s2 = _psd_sqrt(rho2.mat)
     inner = _psd_sqrt(s2 @ rho1.mat @ s2)
@@ -133,12 +142,13 @@ class LogicalErrorReport:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-def logical_error_report(rho_noisy: DensityMatrix, rho_ideal: DensityMatrix) -> LogicalErrorReport:
-    """Logical/non-logical error split over the a2=0 branch of the encoded register."""
-    vals = np.linalg.eigh(rho_ideal.mat)[0]
-    if vals[:-1].max(initial=0.0) > 1e-10:
+def logical_error_report(rho_noisy: DensityMatrix, rho_ideal) -> LogicalErrorReport:
+    """Logical/non-logical error split over the a2=0 branch of the encoded
+    register, against a pure ideal state (a StateVector or a DensityMatrix)."""
+    psi = _pure_ket(rho_ideal, 1e-10)
+    if psi is None:
         raise ValueError("rho_ideal must be pure")
-    p_ideal = float(np.trace(rho_noisy.mat @ rho_ideal.mat).real)
+    p_ideal = float((psi.conj() @ rho_noisy.mat @ psi).real)
     p_logical = float(np.trace(build_projector("PI_P") @ rho_noisy.mat).real)
     p_ap = float(np.trace(build_projector("PI_AP") @ rho_noisy.mat).real)
     p_eps_all = 1.0 - p_ideal

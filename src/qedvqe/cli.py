@@ -289,18 +289,39 @@ def shot_limit_estimates(ham, model, theta, strategies=("NONE", "PSA", "PSP", "P
 # ---------------------------------------------------------------------------
 
 
+def _density_in_theta(build, model):
+    """theta -> the state of build(theta, "Z") under the model, from three evolutions.
+
+    theta is the angle (+-theta + const) of one RY or RZ and no channel reads it, so with
+    c = cos(theta/2) and s = sin(theta/2), exactly (Rotosolve: Ostaszewski et al., Quantum
+    5, 391 (2021)) rho(theta) = c^2 rho(0) + s^2 rho(pi) + cs (2 rho(pi/2) - rho(0) - rho(pi)).
+    An ansatz that breaks this premise is a fault of the program: a ValueError."""
+    circuits = [build(t, "Z") for t in (0.0, math.pi, math.pi / 2)]
+    moved = [(a, b) for a, b in zip(circuits[0].ops, circuits[2].ops) if a != b]
+    if len(circuits[0].ops) != len(circuits[2].ops) or len(moved) != 1 or not all(
+        a.kind == b.kind in qcore.PARAMETRIC_KINDS and a.qubits == b.qubits
+        and math.isclose(abs(b.angle - a.angle), math.pi / 2, abs_tol=1e-12) for a, b in moved
+    ):
+        raise ValueError("theta must be the angle (+-theta + const) of exactly one RY or RZ of the ansatz")
+    rho0, rho_pi, rho_half = (_evolve(circ, model).mat for circ in circuits)
+    cross, n = 2.0 * rho_half - rho0 - rho_pi, circuits[0].n_qubits
+    return lambda theta: qcore.DensityMatrix(
+        n, math.cos(theta / 2) ** 2 * rho0 + math.sin(theta / 2) ** 2 * rho_pi + 0.5 * math.sin(theta) * cross
+    )
+
+
 def exp_scan(hamiltonian, noise, points, encoded, seed):
-    # the operators that do not depend on theta are built once per scan
+    # what does not depend on theta is built once per scan, the states included
     mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
     build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
-    a2_zero = analysis.qubit_value_projector(6, 5, 0) if encoded else None
+    rho_at = _density_in_theta(build, noise)
     obs = hamiltonian.observable(mode)
     terms = [(g, qcore.pauli_word(w)) for g, w in zip(hamiltonian.coeffs[1:], estimate.WORDS[mode][1:])]
 
     def runner(theta: float) -> estimate.EnergyEstimate:
-        rho = _evolve(build(theta, "Z"), noise)
+        rho = rho_at(theta)
         if encoded:
-            rho = analysis.project_with(rho, a2_zero)
+            rho = analysis.project_qubit(rho, 5, 0)
         mean = qcore.expectation(rho, obs)
         var = sum(g * g * max(0.0, 1.0 - qcore.expectation(rho, p) ** 2) for g, p in terms)
         return estimate.EnergyEstimate(mean, var, 0.0, {"Z": 0, "X": 0})
@@ -361,18 +382,12 @@ def _analysis_point(p2, theta, seed):
     model = noise.DepolarizingParams(p2=p2)
     rho_u = _evolve(builders.build_unencoded_ansatz(theta, "Z"), model)
     rho_e = _evolve(builders.build_encoded_ansatz(theta, "Z"), model)
-    ideal_u = builders.unencoded_target_state(theta).outer()
-    ideal_full = builders.encoded_target_state(theta).outer()
-    ideal_branch = builders.encoded_branch_state(theta, 0).outer()
-    f_unenc = analysis.fidelity(ideal_u, rho_u)
-    f_enc = analysis.fidelity(ideal_full, rho_e)
-    f_proj = {
-        kind: analysis.fidelity(ideal_branch, analysis.project_state(rho_e, kind))
-        for kind in ("PI_A", "PI_P", "PI_AP")
-    }
-    report = analysis.logical_error_report(analysis.project_qubit(rho_e, 5, 0), ideal_branch)
+    branch = builders.encoded_branch_state(theta, 0)  # the ideal states are kets
+    report = analysis.logical_error_report(analysis.project_qubit(rho_e, 5, 0), branch)
     return (
-        p2, f_unenc, f_enc, f_proj["PI_A"], f_proj["PI_P"], f_proj["PI_AP"],
+        p2, analysis.fidelity(builders.unencoded_target_state(theta), rho_u),
+        analysis.fidelity(builders.encoded_target_state(theta), rho_e),
+        *(analysis.fidelity(branch, analysis.project_state(rho_e, kind)) for kind in ("PI_A", "PI_P", "PI_AP")),
         report.p_eps_all, report.p_eps_NL, report.p_eps_L, report.p_eps_A, seed,
     )
 
@@ -389,16 +404,11 @@ def _analysis_runner(csv_name):
 
 
 def exp_stateprep(p2_grid, seed):
-    rows = []
-    ideal = builders.prep_target_state().outer()
+    rows, ideal = [], builders.prep_target_state()
     for p2 in p2_grid:
         rho = _evolve(builders.build_state_prep_422(True), noise.DepolarizingParams(p2=p2))
-        f_raw = analysis.fidelity(ideal, rho)
-        f = {
-            kind: analysis.fidelity(ideal, analysis.project_state(rho, kind))
-            for kind in ("S_A", "S_P", "S_AP")
-        }
-        rows.append((p2, f_raw, f["S_A"], f["S_P"], f["S_AP"], seed))
+        states = [rho] + [analysis.project_state(rho, kind) for kind in ("S_A", "S_P", "S_AP")]
+        rows.append((p2, *(analysis.fidelity(ideal, state) for state in states), seed))
     header = ("p2", "F_prep", "F_S_A", "F_S_P", "F_S_AP", "seed")
     return {"stateprep.csv": (header, rows)}, {}, f"{len(rows)} noise points"
 

@@ -304,14 +304,24 @@ def apply_unitary_sv(amps: np.ndarray, n: int, mat: np.ndarray, qubits) -> np.nd
     return t.reshape(-1)
 
 
-def apply_kraus(rho: np.ndarray, kraus, qubits) -> np.ndarray:
-    """rho -> sum K rho K^dagger on ``qubits``, for rho as a 2^n x 2^n matrix or
-    a (2,)*2n tensor (kept in its shape): one contraction of sum K (x) K* into
-    the row axes ``qubits`` and the column axes n + ``qubits``. A gate U is [U]."""
+def superoperator(kraus) -> np.ndarray:
+    """The (4^k, 4^k) matrix of rho -> sum K rho K^dagger for Kraus operators on k
+    qubits (a gate U is [U]); each index runs over the qubits as (row, column) bit pairs."""
+    kraus = np.asarray(kraus)
+    k = kraus.shape[-1].bit_length() - 1
+    sup = np.einsum("kia,kjb->ijab", kraus, kraus.conj()).reshape((2,) * (4 * k))
+    pairs = [a for q in range(k) for a in (q, k + q)]
+    return sup.transpose(pairs + [2 * k + a for a in pairs]).reshape(4**k, 4**k)
+
+
+def apply_superoperator(rho: np.ndarray, superop: np.ndarray, qubits) -> np.ndarray:
+    """The density kernel: superop on ``qubits`` applied to rho (2^n x 2^n, or a (2,)*2n
+    tensor, kept in its shape) as a transpose, one (4^k, rest) matmul, and back."""
     n = (rho.size.bit_length() - 1) // 2
-    superop = np.einsum("kia,kjb->ijab", kraus, np.conj(kraus))
-    t = _apply_matrix_axes(rho.reshape((2,) * (2 * n)), superop, tuple(qubits) + tuple(n + q for q in qubits))
-    return t.reshape(rho.shape)
+    axes = tuple(a for q in qubits for a in (q, n + q))
+    order = axes + tuple(a for a in range(2 * n) if a not in axes)
+    front = rho.reshape((2,) * (2 * n)).transpose(order).reshape(len(superop), -1)
+    return (superop @ front).reshape((2,) * (2 * n)).transpose(np.argsort(order)).reshape(rho.shape)
 
 
 def apply_gate(state, gate: Gate):
@@ -324,7 +334,7 @@ def apply_gate(state, gate: Gate):
     if isinstance(state, StateVector):
         return StateVector(state.n_qubits, apply_unitary_sv(state.amps, state.n_qubits, mat, gate.qubits))
     if isinstance(state, DensityMatrix):
-        return DensityMatrix(state.n_qubits, apply_kraus(state.mat, (mat,), gate.qubits))
+        return DensityMatrix(state.n_qubits, apply_superoperator(state.mat, superoperator((mat,)), gate.qubits))
     raise TypeError("state must be StateVector or DensityMatrix")
 
 
@@ -355,7 +365,7 @@ def expectation(rho: DensityMatrix, observable: np.ndarray, herm_tol=1e-10, imag
         raise ValueError("observable dimension mismatch")
     if np.max(np.abs(obs - obs.conj().T)) > herm_tol:
         raise ValueError("observable not Hermitian")
-    val = complex(np.trace(obs @ rho.mat))
+    val = complex(np.sum(obs * rho.mat.T))  # Tr(O rho), elementwise
     if abs(val.imag) >= imag_tol:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real

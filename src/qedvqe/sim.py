@@ -33,10 +33,11 @@ from .qcore import (
     Circuit,
     DensityMatrix,
     _apply_matrix_axes,
-    apply_kraus,
+    apply_superoperator,
     apply_unitary_sv,
     bitstring,
     measure,
+    superoperator,
     x,
 )
 
@@ -116,19 +117,26 @@ class TrajectoryConfig:
 
 
 def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
-    """Exact mixed state after all gates and channels, before measurement/readout."""
+    """Exact mixed state after all gates and channels, before measurement/readout.
+    One contraction per init flip and per gate slot: a unitary gate and its slot's
+    channels on its qubits are one superoperator, each channel's applied to its qubit's pair."""
     circ = noisy.circuit
     n = circ.n_qubits
     if n > DENSITY_QUBIT_CAP:
         raise ValueError(f"density backend capped at {DENSITY_QUBIT_CAP} qubits, got {n}")
     rho = DensityMatrix.zero(n).mat.reshape((2,) * (2 * n))
     for ch in noisy.pre_channels:
-        rho = apply_kraus(rho, ch.kraus, (ch.qubit,))
+        rho = apply_superoperator(rho, superoperator(ch.kraus), (ch.qubit,))
     for op, slot in zip(circ.ops, noisy.channels):
         if op.is_unitary:
-            rho = apply_kraus(rho, (op.matrix(),), op.qubits)
+            fused = superoperator((op.matrix(),))
+            for ch in (ch for ch in slot if ch.qubit in op.qubits):
+                pair = op.qubits.index(ch.qubit)
+                fused = (superoperator(ch.kraus) @ fused.reshape((4,) * pair + (4, -1))).reshape(fused.shape)
+            rho = apply_superoperator(rho, fused, op.qubits)
+            slot = [ch for ch in slot if ch.qubit not in op.qubits]  # these commute with it and follow
         for ch in slot:
-            rho = apply_kraus(rho, ch.kraus, (ch.qubit,))
+            rho = apply_superoperator(rho, superoperator(ch.kraus), (ch.qubit,))
     mat = rho.reshape(2**n, 2**n)
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-10:

@@ -74,6 +74,16 @@ def test_s_p_trace_on_maximally_mixed():
     assert np.trace(pi @ rho.mat).real == pytest.approx(8 / 32, abs=1e-12)
 
 
+def test_projectors_are_built_once_and_read_only():
+    for build in (lambda: build_projector("PI_AP"), lambda: analysis.qubit_value_projector(6, 5, 0)):
+        pi = build()
+        assert build() is pi
+        with pytest.raises(ValueError, match="read-only"):
+            pi[0, 0] = 0.0
+    with pytest.raises(ValueError, match="unknown projector kind"):
+        build_projector("PI_X")
+
+
 PROJECTORS = {kind: build_projector(kind) for kind in RANKS}
 
 
@@ -167,6 +177,23 @@ def test_pure_shortcut_agrees_with_eigendecomposition_route():
         s2 = analysis._psd_sqrt(rho.mat)
         general = np.trace(analysis._psd_sqrt(s2 @ pure.mat @ s2)).real ** 2
         assert shortcut == pytest.approx(general, abs=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rank=st.integers(1, 64))
+def test_fidelity_of_a_ket_equals_that_of_its_projector(seed, n, rank):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    ket = StateVector(n, psi / np.linalg.norm(psi))
+    rho = random_density(rng, n, min(rank, 2**n))
+    want = fidelity(ket.outer(), rho)
+    for got in (fidelity(ket, rho), fidelity(rho, ket)):
+        assert abs(got - want) <= 1e-12
+    if n == 6:  # an ideal branch state lies in the codespace, as the report needs
+        ideal = builders.encoded_branch_state(rng.uniform(-math.pi, math.pi), 0)
+        by_ket, by_projector = logical_error_report(rho, ideal), logical_error_report(rho, ideal.outer())
+        for field in ("p_ideal", "p_eps_all", "p_eps_L", "p_eps_A"):
+            assert abs(getattr(by_ket, field) - getattr(by_projector, field)) <= 1e-12
 
 
 def test_fidelity_symmetric_in_arguments():

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qedvqe import builders, cli, estimate, noise, postselect, sim
+from qedvqe import builders, cli, estimate, noise, postselect, qcore, sim
 
 
 def read_rows(path):
@@ -238,6 +240,48 @@ def test_scan_matches_closed_form_and_reports_argmin(tmp_path):
     assert manifest["theta_min"] == pytest.approx(
         grid[np.argmin(np.abs(grid - estimate.THETA_STAR))], abs=1e-12
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    theta=st.floats(-4 * math.pi, 4 * math.pi),
+    encoded=st.booleans(),
+    model=st.one_of(
+        st.floats(0.0, 0.2).map(lambda p2: noise.DepolarizingParams(p2=p2)),
+        st.just(noise.default_device_model()),
+    ),
+)
+def test_scan_state_from_three_evolutions_equals_the_evolved_state(theta, encoded, model):
+    # theta enters through one RY or RZ, so rho(theta) is trigonometric in theta/2
+    build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
+    want = sim.evolve_density(noise.attach_noise(build(theta, "Z"), model)).mat
+    assert np.max(np.abs(cli._density_in_theta(build, model)(theta).mat - want)) <= 1e-12
+
+
+def _ansatz_with(*gates):
+    """An ansatz whose Z-basis circuit is the gates theta -> ops, then a read of both qubits."""
+    def build(theta, basis):
+        ops = [op for gate in gates for op in gate(theta)] + [qcore.measure(0), qcore.measure(1)]
+        return qcore.Circuit(2, ops, (qcore.ROLE_DATA,) * 2)
+
+    return build
+
+
+@pytest.mark.parametrize("build", [
+    _ansatz_with(lambda t: [qcore.ry(t, 0)], lambda t: [qcore.rz(t, 1)]),  # two ops move
+    _ansatz_with(lambda t: [qcore.h(0) if t == 0.0 else qcore.x(0)]),  # the moved op is not RY/RZ
+    _ansatz_with(lambda t: [qcore.ry(t, 0) if t == 0.0 else qcore.rz(t, 0)]),  # its kind changes
+    _ansatz_with(lambda t: [qcore.ry(2 * t, 0)]),  # its angle is 2 theta
+    _ansatz_with(lambda t: [qcore.h(0)] * (1 + (t > 0))),  # an op is added
+    _ansatz_with(lambda t: [qcore.h(0)]),  # no op moves
+])
+def test_scan_checks_that_theta_is_one_rotation_angle(build, tmp_path, monkeypatch, capsys):
+    with pytest.raises(ValueError, match="exactly one RY or RZ"):
+        cli._density_in_theta(build, noise.DepolarizingParams(p2=0.01))
+    # an ansatz that breaks the premise is a fault of the program, not of the config
+    monkeypatch.setattr(cli.builders, "build_unencoded_ansatz", build)
+    assert cli.main(["scan", "--out", str(tmp_path)]) == cli.EXIT_INTERNAL
+    assert "invalid config" not in capsys.readouterr().err
 
 
 def test_table2_determinism_and_manifest_rerun(tmp_path):

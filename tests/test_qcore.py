@@ -160,6 +160,16 @@ def test_expectation_errors():
         expectation(rho, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_expectation_is_the_trace_of_the_product():
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 6):
+        m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = DensityMatrix(n, (m @ m.conj().T) / np.trace(m @ m.conj().T).real)
+        h = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        obs = h + h.conj().T
+        assert abs(expectation(rho, obs) - np.trace(obs @ rho.mat).real) <= 1e-12
+
+
 def test_expectation_linearity():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

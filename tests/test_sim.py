@@ -142,6 +142,31 @@ def test_evolve_density_matches_a_kraus_sum_oracle(case):
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
+def test_evolve_density_applies_channels_off_the_gate_and_after_a_measurement():
+    # a slot may hold channels on a qubit its gate does not touch, and a
+    # measurement's slot channels of its own: each is the Kraus sum it states
+    def on(k, q):
+        return np.kron(k, np.eye(2)) if q == 0 else np.kron(np.eye(2), k)
+
+    ops = (qcore.h(0), qcore.cnot(0, 1), qcore.measure(1), qcore.measure(0))
+    slots = (
+        (noise.DampingNoise(1, 0.3), noise.PauliNoise(0, 0.1, 0.05, 0.02), noise.PauliNoise(1, 0.2, 0.0, 0.0)),
+        (noise.DampingNoise(0, 0.4),),
+        (noise.PauliNoise(1, 0.1, 0.1, 0.1),),
+        (noise.DampingNoise(0, 0.25),),
+    )
+    noisy = noise.NoisyCircuit(Circuit(2, ops, (ROLE_DATA,) * 2), slots)
+    want = np.zeros((4, 4), dtype=complex)
+    want[0, 0] = 1.0
+    for op, slot in zip(ops, slots):
+        if op.is_unitary:
+            u = np.kron(op.matrix(), np.eye(2)) if len(op.qubits) == 1 else op.matrix()
+            want = u @ want @ u.conj().T
+        for ch in slot:
+            want = sum(on(k, ch.qubit) @ want @ on(k, ch.qubit).conj().T for k in ch.kraus)
+    assert np.max(np.abs(evolve_density(noisy).mat - want)) <= 1e-14
+
+
 def test_born_distribution_basics():
     sv = qcore.StateVector(2, [0, 1, 0, 0])  # |01>
     assert born_distribution(sv.outer()) == {"01": pytest.approx(1.0)}
