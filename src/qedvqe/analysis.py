@@ -56,29 +56,22 @@ def build_projector(kind: str) -> np.ndarray:
 
 def project_state(rho: DensityMatrix, kind: str) -> DensityMatrix:
     """Normalized projected state Pi rho Pi / Tr(Pi rho Pi)."""
-    return project_with(rho, build_projector(kind))
+    pi = build_projector(kind)
+    return _normalized(rho, pi @ rho.mat @ pi.conj().T)
 
 
-def project_with(rho: DensityMatrix, projector: np.ndarray) -> DensityMatrix:
-    mat = projector @ rho.mat @ projector.conj().T
+def project_qubit(rho: DensityMatrix, qubit: int, value: int) -> DensityMatrix:
+    """Condition a density matrix on a computational value of one qubit: P rho P
+    for the diagonal projector P is rho masked to the rows and columns that hold it."""
+    keep = (np.arange(2**rho.n_qubits) >> (rho.n_qubits - 1 - qubit)) & 1 == value
+    return _normalized(rho, np.where(keep[:, None] & keep, rho.mat, 0.0))
+
+
+def _normalized(rho: DensityMatrix, mat: np.ndarray) -> DensityMatrix:
     weight = np.trace(mat).real
     if weight <= 1e-14:
         raise ValueError("projection has vanishing support (total rejection)")
     return DensityMatrix(rho.n_qubits, mat / weight)
-
-
-@functools.cache
-def qubit_value_projector(n_qubits: int, qubit: int, value: int) -> np.ndarray:
-    factors = [_I2] * n_qubits
-    factors[qubit] = _P0 if value == 0 else np.array([[0, 0], [0, 1]], dtype=complex)
-    out = kron_all(*factors)
-    out.setflags(write=False)
-    return out
-
-
-def project_qubit(rho: DensityMatrix, qubit: int, value: int) -> DensityMatrix:
-    """Condition a density matrix on a computational value of one qubit."""
-    return project_with(rho, qubit_value_projector(rho.n_qubits, qubit, value))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -112,7 +105,8 @@ def fidelity(rho1, rho2, pure_tol: float = 1e-10) -> float:
     for a, b in ((rho1, rho2), (rho2, rho1)):
         psi = _pure_ket(a, pure_tol)
         if psi is not None:
-            return float(np.clip((psi.conj() @ b.mat @ psi).real, 0.0, 1.0))
+            val = abs(np.vdot(psi, b.amps)) ** 2 if isinstance(b, StateVector) else (psi.conj() @ b.mat @ psi).real
+            return float(np.clip(val, 0.0, 1.0))
     s2 = _psd_sqrt(rho2.mat)
     inner = _psd_sqrt(s2 @ rho1.mat @ s2)
     return float(np.clip(np.trace(inner).real ** 2, 0.0, 1.0))

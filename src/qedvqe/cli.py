@@ -265,7 +265,11 @@ def _encoded_rows(ham, model, shots, seed, theta, strategies, tag="encoded"):
 
 def _density_strategy_energy(ham, model, theta, kind):
     """Infinite-shot energy of a projected encoded state (Z-basis circuit)."""
-    rho = _evolve(builders.build_encoded_ansatz(theta, "Z"), model)
+    return _projected_energy(ham, _evolve(builders.build_encoded_ansatz(theta, "Z"), model), kind)
+
+
+def _projected_energy(ham, rho, kind):
+    """The logical energy of an encoded state rho projected by strategy kind."""
     if kind == "NONE":
         rho_sel = analysis.project_qubit(rho, 5, 0)
     else:
@@ -344,10 +348,8 @@ def exp_table2(hamiltonian, noise, shots, strategies, seed, theta):
             _evolve(builders.build_unencoded_ansatz(theta, "Z"), noise), hamiltonian.matrix()
         ), seed)
     ]
-    density += [
-        (f"density/{kind}", 1e3 * _density_strategy_energy(hamiltonian, noise, theta, kind), seed)
-        for kind in strategies
-    ]
+    rho = _evolve(builders.build_encoded_ansatz(theta, "Z"), noise)  # one evolution serves every strategy
+    density += [(f"density/{kind}", 1e3 * _projected_energy(hamiltonian, rho, kind), seed) for kind in strategies]
     summary = "\n".join(f"{r[0]:20s} {r[1]:9.2f} mHa  eta_Z={100 * r[4]:.3f}%" for r in rows)
     return {
         "table2.csv": (ENERGY_HEADER, rows),

@@ -291,17 +291,16 @@ class DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _apply_matrix_axes(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
-    """Contract mat (acting on len(axes) qubit indices) into the given tensor axes."""
-    k = len(axes)
-    m = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(m, tensor, axes=(tuple(range(k, 2 * k)), tuple(axes)))
-    return np.moveaxis(out, tuple(range(k)), tuple(axes))
-
-
-def apply_unitary_sv(amps: np.ndarray, n: int, mat: np.ndarray, qubits) -> np.ndarray:
-    t = _apply_matrix_axes(amps.reshape((2,) * n), mat, qubits)
-    return t.reshape(-1)
+def apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
+    """The one contraction kernel: mat (2^k x 2^k) on the k bit axes of a tensor
+    of 2^N entries (a ket, a 2^n x 2^n matrix or a (2,)*N tensor, kept in its
+    shape), the first axis most significant, as a transpose, one (2^k, rest)
+    matmul, and the inverse transpose."""
+    n = tensor.size.bit_length() - 1
+    order = [*axes, *(a for a in range(n) if a not in axes)]
+    front = tensor.reshape((2,) * n).transpose(order).reshape(len(mat), -1)
+    back = sorted(range(n), key=order.__getitem__)  # the inverse permutation
+    return (mat @ front).reshape((2,) * n).transpose(back).reshape(tensor.shape)
 
 
 def superoperator(kraus) -> np.ndarray:
@@ -315,13 +314,10 @@ def superoperator(kraus) -> np.ndarray:
 
 
 def apply_superoperator(rho: np.ndarray, superop: np.ndarray, qubits) -> np.ndarray:
-    """The density kernel: superop on ``qubits`` applied to rho (2^n x 2^n, or a (2,)*2n
-    tensor, kept in its shape) as a transpose, one (4^k, rest) matmul, and back."""
+    """superop on ``qubits`` applied to rho (2^n x 2^n, or a (2,)*2n tensor, kept
+    in its shape): apply_matrix on each qubit's (row, column) bit pair."""
     n = (rho.size.bit_length() - 1) // 2
-    axes = tuple(a for q in qubits for a in (q, n + q))
-    order = axes + tuple(a for a in range(2 * n) if a not in axes)
-    front = rho.reshape((2,) * (2 * n)).transpose(order).reshape(len(superop), -1)
-    return (superop @ front).reshape((2,) * (2 * n)).transpose(np.argsort(order)).reshape(rho.shape)
+    return apply_matrix(rho, superop, tuple(a for q in qubits for a in (q, n + q)))
 
 
 def apply_gate(state, gate: Gate):
@@ -332,7 +328,7 @@ def apply_gate(state, gate: Gate):
         raise ValueError("gate qubit out of range")
     mat = gate.matrix()
     if isinstance(state, StateVector):
-        return StateVector(state.n_qubits, apply_unitary_sv(state.amps, state.n_qubits, mat, gate.qubits))
+        return StateVector(state.n_qubits, apply_matrix(state.amps, mat, gate.qubits))
     if isinstance(state, DensityMatrix):
         return DensityMatrix(state.n_qubits, apply_superoperator(state.mat, superoperator((mat,)), gate.qubits))
     raise TypeError("state must be StateVector or DensityMatrix")

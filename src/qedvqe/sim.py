@@ -32,9 +32,8 @@ from .qcore import (
     ROLE_DATA,
     Circuit,
     DensityMatrix,
-    _apply_matrix_axes,
+    apply_matrix,
     apply_superoperator,
-    apply_unitary_sv,
     bitstring,
     measure,
     superoperator,
@@ -132,7 +131,7 @@ def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
             fused = superoperator((op.matrix(),))
             for ch in (ch for ch in slot if ch.qubit in op.qubits):
                 pair = op.qubits.index(ch.qubit)
-                fused = (superoperator(ch.kraus) @ fused.reshape((4,) * pair + (4, -1))).reshape(fused.shape)
+                fused = apply_matrix(fused, superoperator(ch.kraus), (2 * pair, 2 * pair + 1))
             rho = apply_superoperator(rho, fused, op.qubits)
             slot = [ch for ch in slot if ch.qubit not in op.qubits]  # these commute with it and follow
         for ch in slot:
@@ -148,10 +147,8 @@ def _read(probs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """A distribution over basis-state indices read through the per-bit kernel
     K[read, true] on every bit; a lossy kernel leaves less mass, never more."""
     if not np.array_equal(kernel, np.eye(2)):
-        t = probs.reshape((2,) * (probs.size.bit_length() - 1))
-        for q in range(t.ndim):
-            t = _apply_matrix_axes(t, kernel, (q,))
-        probs = t.reshape(-1)
+        for q in range(probs.size.bit_length() - 1):
+            probs = apply_matrix(probs, kernel, (q,))
     if probs.sum() > 1.0 + 1e-10:
         raise ValueError("read kernel created probability mass")
     return probs
@@ -318,7 +315,7 @@ class _Trajectory:
             p1[...] = tmp
         else:
             for row in amps:
-                row[...] = apply_unitary_sv(row, self.n, op.matrix(), op.qubits)
+                row[...] = apply_matrix(row, op.matrix(), op.qubits)
 
     def _apply_channel(self, amps, ch, codes):
         """Apply one location, given its code for every row."""

@@ -75,11 +75,10 @@ def test_s_p_trace_on_maximally_mixed():
 
 
 def test_projectors_are_built_once_and_read_only():
-    for build in (lambda: build_projector("PI_AP"), lambda: analysis.qubit_value_projector(6, 5, 0)):
-        pi = build()
-        assert build() is pi
-        with pytest.raises(ValueError, match="read-only"):
-            pi[0, 0] = 0.0
+    pi = build_projector("PI_AP")
+    assert build_projector("PI_AP") is pi
+    with pytest.raises(ValueError, match="read-only"):
+        pi[0, 0] = 0.0
     with pytest.raises(ValueError, match="unknown projector kind"):
         build_projector("PI_X")
 
@@ -143,6 +142,21 @@ def test_project_qubit_conditions_on_value():
     assert fidelity(ideal, branch) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_project_qubit_equals_the_dense_projector_route():
+    # the mask keeps exactly what P rho P keeps for P = |value><value| on the qubit
+    rng = np.random.default_rng(13)
+    one = np.array([[0, 0], [0, 1]], dtype=complex)
+    for n in range(1, 7):
+        rho = random_density(rng, n, int(rng.integers(1, 2**n + 1)))
+        for qubit in range(n):
+            for value, p in ((0, analysis._P0), (1, one)):
+                proj = qcore.kron_all(*[p if q == qubit else np.eye(2) for q in range(n)])
+                mat = proj @ rho.mat @ proj
+                assert np.array_equal(project_qubit(rho, qubit, value).mat, mat / np.trace(mat).real)
+    with pytest.raises(ValueError, match="vanishing support"):
+        project_qubit(DensityMatrix.zero(3), 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 # ---------------------------------------------------------------------------
@@ -188,6 +202,12 @@ def test_fidelity_of_a_ket_equals_that_of_its_projector(seed, n, rank):
     rho = random_density(rng, n, min(rank, 2**n))
     want = fidelity(ket.outer(), rho)
     for got in (fidelity(ket, rho), fidelity(rho, ket)):
+        assert abs(got - want) <= 1e-12
+    # two kets: |<a|b>|^2, which the ket-and-density route also gives
+    phi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    other = StateVector(n, phi / np.linalg.norm(phi))
+    want = fidelity(ket, other.outer())
+    for got in (fidelity(ket, other), fidelity(other, ket)):
         assert abs(got - want) <= 1e-12
     if n == 6:  # an ideal branch state lies in the codespace, as the report needs
         ideal = builders.encoded_branch_state(rng.uniform(-math.pi, math.pi), 0)

@@ -223,7 +223,7 @@ def test_pauli_rows_permute_codewords(physical, action):
 
 def test_swap_rows_realize_logical_cnots():
     def apply_swap(vec, a, b):
-        return qcore.apply_unitary_sv(vec, 4, qcore.Gate("SWAP", (a, b)).matrix(), (a, b))
+        return qcore.apply_matrix(vec, qcore.Gate("SWAP", (a, b)).matrix(), (a, b))
 
     for l1 in (0, 1):
         for l2 in (0, 1):

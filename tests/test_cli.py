@@ -284,6 +284,22 @@ def test_scan_checks_that_theta_is_one_rotation_angle(build, tmp_path, monkeypat
     assert "invalid config" not in capsys.readouterr().err
 
 
+def test_table2_evolves_each_circuit_once(monkeypatch):
+    # the encoded Z-basis state is evolved once and projected by every strategy,
+    # so a run evolves two circuits, not one per density row
+    evolve, calls = sim.evolve_density, []
+    monkeypatch.setattr(sim, "evolve_density", lambda noisy: calls.append(noisy) or evolve(noisy))
+    ham, model, theta = estimate.default_h2(), noise.DepolarizingParams(p2=0.0009), estimate.THETA_STAR
+    strategies = ("NONE", "PSA", "PSP", "PSAP")
+    files, _, _ = cli.exp_table2(ham, model, 100, strategies, 0, theta)
+    assert len(calls) == 2
+    monkeypatch.setattr(sim, "evolve_density", evolve)
+    density = {label: value for label, value, _ in files["table2_density.csv"][1]}
+    for kind in strategies:
+        want = 1e3 * cli._density_strategy_energy(ham, model, theta, kind)
+        assert density[f"density/{kind}"].hex() == want.hex()
+
+
 def test_table2_determinism_and_manifest_rerun(tmp_path):
     cfg = {"shots": 2000, "seed": 5}
     cfg_path = tmp_path / "cfg.json"

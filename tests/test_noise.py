@@ -131,10 +131,10 @@ def test_fault_average_reproduces_channel_density():
         k = 0
         for i, op in enumerate(circ.ops):
             if op.is_unitary:
-                amps = qcore.apply_unitary_sv(amps, n, op.matrix(), op.qubits)
+                amps = qcore.apply_matrix(amps, op.matrix(), op.qubits)
             while k < len(locations) and locations[k][0] == i:
                 name = combo[k][0]
-                amps = qcore.apply_unitary_sv(amps, n, paulis[name], (locations[k][1].qubit,))
+                amps = qcore.apply_matrix(amps, paulis[name], (locations[k][1].qubit,))
                 k += 1
         avg += w * np.outer(amps, amps.conj())
     rho = sim.evolve_density(nc)

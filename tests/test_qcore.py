@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qedvqe.qcore import (
     Circuit,
@@ -11,6 +13,7 @@ from qedvqe.qcore import (
     ROLE_DATA,
     StateVector,
     apply_gate,
+    apply_matrix,
     cnot,
     expectation,
     h,
@@ -81,6 +84,34 @@ def test_apply_gate_on_density_matches_pure_evolution():
         sv = apply_gate(sv, op)
         rho = apply_gate(rho, op)
         assert np.max(np.abs(rho.mat - sv.outer().mat)) < 1e-10
+
+
+def dense_oracle(mat, axes, n_bits):
+    """The 2^N x 2^N matrix of mat on the given bits: mat kron the identity on
+    the bits (axes..., other bits in order), conjugated by the bit permutation
+    that puts them there, which is built index by index."""
+    order = list(axes) + [b for b in range(n_bits) if b not in axes]
+    perm = np.zeros((2**n_bits, 2**n_bits))
+    for i in range(2**n_bits):
+        bits = [(i >> (n_bits - 1 - b)) & 1 for b in range(n_bits)]
+        perm[int("".join(str(bits[b]) for b in order), 2), i] = 1.0
+    return perm.T @ np.kron(mat, np.eye(2 ** (n_bits - len(axes)))) @ perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_bits=st.integers(1, 6), k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_apply_matrix_equals_the_dense_oracle(data, n_bits, k, seed):
+    k = min(k, n_bits)
+    axes = data.draw(st.permutations(range(n_bits)).map(lambda p: tuple(p[:k])), label="axes")
+    shapes = [(2**n_bits,), (2,) * n_bits] + ([(2 ** (n_bits // 2),) * 2] if n_bits % 2 == 0 else [])
+    shape = data.draw(st.sampled_from(shapes), label="shape")
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+    tensor = (rng.standard_normal(2**n_bits) + 1j * rng.standard_normal(2**n_bits)).reshape(shape)
+    got = apply_matrix(tensor, mat, axes)
+    assert got.shape == tensor.shape
+    want = dense_oracle(mat, axes, n_bits) @ tensor.reshape(-1)
+    assert np.max(np.abs(got.reshape(-1) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))

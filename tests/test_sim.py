@@ -185,8 +185,9 @@ def test_read_through_a_lossy_kernel_checks_mass_before_and_after():
     # the Born diagonal is checked before the push, so a lossy kernel cannot hide lost trace
     with pytest.raises(ValueError, match="does not sum to 1"):
         sim._read_probabilities(qcore.DensityMatrix(2, np.eye(4) / 5), vote)
-    # each bit's push is one _apply_matrix_axes call: the float operations of
-    # this tensordot/moveaxis loop, so the read equals it bit for bit
+    # each bit's push is one qcore.apply_matrix call, kernel @ (2, rest) with the
+    # bit's axis in front: the float operations of this tensordot/moveaxis loop,
+    # so the read equals it bit for bit
     model = noise.default_device_model()
     rho = evolve_density(noise.attach_noise(builders.build_encoded_ansatz(0.3, "X"), model))
     for kernel in (model.readout.kernel, red_vote_kernel_for(model)):
@@ -406,7 +407,7 @@ def trajectory_oracle(noisy, u_row) -> np.ndarray:
     uniforms = iter(u_row)
     for gates, slot in steps:
         for op in gates:
-            amps = qcore.apply_unitary_sv(amps, n, op.matrix(), op.qubits)
+            amps = qcore.apply_matrix(amps, op.matrix(), op.qubits)
         for ch in slot:
             u = next(uniforms)
             if isinstance(ch, noise.PauliNoise):
@@ -415,9 +416,9 @@ def trajectory_oracle(noisy, u_row) -> np.ndarray:
                 mat = qcore.PAULI_X if u < ch.p_x else qcore.PAULI_Y if u < ch.p_x + ch.p_y else qcore.PAULI_Z
             else:
                 no_jump, jump = ch.kraus
-                jumped = qcore.apply_unitary_sv(amps, n, jump, (ch.qubit,))
+                jumped = qcore.apply_matrix(amps, jump, (ch.qubit,))
                 mat = jump if u < np.vdot(jumped, jumped).real else no_jump
-            amps = qcore.apply_unitary_sv(amps, n, mat, (ch.qubit,))
+            amps = qcore.apply_matrix(amps, mat, (ch.qubit,))
             amps /= np.linalg.norm(amps)
     return amps
 
