@@ -63,6 +63,8 @@ def project_state(rho: DensityMatrix, kind: str) -> DensityMatrix:
 def project_qubit(rho: DensityMatrix, qubit: int, value: int) -> DensityMatrix:
     """Condition a density matrix on a computational value of one qubit: P rho P
     for the diagonal projector P is rho masked to the rows and columns that hold it."""
+    if not 0 <= qubit < rho.n_qubits or value not in (0, 1):
+        raise ValueError(f"cannot condition qubit {qubit} of {rho.n_qubits} on value {value}")
     keep = (np.arange(2**rho.n_qubits) >> (rho.n_qubits - 1 - qubit)) & 1 == value
     return _normalized(rho, np.where(keep[:, None] & keep, rho.mat, 0.0))
 
@@ -83,15 +85,16 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _pure_ket(state, pure_tol: float) -> np.ndarray | None:
-    """A StateVector's amplitudes, a rank-one DensityMatrix's top eigenvector, else None."""
+def _pure_ket(state) -> np.ndarray | None:
+    """A StateVector's amplitudes, a rank-one DensityMatrix's top eigenvector
+    (every other eigenvalue below 1e-10), else None."""
     if isinstance(state, StateVector):
         return state.amps
     vals, vecs = np.linalg.eigh(state.mat)
-    return vecs[:, -1] if vals[:-1].max(initial=0.0) < pure_tol else None
+    return vecs[:, -1] if vals[:-1].max(initial=0.0) < 1e-10 else None
 
 
-def fidelity(rho1, rho2, pure_tol: float = 1e-10) -> float:
+def fidelity(rho1, rho2) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho2) rho1 sqrt(rho2)))^2; either state may be a StateVector.
 
     When either state is pure (a ket, or a DensityMatrix of rank one) the
@@ -103,7 +106,7 @@ def fidelity(rho1, rho2, pure_tol: float = 1e-10) -> float:
     if isinstance(rho2, StateVector):  # a ket is taken first, without eigh
         rho1, rho2 = rho2, rho1
     for a, b in ((rho1, rho2), (rho2, rho1)):
-        psi = _pure_ket(a, pure_tol)
+        psi = _pure_ket(a)
         if psi is not None:
             val = abs(np.vdot(psi, b.amps)) ** 2 if isinstance(b, StateVector) else (psi.conj() @ b.mat @ psi).real
             return float(np.clip(val, 0.0, 1.0))
@@ -139,7 +142,7 @@ class LogicalErrorReport:
 def logical_error_report(rho_noisy: DensityMatrix, rho_ideal) -> LogicalErrorReport:
     """Logical/non-logical error split over the a2=0 branch of the encoded
     register, against a pure ideal state (a StateVector or a DensityMatrix)."""
-    psi = _pure_ket(rho_ideal, 1e-10)
+    psi = _pure_ket(rho_ideal)
     if psi is None:
         raise ValueError("rho_ideal must be pure")
     p_ideal = float((psi.conj() @ rho_noisy.mat @ psi).real)

@@ -59,6 +59,8 @@ Key = collections.namedtuple("Key", "default convert")
 
 def _count(minimum):
     def convert(raw) -> int:
+        if isinstance(raw, bool):
+            raise TypeError("must be a number, not true or false")
         if isinstance(raw, float) and not raw.is_integer():
             raise ValueError("must be a whole number")
         value = int(raw)
@@ -70,6 +72,8 @@ def _count(minimum):
 
 
 def _finite(raw) -> float:
+    if isinstance(raw, bool):
+        raise TypeError("must be a number, not true or false")
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("must be a finite number")
@@ -83,7 +87,7 @@ def _flag(raw) -> bool:
 
 
 def _rates(raw) -> list[float]:
-    rates = [float(p) for p in raw]
+    rates = [_finite(p) for p in raw]
     if not all(0.0 <= p <= 1.0 for p in rates):
         raise ValueError("every rate must be in [0, 1]")
     return rates
@@ -108,8 +112,8 @@ def _noise_model(spec: dict):
     kind = spec.get("kind", "depolarizing")
     if kind == "depolarizing":
         return noise.DepolarizingParams(
-            p2=float(spec.get("p2", 0.0)),
-            p1=None if spec.get("p1") is None else float(spec["p1"]),
+            p2=_finite(spec.get("p2", 0.0)),
+            p1=None if spec.get("p1") is None else _finite(spec["p1"]),
         )
     if kind == "device":
         params = dict(noise.H11E_PARAMS)
@@ -129,11 +133,11 @@ def _device_model(spec: dict) -> noise.DeviceModel:
 def _hamiltonian(g) -> estimate.H2Hamiltonian:
     if g is None:
         return estimate.default_h2()
-    return estimate.H2Hamiltonian(*(float(g[k]) for k in ("g0", "g1", "g2", "g3", "g4")))
+    return estimate.H2Hamiltonian(*(_finite(g[k]) for k in ("g0", "g1", "g2", "g3", "g4")))
 
 
 def _integrals(g) -> estimate.Integrals:
-    return estimate.Integrals(**{k: float(v) for k, v in g.items()})
+    return estimate.Integrals(**{k: _finite(v) for k, v in g.items()})
 
 
 # The keys more than one experiment reads. A key's default and its conversion

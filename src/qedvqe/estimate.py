@@ -171,15 +171,15 @@ def energy_from_distributions(
     return _combine(ham, z_means, xx, 0, 0, eta or {"Z": 1.0, "X": 1.0})
 
 
-def scan_theta(runner, n_points: int = 150, lo: float = -math.pi, hi: float = math.pi):
-    """Grid minimization: runner(theta) -> EnergyEstimate.
+def scan_theta(runner, n_points: int = 150):
+    """Grid minimization over [-pi, pi]: runner(theta) -> EnergyEstimate.
 
     Returns (theta_min, [(theta, estimate), ...]); exact energy ties break
     toward smaller |theta|.
     """
     if n_points < 2:
         raise ValueError("need at least two grid points")
-    grid = np.linspace(lo, hi, n_points)
+    grid = np.linspace(-math.pi, math.pi, n_points)
     curve = [(float(t), runner(float(t))) for t in grid]
     theta_min, _ = min(curve, key=lambda te: (te[1].mean, abs(te[0])))
     return theta_min, curve

@@ -41,13 +41,10 @@ _FIXED_1Q = {
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 
 PARAMETRIC_KINDS = ("RY", "RZ")
 UNITARY_1Q_KINDS = tuple(_FIXED_1Q) + PARAMETRIC_KINDS
-UNITARY_2Q_KINDS = ("CNOT", "SWAP")
+UNITARY_2Q_KINDS = ("CNOT",)
 NONUNITARY_KINDS = ("MEASURE_Z",)
 GATE_KINDS = UNITARY_1Q_KINDS + UNITARY_2Q_KINDS + NONUNITARY_KINDS
 
@@ -65,7 +62,7 @@ def _rz(t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit operation: kind, target qubit(s), optional control and angle."""
+    """One circuit operation: kind, one target qubit, optional control and angle."""
 
     kind: str
     targets: tuple[int, ...]
@@ -81,14 +78,12 @@ class Gate:
                 raise ValueError(f"{self.kind} requires one finite angle")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
-        if self.kind == "CNOT":
-            if self.control is None or len(self.targets) != 1:
-                raise ValueError("CNOT takes a control and one target")
-        elif self.control is not None:
+        if self.kind == "CNOT" and self.control is None:
+            raise ValueError("CNOT takes a control")
+        if self.kind != "CNOT" and self.control is not None:
             raise ValueError(f"{self.kind} takes no control")
-        n_targets = 2 if self.kind == "SWAP" else 1
-        if len(self.targets) != n_targets:
-            raise ValueError(f"{self.kind} takes {n_targets} target(s)")
+        if len(self.targets) != 1:
+            raise ValueError(f"{self.kind} takes one target")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
         if any(q < 0 for q in self.qubits):
@@ -114,8 +109,6 @@ class Gate:
             return _rz(self.angle)
         if self.kind == "CNOT":
             return _CNOT
-        if self.kind == "SWAP":
-            return _SWAP
         raise ValueError(f"{self.kind} has no unitary matrix")
 
     def to_text(self) -> str:
@@ -157,10 +150,6 @@ def cnot(control, target):
     return Gate("CNOT", (target,), control=control)
 
 
-def swap(a, b):
-    return Gate("SWAP", (a, b))
-
-
 def measure(q):
     return Gate("MEASURE_Z", (q,))
 
@@ -199,9 +188,6 @@ class Circuit:
     @property
     def measured_qubits(self) -> tuple[int, ...]:
         return tuple(sorted(op.targets[0] for op in self.ops if op.kind == "MEASURE_Z"))
-
-    def unitary_ops(self) -> tuple[Gate, ...]:
-        return tuple(op for op in self.ops if op.is_unitary)
 
     def gate_counts(self):
         """Return (n_1q, n_2q, n_meas) over the gate list."""
@@ -244,9 +230,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def outer(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, np.outer(self.amps, self.amps.conj()))
 
@@ -256,7 +239,7 @@ class DensityMatrix:
 
     __slots__ = ("n_qubits", "mat")
 
-    def __init__(self, n_qubits: int, mat: np.ndarray, validate: bool = False):
+    def __init__(self, n_qubits: int, mat: np.ndarray):
         mat = np.asarray(mat, dtype=complex)
         dim = 2**n_qubits
         if mat.shape != (dim, dim):
@@ -264,8 +247,6 @@ class DensityMatrix:
         _check_finite(mat)
         self.n_qubits = n_qubits
         self.mat = mat
-        if validate:
-            self.validate()
 
     @classmethod
     def zero(cls, n_qubits: int) -> "DensityMatrix":
@@ -273,14 +254,6 @@ class DensityMatrix:
         mat = np.zeros((dim, dim), dtype=complex)
         mat[0, 0] = 1.0
         return cls(n_qubits, mat)
-
-    def validate(self, tol_herm=1e-10, tol_trace=1e-10, tol_eig=1e-10):
-        if np.max(np.abs(self.mat - self.mat.conj().T)) > tol_herm:
-            raise ValueError("density matrix not Hermitian")
-        if abs(np.trace(self.mat) - 1.0) > tol_trace:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(self.mat).min() < -tol_eig:
-            raise ValueError("density matrix has a negative eigenvalue")
 
     def diagonal(self) -> np.ndarray:
         return self.mat.diagonal().real.copy()
@@ -320,20 +293,6 @@ def apply_superoperator(rho: np.ndarray, superop: np.ndarray, qubits) -> np.ndar
     return apply_matrix(rho, superop, tuple(a for q in qubits for a in (q, n + q)))
 
 
-def apply_gate(state, gate: Gate):
-    """Apply a unitary gate to a StateVector or DensityMatrix, returning a new state."""
-    if not gate.is_unitary:
-        raise ValueError(f"{gate.kind} is not unitary; handled by the simulator")
-    if any(q >= state.n_qubits for q in gate.qubits):
-        raise ValueError("gate qubit out of range")
-    mat = gate.matrix()
-    if isinstance(state, StateVector):
-        return StateVector(state.n_qubits, apply_matrix(state.amps, mat, gate.qubits))
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(state.n_qubits, apply_superoperator(state.mat, superoperator((mat,)), gate.qubits))
-    raise TypeError("state must be StateVector or DensityMatrix")
-
-
 def kron(a, b):
     """Tensor product; the left factor occupies the lower qubit indices."""
     if np.shape(a)[0] * np.shape(b)[0] > 2**MAX_QUBITS:  # refuse before any copy
@@ -354,15 +313,15 @@ def pauli_word(word: str) -> np.ndarray:
     return kron_all(*(table[c] for c in word))
 
 
-def expectation(rho: DensityMatrix, observable: np.ndarray, herm_tol=1e-10, imag_tol=1e-9) -> float:
-    """Tr(O rho) for a Hermitian observable; discards sub-tolerance imaginary residue."""
+def expectation(rho: DensityMatrix, observable: np.ndarray) -> float:
+    """Tr(O rho) for an observable Hermitian within 1e-10; an imaginary residue below 1e-9 is discarded."""
     obs = np.asarray(observable, dtype=complex)
     if obs.shape != rho.mat.shape:
         raise ValueError("observable dimension mismatch")
-    if np.max(np.abs(obs - obs.conj().T)) > herm_tol:
+    if np.max(np.abs(obs - obs.conj().T)) > 1e-10:
         raise ValueError("observable not Hermitian")
     val = complex(np.sum(obs * rho.mat.T))  # Tr(O rho), elementwise
-    if abs(val.imag) >= imag_tol:
+    if abs(val.imag) >= 1e-9:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 

@@ -301,21 +301,19 @@ class _Trajectory:
         return amps.reshape(amps.shape[0], 2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
 
     def _apply_gate(self, amps, op):
-        if len(op.qubits) == 1:
+        """The batched one-qubit kernel, or for CNOT (the IR's one two-qubit kind) the row swap."""
+        if op.kind != "CNOT":
             self._apply_1q(amps, op.matrix(), op.qubits[0])
-        elif op.kind == "CNOT":
-            c, t = op.control, op.targets[0]
-            view = self._quad_view(amps, min(c, t), max(c, t))
-            if c < t:
-                p0, p1 = view[:, :, 1, :, 0, :], view[:, :, 1, :, 1, :]
-            else:
-                p0, p1 = view[:, :, 0, :, 1, :], view[:, :, 1, :, 1, :]
-            tmp = p0.copy()
-            p0[...] = p1
-            p1[...] = tmp
+            return
+        c, t = op.control, op.targets[0]
+        view = self._quad_view(amps, min(c, t), max(c, t))
+        if c < t:
+            p0, p1 = view[:, :, 1, :, 0, :], view[:, :, 1, :, 1, :]
         else:
-            for row in amps:
-                row[...] = apply_matrix(row, op.matrix(), op.qubits)
+            p0, p1 = view[:, :, 0, :, 1, :], view[:, :, 1, :, 1, :]
+        tmp = p0.copy()
+        p0[...] = p1
+        p1[...] = tmp
 
     def _apply_channel(self, amps, ch, codes):
         """Apply one location, given its code for every row."""

@@ -157,6 +157,13 @@ def test_project_qubit_equals_the_dense_projector_route():
         project_qubit(DensityMatrix.zero(3), 1, 1)
 
 
+@pytest.mark.parametrize("qubit, value", [(6, 0), (-1, 0), (7, 1), (2, 2), (0, -1)])
+def test_project_qubit_rejects_a_qubit_or_value_it_cannot_condition_on(qubit, value):
+    rho = sim.evolve_density(noise.noiseless(builders.build_encoded_ansatz(0.5, "Z")))
+    with pytest.raises(ValueError, match=f"cannot condition qubit {qubit} of 6 on value {value}"):
+        project_qubit(rho, qubit, value)
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 # ---------------------------------------------------------------------------

@@ -18,14 +18,18 @@ from qedvqe.builders import (
     unencoded_target_state,
     wrap_with_red,
 )
-from qedvqe.qcore import Circuit, StateVector, apply_gate, kron_all, pauli_word
+from qedvqe.qcore import Circuit, StateVector, apply_matrix, kron_all, pauli_word
+
+
+def unitary_ops(circ):
+    return [op for op in circ.ops if op.is_unitary]
 
 
 def final_state(circ):
-    sv = StateVector.zero(circ.n_qubits)
-    for op in circ.unitary_ops():
-        sv = apply_gate(sv, op)
-    return sv
+    amps = StateVector.zero(circ.n_qubits).amps
+    for op in unitary_ops(circ):
+        amps = apply_matrix(amps, op.matrix(), op.qubits)
+    return StateVector(circ.n_qubits, amps)
 
 
 def fidelity_to(target, circ):
@@ -59,7 +63,7 @@ def test_unencoded_matches_target_state(theta):
 def test_unencoded_x_basis_appends_hadamards():
     circ_z = build_unencoded_ansatz(0.3, BASIS_Z)
     circ_x = build_unencoded_ansatz(0.3, BASIS_X)
-    extra = [op for op in circ_x.unitary_ops()[len(circ_z.unitary_ops()):]]
+    extra = unitary_ops(circ_x)[len(unitary_ops(circ_z)):]
     assert [op.kind for op in extra] == ["H", "H"]
 
 
@@ -116,7 +120,7 @@ def test_prep_flags_later_control_bit_flips_too(position):
 
 def test_prep_without_verification_has_no_ancilla_gates():
     circ = build_state_prep_422(with_verification=False)
-    assert all(0 not in op.qubits for op in circ.unitary_ops())
+    assert all(0 not in op.qubits for op in unitary_ops(circ))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +226,10 @@ def test_pauli_rows_permute_codewords(physical, action):
 
 
 def test_swap_rows_realize_logical_cnots():
+    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+
     def apply_swap(vec, a, b):
-        return qcore.apply_matrix(vec, qcore.Gate("SWAP", (a, b)).matrix(), (a, b))
+        return apply_matrix(vec, swap, (a, b))
 
     for l1 in (0, 1):
         for l2 in (0, 1):

@@ -89,6 +89,13 @@ def test_invalid_noise_kind_is_config_error(tmp_path):
         ("sweep-depol", {"shots": 10, "hamiltonian": dict(H2_COEFFS, g1=math.nan)}, "hamiltonian"),
         ("coeffs", {"integrals": dict(INTEGRALS, h00=math.inf)}, "integrals"),
         ("coeffs", {"integrals": dict(INTEGRALS, h2103=math.nan, h2013=math.nan)}, "integrals"),
+        # a JSON boolean is not a number, where a count or a float is read
+        ("hqc", {"shots": True}, "shots"),
+        ("budget", {"variance": True}, "variance"),
+        ("sweep-depol", {"shots": 10, "p2_grid": [0.01, True]}, "p2_grid"),
+        ("scan", {"points": 2, "noise": {"p2": True}}, "noise"),
+        ("scan", {"points": 2, "noise": {"kind": "device", "Two-qubit Fault Probability (p2)": True}}, "noise"),
+        ("scan", {"points": 2, "hamiltonian": dict(H2_COEFFS, g1=False)}, "hamiltonian"),
     ],
 )
 def test_unusable_config_value_names_its_key(tmp_path, capsys, experiment, cfg, key):

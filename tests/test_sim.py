@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from qedvqe import builders, noise, qcore, sim
@@ -35,6 +35,18 @@ def empirical(table: ShotTable) -> dict:
 
 def all_measured(n: int) -> Circuit:
     return Circuit(n, tuple(qcore.measure(q) for q in range(n)), (ROLE_DATA,) * n)
+
+
+# the random-circuit generators draw every unitary kind of the IR, so a kind
+# that one backend lacks a kernel for fails a test
+UNITARY_KINDS = qcore.UNITARY_1Q_KINDS + qcore.UNITARY_2Q_KINDS
+
+
+def make_gate(kind, qubits, angle):
+    """A gate of a unitary kind on qubits: (control, target) for a two-qubit kind."""
+    if kind in qcore.UNITARY_2Q_KINDS:
+        return qcore.Gate(kind, qubits[1:], control=qubits[0])
+    return qcore.Gate(kind, qubits[:1], angle=angle if kind in qcore.PARAMETRIC_KINDS else None)
 
 
 def refuse_allocation(monkeypatch, state_class):
@@ -92,18 +104,12 @@ def noisy_circuits(draw):
     pre = tuple(noise.PauliNoise(q, p, 0.0, 0.0) for q, p in enumerate(flips))
     bit_flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     steps = [[(1.0 - p, on(np.eye(2), q)), (p, on(bit_flip, q))] for q, p in enumerate(flips)]
-    kinds = ("H", "X", "Y", "Z", "S", "RY", "RZ") + (("CNOT", "SWAP") if n == 2 else ())
+    kinds = UNITARY_KINDS if n == 2 else qcore.UNITARY_1Q_KINDS
     ops, channels = [], []
     for _ in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(kinds))
-        if kind == "CNOT":
-            c = draw(st.integers(0, 1))
-            op = qcore.cnot(c, 1 - c)
-        elif kind == "SWAP":
-            op = qcore.swap(0, 1)
-        else:
-            angle = draw(st.floats(-math.pi, math.pi)) if kind in ("RY", "RZ") else None
-            op = qcore.Gate(kind, (draw(st.integers(0, n - 1)),), angle=angle)
+        c = draw(st.integers(0, n - 1))
+        op = make_gate(kind, (c, 1 - c), draw(st.floats(-math.pi, math.pi)))
         if len(op.qubits) == 1:
             u = on(op.matrix(), op.qubits[0])
         else:  # a (1, 0) gate is its (0, 1) matrix conjugated by the qubit exchange
@@ -326,16 +332,12 @@ def sampled_circuits(draw):
     subset of qubits, and a random read kernel, lossy or not."""
     n = draw(st.integers(1, 3))
     rate = st.floats(0.0, 1.0 / 3.0)
-    kinds = ("H", "X", "Y", "Z", "S", "RY", "RZ") + (("CNOT", "SWAP") if n > 1 else ())
+    kinds = UNITARY_KINDS if n > 1 else qcore.UNITARY_1Q_KINDS
     ops = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(kinds))
-        if kind in ("CNOT", "SWAP"):
-            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-            ops.append(qcore.cnot(a, b) if kind == "CNOT" else qcore.swap(a, b))
-        else:
-            angle = draw(st.floats(-math.pi, math.pi)) if kind in ("RY", "RZ") else None
-            ops.append(qcore.Gate(kind, (draw(st.integers(0, n - 1)),), angle=angle))
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=min(n, 2), max_size=2, unique=True))
+        ops.append(make_gate(kind, tuple(qubits), draw(st.floats(-math.pi, math.pi))))
     measured = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     ops += [qcore.measure(q) for q in sorted(measured)]
     channels = []
@@ -555,27 +557,31 @@ def test_trajectory_qubit_cap(monkeypatch):
 
 
 def random_gate_circuit(rng, n: int) -> Circuit:
-    """Every gate kind the builders use plus SWAP, twice each, on random qubits.
-
-    CNOT appears with its control both below and above its target.
-    """
-    kinds = ["H", "S", "RY", "RZ", "X", "Y", "Z", "SWAP", "CNOT_up", "CNOT_down"] * 2
+    """Every unitary kind, twice each, on random qubits; a two-qubit kind
+    appears with its control both below and above its target."""
+    kinds = [(k, False) for k in qcore.UNITARY_1Q_KINDS]
+    kinds = 2 * (kinds + [(k, up) for k in qcore.UNITARY_2Q_KINDS for up in (False, True)])
     rng.shuffle(kinds)
     ops = []
-    for kind in kinds:
-        q = int(rng.integers(n))
-        lo, hi = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
-        if kind == "SWAP":
-            ops.append(qcore.swap(lo, hi))
-        elif kind == "CNOT_up":
-            ops.append(qcore.cnot(lo, hi))
-        elif kind == "CNOT_down":
-            ops.append(qcore.cnot(hi, lo))
-        elif kind in ("RY", "RZ"):
-            ops.append(qcore.Gate(kind, (q,), angle=float(rng.uniform(-math.pi, math.pi))))
+    for kind, up in kinds:
+        if kind in qcore.UNITARY_2Q_KINDS:
+            lo, hi = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+            qubits = (lo, hi) if up else (hi, lo)
         else:
-            ops.append(qcore.Gate(kind, (q,)))
+            qubits = (int(rng.integers(n)),)
+        ops.append(make_gate(kind, qubits, float(rng.uniform(-math.pi, math.pi))))
     return Circuit(n, tuple(ops) + all_measured(n).ops, (ROLE_DATA,) * n)
+
+
+@pytest.mark.parametrize("kind", UNITARY_KINDS)
+def test_random_circuit_generators_draw_every_unitary_kind(kind):
+    def has(circ):
+        return kind in {op.kind for op in circ.ops}
+
+    search = settings(database=None, phases=[Phase.generate])  # found is enough; no shrinking
+    find(noisy_circuits(), lambda case: has(case[0].circuit), settings=search)
+    find(sampled_circuits(), lambda noisy: has(noisy.circuit), settings=search)
+    assert has(random_gate_circuit(np.random.default_rng(0), 3))
 
 
 @pytest.mark.parametrize("seed", range(4))
