@@ -57,13 +57,19 @@ REQUIRED = object()  # the default of a key that has none
 Key = collections.namedtuple("Key", "default convert")
 
 
+def _number(raw) -> int | float:
+    """raw, if it is a JSON number: a quoted number or a boolean is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"must be a number, not {type(raw).__name__}")
+    return raw
+
+
 def _count(minimum):
     def convert(raw) -> int:
-        if isinstance(raw, bool):
-            raise TypeError("must be a number, not true or false")
-        if isinstance(raw, float) and not raw.is_integer():
+        value = _number(raw)
+        if isinstance(value, float) and not value.is_integer():
             raise ValueError("must be a whole number")
-        value = int(raw)
+        value = int(value)
         if value < minimum:
             raise ValueError(f"must be at least {minimum}")
         return value
@@ -72,9 +78,7 @@ def _count(minimum):
 
 
 def _finite(raw) -> float:
-    if isinstance(raw, bool):
-        raise TypeError("must be a number, not true or false")
-    value = float(raw)
+    value = float(_number(raw))
     if not math.isfinite(value):
         raise ValueError("must be a finite number")
     return value

@@ -117,8 +117,8 @@ def device_model_from_config(mapping: dict) -> DeviceModel:
     values = {}
     for key, raw in mapping.items():
         if key in _CONFIG_KEYS:
-            if isinstance(raw, bool):
-                raise TypeError(f"{key!r} must be a number, not true or false")
+            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+                raise TypeError(f"{key!r} must be a number, not {type(raw).__name__}")
             values[_CONFIG_KEYS[key]] = float(raw)
         else:
             warnings.warn(f"unknown noise config key ignored: {key!r}", stacklevel=2)

@@ -46,8 +46,10 @@ TRAJECTORY_QUBIT_CAP = 20
 # amortise numpy's per-call cost, few enough that the arrays stay in cache.
 # Faulty shots are evolved in passes of at most _PASS_AMPS amplitudes (B rows
 # of 2^n: 1024 rows at 6 qubits, one row from 16 qubits up), and a call keeps
-# at most _MEMO_BYTES of cdfs of the fault codes it has evolved (16384 at
-# 6 qubits, 4 at 18), so sampling stays within a few MB of the per-shot loop.
+# the cdfs of the histories it has evolved in one store of at most _MEMO_BYTES
+# (16384 rows at 6 qubits, 4 at 18), so sampling stays within a few MB of the
+# per-shot loop. No table of every group's cdf is built: a block's shots
+# resolve on the store and on each pass's own cdfs.
 _SHOT_BLOCK = 1024
 _PASS_AMPS = 2**16
 _MEMO_BYTES = 2**23
@@ -395,34 +397,60 @@ class _Trajectory:
         return amps[0] / (norm or 1.0), np.array(thresholds)
 
 
-def _faulty_outcomes(traj: _Trajectory, u_loc, u_out, memo: dict) -> np.ndarray:
+def _search_rows(table: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(table[row[i]], u[i], side="right") for every i, bit for bit.
+
+    Each row of table is non-decreasing with 2^n entries. The count of entries
+    at or below u[i] is found by a branch-free binary search: n vectorised
+    steps, each one gather and one comparison per shot, then one for the last
+    entry.
+    """
+    base = np.zeros(u.size, dtype=np.intp)
+    half = table.shape[1] >> 1
+    while half:
+        base += half * (table[row, base + half - 1] <= u)
+        half >>= 1
+    return base + (table[row, base] <= u)
+
+
+def _faulty_outcomes(traj: _Trajectory, u_loc, u_out, memo: dict, store: np.ndarray) -> np.ndarray:
     """Basis-state indices of shots that carry a fault, one per row of u_loc.
 
-    Shots are grouped by their fault codes. A group whose codes are in memo
-    takes its cdf from there; the others are evolved once per group, in
-    passes of at most _PASS_AMPS amplitudes, and enter memo while it holds
-    less than _MEMO_BYTES of cdfs. Each shot resolves on its group's cdf.
+    Shots are grouped by the bytes of their fault codes. memo maps the codes
+    of a history evolved earlier in this call to its cdf's row of store;
+    the shots of such groups resolve in one _search_rows call. The other
+    groups are evolved once each, in passes of at most _PASS_AMPS amplitudes,
+    and each pass resolves its shots in one call. Their cdfs fill store's free
+    rows until it is full.
     """
-    codes, first, inverse = np.unique(traj.fault_codes(u_loc), axis=0, return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    shots = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    keys = [c.tobytes() for c in codes]
+    codes = traj.fault_codes(u_loc)
+    # One np.void item per row, so np.unique compares whole rows by memcmp.
+    # Byte equality is float equality here: no code is NaN or -0.0, as Pauli
+    # codes are 1 to 4 and damping codes are uniforms (w >> 11) * 2^-53 in [0, 1).
+    rows = codes.view(np.dtype((np.void, codes.strides[0]))).ravel()
+    keys, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    keys = keys.tolist()  # the bytes of each group's codes
+    slot = np.array([memo.get(key, -1) for key in keys], dtype=np.intp)
+    shot_slot = slot[inverse]
     idx = np.empty(len(u_out), dtype=np.intp)
-    new = []
-    for g, key in enumerate(keys):
-        if key in memo:
-            idx[shots[g]] = np.searchsorted(memo[key], u_out[shots[g]], side="right")
-        else:
-            new.append(g)
-    rows, memo_cap = max(1, _PASS_AMPS >> traj.n), _MEMO_BYTES // (8 << traj.n)
-    for lo in range(0, len(new), rows):
-        part = new[lo:lo + rows]
+    hit = shot_slot >= 0
+    idx[hit] = _search_rows(store, shot_slot[hit], u_out[hit])
+    new = np.flatnonzero(slot < 0)
+    place = np.full(len(keys), -1, dtype=np.intp)
+    place[new] = np.arange(new.size)
+    shot_place = place[inverse]
+    per_pass = max(1, _PASS_AMPS >> traj.n)
+    for lo in range(0, new.size, per_pass):
+        part = new[lo:lo + per_pass]
         cdfs = np.cumsum(np.abs(traj.run(u_loc[first[part]])) ** 2, axis=1)
         cdfs /= cdfs[:, -1:].copy()
-        for g, cdf in zip(part, cdfs):
-            idx[shots[g]] = np.searchsorted(cdf, u_out[shots[g]], side="right")
-            if len(memo) < memo_cap:
-                memo[keys[g]] = cdf
+        mine = np.flatnonzero((shot_place >= lo) & (shot_place < lo + part.size))
+        idx[mine] = _search_rows(cdfs, shot_place[mine] - lo, u_out[mine])
+        free = len(memo)
+        take = min(part.size, len(store) - free)
+        if take > 0:
+            store[free:free + take] = cdfs[:take]
+            memo.update((keys[g], free + j) for j, g in enumerate(part[:take].tolist()))
     return idx
 
 
@@ -439,8 +467,10 @@ def sample_shots(
     the table holds the kept shots. The streams of a block of shots come
     from one Philox call (_philox_uniforms). Its fault-free shots resolve
     together against a cached reference evolution. Shots with a fault are
-    grouped by their fault codes, and each group not seen before in this
-    call is evolved once, as one row of a batched statevector array.
+    grouped by the bytes of their fault codes, and each group not seen
+    before in this call is evolved once, as one row of a batched statevector
+    array (_faulty_outcomes); each shot then resolves by a vectorised binary
+    search of its group's cdf (_search_rows), equal to searchsorted.
     Outcomes appear in the table in the order of their first shot.
     """
     circ = noisy.circuit
@@ -468,7 +498,9 @@ def sample_shots(
     place = 1 << np.arange(n_meas - 1, -1, -1)
     codes = np.empty(cfg.n_shots, dtype=np.int64)
     kept = np.ones(cfg.n_shots, dtype=bool)
-    memo = {}  # fault codes -> cdf, kept for this call
+    # fault codes -> row of store, kept for this call; np.empty writes no page,
+    # so the store costs memory only for the rows histories have filled
+    memo, store = {}, np.empty((_MEMO_BYTES // (8 << circ.n_qubits), 2**circ.n_qubits))
     for start in range(0, cfg.n_shots, _SHOT_BLOCK):
         n = min(_SHOT_BLOCK, cfg.n_shots - start)
         u = _philox_uniforms(cfg.seed, shot_offset + start, n, n_loc + 1 + n_read)
@@ -476,7 +508,7 @@ def sample_shots(
         idx = np.searchsorted(ref_cdf, u_out, side="right")
         faulty = np.flatnonzero(~np.all(u_loc >= thresholds, axis=1))
         if faulty.size:
-            idx[faulty] = _faulty_outcomes(traj, u_loc[faulty], u_out[faulty], memo)
+            idx[faulty] = _faulty_outcomes(traj, u_loc[faulty], u_out[faulty], memo, store)
         bits = (idx[:, None] >> shifts) & 1
         if n_read:
             kept[start:start + n] = np.all(u_read < keep_p[bits], axis=1)

@@ -96,6 +96,10 @@ def test_invalid_noise_kind_is_config_error(tmp_path):
         ("scan", {"points": 2, "noise": {"p2": True}}, "noise"),
         ("scan", {"points": 2, "noise": {"kind": "device", "Two-qubit Fault Probability (p2)": True}}, "noise"),
         ("scan", {"points": 2, "hamiltonian": dict(H2_COEFFS, g1=False)}, "hamiltonian"),
+        # nor is a string that parses as one
+        ("hqc", {"shots": "5"}, "shots"),
+        ("budget", {"variance": "0.04"}, "variance"),
+        ("scan", {"points": 2, "noise": {"kind": "device", "Two-qubit Fault Probability (p2)": "0.01"}}, "noise"),
     ],
 )
 def test_unusable_config_value_names_its_key(tmp_path, capsys, experiment, cfg, key):

@@ -376,12 +376,76 @@ def test_sampler_matches_per_shot_loop_on_random_circuits(noisy, n_shots, shot_o
 
 
 def test_full_memo_leaves_counts_unchanged(monkeypatch):
-    # past the memo's byte cap, shots still resolve from their own block's passes
+    # past the memo's byte cap, shots still resolve from their own block's
+    # passes; with passes of two rows, the second pass fills the memo's last row
+    # and every block evolves its new histories in many passes
     noisy = noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10))
     want = replay_per_shot(noisy, 2500, seed=8, shot_offset=123)
-    monkeypatch.setattr(sim, "_MEMO_BYTES", 3 * 8 * 2**noisy.circuit.n_qubits)  # three cdfs
-    got = sample_shots(noisy, TrajectoryConfig(2500, seed=8), shot_offset=123)
-    assert list(got.counts.items()) == list(want.items())
+    size = 2**noisy.circuit.n_qubits
+    monkeypatch.setattr(sim, "_MEMO_BYTES", 3 * 8 * size)  # three cdfs
+    for pass_amps in (sim._PASS_AMPS, 2 * size):
+        monkeypatch.setattr(sim, "_PASS_AMPS", pass_amps)
+        got = sample_shots(noisy, TrajectoryConfig(2500, seed=8), shot_offset=123)
+        assert list(got.counts.items()) == list(want.items())
+
+
+@pytest.mark.parametrize(
+    "noisy",
+    [noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10)), noise.attach_noise(ENCODED, DEVICE)],
+    ids=["encoded-p2=10%", "encoded-device"],
+)
+def test_each_distinct_fault_history_is_evolved_once(monkeypatch, noisy):
+    # shots are grouped by the bytes of their codes: a group must neither split
+    # one history (evolving it twice) nor merge two (evolving one of them never)
+    n_shots, seed = 2 * sim._SHOT_BLOCK + 500, 6
+    traj = sim._Trajectory(noisy)
+    _, thresholds = traj.no_jump_reference()
+    n_read = 0 if np.array_equal(noisy.readout, np.eye(2)) else len(noisy.circuit.measured_qubits)
+    u_loc = sim._philox_uniforms(seed, 0, n_shots, thresholds.size + 1 + n_read)[:, :thresholds.size]
+    faulty = ~np.all(u_loc >= thresholds, axis=1)
+    want = np.unique(traj.fault_codes(u_loc[faulty]), axis=0)
+    evolved = []
+    run = sim._Trajectory.run
+
+    def recording_run(self, u):
+        evolved.extend(map(tuple, self.fault_codes(u)))
+        return run(self, u)
+
+    monkeypatch.setattr(sim._Trajectory, "run", recording_run)
+    monkeypatch.setattr(sim, "_MEMO_BYTES", n_shots * 8 * 2**noisy.circuit.n_qubits)
+    sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed))
+    assert len(evolved) == len(want) > 0
+    assert sorted(evolved) == sorted(map(tuple, want))
+
+
+@st.composite
+def cdf_tables(draw):
+    """(table, row, u): rows of 2^n cdf entries, normalized as the sampler's,
+    with zero-weight plateaus (tied entries, leading zeros) and a last entry
+    of 1.0; draws u per shot, some equal to an entry of its row."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows, n_shots = draw(st.integers(1, 5)), draw(st.integers(0, 300))
+    weights = rng.random((n_rows, 2**n)) * (rng.random((n_rows, 2**n)) >= draw(st.sampled_from((0.0, 0.5, 0.95))))
+    weights[np.arange(n_rows), rng.integers(2**n, size=n_rows)] += 0.5  # every row has weight
+    table = np.cumsum(weights, axis=1)
+    table /= table[:, -1:].copy()
+    row = rng.integers(n_rows, size=n_shots)
+    u = rng.random(n_shots)
+    exact = rng.random(n_shots) < 0.5
+    u[exact] = table[row[exact], rng.integers(2**n, size=exact.sum())]
+    u[rng.random(n_shots) < 0.05] = 0.0
+    return table, row, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cdf_tables())
+def test_search_rows_equals_searchsorted_on_each_row(case):
+    table, row, u = case
+    assert table[:, -1].tolist() == [1.0] * len(table)
+    got = sim._search_rows(table, row, u)
+    want = [np.searchsorted(table[r], x, side="right") for r, x in zip(row, u)]
+    assert got.tolist() == want
 
 
 def test_damping_that_empties_the_no_jump_branch_makes_every_shot_faulty():
@@ -549,7 +613,10 @@ def test_trajectories_match_density_under_device_model():
 
 
 def test_trajectory_qubit_cap(monkeypatch):
-    refuse_allocation(monkeypatch, qcore.StateVector)
+    def zero(self, n_rows):
+        pytest.fail(f"allocated {n_rows} statevectors of {self.n} qubits")
+
+    monkeypatch.setattr(sim._Trajectory, "_zero", zero)  # every row the trajectory evolves starts here
     with pytest.raises(ValueError, match="capped"):
         sample_shots(
             noise.noiseless(all_measured(sim.TRAJECTORY_QUBIT_CAP + 1)), TrajectoryConfig(10, seed=0)
