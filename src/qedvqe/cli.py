@@ -226,7 +226,7 @@ def _study_rows(ham, model, theta, encoded, strategies=(), red=False, shots=None
             tables[basis], raw[basis] = sim.shot_limit_table(nc)
         else:
             cfg = sim.TrajectoryConfig(shots, _sub_seed(seed, f"{tag}/{basis}"))
-            # one call per circuit, so its fault-history memo serves every shot
+            # one call per circuit, so it groups its faulty shots once and evolves each history once
             tables[basis], raw[basis] = sim.sample_shots_batched(nc, cfg, shots), shots
     mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
     name = mode + ("+red" if red else "")

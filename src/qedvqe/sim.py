@@ -6,15 +6,16 @@ it reaches registers (up to TRAJECTORY_QUBIT_CAP qubits) that the density
 backend cannot. Shot i owns its own Philox4x64-10 stream, so batching never
 changes results: the nb = ceil(n_draws / 4) counter blocks i * nb + 1 to
 (i + 1) * nb under key seed mod 2^64, which numpy draws as
-Generator(Philox(key=seed % 2**64).advance(i * nb)).random(n_draws). Only
-shots that carry a fault are evolved, each distinct fault history once, as
-rows of one (B, 2^n) statevector array. Both backends read measured bits
-through the circuit's per-bit read kernel; the readout-encoding gadget is
-such a kernel (red_vote_kernel_for), so a readout-encoded run samples the 2-
-or 6-qubit circuit it encodes.
+Generator(Philox(key=seed % 2**64).advance(i * nb)).random(n_draws). Only shots
+that carry a fault are evolved: they wait in a bounded stash, and each flush
+evolves every distinct fault history once, as a row of one (B, 2^n) statevector
+array. Both backends read measured bits through the circuit's per-bit read kernel;
+the readout-encoding gadget is such a kernel (red_vote_kernel_for), so a
+readout-encoded run samples the 2- or 6-qubit circuit it encodes.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,15 +45,13 @@ DENSITY_QUBIT_CAP = 12
 TRAJECTORY_QUBIT_CAP = 20
 # Shots whose streams are drawn and resolved as one set of arrays: enough to
 # amortise numpy's per-call cost, few enough that the arrays stay in cache.
-# Faulty shots are evolved in passes of at most _PASS_AMPS amplitudes (B rows
-# of 2^n: 1024 rows at 6 qubits, one row from 16 qubits up), and a call keeps
-# the cdfs of the histories it has evolved in one store of at most _MEMO_BYTES
-# (16384 rows at 6 qubits, 4 at 18), so sampling stays within a few MB of the
-# per-shot loop. No table of every group's cdf is built: a block's shots
-# resolve on the store and on each pass's own cdfs.
+# Faulty shots wait in a stash of at most _STASH_BYTES and are grouped once per
+# flush (a call at defaults flushes once); each history is evolved in passes of
+# at most _PASS_AMPS amplitudes (B rows of 2^n: 256 at 6 qubits, one from 14
+# qubits up), so sampling stays within a few MB of the per-shot loop.
 _SHOT_BLOCK = 1024
-_PASS_AMPS = 2**16
-_MEMO_BYTES = 2**23
+_PASS_AMPS = 2**14
+_STASH_BYTES = 2**23
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,14 @@ class TrajectoryConfig:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
+def _superoperator(ch) -> np.ndarray:
+    """A channel's superoperator, shared and so read-only; bounded, as sweeps make new channels."""
+    out = superoperator(ch.kraus)
+    out.setflags(write=False)
+    return out
+
+
 def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
     """Exact mixed state after all gates and channels, before measurement/readout.
     One contraction per init flip and per gate slot: a unitary gate and its slot's
@@ -127,17 +134,17 @@ def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
         raise ValueError(f"density backend capped at {DENSITY_QUBIT_CAP} qubits, got {n}")
     rho = DensityMatrix.zero(n).mat.reshape((2,) * (2 * n))
     for ch in noisy.pre_channels:
-        rho = apply_superoperator(rho, superoperator(ch.kraus), (ch.qubit,))
+        rho = apply_superoperator(rho, _superoperator(ch), (ch.qubit,))
     for op, slot in zip(circ.ops, noisy.channels):
         if op.is_unitary:
             fused = superoperator((op.matrix(),))
             for ch in (ch for ch in slot if ch.qubit in op.qubits):
                 pair = op.qubits.index(ch.qubit)
-                fused = apply_matrix(fused, superoperator(ch.kraus), (2 * pair, 2 * pair + 1))
+                fused = apply_matrix(fused, _superoperator(ch), (2 * pair, 2 * pair + 1))
             rho = apply_superoperator(rho, fused, op.qubits)
             slot = [ch for ch in slot if ch.qubit not in op.qubits]  # these commute with it and follow
         for ch in slot:
-            rho = apply_superoperator(rho, superoperator(ch.kraus), (ch.qubit,))
+            rho = apply_superoperator(rho, _superoperator(ch), (ch.qubit,))
     mat = rho.reshape(2**n, 2**n)
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-10:
@@ -329,7 +336,7 @@ class _Trajectory:
                 if kind == _Z:
                     a1[rows] *= -1.0
                     continue
-                t = a0[rows].copy()
+                t = a0[rows].copy() if rows is Ellipsis else a0[rows]  # a mask gather is a copy already
                 if kind == _X:
                     a0[rows] = a1[rows]
                     a1[rows] = t
@@ -400,10 +407,9 @@ class _Trajectory:
 def _search_rows(table: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
     """np.searchsorted(table[row[i]], u[i], side="right") for every i, bit for bit.
 
-    Each row of table is non-decreasing with 2^n entries. The count of entries
-    at or below u[i] is found by a branch-free binary search: n vectorised
-    steps, each one gather and one comparison per shot, then one for the last
-    entry.
+    Each row of table is non-decreasing with 2^n entries. The count of entries at or
+    below u[i] is found by a branch-free binary search: n vectorised steps, each one
+    gather and one comparison per shot, then one for the last entry.
     """
     base = np.zeros(u.size, dtype=np.intp)
     half = table.shape[1] >> 1
@@ -413,44 +419,25 @@ def _search_rows(table: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarra
     return base + (table[row, base] <= u)
 
 
-def _faulty_outcomes(traj: _Trajectory, u_loc, u_out, memo: dict, store: np.ndarray) -> np.ndarray:
+def _faulty_outcomes(traj: _Trajectory, u_loc, u_out) -> np.ndarray:
     """Basis-state indices of shots that carry a fault, one per row of u_loc.
 
-    Shots are grouped by the bytes of their fault codes. memo maps the codes
-    of a history evolved earlier in this call to its cdf's row of store;
-    the shots of such groups resolve in one _search_rows call. The other
-    groups are evolved once each, in passes of at most _PASS_AMPS amplitudes,
-    and each pass resolves its shots in one call. Their cdfs fill store's free
-    rows until it is full.
+    Shots are grouped by the bytes of their fault codes; each group is evolved once, from its
+    first shot's uniforms, in passes of at most _PASS_AMPS amplitudes, each resolved by one _search_rows.
     """
     codes = traj.fault_codes(u_loc)
     # One np.void item per row, so np.unique compares whole rows by memcmp.
     # Byte equality is float equality here: no code is NaN or -0.0, as Pauli
     # codes are 1 to 4 and damping codes are uniforms (w >> 11) * 2^-53 in [0, 1).
     rows = codes.view(np.dtype((np.void, codes.strides[0]))).ravel()
-    keys, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    keys = keys.tolist()  # the bytes of each group's codes
-    slot = np.array([memo.get(key, -1) for key in keys], dtype=np.intp)
-    shot_slot = slot[inverse]
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     idx = np.empty(len(u_out), dtype=np.intp)
-    hit = shot_slot >= 0
-    idx[hit] = _search_rows(store, shot_slot[hit], u_out[hit])
-    new = np.flatnonzero(slot < 0)
-    place = np.full(len(keys), -1, dtype=np.intp)
-    place[new] = np.arange(new.size)
-    shot_place = place[inverse]
     per_pass = max(1, _PASS_AMPS >> traj.n)
-    for lo in range(0, new.size, per_pass):
-        part = new[lo:lo + per_pass]
-        cdfs = np.cumsum(np.abs(traj.run(u_loc[first[part]])) ** 2, axis=1)
+    for lo in range(0, first.size, per_pass):
+        cdfs = np.cumsum(np.abs(traj.run(u_loc[first[lo:lo + per_pass]])) ** 2, axis=1)
         cdfs /= cdfs[:, -1:].copy()
-        mine = np.flatnonzero((shot_place >= lo) & (shot_place < lo + part.size))
-        idx[mine] = _search_rows(cdfs, shot_place[mine] - lo, u_out[mine])
-        free = len(memo)
-        take = min(part.size, len(store) - free)
-        if take > 0:
-            store[free:free + take] = cdfs[:take]
-            memo.update((keys[g], free + j) for j, g in enumerate(part[:take].tolist()))
+        mine = np.flatnonzero((inverse >= lo) & (inverse < lo + per_pass))
+        idx[mine] = _search_rows(cdfs, inverse[mine] - lo, u_out[mine])
     return idx
 
 
@@ -464,14 +451,11 @@ def sample_shots(
     one per measured qubit for its read, unless the read kernel K is the
     identity. A bit whose true value is b reads as 1 - b when its uniform u
     is below K[1 - b, b], and drops the shot when u >= K[0, b] + K[1, b];
-    the table holds the kept shots. The streams of a block of shots come
-    from one Philox call (_philox_uniforms). Its fault-free shots resolve
-    together against a cached reference evolution. Shots with a fault are
-    grouped by the bytes of their fault codes, and each group not seen
-    before in this call is evolved once, as one row of a batched statevector
-    array (_faulty_outcomes); each shot then resolves by a vectorised binary
-    search of its group's cdf (_search_rows), equal to searchsorted.
-    Outcomes appear in the table in the order of their first shot.
+    the table holds the kept shots. A block of shots draws its streams in one
+    Philox call (_philox_uniforms) and resolves its fault-free shots against a
+    cached reference evolution. Faulty shots wait in a stash until it is full
+    or the shots run out, and each flush evolves every distinct fault history
+    once (_faulty_outcomes). Outcomes appear in the order of their first shot.
     """
     circ = noisy.circuit
     if circ.n_qubits > TRAJECTORY_QUBIT_CAP:
@@ -498,22 +482,38 @@ def sample_shots(
     place = 1 << np.arange(n_meas - 1, -1, -1)
     codes = np.empty(cfg.n_shots, dtype=np.int64)
     kept = np.ones(cfg.n_shots, dtype=bool)
-    # fault codes -> row of store, kept for this call; np.empty writes no page,
-    # so the store costs memory only for the rows histories have filled
-    memo, store = {}, np.empty((_MEMO_BYTES // (8 << circ.n_qubits), 2**circ.n_qubits))
-    for start in range(0, cfg.n_shots, _SHOT_BLOCK):
-        n = min(_SHOT_BLOCK, cfg.n_shots - start)
-        u = _philox_uniforms(cfg.seed, shot_offset + start, n, n_loc + 1 + n_read)
-        u_loc, u_out, u_read = u[:, :n_loc], u[:, n_loc], u[:, n_loc + 1:]
-        idx = np.searchsorted(ref_cdf, u_out, side="right")
-        faulty = np.flatnonzero(~np.all(u_loc >= thresholds, axis=1))
-        if faulty.size:
-            idx[faulty] = _faulty_outcomes(traj, u_loc[faulty], u_out[faulty], memo, store)
+
+    def read(at, idx, u_read):  # the bits of the shots at positions at, from their basis-state indices
         bits = (idx[:, None] >> shifts) & 1
         if n_read:
-            kept[start:start + n] = np.all(u_read < keep_p[bits], axis=1)
+            kept[at] = np.all(u_read < keep_p[bits], axis=1)
             bits ^= u_read < flip_p[bits]
-        codes[start:start + n] = bits @ place
+        codes[at] = bits @ place
+
+    # faulty shots wait as (uniforms, positions) parts, at most cap rows in all
+    n_draws = n_loc + 1 + n_read
+    cap, stash, fill = max(1, _STASH_BYTES // (8 * (n_draws + 1))), [], 0
+
+    def flush():
+        u, at = (np.concatenate(part) for part in zip(*stash))
+        stash.clear()
+        read(at, _faulty_outcomes(traj, u[:, :n_loc], u[:, n_loc]), u[:, n_loc + 1:])
+
+    for start in range(0, cfg.n_shots, _SHOT_BLOCK):
+        n = min(_SHOT_BLOCK, cfg.n_shots - start)
+        u = _philox_uniforms(cfg.seed, shot_offset + start, n, n_draws)
+        # every shot is read as if fault-free; a faulty one is read again at its flush
+        read(slice(start, start + n), np.searchsorted(ref_cdf, u[:, n_loc], side="right"), u[:, n_loc + 1:])
+        faulty = np.flatnonzero(~np.all(u[:, :n_loc] >= thresholds, axis=1))
+        while faulty.size:
+            take, faulty = faulty[:cap - fill], faulty[cap - fill:]
+            stash.append((u[take], start + take))
+            fill += take.size
+            if fill == cap:
+                flush()
+                fill = 0
+    if fill:
+        flush()
 
     codes = codes[kept]
     values, first, tally = np.unique(codes, return_index=True, return_counts=True)

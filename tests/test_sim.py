@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,6 +172,15 @@ def test_evolve_density_applies_channels_off_the_gate_and_after_a_measurement():
         for ch in slot:
             want = sum(on(k, ch.qubit) @ want @ on(k, ch.qubit).conj().T for k in ch.kraus)
     assert np.max(np.abs(evolve_density(noisy).mat - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("ch", [noise.DampingNoise(1, 0.3), noise.PauliNoise(0, 0.1, 0.05, 0.02)], ids=["damping", "pauli"])
+def test_channel_superoperators_are_built_once_and_read_only(ch):
+    sup = sim._superoperator(ch)
+    assert sim._superoperator(dataclasses.replace(ch)) is sup  # keyed by the channel's value
+    assert np.array_equal(sup, qcore.superoperator(ch.kraus))
+    with pytest.raises(ValueError, match="read-only"):
+        sup[0, 0] = 0.0
 
 
 def test_born_distribution_basics():
@@ -366,27 +376,44 @@ def sampled_circuits(draw):
     n_shots=st.integers(1, 2 * sim._SHOT_BLOCK + 300),
     shot_offset=st.integers(0, 2**40),
     seed=st.integers(0, 2**63 - 1),
+    # the default stash, which a call of these sizes never fills, and stashes
+    # of one row and of a few rows, which flush many times a block
+    stash_bytes=st.sampled_from((sim._STASH_BYTES, 1, 2**10)),
 )
-def test_sampler_matches_per_shot_loop_on_random_circuits(noisy, n_shots, shot_offset, seed):
+def test_sampler_matches_per_shot_loop_on_random_circuits(noisy, n_shots, shot_offset, seed, stash_bytes):
     # shots that share fault codes share one evolution, within a block and across blocks
     want = replay_per_shot(noisy, n_shots, seed=seed, shot_offset=shot_offset)
-    got = sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed), shot_offset=shot_offset)
+    with mock.patch.object(sim, "_STASH_BYTES", stash_bytes):
+        got = sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed), shot_offset=shot_offset)
     assert list(got.counts.items()) == list(want.items())
     assert got.n_shots == sum(want.values())
 
 
-def test_full_memo_leaves_counts_unchanged(monkeypatch):
-    # past the memo's byte cap, shots still resolve from their own block's
-    # passes; with passes of two rows, the second pass fills the memo's last row
-    # and every block evolves its new histories in many passes
+def test_full_stash_leaves_counts_unchanged(monkeypatch):
+    # a stash too small for one block's faulty shots flushes several times a
+    # block, mid-block too, and shots still resolve in their own flush; with
+    # passes of two rows, every flush evolves its histories in many passes
     noisy = noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10))
     want = replay_per_shot(noisy, 2500, seed=8, shot_offset=123)
+    flushes = []
+    faulty_outcomes = sim._faulty_outcomes
+
+    def recording_faulty_outcomes(traj, u_loc, u_out):
+        flushes.append(len(u_out))
+        return faulty_outcomes(traj, u_loc, u_out)
+
+    monkeypatch.setattr(sim, "_faulty_outcomes", recording_faulty_outcomes)
+    monkeypatch.setattr(sim, "_STASH_BYTES", 2**14)
     size = 2**noisy.circuit.n_qubits
-    monkeypatch.setattr(sim, "_MEMO_BYTES", 3 * 8 * size)  # three cdfs
     for pass_amps in (sim._PASS_AMPS, 2 * size):
         monkeypatch.setattr(sim, "_PASS_AMPS", pass_amps)
+        flushes.clear()
         got = sample_shots(noisy, TrajectoryConfig(2500, seed=8), shot_offset=123)
         assert list(got.counts.items()) == list(want.items())
+        # every flush but the last found the stash full; with more flushes than
+        # the call's three blocks, some block flushed twice, so mid-block
+        assert len(set(flushes[:-1])) == 1 and flushes[-1] <= flushes[0]
+        assert len(flushes) > 3
 
 
 @pytest.mark.parametrize(
@@ -412,8 +439,7 @@ def test_each_distinct_fault_history_is_evolved_once(monkeypatch, noisy):
         return run(self, u)
 
     monkeypatch.setattr(sim._Trajectory, "run", recording_run)
-    monkeypatch.setattr(sim, "_MEMO_BYTES", n_shots * 8 * 2**noisy.circuit.n_qubits)
-    sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed))
+    sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed))  # the default stash: one flush
     assert len(evolved) == len(want) > 0
     assert sorted(evolved) == sorted(map(tuple, want))
 
@@ -548,7 +574,7 @@ def test_faulty_passes_stay_within_the_amplitude_budget(monkeypatch):
     monkeypatch.setattr(sim._Trajectory, "run", recording_run)
     table = sample_shots(noisy, TrajectoryConfig(1500, seed=9))
     assert table.n_shots == 1500
-    assert max(rows) == max(1, 2**16 >> n)  # the budget binds, and is never exceeded
+    assert max(rows) == max(1, 2**14 >> n)  # the budget binds, and is never exceeded
 
 
 PARTITION_NOISY = noise.attach_noise(ENCODED, DepolarizingParams(p2=0.01))
