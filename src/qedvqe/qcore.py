@@ -9,6 +9,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -307,10 +308,14 @@ def kron_all(*factors):
     return out
 
 
+@functools.cache
 def pauli_word(word: str) -> np.ndarray:
-    """Dense matrix for a Pauli word like 'ZIXY' (index 0 = leftmost = qubit 0)."""
+    """Dense matrix for a Pauli word like 'ZIXY' (index 0 = leftmost = qubit 0);
+    built once per word, so shared and read-only."""
     table = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-    return kron_all(*(table[c] for c in word))
+    out = kron_all(*(table[c] for c in word))
+    out.setflags(write=False)
+    return out
 
 
 def expectation(rho: DensityMatrix, observable: np.ndarray) -> float:

@@ -3,13 +3,12 @@
 The trajectory backend unravels each attached channel into stochastic Pauli
 insertions plus jump/no-jump amplitude-damping branches on statevectors, so
 it reaches registers (up to TRAJECTORY_QUBIT_CAP qubits) that the density
-backend cannot. Shot i owns its own Philox4x64-10 stream, so batching never
-changes results: the nb = ceil(n_draws / 4) counter blocks i * nb + 1 to
-(i + 1) * nb under key seed mod 2^64, which numpy draws as
-Generator(Philox(key=seed % 2**64).advance(i * nb)).random(n_draws). Only shots
-that carry a fault are evolved: they wait in a bounded stash, and each flush
-evolves every distinct fault history once, as a row of one (B, 2^n) statevector
-array. Both backends read measured bits through the circuit's per-bit read kernel;
+backend cannot. Shot i owns its own Philox4x64-10 streams, so batching never
+changes results: family 0 for its first-fault, outcome and read draws, family 1
+for one uniform per noise location, drawn only if the shot carries a fault
+(_philox_uniforms). Such shots wait in a bounded stash, and each flush evolves
+every distinct fault history once, as a row of one (B, 2^n) statevector array.
+Both backends read measured bits through the circuit's per-bit read kernel;
 the readout-encoding gadget is such a kernel (red_vote_kernel_for), so a
 readout-encoded run samples the 2- or 6-qubit circuit it encodes.
 """
@@ -45,13 +44,16 @@ DENSITY_QUBIT_CAP = 12
 TRAJECTORY_QUBIT_CAP = 20
 # Shots whose streams are drawn and resolved as one set of arrays: enough to
 # amortise numpy's per-call cost, few enough that the arrays stay in cache.
-# Faulty shots wait in a stash of at most _STASH_BYTES and are grouped once per
-# flush (a call at defaults flushes once); each history is evolved in passes of
-# at most _PASS_AMPS amplitudes (B rows of 2^n: 256 at 6 qubits, one from 14
-# qubits up), so sampling stays within a few MB of the per-shot loop.
+# Faulty shots wait in a stash, flushed when its rows and their location
+# uniforms would pass _STASH_BYTES, and are grouped once per flush (a call at
+# defaults flushes once); each history is evolved in passes of at most
+# _PASS_AMPS amplitudes (B rows of 2^n: 256 at 6 qubits, one from 14 qubits
+# up), so sampling stays within a few MB of the per-shot loop. A shot in a
+# drawn span costs about 1/_DENSE of one drawn alone.
 _SHOT_BLOCK = 1024
 _PASS_AMPS = 2**14
 _STASH_BYTES = 2**23
+_DENSE = 24
 
 
 @dataclass(frozen=True)
@@ -201,22 +203,42 @@ def shot_limit_table(noisy: NoisyCircuit) -> tuple[ShotTable, float]:
 # ---------------------------------------------------------------------------
 
 
-def _philox_uniforms(seed: int, shot_offset: int, n_shots: int, n_draws: int) -> np.ndarray:
-    """(n_shots, n_draws) uniforms; row i is the stream of shot shot_offset + i.
+def _philox_uniforms(seed: int, shot_offset: int, parts, n_draws: int, family: int = 0):
+    """Yields, for each array of positions in parts, its (size, n_draws) uniforms:
+    row i is the stream, in the given family, of shot shot_offset + part[i].
 
-    Counter-based streams (Salmon et al., SC'11): under key seed mod 2^64,
-    shot s owns the nb = ceil(n_draws / 4) four-word Philox4x64-10 blocks of
-    counters s * nb + 1 to (s + 1) * nb, and each double is the top 53 bits
-    of a word. The streams of consecutive shots are contiguous, so numpy's
-    Philox walks a whole block of shots in one call. Row i equals, bit for bit,
-    Generator(Philox(key=seed % 2**64).advance((shot_offset + i) * nb)).random(n_draws).
+    Counter-based streams (Salmon et al., SC'11): under key seed mod 2^64 and
+    counter word 2 = family, shot s owns the nb = ceil(n_draws / 4) Philox4x64-10
+    blocks s * nb + 1 to (s + 1) * nb, and each double is the top 53 bits of a
+    word. Row i equals, bit for bit, Generator(Philox(key=seed % 2**64, counter=
+    [0, 0, family, 0]).advance((shot_offset + part[i]) * nb)).random(n_draws).
+    Positions ascend, and one generator walks them: a part of more than 1 in
+    _DENSE of its span is drawn as that span in one call, any other shot by shot.
     """
     n_blocks = -(-n_draws // 4)
     # numpy.random is imported on first use, here: it costs about 6 MB, and
     # the density backend never samples
-    bits = np.random.Philox(key=seed % 2**64).advance(shot_offset * n_blocks)
-    words = bits.random_raw(n_shots * 4 * n_blocks).reshape(n_shots, 4 * n_blocks)
-    return (words[:, :n_draws] >> np.uint64(11)) * 2.0**-53
+    bits = np.random.Philox(key=seed % 2**64, counter=[0, 0, family, 0]).advance(shot_offset * n_blocks)
+    at = 0
+    for part in parts:
+        first, span = int(part[0]), int(part[-1] - part[0]) + 1
+        if part.size * _DENSE > span:
+            words = bits.advance((first - at) * n_blocks).random_raw(span * 4 * n_blocks)
+            words = words.reshape(span, 4 * n_blocks)[part - first if part.size < span else ...]
+            at = first + span
+        else:
+            words = np.empty((part.size, 4 * n_blocks), dtype=np.uint64)
+            for i, s in enumerate(part.tolist()):
+                words[i], at = bits.advance((s - at) * n_blocks).random_raw(4 * n_blocks), s + 1
+        yield (words[:, :n_draws] >> np.uint64(11)) * 2.0**-53
+
+
+def _first_fault_rows(th: np.ndarray, fault_cdf: np.ndarray, u_f: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Location uniforms of faulty shots (u_f < fault_cdf[-1]) under the exact
+    law given their first fault, at K = searchsorted(fault_cdf, u_f, "right"):
+    th_j + (1 - th_j) v_j before K, th_K v_K at K and the free v_j after it."""
+    before = np.searchsorted(fault_cdf, u_f, side="right")[:, None] - np.arange(th.size)  # K - j
+    return np.where(before > 0, th + (1.0 - th) * v, np.where(before == 0, th * v, v))
 
 
 def _half_planes(amps: np.ndarray, qubit: int):
@@ -446,15 +468,17 @@ def sample_shots(
 ) -> ShotTable:
     """Sample shots by stochastic fault insertion on statevectors.
 
-    Shot i (global index shot_offset + i) consumes only its own RNG stream:
-    one uniform per noise location, one for the terminal Z-basis outcome, and
-    one per measured qubit for its read, unless the read kernel K is the
+    Shot i (global index shot_offset + i) consumes only its own RNG streams.
+    Family 0 holds u_f, the uniform of the terminal Z-basis outcome, and one
+    uniform per measured qubit for its read, unless the read kernel K is the
     identity. A bit whose true value is b reads as 1 - b when its uniform u
     is below K[1 - b, b], and drops the shot when u >= K[0, b] + K[1, b];
-    the table holds the kept shots. A block of shots draws its streams in one
-    Philox call (_philox_uniforms) and resolves its fault-free shots against a
-    cached reference evolution. Faulty shots wait in a stash until it is full
-    or the shots run out, and each flush evolves every distinct fault history
+    the table holds the kept shots. A shot carries a fault iff u_f is below
+    P(any fault), and only then draws its location uniforms from family 1
+    (_first_fault_rows). A block of shots draws its family-0 rows in one call
+    and resolves its fault-free shots against a cached reference evolution.
+    Faulty shots wait in a stash until it is full or the shots run out; each
+    flush draws their location rows and evolves every distinct fault history
     once (_faulty_outcomes). Outcomes appear in the order of their first shot.
     """
     circ = noisy.circuit
@@ -471,6 +495,10 @@ def sample_shots(
     ref_amps, thresholds = traj.no_jump_reference()
     ref_cdf = np.cumsum(np.abs(ref_amps) ** 2)
     ref_cdf[-1] = 1.0
+    # an infinite threshold (gamma = 1 on an emptied no-jump branch) faults every shot
+    th = np.minimum(thresholds, 1.0)
+    fault_cdf = 1.0 - np.cumprod(1.0 - th)
+    p_fault = fault_cdf[-1] if th.size else 0.0
 
     n_loc, n_meas = thresholds.size, len(measured)
     kernel = noisy.readout
@@ -490,21 +518,25 @@ def sample_shots(
             bits ^= u_read < flip_p[bits]
         codes[at] = bits @ place
 
-    # faulty shots wait as (uniforms, positions) parts, at most cap rows in all
-    n_draws = n_loc + 1 + n_read
-    cap, stash, fill = max(1, _STASH_BYTES // (8 * (n_draws + 1))), [], 0
+    # faulty shots wait as (family-0 rows, positions) parts, at most cap rows in
+    # all, so that a flush's rows with their location uniforms fill _STASH_BYTES
+    n_main = 2 + n_read
+    cap, stash, fill = max(1, _STASH_BYTES // (8 * (n_loc + n_main + 1))), [], 0
 
     def flush():
         u, at = (np.concatenate(part) for part in zip(*stash))
+        v = np.concatenate(list(_philox_uniforms(cfg.seed, shot_offset, [at for _, at in stash], n_loc, 1)))
         stash.clear()
-        read(at, _faulty_outcomes(traj, u[:, :n_loc], u[:, n_loc]), u[:, n_loc + 1:])
+        u_loc = _first_fault_rows(th, fault_cdf, u[:, 0], v)
+        read(at, _faulty_outcomes(traj, u_loc, u[:, 1]), u[:, 2:])
 
-    for start in range(0, cfg.n_shots, _SHOT_BLOCK):
-        n = min(_SHOT_BLOCK, cfg.n_shots - start)
-        u = _philox_uniforms(cfg.seed, shot_offset + start, n, n_draws)
+    starts = range(0, cfg.n_shots, _SHOT_BLOCK)
+    blocks = (np.arange(start, min(start + _SHOT_BLOCK, cfg.n_shots)) for start in starts)
+    for start, u in zip(starts, _philox_uniforms(cfg.seed, shot_offset, blocks, n_main)):
+        n = len(u)
         # every shot is read as if fault-free; a faulty one is read again at its flush
-        read(slice(start, start + n), np.searchsorted(ref_cdf, u[:, n_loc], side="right"), u[:, n_loc + 1:])
-        faulty = np.flatnonzero(~np.all(u[:, :n_loc] >= thresholds, axis=1))
+        read(slice(start, start + n), np.searchsorted(ref_cdf, u[:, 1], side="right"), u[:, 2:])
+        faulty = np.flatnonzero(u[:, 0] < p_fault)
         while faulty.size:
             take, faulty = faulty[:cap - fill], faulty[cap - fill:]
             stash.append((u[take], start + take))
@@ -515,10 +547,13 @@ def sample_shots(
     if fill:
         flush()
 
+    # tally by code value; values are listed in the order of their first kept shot
     codes = codes[kept]
-    values, first, tally = np.unique(codes, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    counts = {bitstring(int(v), n_meas): int(c) for v, c in zip(values[order], tally[order])}
+    tally = np.bincount(codes, minlength=1 << n_meas)
+    first = np.full(tally.size, codes.size)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    values = np.flatnonzero(tally)
+    counts = {bitstring(int(v), n_meas): int(tally[v]) for v in values[np.argsort(first[values])]}
     return ShotTable(counts, codes.size, layout)
 
 

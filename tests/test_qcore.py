@@ -17,7 +17,12 @@ from qedvqe.qcore import (
     cnot,
     expectation,
     h,
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     kron,
+    kron_all,
     measure,
     pauli_word,
     ry,
@@ -215,3 +220,12 @@ def test_circuit_terminal_measurement_invariant():
     # measurement on another qubit is fine
     Circuit(2, (measure(0), h(1), measure(1)), (ROLE_DATA, ROLE_DATA))
 
+
+
+def test_pauli_words_are_built_once_and_read_only():
+    # observables and the scan's term list share one matrix per word
+    word = pauli_word("XIZYIX")
+    assert word is pauli_word("XIZYIX")
+    assert not word.flags.writeable
+    table = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+    assert word.tobytes() == kron_all(*(table[c] for c in "XIZYIX")).tobytes()

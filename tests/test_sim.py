@@ -231,35 +231,67 @@ def test_noiseless_sampling_theta_zero():
     assert table.counts == {"00": 1000}
 
 
-def _shot_generator(seed: int, shot_index: int, n_draws: int) -> np.random.Generator:
+def _shot_generator(seed: int, shot_index: int, n_draws: int, family: int = 0) -> np.random.Generator:
     """Reference stream of one shot of n_draws uniforms: numpy's own Philox
-    under key seed mod 2^64, advanced past the ceil(n_draws / 4) counter blocks
-    of every earlier shot."""
-    bits = np.random.Philox(key=seed % 2**64).advance(shot_index * -(-n_draws // 4))
-    return np.random.Generator(bits)
+    under key seed mod 2^64 with counter word 2 = family, advanced past the
+    ceil(n_draws / 4) counter blocks of every earlier shot of that family."""
+    bits = np.random.Philox(key=seed % 2**64, counter=[0, 0, family, 0])
+    return np.random.Generator(bits.advance(shot_index * -(-n_draws // 4)))
+
+
+def philox_rows(seed, shot_offset, parts, n_draws, family=0) -> np.ndarray:
+    """Every row _philox_uniforms yields for parts, stacked."""
+    return np.concatenate(list(sim._philox_uniforms(seed, shot_offset, parts, n_draws, family)))
+
+
+def two_family_rows(noisy, n_shots: int, seed: int, shot_offset: int = 0):
+    """Per shot, (u_out, read uniforms, location uniforms or None when fault-free),
+    drawn from the reference streams of both families one shot at a time.
+
+    Family 0 gives u_f, u_out and the reads. The first faulty location K is the
+    first k at which the survival product prod_{j <= k} (1 - th_j) drops to or
+    below 1 - u_f; there is none when u_f reaches 1 - prod_j (1 - th_j). Only a
+    faulty shot reads family 1, as v: u_j = th_j + (1 - th_j) v_j before K,
+    th_K v_K at K and v_j after it.
+    """
+    _, thresholds = sim._Trajectory(noisy).no_jump_reference()
+    th = [min(t, 1.0) for t in thresholds.tolist()]
+    n_read = 0 if np.array_equal(noisy.readout, np.eye(2)) else len(noisy.circuit.measured_qubits)
+    for i in range(n_shots):
+        main = _shot_generator(seed, shot_offset + i, 2 + n_read)
+        u_f, u_out = main.random(), main.random()
+        u_read = main.random(n_read)
+        survive, first = 1.0, None
+        for k, t in enumerate(th):
+            survive *= 1.0 - t
+            if u_f < 1.0 - survive:
+                first = k
+                break
+        u_loc = None
+        if first is not None:
+            v = _shot_generator(seed, shot_offset + i, len(th), family=1).random(len(th)).tolist()
+            u_loc = np.array([t + (1.0 - t) * x if j < first else t * x if j == first else x
+                              for j, (t, x) in enumerate(zip(th, v))])
+        yield u_out, u_read, u_loc
 
 
 def replay_per_shot(noisy, n_shots: int, seed: int, shot_offset: int = 0) -> dict:
-    """Per-shot sampling loop: one reference stream per shot, drawn and resolved in turn."""
+    """Per-shot sampling loop: the two reference streams of each shot, drawn and resolved in turn."""
     traj = sim._Trajectory(noisy)
-    ref_amps, thresholds = traj.no_jump_reference()
+    ref_amps, _ = traj.no_jump_reference()
     ref_cdf = np.cumsum(np.abs(ref_amps) ** 2)
     ref_cdf[-1] = 1.0
     kernel, n = noisy.readout, noisy.circuit.n_qubits
-    n_read = 0 if np.array_equal(kernel, np.eye(2)) else len(noisy.circuit.measured_qubits)
     counts = {}
-    for i in range(n_shots):
-        gen = _shot_generator(seed, shot_offset + i, thresholds.size + 1 + n_read)
-        u_loc = gen.random(thresholds.size)
-        u_out = gen.random()
+    for u_out, u_read, u_loc in two_family_rows(noisy, n_shots, seed, shot_offset):
         cdf = ref_cdf
-        if not np.all(u_loc >= thresholds):
+        if u_loc is not None:
             cdf = np.cumsum(np.abs(traj.run(u_loc[None])[0]) ** 2)
             cdf /= cdf[-1]
         idx = int(np.searchsorted(cdf, u_out, side="right"))
         bits = [(idx >> (n - 1 - q)) & 1 for q in noisy.circuit.measured_qubits]
-        if not np.array_equal(kernel, np.eye(2)):
-            reads = list(zip(bits, gen.random(len(bits))))
+        if u_read.size:
+            reads = list(zip(bits, u_read))
             if any(u >= kernel[0, b] + kernel[1, b] for b, u in reads):
                 continue  # a failed vote drops the shot
             bits = [b ^ (u < kernel[1 - b, b]) for b, u in reads]
@@ -276,11 +308,14 @@ def replay_per_shot(noisy, n_shots: int, seed: int, shot_offset: int = 0) -> dic
     n_draws=st.integers(0, 130),
 )
 def test_philox_uniforms_match_reference_stream(seed, first_shot, n_shots, n_draws):
-    rows = sim._philox_uniforms(seed, first_shot, n_shots, n_draws)
-    assert rows.shape == (n_shots, n_draws)
+    rows = philox_rows(seed, first_shot, [np.arange(n_shots)], n_draws)
+    fault_rows = philox_rows(seed, first_shot, [np.arange(n_shots)], n_draws, family=1)
+    assert rows.shape == fault_rows.shape == (n_shots, n_draws)
     for i in range(n_shots):
         want = _shot_generator(seed, first_shot + i, n_draws).random(n_draws)
         assert rows[i].tobytes() == want.tobytes()
+        want = _shot_generator(seed, first_shot + i, n_draws, family=1).random(n_draws)
+        assert fault_rows[i].tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -291,11 +326,104 @@ def test_philox_uniforms_match_reference_stream(seed, first_shot, n_shots, n_dra
     sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
 )
 def test_philox_uniforms_split_into_any_shot_ranges(seed, first_shot, n_draws, sizes):
-    # one call over a shot range equals the calls over any split of it, stacked
-    whole = sim._philox_uniforms(seed, first_shot, sum(sizes), n_draws)
+    # one call over a shot range equals the calls over any split of it, stacked,
+    # and one call over its split into parts, in both families
     starts = np.cumsum([0] + sizes[:-1])
-    parts = [sim._philox_uniforms(seed, first_shot + int(a), n, n_draws) for a, n in zip(starts, sizes)]
-    assert whole.tobytes() == np.concatenate(parts).tobytes()
+    split = [np.arange(a, a + n) for a, n in zip(starts, sizes)]
+    for family in (0, 1):
+        whole = philox_rows(seed, first_shot, [np.arange(sum(sizes))], n_draws, family)
+        parts = [
+            philox_rows(seed, first_shot + int(a), [np.arange(n)], n_draws, family)
+            for a, n in zip(starts, sizes)
+        ]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
+        assert whole.tobytes() == philox_rows(seed, first_shot, split, n_draws, family).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    shot_offset=st.integers(0, 2**64),
+    n_draws=st.integers(1, 40),
+    family=st.sampled_from((0, 1)),
+    # per block, the fraction of its shots that are drawn: sparse, dense or all
+    fractions=st.lists(st.sampled_from((0.0, 0.01, 0.03, 0.3, 1.0)), min_size=1, max_size=3),
+    picks=st.integers(0, 2**32 - 1),
+)
+def test_philox_uniforms_are_each_shots_own_stream_dense_or_walked(
+    seed, shot_offset, n_draws, family, fractions, picks
+):
+    # a part of a block's shots comes from one span of the stream or from a
+    # walk over them; either way each row is its own shot's reference stream
+    rng = np.random.default_rng(picks)
+    parts = []
+    for b, frac in enumerate(fractions):
+        part = b * sim._SHOT_BLOCK + np.flatnonzero(rng.random(sim._SHOT_BLOCK) < frac)
+        parts += [part] if part.size else []
+    if not parts:
+        return
+    per_part = list(sim._philox_uniforms(seed, shot_offset, parts, n_draws, family))
+    assert [len(rows) for rows in per_part] == [part.size for part in parts]
+    rows, shots = np.concatenate(per_part), np.concatenate(parts)
+    assert rows.shape == (shots.size, n_draws)
+    for row, s in zip(rows, shots.tolist()):
+        want = _shot_generator(seed, shot_offset + s, n_draws, family).random(n_draws)
+        assert row.tobytes() == want.tobytes()
+
+
+def first_fault_law(thresholds):
+    """(th, fault_cdf) as the sampler builds them from the fault thresholds."""
+    th = np.minimum(thresholds, 1.0)
+    return th, 1.0 - np.cumprod(1.0 - th)
+
+
+@st.composite
+def first_fault_draws(draw):
+    """Thresholds with 0, 1 and inf among them, a first-fault draw u_f (some of
+    them on an entry of fault_cdf or just below it) and free uniforms v."""
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    thresholds = np.array(draw(st.lists(st.sampled_from((0.0, 1.0, np.inf)) | st.floats(0.0, 1.0), min_size=1, max_size=8)))
+    _, fault_cdf = first_fault_law(thresholds)
+    at = draw(st.sampled_from(fault_cdf.tolist()))
+    u_f = draw(unit | st.just(at) | st.just(float(np.nextafter(at, 0.0))) | st.just(0.0))
+    v = np.array(draw(st.lists(unit | st.just(0.0), min_size=thresholds.size, max_size=thresholds.size)))
+    return thresholds, min(u_f, float(np.nextafter(1.0, 0.0))), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=first_fault_draws())
+def test_first_fault_rows_fault_first_where_the_first_fault_draw_says(case):
+    thresholds, u_f, v = case
+    th, fault_cdf = first_fault_law(thresholds)
+    k = int(np.searchsorted(fault_cdf, u_f, side="right"))
+    # a shot is faulty iff u_f < fault_cdf[-1], which is then K < L
+    assert (u_f < fault_cdf[-1]) == (k < thresholds.size)
+    if k == thresholds.size:
+        return
+    u = sim._first_fault_rows(th, fault_cdf, np.array([u_f]), v[None])[0]
+    assert np.all((u >= 0.0) & (u <= 1.0))
+    assert u[k] < th[k] and u[k] < thresholds[k]  # strictly, where the sampler's codes compare
+    assert np.flatnonzero(u < thresholds)[0] == k
+    assert u[k + 1:].tobytes() == v[k + 1:].tobytes()
+
+
+def test_first_fault_location_follows_the_survival_law():
+    # over 10^5 shots of three locations, the first location below its
+    # threshold is k with probability prod_{j<k} (1 - th_j) th_k
+    rng = np.random.default_rng(17)
+    thresholds = np.array([0.05, 0.3, 0.5])
+    th, fault_cdf = first_fault_law(thresholds)
+    n = 10**5
+    u_f = rng.random(n)
+    faulty = u_f < fault_cdf[-1]
+    u = sim._first_fault_rows(th, fault_cdf, u_f[faulty], rng.random((faulty.sum(), 3)))
+    first = np.argmax(u < thresholds, axis=1)
+    assert np.all((u < thresholds)[np.arange(len(u)), first])
+    tally = np.bincount(first, minlength=3).tolist() + [n - faulty.sum()]
+    survive = np.concatenate([[1.0], np.cumprod(1.0 - thresholds)])
+    for k, count in enumerate(tally):
+        p = survive[k] * thresholds[k] if k < 3 else survive[3]
+        assert abs(count - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
 
 
 ENCODED = builders.build_encoded_ansatz(-0.22967, "Z")
@@ -426,11 +554,8 @@ def test_each_distinct_fault_history_is_evolved_once(monkeypatch, noisy):
     # one history (evolving it twice) nor merge two (evolving one of them never)
     n_shots, seed = 2 * sim._SHOT_BLOCK + 500, 6
     traj = sim._Trajectory(noisy)
-    _, thresholds = traj.no_jump_reference()
-    n_read = 0 if np.array_equal(noisy.readout, np.eye(2)) else len(noisy.circuit.measured_qubits)
-    u_loc = sim._philox_uniforms(seed, 0, n_shots, thresholds.size + 1 + n_read)[:, :thresholds.size]
-    faulty = ~np.all(u_loc >= thresholds, axis=1)
-    want = np.unique(traj.fault_codes(u_loc[faulty]), axis=0)
+    u_loc = np.array([u for _, _, u in two_family_rows(noisy, n_shots, seed) if u is not None])
+    want = np.unique(traj.fault_codes(u_loc), axis=0)
     evolved = []
     run = sim._Trajectory.run
 
