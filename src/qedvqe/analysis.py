@@ -57,23 +57,30 @@ def build_projector(kind: str) -> np.ndarray:
 def project_state(rho: DensityMatrix, kind: str) -> DensityMatrix:
     """Normalized projected state Pi rho Pi / Tr(Pi rho Pi)."""
     pi = build_projector(kind)
-    return _normalized(rho, pi @ rho.mat @ pi.conj().T)
+    mat = pi @ rho.mat @ pi.conj().T
+    return DensityMatrix(rho.n_qubits, mat / support(np.trace(mat).real))
 
 
-def project_qubit(rho: DensityMatrix, qubit: int, value: int) -> DensityMatrix:
-    """Condition a density matrix on a computational value of one qubit: P rho P
-    for the diagonal projector P is rho masked to the rows and columns that hold it."""
+def qubit_branch(rho: DensityMatrix, qubit: int, value: int) -> np.ndarray:
+    """P rho P, unnormalized, for the diagonal projector P on one qubit's
+    computational value: rho masked to the rows and columns that hold it."""
     if not 0 <= qubit < rho.n_qubits or value not in (0, 1):
         raise ValueError(f"cannot condition qubit {qubit} of {rho.n_qubits} on value {value}")
     keep = (np.arange(2**rho.n_qubits) >> (rho.n_qubits - 1 - qubit)) & 1 == value
-    return _normalized(rho, np.where(keep[:, None] & keep, rho.mat, 0.0))
+    return np.where(keep[:, None] & keep, rho.mat, 0.0)
 
 
-def _normalized(rho: DensityMatrix, mat: np.ndarray) -> DensityMatrix:
-    weight = np.trace(mat).real
+def project_qubit(rho: DensityMatrix, qubit: int, value: int) -> DensityMatrix:
+    """Condition a density matrix on a computational value of one qubit: its qubit_branch, normalized."""
+    mat = qubit_branch(rho, qubit, value)
+    return DensityMatrix(rho.n_qubits, mat / support(np.trace(mat).real))
+
+
+def support(weight: float) -> float:
+    """The weight a projection keeps; one at or below 1e-14 is a total rejection, a ValueError."""
     if weight <= 1e-14:
         raise ValueError("projection has vanishing support (total rejection)")
-    return DensityMatrix(rho.n_qubits, mat / weight)
+    return weight
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -146,8 +153,9 @@ def logical_error_report(rho_noisy: DensityMatrix, rho_ideal) -> LogicalErrorRep
     if psi is None:
         raise ValueError("rho_ideal must be pure")
     p_ideal = float((psi.conj() @ rho_noisy.mat @ psi).real)
-    p_logical = float(np.trace(build_projector("PI_P") @ rho_noisy.mat).real)
-    p_ap = float(np.trace(build_projector("PI_AP") @ rho_noisy.mat).real)
+    # Tr(P rho) elementwise, as qcore.expectation takes it, with no matrix product
+    p_logical = float(np.sum(build_projector("PI_P") * rho_noisy.mat.T).real)
+    p_ap = float(np.sum(build_projector("PI_AP") * rho_noisy.mat.T).real)
     p_eps_all = 1.0 - p_ideal
     p_eps_nl = 1.0 - p_logical
     return LogicalErrorReport(

@@ -4,8 +4,9 @@ Every experiment writes a manifest.json (the config as given, the converted
 seed, tool version, gate counts, wall time) plus one or more CSV files whose
 bodies are byte-identical across re-runs of the same config and seed. Passing a
 previously written manifest as --config re-runs it. The QEDVQE_WORKERS
-environment variable sizes the worker pool for sweep points; output ordering is
-canonical regardless of scheduling.
+environment variable sizes the worker pool for sweep-depol's noise points; output
+ordering is canonical regardless of scheduling. The exact grids run in one process,
+as stacks of density matrices (sim.evolve_densities) that a pool would only split.
 
 EXPERIMENTS is the one table of experiments: each runner and, for every config
 key it reads, the key's default and the conversion that checks it. SEED and
@@ -24,6 +25,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -301,9 +303,9 @@ def shot_limit_estimates(ham, model, theta, strategies=("NONE", "PSA", "PSP", "P
 # ---------------------------------------------------------------------------
 
 
-def _density_in_theta(build, model):
-    """theta -> the state of build(theta, "Z") under the model, from three evolutions.
-
+def _theta_basis(build, model):
+    """[rho(0), rho(pi), 2 rho(pi/2) - rho(0) - rho(pi)], as DensityMatrix, of build(theta, "Z") under
+    the model, from three evolutions; rho(theta) is their sum weighted by _theta_weights(theta):
     theta is the angle (+-theta + const) of one RY or RZ and no channel reads it, so with
     c = cos(theta/2) and s = sin(theta/2), exactly (Rotosolve: Ostaszewski et al., Quantum
     5, 391 (2021)) rho(theta) = c^2 rho(0) + s^2 rho(pi) + cs (2 rho(pi/2) - rho(0) - rho(pi)).
@@ -315,28 +317,39 @@ def _density_in_theta(build, model):
         and math.isclose(abs(b.angle - a.angle), math.pi / 2, abs_tol=1e-12) for a, b in moved
     ):
         raise ValueError("theta must be the angle (+-theta + const) of exactly one RY or RZ of the ansatz")
-    rho0, rho_pi, rho_half = (_evolve(circ, model).mat for circ in circuits)
-    cross, n = 2.0 * rho_half - rho0 - rho_pi, circuits[0].n_qubits
+    rho0, rho_pi, rho_half = sim.evolve_densities([noise.attach_noise(c, model) for c in circuits])
+    return [rho0, rho_pi, qcore.DensityMatrix(rho0.n_qubits, 2.0 * rho_half.mat - rho0.mat - rho_pi.mat)]
+
+
+def _theta_weights(theta: float):
+    return math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2, 0.5 * math.sin(theta)
+
+
+def _density_in_theta(build, model):
+    """theta -> the state of build(theta, "Z") under the model (_theta_basis)."""
+    basis = _theta_basis(build, model)
     return lambda theta: qcore.DensityMatrix(
-        n, math.cos(theta / 2) ** 2 * rho0 + math.sin(theta / 2) ** 2 * rho_pi + 0.5 * math.sin(theta) * cross
+        basis[0].n_qubits, sum(w * rho.mat for w, rho in zip(_theta_weights(theta), basis))
     )
 
 
 def exp_scan(hamiltonian, noise, points, encoded, seed):
-    # what does not depend on theta is built once per scan, the states included
+    # every number a theta needs is linear in rho(theta), so each is taken once per basis
+    # matrix (kept unnormalized to its a2 = 0 branch if encoded) and a theta combines scalars
     mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
     build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
-    rho_at = _density_in_theta(build, noise)
-    obs = hamiltonian.observable(mode)
-    terms = [(g, qcore.pauli_word(w)) for g, w in zip(hamiltonian.coeffs[1:], estimate.WORDS[mode][1:])]
+    states = _theta_basis(build, noise)
+    if encoded:
+        states = [qcore.DensityMatrix(rho.n_qubits, analysis.qubit_branch(rho, 5, 0)) for rho in states]
+    observables = [hamiltonian.observable(mode)] + [qcore.pauli_word(w) for w in estimate.WORDS[mode][1:]]
+    forms = np.array([[qcore.expectation(rho, obs) for rho in states] for obs in observables])
+    traces = np.array([np.trace(rho.mat).real for rho in states])
 
     def runner(theta: float) -> estimate.EnergyEstimate:
-        rho = rho_at(theta)
-        if encoded:
-            rho = analysis.project_qubit(rho, 5, 0)
-        mean = qcore.expectation(rho, obs)
-        var = sum(g * g * max(0.0, 1.0 - qcore.expectation(rho, p) ** 2) for g, p in terms)
-        return estimate.EnergyEstimate(mean, var, 0.0, {"Z": 0, "X": 0})
+        w = _theta_weights(theta)
+        mean, *terms = forms @ w / (analysis.support(traces @ w) if encoded else 1.0)
+        var = sum(g * g * max(0.0, 1.0 - m ** 2) for g, m in zip(hamiltonian.coeffs[1:], terms))
+        return estimate.EnergyEstimate(float(mean), float(var), 0.0, {"Z": 0, "X": 0})
 
     theta_min, curve = estimate.scan_theta(runner, points)
     rows = [
@@ -388,18 +401,32 @@ ANALYSIS_HEADER = (
 )
 
 
-def _analysis_point(p2, theta, seed):
-    model = noise.DepolarizingParams(p2=p2)
-    rho_u = _evolve(builders.build_unencoded_ansatz(theta, "Z"), model)
-    rho_e = _evolve(builders.build_encoded_ansatz(theta, "Z"), model)
+def _evolve_grid(circ, p2_grid):
+    """The density matrix of circ under depolarizing noise at each p2, in order: each run of
+    points whose channels share a layout (p2 = 0 attaches none) is one sim.evolve_densities call."""
+    noisy = [noise.attach_noise(circ, noise.DepolarizingParams(p2=p2)) for p2 in p2_grid]
+    for _, run in itertools.groupby(noisy, sim.density_layout):
+        yield from sim.evolve_densities(list(run))
+
+
+def _analysis_rows(p2_grid, theta, seed):
+    """The ANALYSIS_HEADER row of each p2: both circuits and the three ideal kets
+    are built once, and each state is analysed as its grid's evolution yields it."""
+    ideal_u, ideal_e = builders.unencoded_target_state(theta), builders.encoded_target_state(theta)
     branch = builders.encoded_branch_state(theta, 0)  # the ideal states are kets
-    report = analysis.logical_error_report(analysis.project_qubit(rho_e, 5, 0), branch)
-    return (
-        p2, analysis.fidelity(builders.unencoded_target_state(theta), rho_u),
-        analysis.fidelity(builders.encoded_target_state(theta), rho_e),
-        *(analysis.fidelity(branch, analysis.project_state(rho_e, kind)) for kind in ("PI_A", "PI_P", "PI_AP")),
-        report.p_eps_all, report.p_eps_NL, report.p_eps_L, report.p_eps_A, seed,
-    )
+    circ_u, circ_e = builders.build_unencoded_ansatz(theta, "Z"), builders.build_encoded_ansatz(theta, "Z")
+    for p2, rho_u, rho_e in zip(p2_grid, _evolve_grid(circ_u, p2_grid), _evolve_grid(circ_e, p2_grid)):
+        report = analysis.logical_error_report(analysis.project_qubit(rho_e, 5, 0), branch)
+        yield (
+            p2, analysis.fidelity(ideal_u, rho_u), analysis.fidelity(ideal_e, rho_e),
+            *(analysis.fidelity(branch, analysis.project_state(rho_e, kind)) for kind in ("PI_A", "PI_P", "PI_AP")),
+            report.p_eps_all, report.p_eps_NL, report.p_eps_L, report.p_eps_A, seed,
+        )
+
+
+def _analysis_point(p2, theta, seed):
+    """The analysis row of one p2, equal to its row in any grid."""
+    return next(_analysis_rows([p2], theta, seed))
 
 
 def _analysis_runner(csv_name):
@@ -407,7 +434,7 @@ def _analysis_runner(csv_name):
     the CSV they write: fidelities and the logical-error split over p2_grid."""
 
     def exp_analysis(p2_grid, seed, theta):
-        rows = _pmap(functools.partial(_analysis_point, theta=theta, seed=seed), p2_grid)
+        rows = list(_analysis_rows(p2_grid, theta, seed))
         return {csv_name: (ANALYSIS_HEADER, rows)}, {}, f"{len(rows)} noise points"
 
     return exp_analysis
@@ -415,8 +442,7 @@ def _analysis_runner(csv_name):
 
 def exp_stateprep(p2_grid, seed):
     rows, ideal = [], builders.prep_target_state()
-    for p2 in p2_grid:
-        rho = _evolve(builders.build_state_prep_422(True), noise.DepolarizingParams(p2=p2))
+    for p2, rho in zip(p2_grid, _evolve_grid(builders.build_state_prep_422(True), p2_grid)):
         states = [rho] + [analysis.project_state(rho, kind) for kind in ("S_A", "S_P", "S_AP")]
         rows.append((p2, *(analysis.fidelity(ideal, state) for state in states), seed))
     header = ("p2", "F_prep", "F_S_A", "F_S_P", "F_S_AP", "seed")

@@ -269,12 +269,14 @@ def apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
     """The one contraction kernel: mat (2^k x 2^k) on the k bit axes of a tensor
     of 2^N entries (a ket, a 2^n x 2^n matrix or a (2,)*N tensor, kept in its
     shape), the first axis most significant, as a transpose, one (2^k, rest)
-    matmul, and the inverse transpose."""
-    n = tensor.size.bit_length() - 1
-    order = [*axes, *(a for a in range(n) if a not in axes)]
-    front = tensor.reshape((2,) * n).transpose(order).reshape(len(mat), -1)
-    back = sorted(range(n), key=order.__getitem__)  # the inverse permutation
-    return (mat @ front).reshape((2,) * n).transpose(back).reshape(tensor.shape)
+    matmul, and the inverse transpose. A (P, 2^k, 2^k) stack acts on a tensor whose first
+    axis holds P such tensors, the p-th matrix on the p-th, each product as it would run alone."""
+    stack = tensor.shape[:mat.ndim - 2]  # () or (P,)
+    lead, n = len(stack), (tensor.size // math.prod(stack)).bit_length() - 1
+    order = [*range(lead), *(lead + a for a in axes), *(lead + a for a in range(n) if a not in axes)]
+    front = tensor.reshape(stack + (2,) * n).transpose(order).reshape(*stack, mat.shape[-1], -1)
+    back = sorted(range(lead + n), key=order.__getitem__)  # the inverse permutation
+    return (mat @ front).reshape(stack + (2,) * n).transpose(back).reshape(tensor.shape)
 
 
 def superoperator(kraus) -> np.ndarray:
@@ -289,8 +291,9 @@ def superoperator(kraus) -> np.ndarray:
 
 def apply_superoperator(rho: np.ndarray, superop: np.ndarray, qubits) -> np.ndarray:
     """superop on ``qubits`` applied to rho (2^n x 2^n, or a (2,)*2n tensor, kept
-    in its shape): apply_matrix on each qubit's (row, column) bit pair."""
-    n = (rho.size.bit_length() - 1) // 2
+    in its shape; or, as in apply_matrix, a stack of them under a stack of
+    superoperators): apply_matrix on each qubit's (row, column) bit pair."""
+    n = ((rho.size if superop.ndim == 2 else rho.size // len(rho)).bit_length() - 1) // 2
     return apply_matrix(rho, superop, tuple(a for q in qubits for a in (q, n + q)))
 
 

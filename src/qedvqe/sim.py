@@ -32,6 +32,7 @@ from .qcore import (
     ROLE_DATA,
     Circuit,
     DensityMatrix,
+    Gate,
     apply_matrix,
     apply_superoperator,
     bitstring,
@@ -54,6 +55,8 @@ _SHOT_BLOCK = 1024
 _PASS_AMPS = 2**14
 _STASH_BYTES = 2**23
 _DENSE = 24
+# The density entries of one evolve_densities stack: 2 states at 6 qubits, 512 at 2.
+_STACK_AMPS = 2**13
 
 
 @dataclass(frozen=True)
@@ -119,39 +122,68 @@ class TrajectoryConfig:
 
 
 @functools.lru_cache(maxsize=1024)
-def _superoperator(ch) -> np.ndarray:
-    """A channel's superoperator, shared and so read-only; bounded, as sweeps make new channels."""
-    out = superoperator(ch.kraus)
+def _superoperator(op) -> np.ndarray:
+    """A channel's or a gate's superoperator, shared and so read-only; bounded, as sweeps make new channels."""
+    out = superoperator((op.matrix(),) if isinstance(op, Gate) else op.kraus)
     out.setflags(write=False)
     return out
 
 
-def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
-    """Exact mixed state after all gates and channels, before measurement/readout.
-    One contraction per init flip and per gate slot: a unitary gate and its slot's
-    channels on its qubits are one superoperator, each channel's applied to its qubit's pair."""
-    circ = noisy.circuit
-    n = circ.n_qubits
+def _stacked(ops) -> np.ndarray:
+    """The superoperators of ops as one (P, 4^k, 4^k) stack; for one op, a view of its own."""
+    return _superoperator(ops[0])[None] if len(ops) == 1 else np.stack([_superoperator(op) for op in ops])
+
+
+def density_layout(noisy: NoisyCircuit) -> tuple:
+    """What the circuits of one evolve_densities call share: the register, each op's kind and
+    qubits, and each slot's and the init flips' channel types and qubits; not angles or rates."""
+    ops, slots = noisy.circuit.ops, (noisy.pre_channels,) + noisy.channels
+    channels = [[(type(ch), ch.qubit) for ch in slot] for slot in slots]
+    return noisy.circuit.n_qubits, [(op.kind, op.qubits) for op in ops], channels
+
+
+def evolve_densities(noisy_circuits):
+    """Yields, in order, each circuit's exact mixed state after all gates and channels, before
+    measurement/readout. The circuits must share their density_layout (else a ValueError);
+    they are evolved in stacks of at most _STACK_AMPS density entries, one alive at a time,
+    with one contraction per stack for each init flip and gate slot: a unitary gate and its
+    slot's channels on its qubits are one superoperator, each other channel's on its pair."""
+    noisy_circuits = list(noisy_circuits)
+    if not noisy_circuits:
+        return
+    layout = density_layout(noisy_circuits[0])
+    if any(density_layout(nc) != layout for nc in noisy_circuits[1:]):
+        raise ValueError("circuits evolved as one stack must share their ops and their channels' types and qubits")
+    n = layout[0]
     if n > DENSITY_QUBIT_CAP:
         raise ValueError(f"density backend capped at {DENSITY_QUBIT_CAP} qubits, got {n}")
-    rho = DensityMatrix.zero(n).mat.reshape((2,) * (2 * n))
-    for ch in noisy.pre_channels:
-        rho = apply_superoperator(rho, _superoperator(ch), (ch.qubit,))
-    for op, slot in zip(circ.ops, noisy.channels):
-        if op.is_unitary:
-            fused = superoperator((op.matrix(),))
-            for ch in (ch for ch in slot if ch.qubit in op.qubits):
-                pair = op.qubits.index(ch.qubit)
-                fused = apply_matrix(fused, _superoperator(ch), (2 * pair, 2 * pair + 1))
-            rho = apply_superoperator(rho, fused, op.qubits)
-            slot = [ch for ch in slot if ch.qubit not in op.qubits]  # these commute with it and follow
-        for ch in slot:
-            rho = apply_superoperator(rho, _superoperator(ch), (ch.qubit,))
-    mat = rho.reshape(2**n, 2**n)
-    tr = np.trace(mat).real
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"evolved density trace drifted to {tr}")
-    return DensityMatrix(n, mat)
+    per_stack = max(1, _STACK_AMPS >> 2 * n)
+    for lo in range(0, len(noisy_circuits), per_stack):
+        part = noisy_circuits[lo:lo + per_stack]
+        rho = DensityMatrix.zero(n).mat.reshape(1, -1).repeat(len(part), axis=0)
+        for chs in zip(*(nc.pre_channels for nc in part)):
+            rho = apply_superoperator(rho, _stacked(chs), (chs[0].qubit,))
+        for ops, slots in zip(zip(*(nc.circuit.ops for nc in part)), zip(*(nc.channels for nc in part))):
+            op, rest = ops[0], range(len(slots[0]))
+            if op.is_unitary:
+                fused = _stacked(ops)
+                for j in (j for j in rest if slots[0][j].qubit in op.qubits):
+                    pair = op.qubits.index(slots[0][j].qubit)
+                    fused = apply_matrix(fused, _stacked([slot[j] for slot in slots]), (2 * pair, 2 * pair + 1))
+                rho = apply_superoperator(rho, fused, op.qubits)
+                rest = [j for j in rest if slots[0][j].qubit not in op.qubits]  # these commute with it and follow
+            for j in rest:
+                rho = apply_superoperator(rho, _stacked([slot[j] for slot in slots]), (slots[0][j].qubit,))
+        for mat in rho.reshape(len(part), 2**n, 2**n):
+            tr = np.trace(mat).real
+            if abs(tr - 1.0) > 1e-10:
+                raise ValueError(f"evolved density trace drifted to {tr}")
+            yield DensityMatrix(n, mat)
+
+
+def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
+    """The exact mixed state of one circuit, before measurement/readout (evolve_densities)."""
+    return next(evolve_densities([noisy]))
 
 
 def _read(probs: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qedvqe import builders, cli, estimate, noise, postselect, qcore, sim
+from qedvqe import analysis, builders, cli, estimate, noise, postselect, qcore, sim
 
 
 def read_rows(path):
@@ -149,6 +149,7 @@ def test_unknown_nested_config_keys_warn_before_the_run(tmp_path, monkeypatch, c
 
     # the warning comes before any simulation work
     monkeypatch.setattr(cli.sim, "evolve_density", broken)
+    monkeypatch.setattr(cli.sim, "evolve_densities", broken)
     assert cli.main(["scan", "--config", str(config), "--out", str(tmp_path)]) == cli.EXIT_INTERNAL
     assert warning in capsys.readouterr().err.split("Traceback")[0]
 
@@ -267,6 +268,55 @@ def test_scan_state_from_three_evolutions_equals_the_evolved_state(theta, encode
     build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
     want = sim.evolve_density(noise.attach_noise(build(theta, "Z"), model)).mat
     assert np.max(np.abs(cli._density_in_theta(build, model)(theta).mat - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("encoded", [False, True], ids=["unencoded", "encoded"])
+@pytest.mark.parametrize(
+    "model", [noise.DepolarizingParams(p2=0.03), noise.default_device_model()], ids=["depolarizing", "device"]
+)
+def test_closed_form_scan_rows_equal_the_per_theta_oracle(encoded, model):
+    # the oracle builds each theta's state, projects it to a2 = 0 (encoded) and takes its traces
+    ham = estimate.default_h2()
+    mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
+    build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
+    rho_at = cli._density_in_theta(build, model)
+    files, extra, _ = cli.exp_scan(ham, model, 25, encoded, 4)
+    rows = files["scan.csv"][1]
+    assert len(rows) == 25
+    for theta, mean, sem, var, eta_z, eta_x, seed in rows:
+        rho = rho_at(theta)
+        if encoded:
+            rho = analysis.project_qubit(rho, 5, 0)
+        want_var = sum(
+            g * g * max(0.0, 1.0 - qcore.expectation(rho, qcore.pauli_word(w)) ** 2)
+            for g, w in zip(ham.coeffs[1:], estimate.WORDS[mode][1:])
+        )
+        assert abs(mean - qcore.expectation(rho, ham.observable(mode))) <= 1e-12
+        assert abs(var - want_var) <= 1e-12
+        assert (sem, eta_z, eta_x, seed) == (0.0, 1.0, 1.0, 4)
+    assert extra["theta_min"] == min(rows, key=lambda r: (r[1], abs(r[0])))[0]
+
+
+def test_closed_form_scan_rejects_a_theta_with_no_a2_branch(monkeypatch):
+    # each theta checks its own a2 = 0 weight, as project_qubit would
+    monkeypatch.setattr(cli, "_theta_basis", lambda build, model: [qcore.DensityMatrix(6, np.zeros((64, 64)))] * 3)
+    with pytest.raises(ValueError, match="vanishing support"):
+        cli.exp_scan(estimate.default_h2(), noise.DepolarizingParams(p2=0.01), 5, True, 0)
+
+
+def test_analysis_and_stateprep_grid_rows_equal_one_point_runs():
+    # 6 points cross the 6-qubit stack of two, and a p2 of 0 attaches no channel,
+    # so the grid is evolved as runs of one layout
+    grid = [0.001, 0.0, 0.02, 0.05, 0.0, 0.1]
+    theta = estimate.THETA_STAR
+    rows = list(cli._analysis_rows(grid, theta, 3))
+    prep = cli.exp_stateprep(grid, 3)[0]["stateprep.csv"][1]
+    for p2, row, prep_row in zip(grid, rows, prep, strict=True):
+        assert [v.hex() if isinstance(v, float) else v for v in row] == [
+            v.hex() if isinstance(v, float) else v for v in cli._analysis_point(p2, theta, 3)
+        ]
+        (want,) = cli.exp_stateprep([p2], 3)[0]["stateprep.csv"][1]
+        assert [float(v).hex() for v in prep_row] == [float(v).hex() for v in want]
 
 
 def _ansatz_with(*gates):

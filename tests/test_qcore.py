@@ -101,19 +101,27 @@ def dense_oracle(mat, axes, n_bits):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n_bits=st.integers(1, 6), k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
-def test_apply_matrix_equals_the_dense_oracle(data, n_bits, k, seed):
+@given(
+    data=st.data(), n_bits=st.integers(1, 6), k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+    stack=st.integers(0, 3),
+)
+def test_apply_matrix_equals_the_dense_oracle(data, n_bits, k, seed, stack):
+    # stack 0 is one matrix on one tensor; stack P, a (P, 2^k, 2^k) stack on P tensors
     k = min(k, n_bits)
     axes = data.draw(st.permutations(range(n_bits)).map(lambda p: tuple(p[:k])), label="axes")
     shapes = [(2**n_bits,), (2,) * n_bits] + ([(2 ** (n_bits // 2),) * 2] if n_bits % 2 == 0 else [])
     shape = data.draw(st.sampled_from(shapes), label="shape")
     rng = np.random.default_rng(seed)
-    mat = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
-    tensor = (rng.standard_normal(2**n_bits) + 1j * rng.standard_normal(2**n_bits)).reshape(shape)
-    got = apply_matrix(tensor, mat, axes)
-    assert got.shape == tensor.shape
-    want = dense_oracle(mat, axes, n_bits) @ tensor.reshape(-1)
-    assert np.max(np.abs(got.reshape(-1) - want)) < 1e-12
+    p = max(stack, 1)
+    mats = rng.standard_normal((p, 2**k, 2**k)) + 1j * rng.standard_normal((p, 2**k, 2**k))
+    tensors = (rng.standard_normal((p, 2**n_bits)) + 1j * rng.standard_normal((p, 2**n_bits))).reshape((p,) + shape)
+    got = apply_matrix(tensors, mats, axes) if stack else apply_matrix(tensors[0], mats[0], axes)[None]
+    assert got.shape == tensors.shape
+    for item, mat, tensor in zip(got, mats, tensors):
+        want = dense_oracle(mat, axes, n_bits) @ tensor.reshape(-1)
+        assert np.max(np.abs(item.reshape(-1) - want)) < 1e-12
+        # a stacked item is the product it would be alone, bit for bit
+        assert item.tobytes() == apply_matrix(tensor, mat, axes).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))

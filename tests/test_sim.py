@@ -174,13 +174,66 @@ def test_evolve_density_applies_channels_off_the_gate_and_after_a_measurement():
     assert np.max(np.abs(evolve_density(noisy).mat - want)) <= 1e-14
 
 
-@pytest.mark.parametrize("ch", [noise.DampingNoise(1, 0.3), noise.PauliNoise(0, 0.1, 0.05, 0.02)], ids=["damping", "pauli"])
+@pytest.mark.parametrize(
+    "ch", [noise.DampingNoise(1, 0.3), noise.PauliNoise(0, 0.1, 0.05, 0.02), qcore.ry(0.3, 1)],
+    ids=["damping", "pauli", "gate"],
+)
 def test_channel_superoperators_are_built_once_and_read_only(ch):
     sup = sim._superoperator(ch)
     assert sim._superoperator(dataclasses.replace(ch)) is sup  # keyed by the channel's value
-    assert np.array_equal(sup, qcore.superoperator(ch.kraus))
+    kraus = (ch.matrix(),) if isinstance(ch, qcore.Gate) else ch.kraus
+    assert np.array_equal(sup, qcore.superoperator(kraus))
     with pytest.raises(ValueError, match="read-only"):
         sup[0, 0] = 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    build=st.sampled_from([builders.build_unencoded_ansatz, builders.build_encoded_ansatz]),
+    device=st.booleans(),
+    points=st.lists(st.tuples(st.floats(1e-4, 0.2), st.floats(-math.pi, math.pi)), min_size=1, max_size=20),
+    stack_amps=st.sampled_from([2**4, 2**6, 2**13]),
+)
+def test_evolve_densities_equals_each_circuit_evolved_alone(build, device, points, stack_amps):
+    # a grid over p2 and the RY angle; stacks of 1 to 512 states cross a stack boundary at
+    # 2 qubits (4 a stack at 2**6) and at 6 (2 a stack at 2**13, else 1); the device model
+    # adds damping and init flips, whose rates move with p2 too
+    def model(p2):
+        depol = DepolarizingParams(p2=p2)
+        return dataclasses.replace(noise.default_device_model(), depol=depol, p_init=p2 / 20) if device else depol
+
+    noisy = [noise.attach_noise(build(theta, "Z"), model(p2)) for p2, theta in points]
+    with mock.patch.object(sim, "_STACK_AMPS", stack_amps):
+        got = list(sim.evolve_densities(noisy))
+    assert len(got) == len(noisy)
+    for rho, nc in zip(got, noisy):
+        assert rho.mat.tobytes() == evolve_density(nc).mat.tobytes()
+    assert list(sim.evolve_densities([])) == []
+
+
+def _bell(first=qcore.h(0), register=2, p2=0.01, slot0=None, pre=()):
+    """A noisy Bell-pair circuit under depolarizing p2, its first slot and init flips replaceable."""
+    circ = Circuit(register, (first, qcore.cnot(0, 1), qcore.measure(0), qcore.measure(1)), (ROLE_DATA,) * register)
+    nc = noise.attach_noise(circ, DepolarizingParams(p2=p2))
+    return dataclasses.replace(nc, channels=(nc.channels[0] if slot0 is None else slot0,) + nc.channels[1:], pre_channels=pre)
+
+
+@pytest.mark.parametrize("other", [
+    _bell(qcore.x(0)),
+    _bell(qcore.h(1)),
+    _bell(register=3),
+    _bell(p2=0.0),
+    _bell(slot0=(noise.DampingNoise(0, 0.01),)),
+    _bell(slot0=(noise.PauliNoise(1, 0.01, 0.0, 0.0),)),
+    _bell(pre=(noise.PauliNoise(0, 0.1, 0.0, 0.0),)),
+], ids=["gate-kind", "gate-qubit", "register", "no-channels", "channel-type", "channel-qubit", "init-flips"])
+def test_evolve_densities_refuses_circuits_of_another_layout(other):
+    base = _bell()
+    # another gate angle or channel parameter is the same layout
+    assert len(list(sim.evolve_densities([base, _bell(p2=0.3, slot0=(noise.PauliNoise(0, 0.2, 0.1, 0.0),))]))) == 2
+    for pair in ([base, other], [other, base]):
+        with pytest.raises(ValueError, match="must share"):
+            list(sim.evolve_densities(pair))
 
 
 def test_born_distribution_basics():
