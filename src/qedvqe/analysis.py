@@ -1,4 +1,4 @@
-"""Fidelity, codespace projectors, projected states, and logical-error metrics.
+"""Fidelity, codespace projectors, projected states and fidelities, and logical-error metrics.
 
 Projector conventions (register order a1, q0..q3, a2 for the ansatz; a1,
 q0..q3 for the preparation study):
@@ -59,6 +59,15 @@ def project_state(rho: DensityMatrix, kind: str) -> DensityMatrix:
     pi = build_projector(kind)
     mat = pi @ rho.mat @ pi.conj().T
     return DensityMatrix(rho.n_qubits, mat / support(np.trace(mat).real))
+
+
+def projected_fidelity(ket: StateVector, rho: DensityMatrix, kind: str) -> float:
+    """fidelity(ket, project_state(rho, kind)) without the projected state: Pi is Hermitian
+    and idempotent, so it is <Pi psi|rho|Pi psi> / Tr(Pi rho), with Tr(Pi rho) taken elementwise."""
+    pi = build_projector(kind)
+    weight = support(float(np.sum(pi * rho.mat.T).real))
+    phi = pi @ ket.amps
+    return float(np.clip((phi.conj() @ rho.mat @ phi).real / weight, 0.0, 1.0))
 
 
 def qubit_branch(rho: DensityMatrix, qubit: int, value: int) -> np.ndarray:

@@ -419,7 +419,7 @@ def _analysis_rows(p2_grid, theta, seed):
         report = analysis.logical_error_report(analysis.project_qubit(rho_e, 5, 0), branch)
         yield (
             p2, analysis.fidelity(ideal_u, rho_u), analysis.fidelity(ideal_e, rho_e),
-            *(analysis.fidelity(branch, analysis.project_state(rho_e, kind)) for kind in ("PI_A", "PI_P", "PI_AP")),
+            *(analysis.projected_fidelity(branch, rho_e, kind) for kind in ("PI_A", "PI_P", "PI_AP")),
             report.p_eps_all, report.p_eps_NL, report.p_eps_L, report.p_eps_A, seed,
         )
 
@@ -443,8 +443,8 @@ def _analysis_runner(csv_name):
 def exp_stateprep(p2_grid, seed):
     rows, ideal = [], builders.prep_target_state()
     for p2, rho in zip(p2_grid, _evolve_grid(builders.build_state_prep_422(True), p2_grid)):
-        states = [rho] + [analysis.project_state(rho, kind) for kind in ("S_A", "S_P", "S_AP")]
-        rows.append((p2, *(analysis.fidelity(ideal, state) for state in states), seed))
+        projected = (analysis.projected_fidelity(ideal, rho, kind) for kind in ("S_A", "S_P", "S_AP"))
+        rows.append((p2, analysis.fidelity(ideal, rho), *projected, seed))
     header = ("p2", "F_prep", "F_S_A", "F_S_P", "F_S_AP", "seed")
     return {"stateprep.csv": (header, rows)}, {}, f"{len(rows)} noise points"
 
@@ -541,12 +541,15 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 
 
-def _gate_counts(theta: float):
-    out = {}
-    for label, circ in _study_circuits(theta).items():
-        n1, n2, nm = circ.gate_counts()
-        out[label] = {"n_1q": n1, "n_2q": n2, "n_meas": nm}
-    return out
+@functools.lru_cache(maxsize=16)
+def _study_gate_counts(theta: float) -> tuple:
+    """(label, (n_1q, n_2q, n_meas)) of each study circuit, built once per theta, as tuples no caller can change."""
+    return tuple((label, circ.gate_counts()) for label, circ in _study_circuits(theta).items())
+
+
+def _gate_counts(theta: float) -> dict:
+    """The manifest's gate counts of the study circuits, as new dicts on every call."""
+    return {label: dict(zip(("n_1q", "n_2q", "n_meas"), counts)) for label, counts in _study_gate_counts(theta)}
 
 
 def _unread_keys(config: dict, keys: dict):

@@ -13,6 +13,7 @@ from qedvqe.analysis import (
     logical_error_report,
     project_qubit,
     project_state,
+    projected_fidelity,
 )
 from qedvqe.qcore import DensityMatrix, StateVector
 
@@ -133,6 +134,22 @@ def test_project_vanishing_support_raises():
     rho = embed_data_state(odd).outer()
     with pytest.raises(ValueError):
         project_state(rho, "PI_P")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_projected_fidelity_equals_that_of_the_projected_state(seed, rank):
+    rng = np.random.default_rng(seed)
+    for kind, pi in PROJECTORS.items():
+        n = pi.shape[0].bit_length() - 1
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        ket, rho = StateVector(n, psi / np.linalg.norm(psi)), random_density(rng, n, rank)
+        assert abs(projected_fidelity(ket, rho, kind) - fidelity(ket, project_state(rho, kind))) <= 1e-12
+        # a state with no weight in the projector's range is a total rejection on both routes
+        outside = DensityMatrix(n, (np.eye(2**n) - pi) / (2**n - RANKS[kind]))
+        for route in (lambda: projected_fidelity(ket, outside, kind), lambda: project_state(outside, kind)):
+            with pytest.raises(ValueError, match="vanishing support"):
+                route()
 
 
 def test_project_qubit_conditions_on_value():

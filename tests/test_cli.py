@@ -463,12 +463,27 @@ def test_red_pipeline_rows(tmp_path):
         assert float(r["eta_overall_Z"]) * 800 == pytest.approx(int(r["n_Z"]), abs=1e-9)
 
 
-def test_manifest_records_gate_counts(tmp_path):
+def test_manifest_records_gate_counts(tmp_path, monkeypatch):
     cli.main(["budget", "--out", str(tmp_path)])
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["gate_counts"]["encoded/Z"] == {"n_1q": 3, "n_2q": 7, "n_meas": 6}
     assert manifest["gate_counts"]["encoded+red/Z"]["n_2q"] == 19
     assert manifest["version"] == "0.1.0"
+    # the counts are built once per theta and do not depend on it
+    for theta in (0.0, 1.0, math.pi, -2.0):
+        assert cli._gate_counts(theta) == manifest["gate_counts"]
+    # a manifest changed by whoever it is handed to leaves the next run's manifest as it was
+    dump = json.dump
+
+    def dump_then_mutate(obj, fh, **kwargs):
+        dump(obj, fh, **kwargs)
+        obj["gate_counts"]["encoded/Z"]["n_1q"] = -1
+        obj["gate_counts"].clear()
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_mutate)
+    for out in ("a", "b"):
+        cli.main(["budget", "--out", str(tmp_path / out)])
+        assert json.loads((tmp_path / out / "manifest.json").read_text())["gate_counts"] == manifest["gate_counts"]
 
 
 def test_non_integer_worker_count_is_config_error(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -193,22 +194,39 @@ def test_channel_superoperators_are_built_once_and_read_only(ch):
     device=st.booleans(),
     points=st.lists(st.tuples(st.floats(1e-4, 0.2), st.floats(-math.pi, math.pi)), min_size=1, max_size=20),
     stack_amps=st.sampled_from([2**4, 2**6, 2**13]),
+    group_circuits=st.sampled_from([1, 2, 4, 8, 16]),
 )
-def test_evolve_densities_equals_each_circuit_evolved_alone(build, device, points, stack_amps):
+def test_evolve_densities_equals_each_circuit_evolved_alone(build, device, points, stack_amps, group_circuits):
     # a grid over p2 and the RY angle; stacks of 1 to 512 states cross a stack boundary at
-    # 2 qubits (4 a stack at 2**6) and at 6 (2 a stack at 2**13, else 1); the device model
-    # adds damping and init flips, whose rates move with p2 too
+    # 2 qubits (4 a stack at 2**6) and at 6 (2 a stack at 2**13, else 1), and fusion groups
+    # of 1 to 16 stacks cross a group boundary; the device model adds damping and init
+    # flips, whose rates move with p2 too
     def model(p2):
         depol = DepolarizingParams(p2=p2)
         return dataclasses.replace(noise.default_device_model(), depol=depol, p_init=p2 / 20) if device else depol
 
     noisy = [noise.attach_noise(build(theta, "Z"), model(p2)) for p2, theta in points]
-    with mock.patch.object(sim, "_STACK_AMPS", stack_amps):
+    with mock.patch.object(sim, "_STACK_AMPS", stack_amps), mock.patch.object(sim, "_GROUP_CIRCUITS", group_circuits):
         got = list(sim.evolve_densities(noisy))
     assert len(got) == len(noisy)
     for rho, nc in zip(got, noisy):
         assert rho.mat.tobytes() == evolve_density(nc).mat.tobytes()
     assert list(sim.evolve_densities([])) == []
+
+
+def test_evolve_densities_holds_one_group_of_fused_slots_at_a_time():
+    # the 60-point encoded grid of a dense fidelity sweep: a generator drained state by
+    # state holds one stack and one group's fused slots, not the grid's
+    noisy = [noise.attach_noise(ENCODED, DepolarizingParams(p2=k / 600)) for k in range(1, 61)]
+    sim._superoperator.cache_clear()
+    tracemalloc.start()
+    try:
+        for rho in sim.evolve_densities(noisy):
+            del rho
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def _bell(first=qcore.h(0), register=2, p2=0.01, slot0=None, pre=()):
@@ -458,6 +476,9 @@ def test_first_fault_rows_fault_first_where_the_first_fault_draw_says(case):
     assert u[k] < th[k] and u[k] < thresholds[k]  # strictly, where the sampler's codes compare
     assert np.flatnonzero(u < thresholds)[0] == k
     assert u[k + 1:].tobytes() == v[k + 1:].tobytes()
+    # the law's own float operations, bit for bit
+    assert u[:k].tobytes() == (th[:k] + (1.0 - th[:k]) * v[:k]).tobytes()
+    assert u[k] == th[k] * v[k]
 
 
 def test_first_fault_location_follows_the_survival_law():
