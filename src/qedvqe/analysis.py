@@ -63,9 +63,9 @@ def project_state(rho: DensityMatrix, kind: str) -> DensityMatrix:
 
 def projected_fidelity(ket: StateVector, rho: DensityMatrix, kind: str) -> float:
     """fidelity(ket, project_state(rho, kind)) without the projected state: Pi is Hermitian
-    and idempotent, so it is <Pi psi|rho|Pi psi> / Tr(Pi rho), with Tr(Pi rho) taken elementwise."""
+    and idempotent, so it is <Pi psi|rho|Pi psi> / Tr(Pi rho), with Tr(Pi rho) = vdot(Pi, rho)."""
     pi = build_projector(kind)
-    weight = support(float(np.sum(pi * rho.mat.T).real))
+    weight = support(float(np.vdot(pi, rho.mat).real))
     phi = pi @ ket.amps
     return float(np.clip((phi.conj() @ rho.mat @ phi).real / weight, 0.0, 1.0))
 
@@ -162,9 +162,9 @@ def logical_error_report(rho_noisy: DensityMatrix, rho_ideal) -> LogicalErrorRep
     if psi is None:
         raise ValueError("rho_ideal must be pure")
     p_ideal = float((psi.conj() @ rho_noisy.mat @ psi).real)
-    # Tr(P rho) elementwise, as qcore.expectation takes it, with no matrix product
-    p_logical = float(np.sum(build_projector("PI_P") * rho_noisy.mat.T).real)
-    p_ap = float(np.sum(build_projector("PI_AP") * rho_noisy.mat.T).real)
+    # Tr(P rho) = vdot(P, rho) for Hermitian P, as qcore.expectation takes it, with no matrix product
+    p_logical = float(np.vdot(build_projector("PI_P"), rho_noisy.mat).real)
+    p_ap = float(np.vdot(build_projector("PI_AP"), rho_noisy.mat).real)
     p_eps_all = 1.0 - p_ideal
     p_eps_nl = 1.0 - p_logical
     return LogicalErrorReport(

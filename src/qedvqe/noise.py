@@ -7,17 +7,22 @@ Device models divert a configured fraction of each gate's error weight into
 amplitude damping (spontaneous emission to |0>), add per-qubit
 initialization flips, and read terminal measurements through asymmetric
 readout flips. Noise attaches to gates only; idle qubits are noiseless.
-Each channel's Kraus operators (``kraus``) state how it acts on a density matrix.
+A channel's superoperator is affine in its rates, so each channel class builds
+the superoperators of a stack of channels of its kind from their rates, as one
+weighted sum of fixed basis terms (``superoperators``). Its Kraus operators
+(``kraus``) are the reference those stacks are tested against.
 """
 from __future__ import annotations
 
+import functools
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, kron
+from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, kron, superoperator
 
 log = logging.getLogger(__name__)
 
@@ -153,6 +158,33 @@ def depolarize_kraus(p: float, arity: int = 1):
     raise ValueError("arity must be 1 or 2")
 
 
+def _weighted_sum(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_j weights[:, j] basis[j] as a (P, 4, 4) complex stack: one broadcast product, summed
+    over j in its fixed order, elementwise. No matmul runs over the stack axis, so an item's
+    floats do not depend on P or on the other items."""
+    return (weights[:, :, None, None] * basis).sum(axis=1).astype(complex)
+
+
+@functools.cache
+def _pauli_basis() -> np.ndarray:
+    """S(I), S(X), S(Y), S(Z), built on first use (each sigma (x) sigma* is real); shared, so read-only."""
+    basis = np.stack([superoperator((sigma,)).real for sigma in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)])
+    basis.setflags(write=False)
+    return basis
+
+
+@functools.cache
+def _damping_basis() -> np.ndarray:
+    """A, B and C of A + sqrt(1 - gamma) B + gamma C, built on first use; shared, so read-only.
+    Each index is a (row, column) bit pair: B scales the coherences, C moves |1><1| to |0><0|."""
+    basis = np.zeros((3, 4, 4))
+    basis[0, 0, 0] = basis[0, 3, 3] = 1.0
+    basis[1, 1, 1] = basis[1, 2, 2] = 1.0
+    basis[2, 0, 3], basis[2, 3, 3] = 1.0, -1.0
+    basis.setflags(write=False)
+    return basis
+
+
 @dataclass(frozen=True)
 class PauliNoise:
     """Stochastic single-qubit Pauli insertion after a gate."""
@@ -161,6 +193,12 @@ class PauliNoise:
     p_x: float
     p_y: float
     p_z: float
+
+    def __post_init__(self):
+        for name in ("p_x", "p_y", "p_z"):
+            _check_prob(getattr(self, name), name)
+        if self.p_total > 1.0:
+            raise ValueError(f"p_total = p_x + p_y + p_z must be at most 1, got {self.p_total}")
 
     @property
     def p_total(self) -> float:
@@ -171,6 +209,13 @@ class PauliNoise:
         """Kraus operators: sqrt(p) times each Pauli, the identity taking the rest."""
         weighted = ((1.0 - self.p_total, PAULI_I), (self.p_x, PAULI_X), (self.p_y, PAULI_Y), (self.p_z, PAULI_Z))
         return tuple(np.sqrt(p) * sigma for p, sigma in weighted if p > 0.0)
+
+    @classmethod
+    def superoperators(cls, channels) -> np.ndarray:
+        """The (P, 4, 4) superoperators of P Pauli channels: the weights
+        (1 - p_total, p_x, p_y, p_z) on S(I), S(X), S(Y), S(Z) (_weighted_sum)."""
+        weights = np.array([(1.0 - ch.p_total, ch.p_x, ch.p_y, ch.p_z) for ch in channels])
+        return _weighted_sum(weights, _pauli_basis())
 
     @classmethod
     def depolarizing(cls, qubit: int, p: float) -> "PauliNoise":
@@ -184,11 +229,21 @@ class DampingNoise:
     qubit: int
     gamma: float
 
+    def __post_init__(self):
+        _check_prob(self.gamma, "gamma")
+
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:
         """Kraus operators: no jump (|1> shrinks) and the jump |1> -> |0>."""
         no_jump = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - self.gamma)]], dtype=complex)
         return no_jump, np.array([[0.0, np.sqrt(self.gamma)], [0.0, 0.0]], dtype=complex)
+
+    @classmethod
+    def superoperators(cls, channels) -> np.ndarray:
+        """The (P, 4, 4) superoperators of P damping channels: A + sqrt(1 - gamma) B + gamma C
+        (_damping_basis, _weighted_sum)."""
+        weights = np.array([(1.0, math.sqrt(1.0 - ch.gamma), ch.gamma) for ch in channels])
+        return _weighted_sum(weights, _damping_basis())
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,13 +306,14 @@ def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
     else:
         raise TypeError("model must be DepolarizingParams or DeviceModel")
 
+    @functools.cache  # ops of equal (qubit, rate, ratio) share one slot's frozen channels
     def slot_for(qubit, p, ratio):
         out = []
         if p * (1.0 - ratio) > 0.0:
             out.append(PauliNoise.depolarizing(qubit, p * (1.0 - ratio)))
         if p * ratio > 0.0:
             out.append(DampingNoise(qubit, p * ratio))
-        return out
+        return tuple(out)
 
     channels = []
     for op in circuit.ops:

@@ -322,13 +322,14 @@ def pauli_word(word: str) -> np.ndarray:
 
 
 def expectation(rho: DensityMatrix, observable: np.ndarray) -> float:
-    """Tr(O rho) for an observable Hermitian within 1e-10; an imaginary residue below 1e-9 is discarded."""
+    """Tr(O rho) for an observable Hermitian within 1e-10, as vdot(O, rho) = Tr(O^dagger rho);
+    an imaginary residue below 1e-9 is discarded."""
     obs = np.asarray(observable, dtype=complex)
     if obs.shape != rho.mat.shape:
         raise ValueError("observable dimension mismatch")
     if np.max(np.abs(obs - obs.conj().T)) > 1e-10:
         raise ValueError("observable not Hermitian")
-    val = complex(np.sum(obs * rho.mat.T))  # Tr(O rho), elementwise
+    val = complex(np.vdot(obs, rho.mat))
     if abs(val.imag) >= 1e-9:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real

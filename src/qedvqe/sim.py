@@ -126,15 +126,20 @@ class TrajectoryConfig:
 
 
 @functools.lru_cache(maxsize=1024)
-def _superoperator(op) -> np.ndarray:
-    """A channel's or a gate's superoperator, shared and so read-only; bounded, as sweeps make new channels."""
-    out = superoperator((op.matrix(),) if isinstance(op, Gate) else op.kraus)
+def _superoperator(gate: Gate) -> np.ndarray:
+    """A gate's superoperator, shared and so read-only; bounded, as every angle is a new gate.
+    Channels are not cached: _stacked builds theirs from their rates, a stack at a time."""
+    out = superoperator((gate.matrix(),))
     out.setflags(write=False)
     return out
 
 
 def _stacked(ops) -> np.ndarray:
-    """The superoperators of ops as one (P, 4^k, 4^k) stack; for one op, a view of its own."""
+    """The superoperators of ops, all gates or all channels of one class, as one (P, 4^k, 4^k)
+    stack: gates' from the cache (for one gate, a view of its own), channels' from their
+    rates by their class (PauliNoise.superoperators, DampingNoise.superoperators)."""
+    if not isinstance(ops[0], Gate):
+        return type(ops[0]).superoperators(ops)
     return _superoperator(ops[0])[None] if len(ops) == 1 else np.stack([_superoperator(op) for op in ops])
 
 

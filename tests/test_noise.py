@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qedvqe import builders, noise, qcore, sim
@@ -55,14 +56,58 @@ def test_depolarize_kraus_trace_preserving(p, arity):
     assert sum(w for w, _ in chan) == pytest.approx(1.0, abs=1e-12)
 
 
+RATE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def pauli_rates(draw):
+    """(p_x, p_y, p_z), each in [0, 1] with p_total at most 1, in any order; 0, 1 and a
+    p_total of exactly 1 included."""
+    p_x = draw(RATE)
+    p_y = draw(st.one_of(st.just(1.0 - p_x), st.floats(0.0, 1.0 - p_x)))
+    p_z = draw(st.one_of(st.just(1.0 - p_x - p_y), st.floats(0.0, 1.0 - p_x - p_y)))
+    assume(p_x + p_y + p_z <= 1.0)  # a sum rounded above 1 is not a channel
+    return draw(st.permutations((p_x, p_y, p_z)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), st.floats(0.0, 1.0))
-def test_every_channel_kraus_set_is_complete(weights, gamma):
-    scale = max(1.0, sum(weights))  # p_x + p_y + p_z <= 1
-    p_x, p_y, p_z = (w / scale for w in weights)
-    for channel in (PauliNoise(0, p_x, p_y, p_z), DampingNoise(0, gamma)):
+@given(pauli_rates(), RATE)
+def test_every_channel_kraus_set_is_complete(rates, gamma):
+    for channel in (PauliNoise(0, *rates), DampingNoise(0, gamma)):
         total = sum(k.conj().T @ k for k in channel.kraus)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pauli_rates(), min_size=1, max_size=8), st.lists(RATE, min_size=1, max_size=8))
+def test_rate_built_superoperator_stacks_match_kraus_and_each_channel_alone(pauli, gammas):
+    # each item is its Kraus sum to rounding, and its bytes do not depend on the rest of the
+    # stack, so a circuit evolved alone or in any stack of circuits keeps its bytes
+    for channels in ([PauliNoise(0, *r) for r in pauli], [DampingNoise(1, g) for g in gammas]):
+        stack = type(channels[0]).superoperators(channels)
+        assert stack.shape == (len(channels), 4, 4) and stack.dtype == complex
+        for ch, sup in zip(channels, stack):
+            assert np.max(np.abs(sup - qcore.superoperator(ch.kraus))) <= 1e-15
+            assert sup.tobytes() == type(ch).superoperators([ch])[0].tobytes()
+
+
+@pytest.mark.parametrize("cls, rates, field", [
+    (PauliNoise, (0.5, 0.5, 0.5), "p_total"),
+    (PauliNoise, (-0.1, 0.0, 0.0), "p_x"),
+    (PauliNoise, (0.0, 1.5, 0.0), "p_y"),
+    (PauliNoise, (0.0, 0.0, math.nan), "p_z"),
+    (DampingNoise, (1.1,), "gamma"),
+    (DampingNoise, (-0.5,), "gamma"),
+], ids=["p_total", "p_x", "p_y", "p_z-nan", "gamma-high", "gamma-low"])
+def test_channels_refuse_invalid_rates_on_both_backends(cls, rates, field):
+    # the trajectory backend once sampled PauliNoise(0, .5, .5, .5) after an RY as a channel
+    circ = qcore.Circuit(1, (qcore.ry(0.7, 0), qcore.measure(0)), (qcore.ROLE_DATA,))
+    for run in (sim.evolve_density, lambda nc: sim.sample_shots(nc, sim.TrajectoryConfig(100))):
+        with pytest.raises(ValueError, match=field):
+            run(noise.NoisyCircuit(circ, ((cls(0, *rates),), ())))
+    names = [f.name for f in dataclasses.fields(cls)[1:]]
+    with pytest.raises(ValueError, match=field):  # nor can a valid channel be given them
+        dataclasses.replace(cls(0, *(0.0 for _ in rates)), **dict(zip(names, rates)))
 
 
 def test_attach_noise_zero_params_reproduces_noiseless_evolution():
@@ -84,6 +129,9 @@ def test_attach_noise_channel_placement():
         else:
             assert [c.qubit for c in slot] == list(op.qubits)
             assert all(c.p_total == pytest.approx(0.01) for c in slot)
+    first = {}
+    for ch in (ch for slot in nc.channels for ch in slot):
+        assert first.setdefault(ch, ch) is ch  # equal channels are one object, built once per call
 
 
 def test_device_model_emission_split_and_init():

@@ -175,15 +175,13 @@ def test_evolve_density_applies_channels_off_the_gate_and_after_a_measurement():
     assert np.max(np.abs(evolve_density(noisy).mat - want)) <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "ch", [noise.DampingNoise(1, 0.3), noise.PauliNoise(0, 0.1, 0.05, 0.02), qcore.ry(0.3, 1)],
-    ids=["damping", "pauli", "gate"],
-)
-def test_channel_superoperators_are_built_once_and_read_only(ch):
-    sup = sim._superoperator(ch)
-    assert sim._superoperator(dataclasses.replace(ch)) is sup  # keyed by the channel's value
-    kraus = (ch.matrix(),) if isinstance(ch, qcore.Gate) else ch.kraus
-    assert np.array_equal(sup, qcore.superoperator(kraus))
+# channels' superoperators are built from their rates per stack, not cached: their
+# property is test_noise.test_rate_built_superoperator_stacks_match_kraus_and_each_channel_alone
+@pytest.mark.parametrize("gate", [qcore.ry(0.3, 1)], ids=["gate"])
+def test_channel_superoperators_are_built_once_and_read_only(gate):
+    sup = sim._superoperator(gate)
+    assert sim._superoperator(dataclasses.replace(gate)) is sup  # keyed by the gate's value
+    assert np.array_equal(sup, qcore.superoperator((gate.matrix(),)))
     with pytest.raises(ValueError, match="read-only"):
         sup[0, 0] = 0.0
 
