@@ -175,15 +175,27 @@ def test_evolve_density_applies_channels_off_the_gate_and_after_a_measurement():
     assert np.max(np.abs(evolve_density(noisy).mat - want)) <= 1e-14
 
 
-# channels' superoperators are built from their rates per stack, not cached: their
-# property is test_noise.test_rate_built_superoperator_stacks_match_kraus_and_each_channel_alone
-@pytest.mark.parametrize("gate", [qcore.ry(0.3, 1)], ids=["gate"])
-def test_channel_superoperators_are_built_once_and_read_only(gate):
-    sup = sim._superoperator(gate)
-    assert sim._superoperator(dataclasses.replace(gate)) is sup  # keyed by the gate's value
-    assert np.array_equal(sup, qcore.superoperator((gate.matrix(),)))
+@pytest.mark.parametrize(
+    "op", [noise.DampingNoise(1, 0.3), noise.PauliNoise(0, 0.1, 0.05, 0.02), qcore.ry(0.3, 1)],
+    ids=["damping", "pauli", "gate"],
+)
+def test_channel_superoperators_are_built_once_and_read_only(op):
+    # a gate's superoperator is cached by the gate's value; a channel's is built from its rates
+    # on its class's basis, which is built once: what is shared is read-only. The rate-built
+    # stacks' property is test_noise.test_rate_built_superoperator_stacks_match_kraus_and_each_channel_alone
+    if isinstance(op, qcore.Gate):
+        shared = sim._superoperator(op)
+        assert sim._superoperator(dataclasses.replace(op)) is shared  # keyed by the gate's value
+        assert np.array_equal(shared, qcore.superoperator((op.matrix(),)))
+    else:
+        basis = {noise.PauliNoise: noise._pauli_basis, noise.DampingNoise: noise._damping_basis}[type(op)]
+        shared = basis()
+        assert basis() is shared
+        sup = sim._stacked([dataclasses.replace(op)])
+        assert sup.shape == (1, 4, 4)
+        assert np.max(np.abs(sup[0] - qcore.superoperator(op.kraus))) <= 1e-15
     with pytest.raises(ValueError, match="read-only"):
-        sup[0, 0] = 0.0
+        shared[0, 0] = 0.0
 
 
 @settings(max_examples=30, deadline=None)
