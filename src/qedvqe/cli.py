@@ -3,10 +3,9 @@
 Every experiment writes a manifest.json (the config as given, the converted
 seed, tool version, gate counts, wall time) plus one or more CSV files whose
 bodies are byte-identical across re-runs of the same config and seed. Passing a
-previously written manifest as --config re-runs it. The QEDVQE_WORKERS
-environment variable sizes the worker pool for sweep-depol's noise points; output
-ordering is canonical regardless of scheduling. The exact grids run in one process,
-as stacks of density matrices (sim.evolve_densities) that a pool would only split.
+previously written manifest as --config re-runs it. Every experiment runs in one
+process: the exact grids evolve as stacks of density matrices (sim.evolve_densities),
+and each sampled circuit costs a few milliseconds, less than a worker pool's start-up.
 
 EXPERIMENTS is the one table of experiments: each runner and, for every config
 key it reads, the key's default and the conversion that checks it. SEED and
@@ -21,14 +20,12 @@ from __future__ import annotations
 
 import argparse
 import collections
-import concurrent.futures
 import csv
 import dataclasses
 import functools
 import itertools
 import json
 import math
-import os
 import sys
 import time
 import traceback
@@ -160,21 +157,6 @@ def _sub_seed(master: int, tag: str) -> int:
     return (int(master) ^ (zlib.crc32(tag.encode()) << 20)) % (2**63)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QEDVQE_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"QEDVQE_WORKERS must be an integer, got {raw!r}") from None
-
-
-def _pmap(fn, items):
-    if _worker_count() <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=_worker_count()) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -228,8 +210,7 @@ def _study_rows(ham, model, theta, encoded, strategies=(), red=False, shots=None
             tables[basis], raw[basis] = sim.shot_limit_table(nc)
         else:
             cfg = sim.TrajectoryConfig(shots, _sub_seed(seed, f"{tag}/{basis}"))
-            # one call per circuit, so it groups its faulty shots once and evolves each history once
-            tables[basis], raw[basis] = sim.sample_shots_batched(nc, cfg, shots), shots
+            tables[basis], raw[basis] = sim.sample_shots_batched(nc, cfg), shots
     mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
     name = mode + ("+red" if red else "")
 
@@ -379,11 +360,7 @@ def exp_table2(hamiltonian, noise, shots, strategies, seed, theta):
 
 
 def exp_sweep_depol(hamiltonian, shots, p2_grid, strategies, seed, theta):
-    point = functools.partial(
-        _sweep_point, ham=hamiltonian, shots=shots, seed=seed, theta=theta, strategies=strategies
-    )
-    blocks = _pmap(point, p2_grid)
-    rows = [row for block in blocks for row in block]
+    rows = [row for p2 in p2_grid for row in _sweep_point(p2, hamiltonian, shots, seed, theta, strategies)]
     header = ("p2",) + ENERGY_HEADER
     return {"sweep_depol.csv": (header, rows)}, {}, f"{len(p2_grid)} noise points x {1 + len(strategies)} rows"
 
@@ -590,7 +567,6 @@ def run(config: dict, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
-        _worker_count()  # a malformed QEDVQE_WORKERS fails before any work
         values = {key: _convert(config, key, spec) for key, spec in keys.items()}
         tables, extra, summary = runner(**{key: values[key] for key in reads})
         gate_counts = _gate_counts(values["theta"])

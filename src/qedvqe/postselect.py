@@ -2,8 +2,8 @@
 
 Survival fractions follow the study's normalization: the QED strategies are
 normalized to the a2=0-selected population. The readout-encoding vote is not
-a rule here: the sampler applies it as it reads each bit (sim.sample_shots),
-and its survival is the kept shots over the raw shot total. The rules filter
+a rule here: the sampler applies it as the circuit's read kernel
+(sim.sample_shots), and its survival is the kept shots over the raw shot total. The rules filter
 a ShotTable, sampled or exact (sim.shot_limit_table), and never rescale it.
 """
 from __future__ import annotations

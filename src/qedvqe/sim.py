@@ -3,11 +3,12 @@
 The trajectory backend unravels each attached channel into stochastic Pauli
 insertions plus jump/no-jump amplitude-damping branches on statevectors, so
 it reaches registers (up to TRAJECTORY_QUBIT_CAP qubits) that the density
-backend cannot. Shot i owns its own Philox4x64-10 streams, so batching never
-changes results: family 0 for its first-fault, outcome and read draws, family 1
-for one uniform per noise location, drawn only if the shot carries a fault
-(_philox_uniforms). Such shots wait in a bounded stash, and each flush evolves
-every distinct fault history once, as a row of one (B, 2^n) statevector array.
+backend cannot. A circuit's shots split into the fault-free ones, whose read
+outcomes are one multinomial draw from the no-jump reference, and the faulty
+ones, each resolved from its own row of uniforms; every distinct fault history
+is evolved once, as a row of one (B, 2^n) statevector array. Each drawn
+quantity reads raw words of its own Philox4x64-10 stream, so no chunk or pass
+size moves a count (sample_shots).
 Both backends read measured bits through the circuit's per-bit read kernel;
 the readout-encoding gadget is such a kernel (red_vote_kernel_for), so a
 readout-encoded run samples the 2- or 6-qubit circuit it encodes.
@@ -43,18 +44,14 @@ from .qcore import (
 
 DENSITY_QUBIT_CAP = 12
 TRAJECTORY_QUBIT_CAP = 20
-# Shots whose streams are drawn and resolved as one set of arrays: enough to
-# amortise numpy's per-call cost, few enough that the arrays stay in cache.
-# Faulty shots wait in a stash, flushed when its rows and their location
-# uniforms would pass _STASH_BYTES, and are grouped once per flush (a call at
-# defaults flushes once); each history is evolved in passes of at most
-# _PASS_AMPS amplitudes (B rows of 2^n: 256 at 6 qubits, one from 14 qubits
-# up), so sampling stays within a few MB of the per-shot loop. A shot in a
-# drawn span costs about 1/_DENSE of one drawn alone.
-_SHOT_BLOCK = 1024
+# Faulty shots are drawn and evolved in chunks of at most _CHUNK_BYTES of uniforms (one chunk
+# at defaults), and each history in passes of at most _PASS_AMPS amplitudes (B rows of 2^n: 256
+# at 6 qubits, one from 14 qubits up); neither size moves a count.
+_CHUNK_BYTES = 2**23
 _PASS_AMPS = 2**14
-_STASH_BYTES = 2**23
-_DENSE = 24
+# The entries of one _binomial table of windows (512 KB of doubles), below which a call's
+# draws are not grouped by width: the draws of a tree level at 6 measured qubits fit.
+_BINOMIAL_ENTRIES = 2**16
 # The density entries of one evolve_densities stack: 2 states at 6 qubits, 512 at 2.
 # Slots are fused once for a group of whole stacks, at least _GROUP_CIRCUITS circuits
 # (4 stacks at 6 qubits). A group of more than one stack holds its fused slots: draining
@@ -100,14 +97,6 @@ class ShotTable:
         for key in self.counts:
             if len(key) != len(self.layout.qubits):
                 raise ValueError("bitstring length must match measured qubits")
-
-    def merged(self, other: "ShotTable") -> "ShotTable":
-        if other.layout != self.layout:
-            raise ValueError("cannot merge tables with different layouts")
-        counts = dict(self.counts)
-        for k, v in other.counts.items():
-            counts[k] = counts.get(k, 0) + v
-        return ShotTable(counts, self.n_shots + other.n_shots, self.layout)
 
 
 @dataclass(frozen=True)
@@ -220,6 +209,14 @@ def _read(probs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _read_measured(probs: np.ndarray, circuit: Circuit, kernel: np.ndarray) -> np.ndarray:
+    """A distribution over the register's basis-state indices, marginalised to the measured
+    qubits (the first one the most significant bit) and read through the per-bit kernel."""
+    n = circuit.n_qubits
+    unmeasured = tuple(q for q in range(n) if q not in circuit.measured_qubits)
+    return _read(probs.reshape((2,) * n).sum(axis=unmeasured).reshape(-1), kernel)
+
+
 def _read_probabilities(rho: DensityMatrix, kernel: np.ndarray) -> np.ndarray:
     """The Born diagonal, checked to sum to 1, read through a per-bit kernel
     that may be lossy, as a full vector over basis-state indices."""
@@ -243,12 +240,12 @@ def born_distribution(rho: DensityMatrix, readout: ReadoutParams = ReadoutParams
 def shot_limit_table(noisy: NoisyCircuit) -> tuple[ShotTable, float]:
     """The infinite-shot limit of sample_shots and its raw total, the trace.
 
-    The Born vector of evolve_density read through the circuit's read kernel,
-    as probability weights of every (measured) qubit; a lossy kernel keeps
-    less than the raw total, and nothing is renormalized.
+    The Born vector of evolve_density on the measured qubits, read through the
+    circuit's read kernel, as probability weights; a lossy kernel keeps less
+    than the raw total, and nothing is renormalized.
     """
     rho = evolve_density(noisy)
-    probs = _outcomes(_read_probabilities(rho, noisy.readout))
+    probs = _outcomes(_read_measured(_read_probabilities(rho, np.eye(2)), noisy.circuit, noisy.readout))
     table = ShotTable(probs, sum(probs.values()), MeasurementLayout.of(noisy.circuit))
     return table, float(np.trace(rho.mat).real)
 
@@ -258,34 +255,77 @@ def shot_limit_table(noisy: NoisyCircuit) -> tuple[ShotTable, float]:
 # ---------------------------------------------------------------------------
 
 
-def _philox_uniforms(seed: int, shot_offset: int, parts, n_draws: int, family: int = 0):
-    """Yields, for each array of positions in parts, its (size, n_draws) uniforms:
-    row i is the stream, in the given family, of shot shot_offset + part[i].
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw Philox words, the top 53 bits of each, as Generator.random reads them."""
+    return (words >> np.uint64(11)) * 2.0**-53
 
-    Counter-based streams (Salmon et al., SC'11): under key seed mod 2^64 and
-    counter word 2 = family, shot s owns the nb = ceil(n_draws / 4) Philox4x64-10
-    blocks s * nb + 1 to (s + 1) * nb, and each double is the top 53 bits of a
-    word. Row i equals, bit for bit, Generator(Philox(key=seed % 2**64, counter=
-    [0, 0, family, 0]).advance((shot_offset + part[i]) * nb)).random(n_draws).
-    Positions ascend, and one generator walks them: a part of more than 1 in
-    _DENSE of its span is drawn as that span in one call, any other shot by shot.
+
+def _stream(seed: int, family: int):
+    """The Philox4x64-10 stream (Salmon et al., SC'11) of one drawn quantity: key seed mod 2^64,
+    counter word 2 = family. Only raw words are read, as numpy keeps those stable across releases
+    and its distribution methods not (NEP 19)."""
+    # numpy.random is imported on first use, here: it costs about 6 MB, and the density backend never samples
+    return np.random.Philox(key=seed % 2**64, counter=[0, 0, family, 0])
+
+
+def _binomial(n: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Binomial(n_i, p_i) draws by inversion of uniforms u_i in [0, 1): the least k with F(k) > u_i.
+
+    n = 0 or p = 0 gives 0 and p = 1 gives n. Otherwise F sums the pmf over the window
+    mode +- (12 sd + 30), clipped to [0, n], from the log ratios of successive terms, and is
+    renormalised there: the mass outside the window (below 1e-32 for n up to 2e6) is far
+    below 2^-53, the resolution of u. All draws share one table of their widest window when
+    it holds at most _BINOMIAL_ENTRIES entries; else they are grouped by the bit length of
+    their window width, so many small draws cost about their summed widths.
     """
-    n_blocks = -(-n_draws // 4)
-    # numpy.random is imported on first use, here: it costs about 6 MB, and
-    # the density backend never samples
-    bits = np.random.Philox(key=seed % 2**64, counter=[0, 0, family, 0]).advance(shot_offset * n_blocks)
-    at = 0
-    for part in parts:
-        first, span = int(part[0]), int(part[-1] - part[0]) + 1
-        if part.size * _DENSE > span:
-            words = bits.advance((first - at) * n_blocks).random_raw(span * 4 * n_blocks)
-            words = words.reshape(span, 4 * n_blocks)[part - first if part.size < span else ...]
-            at = first + span
-        else:
-            words = np.empty((part.size, 4 * n_blocks), dtype=np.uint64)
-            for i, s in enumerate(part.tolist()):
-                words[i], at = bits.advance((s - at) * n_blocks).random_raw(4 * n_blocks), s + 1
-        yield (words[:, :n_draws] >> np.uint64(11)) * 2.0**-53
+    k = np.where(p < 1.0, 0, n)
+    live = np.flatnonzero((n > 0) & (p > 0.0) & (p < 1.0))
+    n, p, u = n[live], p[live], u[live]
+    half = np.ceil(12.0 * np.sqrt(n * p * (1.0 - p))).astype(np.int64) + 30
+    lo = np.maximum(np.floor((n + 1) * p).astype(np.int64) - half, 0)
+    hi = np.minimum(lo + 2 * half, n)
+    width = hi - lo
+    if width.size * width.max(initial=0) <= _BINOMIAL_ENTRIES:
+        groups = [slice(None)]
+    else:
+        _, bit_length = np.frexp(width + 1)
+        groups = [np.flatnonzero(bit_length == g) for g in set(bit_length.tolist())]
+    for at in groups:
+        j = lo[at, None] + np.arange(int(width[at].max(initial=0)))
+        inside = j < hi[at, None]
+        # log pmf(j + 1) - log pmf(j), -inf from hi on; log pmf(lo) is taken as 0. In logs, as
+        # pmf(mode) / pmf(0) overflows for p near 1: (p / (1 - p))^n at n = 20, p = 1 - 2^-52.
+        ratio = np.where(inside, (n[at, None] - j) / (j + 1), 1.0)
+        step = np.where(inside, np.log(ratio) + np.log(p[at] / (1.0 - p[at]))[:, None], -np.inf)
+        log_pmf = np.concatenate([np.zeros((len(j), 1)), step.cumsum(axis=1)], axis=1)
+        cdf = np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)).cumsum(axis=1)
+        k[live[at]] = lo[at] + (cdf <= u[at, None] * cdf[:, -1:]).sum(axis=1)
+    return k
+
+
+def _multinomial(n: int, weights: np.ndarray, bits) -> np.ndarray:
+    """Counts of n draws over the entries of weights (non-negative, their sum positive if n > 0)
+    by conditional binomials down the binary tree of pairwise sums of the nonzero entries, in
+    ascending order and padded with zeros to a power of two: a node's count splits between its
+    halves as Binomial(count, left sum / node sum). Each level, top down, reads one word of bits
+    per node that holds shots, in ascending order. Only nodes that hold shots are divided by,
+    and a node whose weight is all on one side splits with p = 0 or 1."""
+    support = np.flatnonzero(weights)
+    sums = [np.zeros(1 << (support.size - 1).bit_length())]
+    sums[0][:support.size] = weights[support]
+    while sums[-1].size > 1:
+        sums.append(sums[-1][0::2] + sums[-1][1::2])
+    node, count = np.zeros(1, np.intp), np.array([n], np.int64)
+    for level in reversed(sums[:-1]):
+        node, count = node[count > 0], count[count > 0]
+        left = level[2 * node]
+        k = _binomial(count, left / (left + level[2 * node + 1]), _uniforms(bits.random_raw(node.size)))
+        node = np.stack([2 * node, 2 * node + 1], axis=1).ravel()
+        count = np.stack([k, count - k], axis=1).ravel()
+    leaves, out = np.zeros(sums[0].size, np.int64), np.zeros(weights.size, np.int64)
+    leaves[node] = count
+    out[support] = leaves[:support.size]
+    return out
 
 
 def _first_fault_rows(th: np.ndarray, fault_cdf: np.ndarray, u_f: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -523,23 +563,25 @@ def _faulty_outcomes(traj: _Trajectory, u_loc, u_out) -> np.ndarray:
     return idx
 
 
-def sample_shots(
-    noisy: NoisyCircuit, cfg: TrajectoryConfig, shot_offset: int = 0
-) -> ShotTable:
+def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
     """Sample shots by stochastic fault insertion on statevectors.
 
-    Shot i (global index shot_offset + i) consumes only its own RNG streams.
-    Family 0 holds u_f, the uniform of the terminal Z-basis outcome, and one
-    uniform per measured qubit for its read, unless the read kernel K is the
-    identity. A bit whose true value is b reads as 1 - b when its uniform u
-    is below K[1 - b, b], and drops the shot when u >= K[0, b] + K[1, b];
-    the table holds the kept shots. A shot carries a fault iff u_f is below
-    P(any fault), and only then draws its location uniforms from family 1
-    (_first_fault_rows). A block of shots draws its family-0 rows in one call
-    and resolves its fault-free shots against a cached reference evolution.
-    Faulty shots wait in a stash until it is full or the shots run out; each
-    flush draws their location rows and evolves every distinct fault history
-    once (_faulty_outcomes). Outcomes appear in the order of their first shot.
+    The n_shots split exactly, by the law of total probability. The faulty count is
+    N_F ~ Binomial(n_shots, P_F), P_F = P(any fault). The fault-free shots' read outcomes
+    are Multinomial(n_shots - N_F, [reference Born vector on the measured bits, read through
+    the kernel K, and the mass K drops]) (_multinomial). Each faulty shot draws, in order,
+    u (its first fault at u_f = P_F u: _first_fault_rows), u_out for its terminal Z-basis
+    outcome, one uniform per measured qubit for its read unless K is the identity, and one per
+    noise location. A bit whose true value is b reads as 1 - b when its uniform is below
+    K[1 - b, b], and drops the shot at or above K[0, b] + K[1, b]; the table holds the kept
+    shots, by outcome in ascending order.
+
+    Each quantity has its own stream (_stream), read as raw words, so no internal size moves a
+    count: family 0 gives N_F's uniform, family 1 the multinomial's, and in family 2 faulty shot j
+    owns words j w to (j + 1) w, w = 4 ceil(row / 4), drawn in chunks of at most _CHUNK_BYTES.
+    As numpy oracles: N_F = _binomial(n_shots, P_F, Generator(_stream(seed, 0)).random()), and
+    shot j's row is Generator(_stream(seed, 2).advance(j w / 4)).random(row). Each chunk evolves
+    its distinct fault histories once (_faulty_outcomes).
     """
     circ = noisy.circuit
     if circ.n_qubits > TRAJECTORY_QUBIT_CAP:
@@ -549,90 +591,51 @@ def sample_shots(
     measured = circ.measured_qubits
     if not measured:
         raise ValueError("circuit has no terminal measurements")
-    layout = MeasurementLayout.of(circ)
     traj = _Trajectory(noisy)
 
     ref_amps, thresholds = traj.no_jump_reference()
-    ref_cdf = np.cumsum(np.abs(ref_amps) ** 2)
-    ref_cdf[-1] = 1.0
     # an infinite threshold (gamma = 1 on an emptied no-jump branch) faults every shot
     th = np.minimum(thresholds, 1.0)
     fault_cdf = 1.0 - np.cumprod(1.0 - th)
     p_fault = fault_cdf[-1] if th.size else 0.0
+    u = _uniforms(_stream(cfg.seed, 0).random_raw(1))
+    n_faulty = int(_binomial(np.array([cfg.n_shots]), np.array([p_fault]), u)[0])
 
-    n_loc, n_meas = thresholds.size, len(measured)
-    kernel = noisy.readout
-    # an identity read needs no draws
-    n_read = 0 if np.array_equal(kernel, np.eye(2)) else n_meas
+    n, n_meas, kernel = circ.n_qubits, len(measured), noisy.readout
+    born = np.abs(ref_amps) ** 2
+    read = _read_measured(born, circ, kernel)
     # by true bit b: misread below K[1 - b, b], dropped at or above the column sum
     flip_p, keep_p = kernel[[1, 0], [0, 1]], kernel.sum(axis=0)
-    shifts = circ.n_qubits - 1 - np.array(measured)
+    dropped = 0.0 if np.all(keep_p == 1.0) else max(born.sum() - read.sum(), 0.0)
+    tally = _multinomial(cfg.n_shots - n_faulty, np.append(read, dropped), _stream(cfg.seed, 1))[:-1]
+
+    # an identity read needs no draws
+    n_read = 0 if np.array_equal(kernel, np.eye(2)) else n_meas
+    row = 2 + n_read + th.size
+    loc = slice(2 + n_read, row)
+    width = 4 * -(-row // 4)
+    shifts = n - 1 - np.array(measured)
     place = 1 << np.arange(n_meas - 1, -1, -1)
-    codes = np.empty(cfg.n_shots, dtype=np.int64)
-    kept = np.ones(cfg.n_shots, dtype=bool)
-
-    def read(at, idx, u_read):  # the bits of the shots at positions at, from their basis-state indices
-        bits = (idx[:, None] >> shifts) & 1
+    bits = _stream(cfg.seed, 2)
+    per_chunk = max(1, _CHUNK_BYTES // (8 * width))
+    for lo in range(0, n_faulty, per_chunk):
+        u = _uniforms(bits.random_raw(min(per_chunk, n_faulty - lo) * width).reshape(-1, width))
+        # u_f = P_F u < P_F, as P_F is 0 or a normal double from 2^-53 up and u < 1
+        idx = _faulty_outcomes(traj, _first_fault_rows(th, fault_cdf, p_fault * u[:, 0], u[:, loc]), u[:, 1])
+        codes = (idx[:, None] >> shifts) & 1
         if n_read:
-            kept[at] = np.all(u_read < keep_p[bits], axis=1)
-            bits ^= u_read < flip_p[bits]
-        codes[at] = bits @ place
-
-    # faulty shots wait as (family-0 rows, positions) parts, at most cap rows in
-    # all, so that a flush's rows with their location uniforms fill _STASH_BYTES
-    n_main = 2 + n_read
-    cap, stash, fill = max(1, _STASH_BYTES // (8 * (n_loc + n_main + 1))), [], 0
-
-    def flush():
-        u, at = (np.concatenate(part) for part in zip(*stash))
-        v = np.concatenate(list(_philox_uniforms(cfg.seed, shot_offset, [at for _, at in stash], n_loc, 1)))
-        stash.clear()
-        u_loc = _first_fault_rows(th, fault_cdf, u[:, 0], v)
-        read(at, _faulty_outcomes(traj, u_loc, u[:, 1]), u[:, 2:])
-
-    starts = range(0, cfg.n_shots, _SHOT_BLOCK)
-    blocks = (np.arange(start, min(start + _SHOT_BLOCK, cfg.n_shots)) for start in starts)
-    for start, u in zip(starts, _philox_uniforms(cfg.seed, shot_offset, blocks, n_main)):
-        n = len(u)
-        # every shot is read as if fault-free; a faulty one is read again at its flush
-        read(slice(start, start + n), np.searchsorted(ref_cdf, u[:, 1], side="right"), u[:, 2:])
-        faulty = np.flatnonzero(u[:, 0] < p_fault)
-        while faulty.size:
-            take, faulty = faulty[:cap - fill], faulty[cap - fill:]
-            stash.append((u[take], start + take))
-            fill += take.size
-            if fill == cap:
-                flush()
-                fill = 0
-    if fill:
-        flush()
-
-    # tally by code value; values are listed in the order of their first kept shot
-    codes = codes[kept]
-    tally = np.bincount(codes, minlength=1 << n_meas)
-    first = np.full(tally.size, codes.size)
-    np.minimum.at(first, codes, np.arange(codes.size))
-    values = np.flatnonzero(tally)
-    counts = {bitstring(int(v), n_meas): int(tally[v]) for v in values[np.argsort(first[values])]}
-    return ShotTable(counts, codes.size, layout)
+            u_read = u[:, 2:loc.start]
+            kept = np.all(u_read < keep_p[codes], axis=1)
+            codes ^= u_read < flip_p[codes]
+            codes = codes[kept]
+        tally += np.bincount(codes @ place, minlength=tally.size)
+    counts = {bitstring(int(v), n_meas): int(tally[v]) for v in np.flatnonzero(tally)}
+    return ShotTable(counts, int(tally.sum()), MeasurementLayout.of(circ))
 
 
-def sample_shots_batched(
-    noisy: NoisyCircuit, cfg: TrajectoryConfig, batch_size: int = 10000
-) -> ShotTable:
-    """Split shots into <= batch_size batches over global shot indices and merge.
-
-    Because every shot owns its own RNG stream, the merged table is
-    identical to a single unbatched run with the same configuration.
-    """
-    table = None
-    done = 0
-    while done < cfg.n_shots:
-        take = min(batch_size, cfg.n_shots - done)
-        part = sample_shots(noisy, TrajectoryConfig(take, cfg.seed), shot_offset=done)
-        table = part if table is None else table.merged(part)
-        done += take
-    return table
+def sample_shots_batched(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
+    """sample_shots, as the one entry through which cli samples every circuit."""
+    return sample_shots(noisy, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -402,23 +402,13 @@ def test_empty_selection_exit_code(tmp_path):
     pytest.fail("no seed produced an empty post-selection")
 
 
-def test_sweep_depol_rows_and_worker_pool_equivalence(tmp_path):
+def test_sweep_depol_rows(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p2_grid": [0.001, 0.01], "shots": 1500, "seed": 3}))
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    assert cli.main(["sweep-depol", "--config", str(cfg), "--out", str(serial)]) == 0
-    old = os.environ.get("QEDVQE_WORKERS")
-    os.environ["QEDVQE_WORKERS"] = "2"
-    try:
-        assert cli.main(["sweep-depol", "--config", str(cfg), "--out", str(pooled)]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("QEDVQE_WORKERS")
-        else:
-            os.environ["QEDVQE_WORKERS"] = old
-    assert (serial / "sweep_depol.csv").read_bytes() == (pooled / "sweep_depol.csv").read_bytes()
-    rows = read_rows(serial / "sweep_depol.csv")
+    assert cli.main(["sweep-depol", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "sweep_depol.csv")
     assert len(rows) == 2 * 5
+    assert [r["p2"] for r in rows] == ["0.001"] * 5 + ["0.01"] * 5
 
 
 def test_stateprep_schema_and_ordering_across_grid(tmp_path):
@@ -484,12 +474,6 @@ def test_manifest_records_gate_counts(tmp_path, monkeypatch):
     for out in ("a", "b"):
         cli.main(["budget", "--out", str(tmp_path / out)])
         assert json.loads((tmp_path / out / "manifest.json").read_text())["gate_counts"] == manifest["gate_counts"]
-
-
-def test_non_integer_worker_count_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QEDVQE_WORKERS", "two")
-    assert cli.main(["budget", "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
-    assert "QEDVQE_WORKERS" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_without_runpy_warning(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 import tracemalloc
 import warnings
 from unittest import mock
@@ -21,7 +22,6 @@ from qedvqe.sim import (
     red_vote_kernel,
     red_vote_kernel_for,
     sample_shots,
-    sample_shots_batched,
 )
 from test_postselect import red_vote  # the string-key vote, oracle of the vote kernel
 
@@ -312,144 +312,163 @@ def test_noiseless_sampling_theta_zero():
     assert table.counts == {"00": 1000}
 
 
-def _shot_generator(seed: int, shot_index: int, n_draws: int, family: int = 0) -> np.random.Generator:
-    """Reference stream of one shot of n_draws uniforms: numpy's own Philox
-    under key seed mod 2^64 with counter word 2 = family, advanced past the
-    ceil(n_draws / 4) counter blocks of every earlier shot of that family."""
-    bits = np.random.Philox(key=seed % 2**64, counter=[0, 0, family, 0])
-    return np.random.Generator(bits.advance(shot_index * -(-n_draws // 4)))
+def reference_uniforms(seed: int, family: int, n_draws: int, first_block: int = 0) -> np.ndarray:
+    """numpy's own doubles of one sampler stream: Generator(Philox) under key seed mod 2^64
+    and counter word 2 = family, advanced past first_block counter blocks of four words."""
+    bits = np.random.Philox(key=seed % 2**64, counter=[0, 0, family, 0]).advance(first_block)
+    return np.random.Generator(bits).random(n_draws)
 
 
-def philox_rows(seed, shot_offset, parts, n_draws, family=0) -> np.ndarray:
-    """Every row _philox_uniforms yields for parts, stacked."""
-    return np.concatenate(list(sim._philox_uniforms(seed, shot_offset, parts, n_draws, family)))
+def faulty_rows(noisy, n_shots: int, seed: int):
+    """Per faulty shot, (u_out, read uniforms, location uniforms), drawn one shot at a time
+    from the reference streams.
 
-
-def two_family_rows(noisy, n_shots: int, seed: int, shot_offset: int = 0):
-    """Per shot, (u_out, read uniforms, location uniforms or None when fault-free),
-    drawn from the reference streams of both families one shot at a time.
-
-    Family 0 gives u_f, u_out and the reads. The first faulty location K is the
-    first k at which the survival product prod_{j <= k} (1 - th_j) drops to or
-    below 1 - u_f; there is none when u_f reaches 1 - prod_j (1 - th_j). Only a
-    faulty shot reads family 1, as v: u_j = th_j + (1 - th_j) v_j before K,
-    th_K v_K at K and v_j after it.
+    N_F inverts family 0's first uniform through sim._binomial, which is checked against exact
+    pmfs below. Faulty shot j reads its row of 2 + n_read + n_loc uniforms from family 2, past
+    the ceil(row / 4) blocks of every earlier shot: u, u_out, the reads, then v. With
+    u_f = P_F u, the first faulty location K is the first k at which the survival product
+    prod_{j <= k} (1 - th_j) drops to or below 1 - u_f; then u_j = th_j + (1 - th_j) v_j
+    before K, th_K v_K at K and v_j after it.
     """
     _, thresholds = sim._Trajectory(noisy).no_jump_reference()
     th = [min(t, 1.0) for t in thresholds.tolist()]
+    p_fault = 1.0 - math.prod(1.0 - t for t in th)
+    n_faulty = int(sim._binomial(np.array([n_shots]), np.array([p_fault]), reference_uniforms(seed, 0, 1))[0])
     n_read = 0 if np.array_equal(noisy.readout, np.eye(2)) else len(noisy.circuit.measured_qubits)
-    for i in range(n_shots):
-        main = _shot_generator(seed, shot_offset + i, 2 + n_read)
-        u_f, u_out = main.random(), main.random()
-        u_read = main.random(n_read)
-        survive, first = 1.0, None
-        for k, t in enumerate(th):
+    row = 2 + n_read + len(th)
+    for j in range(n_faulty):
+        u = reference_uniforms(seed, 2, row, j * -(-row // 4)).tolist()
+        u_f, v = p_fault * u[0], u[2 + n_read:]
+        survive = 1.0
+        for first, t in enumerate(th):
             survive *= 1.0 - t
             if u_f < 1.0 - survive:
-                first = k
                 break
-        u_loc = None
-        if first is not None:
-            v = _shot_generator(seed, shot_offset + i, len(th), family=1).random(len(th)).tolist()
-            u_loc = np.array([t + (1.0 - t) * x if j < first else t * x if j == first else x
-                              for j, (t, x) in enumerate(zip(th, v))])
-        yield u_out, u_read, u_loc
+        u_loc = np.array([t + (1.0 - t) * x if k < first else t * x if k == first else x
+                          for k, (t, x) in enumerate(zip(th, v))])
+        yield u[1], u[2:2 + n_read], u_loc
 
 
-def replay_per_shot(noisy, n_shots: int, seed: int, shot_offset: int = 0) -> dict:
-    """Per-shot sampling loop: the two reference streams of each shot, drawn and resolved in turn."""
+def replay_faulty(noisy, n_shots: int, seed: int) -> Counter:
+    """The sampler's faulty shots resolved one at a time: each row evolved alone, its outcome
+    searched in its own cdf, and each bit read with its own uniform."""
     traj = sim._Trajectory(noisy)
-    ref_amps, _ = traj.no_jump_reference()
-    ref_cdf = np.cumsum(np.abs(ref_amps) ** 2)
-    ref_cdf[-1] = 1.0
     kernel, n = noisy.readout, noisy.circuit.n_qubits
-    counts = {}
-    for u_out, u_read, u_loc in two_family_rows(noisy, n_shots, seed, shot_offset):
-        cdf = ref_cdf
-        if u_loc is not None:
-            cdf = np.cumsum(np.abs(traj.run(u_loc[None])[0]) ** 2)
-            cdf /= cdf[-1]
+    counts = Counter()
+    for u_out, u_read, u_loc in faulty_rows(noisy, n_shots, seed):
+        cdf = np.cumsum(np.abs(traj.run(u_loc[None])[0]) ** 2)
+        cdf /= cdf[-1]
         idx = int(np.searchsorted(cdf, u_out, side="right"))
         bits = [(idx >> (n - 1 - q)) & 1 for q in noisy.circuit.measured_qubits]
-        if u_read.size:
+        if u_read:
             reads = list(zip(bits, u_read))
             if any(u >= kernel[0, b] + kernel[1, b] for b, u in reads):
                 continue  # a failed vote drops the shot
             bits = [b ^ (u < kernel[1 - b, b]) for b, u in reads]
-        key = "".join("1" if b else "0" for b in bits)
-        counts[key] = counts.get(key, 0) + 1
+        counts["".join("1" if b else "0" for b in bits)] += 1
     return counts
 
 
-@settings(max_examples=200, deadline=None)
+MULTINOMIAL = sim._multinomial  # the unpatched draw, for the recording wrapper below
+
+
+def sample_recording(noisy, cfg):
+    """sample_shots(noisy, cfg), with the weights and the counts of its one _multinomial draw."""
+    calls = []
+
+    def recording(n, weights, bits):
+        counts = MULTINOMIAL(n, weights, bits)
+        calls.append((weights.copy(), counts.copy()))  # copies, as the sampler adds to its counts
+        return counts
+
+    with mock.patch.object(sim, "_multinomial", recording):
+        table = sample_shots(noisy, cfg)
+    ((weights, counts),) = calls
+    return table, weights, counts
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(-(2**70), 2**70),  # reduced mod 2^64, negative and wide seeds included
-    first_shot=st.integers(0, 2**64 - 4),
-    n_shots=st.integers(1, 3),
+    family=st.sampled_from((0, 1, 2)),
     n_draws=st.integers(0, 130),
 )
-def test_philox_uniforms_match_reference_stream(seed, first_shot, n_shots, n_draws):
-    rows = philox_rows(seed, first_shot, [np.arange(n_shots)], n_draws)
-    fault_rows = philox_rows(seed, first_shot, [np.arange(n_shots)], n_draws, family=1)
-    assert rows.shape == fault_rows.shape == (n_shots, n_draws)
-    for i in range(n_shots):
-        want = _shot_generator(seed, first_shot + i, n_draws).random(n_draws)
-        assert rows[i].tobytes() == want.tobytes()
-        want = _shot_generator(seed, first_shot + i, n_draws, family=1).random(n_draws)
-        assert fault_rows[i].tobytes() == want.tobytes()
+def test_philox_uniforms_match_reference_stream(seed, family, n_draws):
+    # every drawn quantity reads raw words of numpy's Philox under its own family
+    got = sim._uniforms(sim._stream(seed, family).random_raw(n_draws))
+    assert got.tobytes() == reference_uniforms(seed, family, n_draws).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    first_shot=st.integers(0, 2**64),
-    n_draws=st.integers(0, 40),
+    row=st.integers(1, 70),
     sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
 )
-def test_philox_uniforms_split_into_any_shot_ranges(seed, first_shot, n_draws, sizes):
-    # one call over a shot range equals the calls over any split of it, stacked,
-    # and one call over its split into parts, in both families
-    starts = np.cumsum([0] + sizes[:-1])
-    split = [np.arange(a, a + n) for a, n in zip(starts, sizes)]
-    for family in (0, 1):
-        whole = philox_rows(seed, first_shot, [np.arange(sum(sizes))], n_draws, family)
-        parts = [
-            philox_rows(seed, first_shot + int(a), [np.arange(n)], n_draws, family)
-            for a, n in zip(starts, sizes)
-        ]
-        assert whole.tobytes() == np.concatenate(parts).tobytes()
-        assert whole.tobytes() == philox_rows(seed, first_shot, split, n_draws, family).tobytes()
+def test_philox_uniforms_split_into_any_shot_ranges(seed, row, sizes):
+    # faulty shot j owns words j w to (j + 1) w of family 2, w = 4 ceil(row / 4): read in
+    # chunks of any sizes from one stream, each row is its own shot's span
+    width = 4 * -(-row // 4)
+    bits = sim._stream(seed, 2)
+    rows = np.concatenate([sim._uniforms(bits.random_raw(size * width)).reshape(size, width) for size in sizes])
+    for j, got in enumerate(rows):
+        assert got[:row].tobytes() == reference_uniforms(seed, 2, row, j * width // 4).tobytes()
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    shot_offset=st.integers(0, 2**64),
-    n_draws=st.integers(1, 40),
-    family=st.sampled_from((0, 1)),
-    # per block, the fraction of its shots that are drawn: sparse, dense or all
-    fractions=st.lists(st.sampled_from((0.0, 0.01, 0.03, 0.3, 1.0)), min_size=1, max_size=3),
-    picks=st.integers(0, 2**32 - 1),
-)
-def test_philox_uniforms_are_each_shots_own_stream_dense_or_walked(
-    seed, shot_offset, n_draws, family, fractions, picks
-):
-    # a part of a block's shots comes from one span of the stream or from a
-    # walk over them; either way each row is its own shot's reference stream
-    rng = np.random.default_rng(picks)
-    parts = []
-    for b, frac in enumerate(fractions):
-        part = b * sim._SHOT_BLOCK + np.flatnonzero(rng.random(sim._SHOT_BLOCK) < frac)
-        parts += [part] if part.size else []
-    if not parts:
-        return
-    per_part = list(sim._philox_uniforms(seed, shot_offset, parts, n_draws, family))
-    assert [len(rows) for rows in per_part] == [part.size for part in parts]
-    rows, shots = np.concatenate(per_part), np.concatenate(parts)
-    assert rows.shape == (shots.size, n_draws)
-    for row, s in zip(rows, shots.tolist()):
-        want = _shot_generator(seed, shot_offset + s, n_draws, family).random(n_draws)
-        assert row.tobytes() == want.tobytes()
+def test_binomial_inversion_cdf_matches_exact_pmfs():
+    # every case in one call, so that windows of many widths share it; u sits inside each step
+    # of the exact cdf (math.comb pmfs), 1e-12 from its ends and at its middle, and the larger
+    # cases' windows are strict subsets of [0, n]. No shots or p = 0 draws none and p = 1 draws
+    # all, at the lowest and the top uniform.
+    ns, ps, us, want = [], [], [], []
+    for n in (1, 2, 3, 7, 20, 40, 100, 1000):
+        for p in (1e-9, 1e-3, 0.013, 0.3, 0.5, 0.77, 0.999, 1.0 - 1e-9, 1.0 - 2.0**-52):
+            cdf = np.cumsum([math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])
+            below = np.concatenate([[0.0], cdf[:-1]])
+            for k in np.flatnonzero(cdf - below > 1e-10).tolist():
+                for u in (below[k] + 1e-12, (below[k] + cdf[k]) / 2, min(cdf[k], 1.0) - 1e-12):
+                    ns.append(n), ps.append(p), us.append(u), want.append(k)
+    for n, p, k in ((0, 0.0, 0), (0, 0.5, 0), (0, 1.0, 0), (5, 0.0, 0), (5, 1.0, 5), (2**40, 0.0, 0), (2**40, 1.0, 2**40)):
+        for u in (0.0, 1.0 - 2.0**-53):
+            ns.append(n), ps.append(p), us.append(u), want.append(k)
+    # u on the end of a step, where F(0) = 1/2 is exact: F(k) > u is strict, so k = 1
+    ns.append(1), ps.append(0.5), us.append(0.5), want.append(1)
+    # far tails: with Y ~ Binomial(n, q) at mean 0.1, P(Y > 8) < 1e-14 < P(Y > 7), so the
+    # 1 - 1e-14 quantile of Y is 8 and the 1e-14 quantile of n - Y ~ Binomial(n, 1 - q) is
+    # n - 8, 25 sd from the mean, which only the window's 30 terms past 12 sd reach
+    n, q = 10**4, 1e-5
+    pmf = [math.comb(n, j) * q**j * (1.0 - q) ** (n - j) for j in range(60)]
+    assert math.fsum(pmf[9:]) < 1e-14 < math.fsum(pmf[8:])
+    for p, u, k in ((q, 1.0 - 1e-14, 8), (1.0 - q, 1e-14, n - 8)):
+        ns.append(n), ps.append(p), us.append(u), want.append(k)
+    # some 3400 draws, with windows up to 441 wide (n = 1000, p = 0.5): more entries than
+    # _BINOMIAL_ENTRIES, so this call groups its draws by width
+    ns, ps, us = np.array(ns), np.array(ps), np.array(us)
+    assert sim._binomial(ns, ps, us).tolist() == want
+    # one call per (n, p), whose draws all share one window and one table, draws the same
+    for n, p in set(zip(ns.tolist(), ps.tolist())):
+        at = (ns == n) & (ps == p)
+        assert sim._binomial(ns[at], ps[at], us[at]).tolist() == np.array(want)[at].tolist()
+
+
+def test_multinomial_counts_only_where_there_is_weight():
+    # the counts sum to n, no zero-weight entry gets one, no shots draw nothing, and nothing
+    # divides by zero; with 10^6 shots each count is within 6 binomial sigma of its mean
+    cases = [
+        ([0.0, 0.0, 3.0, 0.0, 0.0], 7),
+        ([0.0, 0.2, 0.0, 0.5, 0.3, 0.0, 0.0, 0.0, 1e-300], 10**6),
+        ([0.0, 0.0, 0.0], 0),
+        ([1.0], 9),
+        ([0.1] * 10 + [0.0], 10**6),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weights, n in cases:
+            weights = np.array(weights)
+            counts = sim._multinomial(n, weights, sim._stream(5, 1))
+            assert counts.sum() == n and not counts[weights == 0.0].any()
+            p = weights / weights.sum() if n else weights
+            assert np.all(np.abs(counts - n * p) <= 6.0 * np.sqrt(n * p * (1.0 - p)) + 1e-9)
 
 
 def first_fault_law(thresholds):
@@ -520,31 +539,99 @@ def with_readout(noisy, kernel):
     return dataclasses.replace(noisy, readout=kernel)
 
 
-@pytest.mark.parametrize(
-    "noisy, n_shots, shot_offset",
-    [
-        (noise.noiseless(builders.build_unencoded_ansatz(0.3, "X")), 500, 0),
-        (noise.attach_noise(ENCODED, DepolarizingParams(p2=0.0009)), 3000, 0),
-        (noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10)), 600, 4321),
-        (noise.attach_noise(ENCODED, DEVICE), 2000, 77),
-        (
-            noise.attach_noise(builders.wrap_with_red(builders.build_unencoded_ansatz(-0.22967, "Z")), DEVICE),
-            300, 0,
-        ),
-        (with_readout(noise.attach_noise(ENCODED, DEVICE), red_vote_kernel_for(DEVICE)), 2000, 5),
-        (with_readout(noise.attach_noise(ENCODED, DepolarizingParams(p2=0.05)), LOSSY_KERNEL), 1500, 900),
-    ],
-    ids=[
-        "noiseless", "encoded-p2=0.09%", "encoded-p2=10%", "encoded-device", "unencoded+red-device",
-        "encoded-device-vote", "encoded-p2=5%-lossy",
-    ],
+@pytest.mark.parametrize("p2", [1e-9, 0.0009, 0.1, 0.9])
+def test_a_faulty_shot_at_the_top_uniform_faults_below_p_fault(monkeypatch, p2):
+    # P_F = 1 - prod(1 - th) is 0 or a normal double of at least 2^-53, so P_F (1 - 2^-53),
+    # the largest u_f, rounds strictly below P_F: the decrement is at least half an ulp, and
+    # exact where P_F is a power of two. With every shot faulty and every uniform the top
+    # one, each shot still finds its first faulty location.
+    top = 1.0 - 2.0**-53
+    rng = np.random.default_rng(3)
+    # survival products c in [0, 1): random, within 2^-40 of 1, the last 1000 doubles below 1,
+    # and powers of two and their neighbours
+    below_one = np.nextafter(1.0, 0.0) - 2.0**-53 * np.arange(1000)
+    powers = 2.0 ** -np.arange(1.0, 60.0)
+    c = np.concatenate([rng.random(10**5), 1.0 - rng.random(10**5) * 2.0**-40, below_one, powers,
+                        np.nextafter(powers, 0.0), np.nextafter(powers, 1.0), [0.0]])
+    p_faults = 1.0 - c[c < 1.0]
+    assert np.all(p_faults >= 2.0**-53) and np.all(p_faults * top < p_faults)
+    monkeypatch.setattr(sim, "_binomial", lambda n, p, u: n)
+    monkeypatch.setattr(sim, "_uniforms", lambda words: np.full(words.shape, top))
+    nc = noise.attach_noise(ENCODED, DepolarizingParams(p2=p2))
+    assert sample_shots(nc, TrajectoryConfig(50, seed=0)).n_shots == 50
+
+
+SAMPLED_CIRCUITS = [
+    (noise.noiseless(builders.build_unencoded_ansatz(0.3, "X")), 500),
+    (noise.attach_noise(ENCODED, DepolarizingParams(p2=0.0009)), 3000),
+    (noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10)), 600),
+    (noise.attach_noise(ENCODED, DEVICE), 2000),
+    (noise.attach_noise(builders.wrap_with_red(builders.build_unencoded_ansatz(-0.22967, "Z")), DEVICE), 300),
+    (with_readout(noise.attach_noise(ENCODED, DEVICE), red_vote_kernel_for(DEVICE)), 2000),
+    (with_readout(noise.attach_noise(ENCODED, DepolarizingParams(p2=0.05)), LOSSY_KERNEL), 1500),
+]
+SAMPLED_IDS = [
+    "noiseless", "encoded-p2=0.09%", "encoded-p2=10%", "encoded-device", "unencoded+red-device",
+    "encoded-device-vote", "encoded-p2=5%-lossy",
+]
+
+
+def assert_matches_per_shot_loop(noisy, n_shots: int, seed: int):
+    """The table is the sampler's own fault-free counts plus its faulty shots replayed one at a
+    time, listed by outcome in ascending order."""
+    table, _, fault_free = sample_recording(noisy, TrajectoryConfig(n_shots, seed=seed))
+    n_meas = len(noisy.circuit.measured_qubits)
+    want = Counter({qcore.bitstring(c, n_meas): int(fault_free[c]) for c in np.flatnonzero(fault_free[:-1])})
+    faulty = replay_faulty(noisy, n_shots, seed)
+    want.update(faulty)
+    assert table.counts == dict(want)
+    assert list(table.counts) == sorted(table.counts)
+    assert table.n_shots == sum(want.values())
+    assert fault_free.sum() + len(list(faulty_rows(noisy, n_shots, seed))) == n_shots
+
+
+@pytest.mark.parametrize("noisy, n_shots", SAMPLED_CIRCUITS, ids=SAMPLED_IDS)
+def test_sampler_matches_per_shot_loop(noisy, n_shots):
+    assert_matches_per_shot_loop(noisy, n_shots, seed=2024)
+
+
+PARTIAL = Circuit(
+    3, (qcore.h(0), qcore.cnot(0, 1), qcore.ry(0.7, 2), qcore.cnot(1, 2), qcore.measure(0), qcore.measure(2)),
+    (ROLE_DATA,) * 3,
 )
-def test_block_sampler_matches_per_shot_loop(noisy, n_shots, shot_offset):
-    want = replay_per_shot(noisy, n_shots, seed=2024, shot_offset=shot_offset)
-    got = sample_shots(noisy, TrajectoryConfig(n_shots, seed=2024), shot_offset=shot_offset)
-    assert got.counts == want
-    assert list(got.counts) == list(want)  # first-appearance order, which float sums follow
-    assert got.n_shots == sum(want.values())
+
+
+@pytest.mark.parametrize(
+    "noisy",
+    [
+        noise.attach_noise(ENCODED, DEVICE),
+        with_readout(noise.attach_noise(ENCODED, DEVICE), red_vote_kernel_for(DEVICE)),
+        with_readout(noise.attach_noise(ENCODED, DepolarizingParams(p2=0.05)), LOSSY_KERNEL),
+        with_readout(noise.attach_noise(PARTIAL, DepolarizingParams(p2=0.05)), LOSSY_KERNEL),
+    ],
+    ids=["encoded-device-flips", "encoded-device-vote", "encoded-p2=5%-lossy", "partial-p2=5%-lossy"],
+)
+def test_fault_free_weights_are_the_reference_born_vector_read_through_the_kernel(noisy):
+    # the multinomial's weights: the reference Born vector marginalised to the measured bits
+    # (written out index by index here), read bit by bit through the kernel, then the mass the
+    # kernel drops, which is exactly 0 for a kernel whose columns sum to 1
+    _, weights, _ = sample_recording(noisy, TrajectoryConfig(500, seed=3))
+    ref, _ = sim._Trajectory(noisy).no_jump_reference()
+    n, measured, kernel = noisy.circuit.n_qubits, noisy.circuit.measured_qubits, noisy.readout
+    born = np.zeros(2 ** len(measured))
+    for idx, amp in enumerate(ref):
+        code = int("".join(str((idx >> (n - 1 - q)) & 1) for q in measured), 2)
+        born[code] += abs(amp) ** 2
+    t = born.reshape((2,) * len(measured))
+    for q in range(len(measured)):
+        t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [q])), 0, q)
+    assert weights.shape == (born.size + 1,)
+    assert np.allclose(weights[:-1], t.reshape(-1), rtol=1e-12, atol=0.0)
+    if np.all(kernel.sum(axis=0) == 1.0):
+        assert weights[-1] == 0.0
+    else:
+        assert weights[-1] == pytest.approx(1.0 - t.sum(), abs=1e-14)
+        assert weights[-1] > 0.01
 
 
 @st.composite
@@ -585,47 +672,46 @@ def sampled_circuits(draw):
 @settings(max_examples=40, deadline=None)
 @given(
     noisy=sampled_circuits(),
-    n_shots=st.integers(1, 2 * sim._SHOT_BLOCK + 300),
-    shot_offset=st.integers(0, 2**40),
+    n_shots=st.integers(1, 2500),
     seed=st.integers(0, 2**63 - 1),
-    # the default stash, which a call of these sizes never fills, and stashes
-    # of one row and of a few rows, which flush many times a block
-    stash_bytes=st.sampled_from((sim._STASH_BYTES, 1, 2**10)),
+    # the default chunk, which a call of these sizes never fills, and chunks of one faulty
+    # shot and of a few
+    chunk_bytes=st.sampled_from((sim._CHUNK_BYTES, 1, 2**10)),
 )
-def test_sampler_matches_per_shot_loop_on_random_circuits(noisy, n_shots, shot_offset, seed, stash_bytes):
-    # shots that share fault codes share one evolution, within a block and across blocks
-    want = replay_per_shot(noisy, n_shots, seed=seed, shot_offset=shot_offset)
-    with mock.patch.object(sim, "_STASH_BYTES", stash_bytes):
-        got = sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed), shot_offset=shot_offset)
-    assert list(got.counts.items()) == list(want.items())
-    assert got.n_shots == sum(want.values())
+def test_sampler_matches_per_shot_loop_on_random_circuits(noisy, n_shots, seed, chunk_bytes):
+    with mock.patch.object(sim, "_CHUNK_BYTES", chunk_bytes):
+        assert_matches_per_shot_loop(noisy, n_shots, seed)
 
 
-def test_full_stash_leaves_counts_unchanged(monkeypatch):
-    # a stash too small for one block's faulty shots flushes several times a
-    # block, mid-block too, and shots still resolve in their own flush; with
-    # passes of two rows, every flush evolves its histories in many passes
-    noisy = noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10))
-    want = replay_per_shot(noisy, 2500, seed=8, shot_offset=123)
-    flushes = []
-    faulty_outcomes = sim._faulty_outcomes
+def chi_square_threshold(dof: int) -> float:
+    """The chi-square quantile at 1 - 1e-9 (z = 6), by the Wilson-Hilferty cube."""
+    return dof * (1.0 - 2.0 / (9 * dof) + 6.0 * math.sqrt(2.0 / (9 * dof))) ** 3
 
-    def recording_faulty_outcomes(traj, u_loc, u_out):
-        flushes.append(len(u_out))
-        return faulty_outcomes(traj, u_loc, u_out)
 
-    monkeypatch.setattr(sim, "_faulty_outcomes", recording_faulty_outcomes)
-    monkeypatch.setattr(sim, "_STASH_BYTES", 2**14)
-    size = 2**noisy.circuit.n_qubits
-    for pass_amps in (sim._PASS_AMPS, 2 * size):
-        monkeypatch.setattr(sim, "_PASS_AMPS", pass_amps)
-        flushes.clear()
-        got = sample_shots(noisy, TrajectoryConfig(2500, seed=8), shot_offset=123)
-        assert list(got.counts.items()) == list(want.items())
-        # every flush but the last found the stash full; with more flushes than
-        # the call's three blocks, some block flushed twice, so mid-block
-        assert len(set(flushes[:-1])) == 1 and flushes[-1] <= flushes[0]
-        assert len(flushes) > 3
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(noisy=sampled_circuits(), seed=st.integers(0, 2**63 - 1))
+def test_sampled_tables_pass_a_chi_square_check_against_the_shot_limit(noisy, seed):
+    # fixed examples and seeds (derandomized); the bins are the kept outcomes and the dropped
+    # shots, with those expected below 5 shots pooled, and the pool joined to the smallest
+    # other bin while it is itself expected below 5
+    n_shots = 4000
+    table = sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed))
+    limit, _ = sim.shot_limit_table(noisy)
+    expected = {k: n_shots * p for k, p in limit.counts.items()}
+    expected[None] = max(n_shots - sum(expected.values()), 0.0)
+    observed = {**table.counts, None: n_shots - table.n_shots}
+    bins = [(expected.get(k, 0.0), observed.get(k, 0)) for k in set(expected) | set(observed)]
+    small = [b for b in bins if b[0] < 5.0]
+    bins = sorted(b for b in bins if b[0] >= 5.0)
+    pool = (sum(e for e, _ in small), sum(o for _, o in small))
+    if pool[0] >= 5.0 or not bins:
+        bins.append(pool)
+    else:
+        bins[0] = (bins[0][0] + pool[0], bins[0][1] + pool[1])
+    chi2 = sum((o - e) ** 2 / e for e, o in bins if e > 0.0)
+    assert sum(o for _, o in bins) == n_shots
+    if len(bins) > 1:
+        assert chi2 <= chi_square_threshold(len(bins) - 1)
 
 
 @pytest.mark.parametrize(
@@ -636,9 +722,9 @@ def test_full_stash_leaves_counts_unchanged(monkeypatch):
 def test_each_distinct_fault_history_is_evolved_once(monkeypatch, noisy):
     # shots are grouped by the bytes of their codes: a group must neither split
     # one history (evolving it twice) nor merge two (evolving one of them never)
-    n_shots, seed = 2 * sim._SHOT_BLOCK + 500, 6
+    n_shots, seed = 2548, 6
     traj = sim._Trajectory(noisy)
-    u_loc = np.array([u for _, _, u in two_family_rows(noisy, n_shots, seed) if u is not None])
+    u_loc = np.array([u for _, _, u in faulty_rows(noisy, n_shots, seed)])
     want = np.unique(traj.fault_codes(u_loc), axis=0)
     evolved = []
     run = sim._Trajectory.run
@@ -648,7 +734,7 @@ def test_each_distinct_fault_history_is_evolved_once(monkeypatch, noisy):
         return run(self, u)
 
     monkeypatch.setattr(sim._Trajectory, "run", recording_run)
-    sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed))  # the default stash: one flush
+    sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed))  # the default chunk: one
     assert len(evolved) == len(want) > 0
     assert sorted(evolved) == sorted(map(tuple, want))
 
@@ -792,17 +878,18 @@ PARTITION_NOISY = noise.attach_noise(ENCODED, DepolarizingParams(p2=0.01))
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**63 - 1),
-    batch_size=st.integers(1, 700),
-    split=st.integers(1, 599),
+    chunk_bytes=st.integers(1, 2**14),
+    pass_amps=st.sampled_from((1, 2**7, 2**10)),
 )
-def test_seed_determinism_and_partition_invariance(seed, batch_size, split):
+def test_seed_determinism_and_partition_invariance(seed, chunk_bytes, pass_amps):
+    # a seed fixes the table, and faulty shots split into chunks of any size, with their
+    # histories evolved in passes of any size, move no count
     n_shots = 600
     whole = sample_shots(PARTITION_NOISY, TrajectoryConfig(n_shots, seed=seed))
     again = sample_shots(PARTITION_NOISY, TrajectoryConfig(n_shots, seed=seed))
-    batched = sample_shots_batched(PARTITION_NOISY, TrajectoryConfig(n_shots, seed=seed), batch_size)
-    first = sample_shots(PARTITION_NOISY, TrajectoryConfig(split, seed=seed))
-    rest = sample_shots(PARTITION_NOISY, TrajectoryConfig(n_shots - split, seed=seed), shot_offset=split)
-    for table in (again, batched, first.merged(rest)):
+    with mock.patch.object(sim, "_CHUNK_BYTES", chunk_bytes), mock.patch.object(sim, "_PASS_AMPS", pass_amps):
+        split = sample_shots(PARTITION_NOISY, TrajectoryConfig(n_shots, seed=seed))
+    for table in (again, split):
         assert list(table.counts.items()) == list(whole.counts.items())
     different = sample_shots(PARTITION_NOISY, TrajectoryConfig(n_shots, seed=seed ^ 1))
     assert different.counts != whole.counts
@@ -894,15 +981,6 @@ def test_trajectory_gate_kernels_match_density_on_random_circuits(seed):
     probs = born_distribution(evolve_density(nc))
     bound = 5 * math.sqrt(len(probs) / n_shots)
     assert tvd(probs, empirical(table)) < bound
-
-
-def test_shot_table_merge_guards():
-    circ = builders.build_unencoded_ansatz(0.0, "Z")
-    t = sample_shots(noise.noiseless(circ), TrajectoryConfig(10, seed=0))
-    assert t.counts == {"00": 10}
-    other = sample_shots(noise.noiseless(builders.build_encoded_ansatz(0.0, "Z")), TrajectoryConfig(10, seed=0))
-    with pytest.raises(ValueError):
-        t.merged(other)
 
 
 # ---------------------------------------------------------------------------
