@@ -591,7 +591,9 @@ def assert_matches_per_shot_loop(noisy, n_shots: int, seed: int):
 
 
 @pytest.mark.parametrize("noisy, n_shots", SAMPLED_CIRCUITS, ids=SAMPLED_IDS)
-def test_sampler_matches_per_shot_loop(noisy, n_shots):
+def test_block_sampler_matches_per_shot_loop(noisy, n_shots):
+    # the sampler draws its faulty rows as one block of contiguous counter spans; the replay
+    # draws and runs them one shot at a time
     assert_matches_per_shot_loop(noisy, n_shots, seed=2024)
 
 
