@@ -49,9 +49,6 @@ TRAJECTORY_QUBIT_CAP = 20
 # at 6 qubits, one from 14 qubits up); neither size moves a count.
 _CHUNK_BYTES = 2**23
 _PASS_AMPS = 2**14
-# The entries of one _binomial table of windows (512 KB of doubles), below which a call's
-# draws are not grouped by width: the draws of a tree level at 6 measured qubits fit.
-_BINOMIAL_ENTRIES = 2**16
 # The density entries of one evolve_densities stack: 2 states at 6 qubits, 512 at 2.
 # Slots are fused once for a group of whole stacks, at least _GROUP_CIRCUITS circuits
 # (4 stacks at 6 qubits). A group of more than one stack holds its fused slots: draining
@@ -274,9 +271,7 @@ def _binomial(n: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     n = 0 or p = 0 gives 0 and p = 1 gives n. Otherwise F sums the pmf over the window
     mode +- (12 sd + 30), clipped to [0, n], from the log ratios of successive terms, and is
     renormalised there: the mass outside the window (below 1e-32 for n up to 2e6) is far
-    below 2^-53, the resolution of u. All draws share one table of their widest window when
-    it holds at most _BINOMIAL_ENTRIES entries; else they are grouped by the bit length of
-    their window width, so many small draws cost about their summed widths.
+    below 2^-53, the resolution of u. All draws share one table of their widest window.
     """
     k = np.where(p < 1.0, 0, n)
     live = np.flatnonzero((n > 0) & (p > 0.0) & (p < 1.0))
@@ -284,22 +279,15 @@ def _binomial(n: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     half = np.ceil(12.0 * np.sqrt(n * p * (1.0 - p))).astype(np.int64) + 30
     lo = np.maximum(np.floor((n + 1) * p).astype(np.int64) - half, 0)
     hi = np.minimum(lo + 2 * half, n)
-    width = hi - lo
-    if width.size * width.max(initial=0) <= _BINOMIAL_ENTRIES:
-        groups = [slice(None)]
-    else:
-        _, bit_length = np.frexp(width + 1)
-        groups = [np.flatnonzero(bit_length == g) for g in set(bit_length.tolist())]
-    for at in groups:
-        j = lo[at, None] + np.arange(int(width[at].max(initial=0)))
-        inside = j < hi[at, None]
-        # log pmf(j + 1) - log pmf(j), -inf from hi on; log pmf(lo) is taken as 0. In logs, as
-        # pmf(mode) / pmf(0) overflows for p near 1: (p / (1 - p))^n at n = 20, p = 1 - 2^-52.
-        ratio = np.where(inside, (n[at, None] - j) / (j + 1), 1.0)
-        step = np.where(inside, np.log(ratio) + np.log(p[at] / (1.0 - p[at]))[:, None], -np.inf)
-        log_pmf = np.concatenate([np.zeros((len(j), 1)), step.cumsum(axis=1)], axis=1)
-        cdf = np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)).cumsum(axis=1)
-        k[live[at]] = lo[at] + (cdf <= u[at, None] * cdf[:, -1:]).sum(axis=1)
+    j = lo[:, None] + np.arange(int((hi - lo).max(initial=0)))
+    inside = j < hi[:, None]
+    # log pmf(j + 1) - log pmf(j), -inf from hi on; log pmf(lo) is taken as 0. In logs, as
+    # pmf(mode) / pmf(0) overflows for p near 1: (p / (1 - p))^n at n = 20, p = 1 - 2^-52.
+    ratio = np.where(inside, (n[:, None] - j) / (j + 1), 1.0)
+    step = np.where(inside, np.log(ratio) + np.log(p / (1.0 - p))[:, None], -np.inf)
+    log_pmf = np.concatenate([np.zeros((len(j), 1)), step.cumsum(axis=1)], axis=1)
+    cdf = np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)).cumsum(axis=1)
+    k[live] = lo + (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1)
     return k
 
 

@@ -441,14 +441,7 @@ def test_binomial_inversion_cdf_matches_exact_pmfs():
     assert math.fsum(pmf[9:]) < 1e-14 < math.fsum(pmf[8:])
     for p, u, k in ((q, 1.0 - 1e-14, 8), (1.0 - q, 1e-14, n - 8)):
         ns.append(n), ps.append(p), us.append(u), want.append(k)
-    # some 3400 draws, with windows up to 441 wide (n = 1000, p = 0.5): more entries than
-    # _BINOMIAL_ENTRIES, so this call groups its draws by width
-    ns, ps, us = np.array(ns), np.array(ps), np.array(us)
-    assert sim._binomial(ns, ps, us).tolist() == want
-    # one call per (n, p), whose draws all share one window and one table, draws the same
-    for n, p in set(zip(ns.tolist(), ps.tolist())):
-        at = (ns == n) & (ps == p)
-        assert sim._binomial(ns[at], ps[at], us[at]).tolist() == np.array(want)[at].tolist()
+    assert sim._binomial(np.array(ns), np.array(ps), np.array(us)).tolist() == want
 
 
 def test_multinomial_counts_only_where_there_is_weight():
