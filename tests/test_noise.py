@@ -66,8 +66,11 @@ def pauli_rates(draw):
     p_x = draw(RATE)
     p_y = draw(st.one_of(st.just(1.0 - p_x), st.floats(0.0, 1.0 - p_x)))
     p_z = draw(st.one_of(st.just(1.0 - p_x - p_y), st.floats(0.0, 1.0 - p_x - p_y)))
-    assume(p_x + p_y + p_z <= 1.0)  # a sum rounded above 1 is not a channel
-    return draw(st.permutations((p_x, p_y, p_z)))
+    rates = draw(st.permutations((p_x, p_y, p_z)))
+    # a sum rounded above 1 is not a channel; checked in the order PauliNoise sums, as
+    # reordering three floats can round their sum across 1
+    assume(rates[0] + rates[1] + rates[2] <= 1.0)
+    return rates
 
 
 @settings(max_examples=200, deadline=None)
