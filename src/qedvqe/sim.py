@@ -7,8 +7,8 @@ backend cannot. A circuit's shots split into the fault-free ones, whose read
 outcomes are one multinomial draw from the no-jump reference, and the faulty
 ones, each resolved from its own row of uniforms; every distinct fault history
 is evolved once, as a row of one (B, 2^n) statevector array. Each drawn
-quantity reads raw words of its own Philox4x64-10 stream, so no chunk or pass
-size moves a count (sample_shots).
+quantity reads words of its own SplitMix64 counter stream (splitmix), any word
+of which is computed directly, so no chunk or pass size moves a count (sample_shots).
 Both backends read measured bits through the circuit's per-bit read kernel;
 the readout-encoding gadget is such a kernel (red_vote_kernel_for), so a
 readout-encoded run samples the 2- or 6-qubit circuit it encodes.
@@ -253,16 +253,15 @@ def shot_limit_table(noisy: NoisyCircuit) -> tuple[ShotTable, float]:
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
-    """Doubles in [0, 1) from raw Philox words, the top 53 bits of each, as Generator.random reads them."""
+    """Doubles in [0, 1) from raw 64-bit words, the top 53 bits of each."""
     return (words >> np.uint64(11)) * 2.0**-53
 
 
 def _stream(seed: int, family: int):
-    """The Philox4x64-10 stream (Salmon et al., SC'11) of one drawn quantity: key seed mod 2^64,
-    counter word 2 = family. Only raw words are read, as numpy keeps those stable across releases
-    and its distribution methods not (NEP 19)."""
-    # numpy.random is imported on first use, here: it costs about 6 MB, and the density backend never samples
-    return np.random.Philox(key=seed % 2**64, counter=[0, 0, family, 0])
+    """The stream of one drawn quantity: splitmix.stream(seed, family)."""
+    from .splitmix import stream  # imported here, on the first draw: the density backend never samples
+
+    return stream(seed, family)
 
 
 def _binomial(n: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -566,10 +565,10 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
 
     Each quantity has its own stream (_stream), read as raw words, so no internal size moves a
     count: family 0 gives N_F's uniform, family 1 the multinomial's, and in family 2 faulty shot j
-    owns words j w to (j + 1) w, w = 4 ceil(row / 4), drawn in chunks of at most _CHUNK_BYTES.
-    As numpy oracles: N_F = _binomial(n_shots, P_F, Generator(_stream(seed, 0)).random()), and
-    shot j's row is Generator(_stream(seed, 2).advance(j w / 4)).random(row). Each chunk evolves
-    its distinct fault histories once (_faulty_outcomes).
+    owns words j row to (j + 1) row, drawn in chunks of at most _CHUNK_BYTES. With k_f the key of
+    family f and word(k, i) = splitmix.mix(k + (i + 1) gamma mod 2^64): N_F = _binomial(n_shots, P_F,
+    _uniforms(word(k_0, 0))), and entry i of shot j's row is _uniforms(word(k_2, j row + i)).
+    Each chunk evolves its distinct fault histories once (_faulty_outcomes).
     """
     circ = noisy.circuit
     if circ.n_qubits > TRAJECTORY_QUBIT_CAP:
@@ -601,13 +600,12 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
     n_read = 0 if np.array_equal(kernel, np.eye(2)) else n_meas
     row = 2 + n_read + th.size
     loc = slice(2 + n_read, row)
-    width = 4 * -(-row // 4)
     shifts = n - 1 - np.array(measured)
     place = 1 << np.arange(n_meas - 1, -1, -1)
     bits = _stream(cfg.seed, 2)
-    per_chunk = max(1, _CHUNK_BYTES // (8 * width))
+    per_chunk = max(1, _CHUNK_BYTES // (8 * row))
     for lo in range(0, n_faulty, per_chunk):
-        u = _uniforms(bits.random_raw(min(per_chunk, n_faulty - lo) * width).reshape(-1, width))
+        u = _uniforms(bits.random_raw(min(per_chunk, n_faulty - lo) * row).reshape(-1, row))
         # u_f = P_F u < P_F, as P_F is 0 or a normal double from 2^-53 up and u < 1
         idx = _faulty_outcomes(traj, _first_fault_rows(th, fault_cdf, p_fault * u[:, 0], u[:, loc]), u[:, 1])
         codes = (idx[:, None] >> shifts) & 1

@@ -486,6 +486,25 @@ def test_module_entry_point_runs_without_runpy_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sampled_run_never_imports_numpy_random(tmp_path):
+    # the sampler owns its random words (sim._stream): a sampled run in a fresh
+    # process leaves numpy.random, about 6 MB and 12 ms of import, unloaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = (
+        "import sys\n"
+        "from qedvqe import cli\n"
+        "assert cli.run({'experiment': 'table2', 'shots': 200, 'seed': 1}, sys.argv[1]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"  # after the table cli.run prints
+    assert (tmp_path / "table2.csv").exists()
+
+
 def red_pipeline_limits(theta=estimate.THETA_STAR):
     """Exact limits of the red-pipeline rows, from the chain of acceptance
     criterion 10: evolve_density -> the vote kernel (or, without readout

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 from collections import Counter
 import tracemalloc
 import warnings
@@ -7,10 +8,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from qedvqe import builders, noise, qcore, sim
+from qedvqe import builders, noise, qcore, sim, splitmix
 from qedvqe.noise import DepolarizingParams, ReadoutParams
 from qedvqe.qcore import Circuit, ROLE_DATA
 from qedvqe.sim import (
@@ -312,11 +313,28 @@ def test_noiseless_sampling_theta_zero():
     assert table.counts == {"00": 1000}
 
 
-def reference_uniforms(seed: int, family: int, n_draws: int, first_block: int = 0) -> np.ndarray:
-    """numpy's own doubles of one sampler stream: Generator(Philox) under key seed mod 2^64
-    and counter word 2 = family, advanced past first_block counter blocks of four words."""
-    bits = np.random.Philox(key=seed % 2**64, counter=[0, 0, family, 0]).advance(first_block)
-    return np.random.Generator(bits).random(n_draws)
+MASK64, GAMMA = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def splitmix64_output(z: int) -> int:
+    """SplitMix64's output function on a Python int, as in Vigna's splitmix64.c."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64_words(state: int, first: int, n: int) -> list[int]:
+    """Words first to first + n of raw SplitMix64 from state: word j is the output
+    function of state + (j + 1) gamma mod 2^64."""
+    return [splitmix64_output((state + (j + 1) * GAMMA) & MASK64) for j in range(first, first + n)]
+
+
+def reference_uniforms(seed: int, family: int, n_draws: int, first_word: int = 0) -> np.ndarray:
+    """The doubles of one sampler stream from Python ints, from word first_word on: the key
+    is output(output(seed mod 2^64) + (family + 1) gamma), and each double is the top 53
+    bits of its word."""
+    key = splitmix64_output((splitmix64_output(seed % 2**64) + (family + 1) * GAMMA) & MASK64)
+    return np.array([(w >> 11) * 2.0**-53 for w in splitmix64_words(key, first_word, n_draws)], dtype=float)
 
 
 def faulty_rows(noisy, n_shots: int, seed: int):
@@ -325,7 +343,7 @@ def faulty_rows(noisy, n_shots: int, seed: int):
 
     N_F inverts family 0's first uniform through sim._binomial, which is checked against exact
     pmfs below. Faulty shot j reads its row of 2 + n_read + n_loc uniforms from family 2, past
-    the ceil(row / 4) blocks of every earlier shot: u, u_out, the reads, then v. With
+    the rows of every earlier shot: u, u_out, the reads, then v. With
     u_f = P_F u, the first faulty location K is the first k at which the survival product
     prod_{j <= k} (1 - th_j) drops to or below 1 - u_f; then u_j = th_j + (1 - th_j) v_j
     before K, th_K v_K at K and v_j after it.
@@ -337,7 +355,7 @@ def faulty_rows(noisy, n_shots: int, seed: int):
     n_read = 0 if np.array_equal(noisy.readout, np.eye(2)) else len(noisy.circuit.measured_qubits)
     row = 2 + n_read + len(th)
     for j in range(n_faulty):
-        u = reference_uniforms(seed, 2, row, j * -(-row // 4)).tolist()
+        u = reference_uniforms(seed, 2, row, j * row).tolist()
         u_f, v = p_fault * u[0], u[2 + n_read:]
         survive = 1.0
         for first, t in enumerate(th):
@@ -387,14 +405,23 @@ def sample_recording(noisy, cfg):
     return table, weights, counts
 
 
+def test_splitmix64_known_answers():
+    # raw SplitMix64 from state 1234567, as Vigna's splitmix64.c prints it
+    want = [6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431,
+            16408922859458223821]
+    assert splitmix64_words(1234567, 0, 5) == want
+    bits = splitmix.Stream(1234567)
+    assert bits.random_raw(2).tolist() + bits.random_raw(0).tolist() + bits.random_raw(3).tolist() == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(-(2**70), 2**70),  # reduced mod 2^64, negative and wide seeds included
     family=st.sampled_from((0, 1, 2)),
     n_draws=st.integers(0, 130),
 )
-def test_philox_uniforms_match_reference_stream(seed, family, n_draws):
-    # every drawn quantity reads raw words of numpy's Philox under its own family
+def test_stream_uniforms_match_reference_stream(seed, family, n_draws):
+    # every drawn quantity reads the words of its own family's key, as Python ints compute them
     got = sim._uniforms(sim._stream(seed, family).random_raw(n_draws))
     assert got.tobytes() == reference_uniforms(seed, family, n_draws).tobytes()
 
@@ -405,14 +432,31 @@ def test_philox_uniforms_match_reference_stream(seed, family, n_draws):
     row=st.integers(1, 70),
     sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
 )
-def test_philox_uniforms_split_into_any_shot_ranges(seed, row, sizes):
-    # faulty shot j owns words j w to (j + 1) w of family 2, w = 4 ceil(row / 4): read in
-    # chunks of any sizes from one stream, each row is its own shot's span
-    width = 4 * -(-row // 4)
+def test_stream_uniforms_split_into_any_shot_ranges(seed, row, sizes):
+    # faulty shot j owns words j row to (j + 1) row of family 2: read in chunks of any
+    # sizes from one stream, each row is its own shot's span
     bits = sim._stream(seed, 2)
-    rows = np.concatenate([sim._uniforms(bits.random_raw(size * width)).reshape(size, width) for size in sizes])
+    rows = np.concatenate([sim._uniforms(bits.random_raw(size * row)).reshape(size, row) for size in sizes])
     for j, got in enumerate(rows):
-        assert got[:row].tobytes() == reference_uniforms(seed, 2, row, j * width // 4).tobytes()
+        assert got.tobytes() == reference_uniforms(seed, 2, row, j * row).tobytes()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=0)
+@example(seed=2**64 - 1)  # its neighbour wraps to seed 0
+def test_streams_are_uniform_and_uncorrelated_across_families_and_neighbouring_seeds(seed):
+    # 2^16 doubles of each of families 0-2 at seed and seed + 1: each passes a 64-bin
+    # chi-square at p > 1e-6, and no two streams correlate beyond 5 / sqrt(N), five
+    # standard errors of Pearson's r between independent streams
+    n, bins = 2**16, 64
+    streams = [sim._uniforms(sim._stream(s, f).random_raw(n)) for s in (seed, seed + 1) for f in range(3)]
+    for u in streams:
+        observed = np.bincount((u * bins).astype(np.intp), minlength=bins)
+        chi2 = ((observed - n / bins) ** 2).sum() / (n / bins)
+        assert chi2 <= chi_square_threshold(bins - 1, statistics.NormalDist().inv_cdf(1.0 - 1e-6))
+    r = np.corrcoef(np.array(streams))
+    assert np.all(np.abs(r[np.triu_indices(len(streams), 1)]) < 5.0 / math.sqrt(n))
 
 
 def test_binomial_inversion_cdf_matches_exact_pmfs():
@@ -678,9 +722,9 @@ def test_sampler_matches_per_shot_loop_on_random_circuits(noisy, n_shots, seed, 
         assert_matches_per_shot_loop(noisy, n_shots, seed)
 
 
-def chi_square_threshold(dof: int) -> float:
-    """The chi-square quantile at 1 - 1e-9 (z = 6), by the Wilson-Hilferty cube."""
-    return dof * (1.0 - 2.0 / (9 * dof) + 6.0 * math.sqrt(2.0 / (9 * dof))) ** 3
+def chi_square_threshold(dof: int, z: float = 6.0) -> float:
+    """The chi-square quantile at the normal quantile z (1 - 1e-9 at z = 6), by the Wilson-Hilferty cube."""
+    return dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -962,7 +1006,8 @@ def test_random_circuit_generators_draw_every_unitary_kind(kind):
     def has(circ):
         return kind in {op.kind for op in circ.ops}
 
-    search = settings(database=None, phases=[Phase.generate])  # found is enough; no shrinking
+    # fixed examples (derandomized): found is enough, so no shrinking
+    search = settings(database=None, phases=[Phase.generate], derandomize=True)
     find(noisy_circuits(), lambda case: has(case[0].circuit), settings=search)
     find(sampled_circuits(), lambda noisy: has(noisy.circuit), settings=search)
     assert has(random_gate_circuit(np.random.default_rng(0), 3))
