@@ -67,7 +67,7 @@ def projected_fidelity(ket: StateVector, rho: DensityMatrix, kind: str) -> float
     pi = build_projector(kind)
     weight = support(float(np.vdot(pi, rho.mat).real))
     phi = pi @ ket.amps
-    return float(np.clip((phi.conj() @ rho.mat @ phi).real / weight, 0.0, 1.0))
+    return float(min(max((phi.conj() @ rho.mat @ phi).real / weight, 0.0), 1.0))
 
 
 def qubit_branch(rho: DensityMatrix, qubit: int, value: int) -> np.ndarray:
@@ -125,10 +125,10 @@ def fidelity(rho1, rho2) -> float:
         psi = _pure_ket(a)
         if psi is not None:
             val = abs(np.vdot(psi, b.amps)) ** 2 if isinstance(b, StateVector) else (psi.conj() @ b.mat @ psi).real
-            return float(np.clip(val, 0.0, 1.0))
+            return float(min(max(val, 0.0), 1.0))
     s2 = _psd_sqrt(rho2.mat)
     inner = _psd_sqrt(s2 @ rho1.mat @ s2)
-    return float(np.clip(np.trace(inner).real ** 2, 0.0, 1.0))
+    return float(min(max(np.trace(inner).real ** 2, 0.0), 1.0))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,13 @@ insertions plus jump/no-jump amplitude-damping branches on statevectors, so
 it reaches registers (up to TRAJECTORY_QUBIT_CAP qubits) that the density
 backend cannot. A circuit's shots split into the fault-free ones, whose read
 outcomes are one multinomial draw from the no-jump reference, and the faulty
-ones, each resolved from its own row of uniforms; every distinct fault history
-is evolved once, as a row of one (B, 2^n) statevector array. Each drawn
-quantity reads words of its own SplitMix64 counter stream (splitmix), any word
-of which is computed directly, so no chunk or pass size moves a count (sample_shots).
+ones, each resolved from its own row of uniforms. The Pauli faults after the
+last damping location act as Pauli frames: an outcome mask, and a sign flip of
+the rotations they anticommute with. So one state is evolved per distinct
+(faults up to that location, rotation-flip pattern), as a row of one (B, 2^n)
+statevector array, not one per fault history. Each drawn quantity reads words
+of its own SplitMix64 counter stream (splitmix), any word of which is computed
+directly, so no chunk or pass size moves a count (sample_shots).
 Both backends read measured bits through the circuit's per-bit read kernel;
 the readout-encoding gadget is such a kernel (red_vote_kernel_for), so a
 readout-encoded run samples the 2- or 6-qubit circuit it encodes.
@@ -30,6 +33,7 @@ from .noise import (
     attach_noise,
 )
 from .qcore import (
+    PARAMETRIC_KINDS,
     ROLE_DATA,
     Circuit,
     DensityMatrix,
@@ -45,8 +49,8 @@ from .qcore import (
 DENSITY_QUBIT_CAP = 12
 TRAJECTORY_QUBIT_CAP = 20
 # Faulty shots are drawn and evolved in chunks of at most _CHUNK_BYTES of uniforms (one chunk
-# at defaults), and each history in passes of at most _PASS_AMPS amplitudes (B rows of 2^n: 256
-# at 6 qubits, one from 14 qubits up); neither size moves a count.
+# at defaults), and their states and cdfs in passes of at most _PASS_AMPS amplitudes (B rows of
+# 2^n: 256 at 6 qubits, one from 14 qubits up); neither size moves a count.
 _CHUNK_BYTES = 2**23
 _PASS_AMPS = 2**14
 # The density entries of one evolve_densities stack: 2 states at 6 qubits, 512 at 2.
@@ -357,6 +361,11 @@ class _Trajectory:
     gamma, a jump decision only needs the occupation when its uniform falls
     below gamma, which keeps the common no-jump case to a single half-plane
     scaling.
+
+    The faults at the first head locations, up to and including the last
+    damping one, are inserted as the rows run. The Pauli faults after it, the
+    tail, are not: frames holds their effect on the final state, and run
+    takes it per row.
     """
 
     def __init__(self, noisy: NoisyCircuit):
@@ -375,6 +384,54 @@ class _Trajectory:
         self._p_xy = np.array([ch.p_x + ch.p_y for ch in paulis])
         self._p_total = np.array([ch.p_total for ch in paulis])
         self._gamma = np.array([0.0 if p else ch.gamma for ch, p in zip(locations, self._pauli)])
+        # a jump reads the state, so faults up to the last damping location are inserted
+        damping = np.flatnonzero(~self._pauli)
+        self.head = int(damping[-1]) + 1 if damping.size else 0
+        self.frames = self._frame_table()
+
+    def _frame_table(self) -> np.ndarray:
+        """Per tail location k and code c (quiet, X, Y, Z), the Pauli frame of that fault at the
+        end of the circuit, in column 4 k + c of uint64 words: bit b of a frame is bit b % 64 of
+        word b // 64. Bits 0 to n - 1 are its X-mask over basis-state indices, and bit n + r is
+        set when it anticommutes with rotation r's generator there. As P R(angle) = R(-angle) P
+        then, a shot whose faults are all in the tail ends in the state of its fault-free run
+        with those rotations at minus their angle, permuted by the XOR of their masks.
+
+        One backward pass over _steps keeps, as integer bitmasks, the final frames of X and Z
+        on each qubit at the current point; a frame is linear in the Pauli, so Y's is their XOR.
+        Before a gate G, P's frame is that of G P G^dagger after it: a CNOT maps X_c to X_c X_t
+        and Z_t to Z_c Z_t, H swaps X and Z, S maps X to XZ, and X, Y, Z keep both. A rotation
+        adds its bit to the Paulis that anticommute with its generator (RZ: X, RY: X and Z).
+        """
+        n_rot = sum(op.kind in PARAMETRIC_KINDS for gates, _ in self._steps for op in gates)
+        frame_x = [1 << (self.n - 1 - q) for q in range(self.n)]
+        frame_z = [0] * self.n
+        frames, k, b = [], self._pauli.size, self.n + n_rot
+        for gates, slot in reversed(self._steps):
+            if k <= self.head:
+                break
+            for ch in reversed(slot):
+                k -= 1
+                fx, fz = frame_x[ch.qubit], frame_z[ch.qubit]
+                frames.append((0, fx, fx ^ fz, fz))
+            for op in reversed(gates):
+                q = op.qubits[-1]
+                if op.kind == "CNOT":
+                    frame_x[op.control] ^= frame_x[q]
+                    frame_z[q] ^= frame_z[op.control]
+                elif op.kind == "H":
+                    frame_x[q], frame_z[q] = frame_z[q], frame_x[q]
+                elif op.kind == "S":
+                    frame_x[q] ^= frame_z[q]
+                elif op.kind in PARAMETRIC_KINDS:
+                    b -= 1
+                    frame_x[q] ^= 1 << b
+                    if op.kind == "RY":
+                        frame_z[q] ^= 1 << b
+        frames = frames[::-1][max(self.head - k, 0):]  # a slot may straddle the head
+        n_words = 1 + (self.n + n_rot - 1) // 64
+        words = [[(f >> (64 * w)) & (2**64 - 1) for row in frames for f in row] for w in range(n_words)]
+        return np.array(words, dtype=np.uint64).reshape(n_words, 4 * len(frames))
 
     def fault_codes(self, u_loc: np.ndarray) -> np.ndarray:
         """The fault signature of each row of uniforms: one code per location.
@@ -433,27 +490,32 @@ class _Trajectory:
         p0[...] = p1
         p1[...] = tmp
 
+    def _apply_pauli(self, amps, qubit, codes):
+        """The Pauli of each row's code on the qubit; a _QUIET row is left as it is."""
+        a0, a1 = _half_planes(amps, qubit)
+        for kind in (_X, _Y, _Z):
+            drew = codes == kind
+            if not drew.any():
+                continue
+            rows = _rows(drew)
+            if kind == _Z:
+                a1[rows] *= -1.0
+                continue
+            t = a0[rows].copy() if rows is Ellipsis else a0[rows]  # a mask gather is a copy already
+            if kind == _X:
+                a0[rows] = a1[rows]
+                a1[rows] = t
+            else:
+                a0[rows] = -1j * a1[rows]
+                a1[rows] = 1j * t
+
     def _apply_channel(self, amps, ch, codes):
         """Apply one location, given its code for every row."""
-        a0, a1 = _half_planes(amps, ch.qubit)
         if isinstance(ch, PauliNoise):
-            for kind in (_X, _Y, _Z):
-                drew = codes == kind
-                if not drew.any():
-                    continue
-                rows = _rows(drew)
-                if kind == _Z:
-                    a1[rows] *= -1.0
-                    continue
-                t = a0[rows].copy() if rows is Ellipsis else a0[rows]  # a mask gather is a copy already
-                if kind == _X:
-                    a0[rows] = a1[rows]
-                    a1[rows] = t
-                else:
-                    a0[rows] = -1j * a1[rows]
-                    a1[rows] = 1j * t
+            self._apply_pauli(amps, ch.qubit, codes)
             return
         # damping: only a draw below gamma can jump, and then it reads its own row's state
+        a0, a1 = _half_planes(amps, ch.qubit)
         jump = np.zeros(codes.size, dtype=bool)
         for r in np.flatnonzero(codes < ch.gamma):
             jump[r] = codes[r] < ch.gamma * self._pop1_frac(amps[r:r + 1], ch.qubit)
@@ -469,17 +531,26 @@ class _Trajectory:
         amps[:, 0] = 1.0
         return amps
 
-    def run(self, u_loc: np.ndarray) -> np.ndarray:
+    def run(self, u_loc: np.ndarray, frames: np.ndarray | None = None) -> np.ndarray:
         """Evolve one shot per row of u_loc, which holds one uniform per noise
-        location, into a (B, 2^n) array of unnormalized statevectors."""
+        location, into a (B, 2^n) array of unnormalized statevectors. A row whose
+        frame (a row of words, as in _frame_table) sets rotation r's bit runs it at
+        minus its angle, applied as X R X, which is R(-angle) exactly in floats."""
         codes = self.fault_codes(u_loc)
         # a Pauli location that no row drew is skipped; damping always scales
         skip = (self._pauli & np.all(codes == _QUIET, axis=0)).tolist()
         amps = self._zero(len(u_loc))
-        k = 0
+        k, b = 0, self.n
         for gates, slot in self._steps:
             for op in gates:
+                if frames is None or op.kind not in PARAMETRIC_KINDS:
+                    self._apply_gate(amps, op)
+                    continue
+                flipped = np.where((frames[:, b // 64] >> np.uint64(b % 64)) & np.uint64(1), _X, _QUIET)
+                b += 1
+                self._apply_pauli(amps, op.qubits[0], flipped)
                 self._apply_gate(amps, op)
+                self._apply_pauli(amps, op.qubits[0], flipped)
             for ch in slot:
                 if not skip[k]:
                     self._apply_channel(amps, ch, codes[:, k])
@@ -531,22 +602,46 @@ def _search_rows(table: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarra
 def _faulty_outcomes(traj: _Trajectory, u_loc, u_out) -> np.ndarray:
     """Basis-state indices of shots that carry a fault, one per row of u_loc.
 
-    Shots are grouped by the bytes of their fault codes; each group is evolved once, from its
-    first shot's uniforms, in passes of at most _PASS_AMPS amplitudes, each resolved by one _search_rows.
+    A shot's tail faults are resolved as Pauli frames: the XOR of their columns of traj.frames
+    gives its outcome mask and the rotations it runs at minus their angle (its flip pattern).
+    Shots are grouped by the bytes of their head codes and flip pattern; each group is evolved
+    once, from its first shot's head uniforms, in passes of at most _PASS_AMPS amplitudes. A
+    shot's outcome is then found in the cdf of its group's Born vector read at i ^ mask, which
+    is the cdf of its own state with its faults inserted: one cdf per distinct (group, mask),
+    built in passes of at most _PASS_AMPS and searched by _search_rows.
     """
     codes = traj.fault_codes(u_loc)
+    head, n = traj.head, traj.n
+    column = (codes[:, head:] - _QUIET).astype(np.intp) + 4 * np.arange(codes.shape[1] - head)
+    frames = np.stack([np.bitwise_xor.reduce(words.take(column), axis=1) for words in traj.frames], axis=1)
+    mask = frames[:, 0] & np.uint64((1 << n) - 1)
     # One np.void item per row, so np.unique compares whole rows by memcmp.
     # Byte equality is float equality here: no code is NaN or -0.0, as Pauli
     # codes are 1 to 4 and damping codes are uniforms (w >> 11) * 2^-53 in [0, 1).
-    rows = codes.view(np.dtype((np.void, codes.strides[0]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    idx = np.empty(len(u_out), dtype=np.intp)
-    per_pass = max(1, _PASS_AMPS >> traj.n)
-    for lo in range(0, first.size, per_pass):
-        cdfs = np.cumsum(np.abs(traj.run(u_loc[first[lo:lo + per_pass]])) ** 2, axis=1)
-        cdfs /= cdfs[:, -1:].copy()
-        mine = np.flatnonzero((inverse >= lo) & (inverse < lo + per_pass))
-        idx[mine] = _search_rows(cdfs, inverse[mine] - lo, u_out[mine])
+    key = np.concatenate([codes[:, :head].view(np.uint64), frames], axis=1)
+    key[:, head] ^= mask  # the flip pattern alone
+    _, first, group = np.unique(key.view(np.dtype((np.void, key.strides[0]))).ravel(),
+                                return_index=True, return_inverse=True)
+    cdf_key = (group << n) | mask.astype(np.intp)
+    order = np.argsort(cdf_key)
+    new = np.diff(cdf_key[order], prepend=-1) != 0
+    cdf_of = np.cumsum(new) - 1  # by shot in order, its cdf's index in cdfs
+    cdfs = cdf_key[order[new]]
+    ends = np.append(np.flatnonzero(new), order.size)
+    u_head = u_loc[first]
+    u_head[:, head:] = 1.0  # quiet at every tail location, whose faults act through the frames
+    outcomes = np.arange(1 << n)
+    per_pass = max(1, _PASS_AMPS >> n)
+    starts = np.searchsorted(cdfs >> n, np.arange(0, first.size + per_pass, per_pass))
+    idx = np.empty(order.size, dtype=np.intp)
+    for p, lo in enumerate(range(0, first.size, per_pass)):
+        born = np.abs(traj.run(u_head[lo:lo + per_pass], frames[first[lo:lo + per_pass]])) ** 2
+        for c in range(starts[p], starts[p + 1], per_pass):
+            sel = cdfs[c:min(c + per_pass, starts[p + 1])]
+            table = np.cumsum(born[(sel >> n)[:, None] - lo, outcomes ^ (sel & outcomes[-1])[:, None]], axis=1)
+            table /= table[:, -1:].copy()
+            mine = order[ends[c]:ends[c + sel.size]]
+            idx[mine] = _search_rows(table, cdf_of[ends[c]:ends[c + sel.size]] - c, u_out[mine])
     return idx
 
 
@@ -568,7 +663,9 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
     owns words j row to (j + 1) row, drawn in chunks of at most _CHUNK_BYTES. With k_f the key of
     family f and word(k, i) = splitmix.mix(k + (i + 1) gamma mod 2^64): N_F = _binomial(n_shots, P_F,
     _uniforms(word(k_0, 0))), and entry i of shot j's row is _uniforms(word(k_2, j row + i)).
-    Each chunk evolves its distinct fault histories once (_faulty_outcomes).
+    Each chunk evolves one state per distinct (head codes, rotation-flip pattern) and resolves
+    every shot on it through its Pauli frame (_faulty_outcomes), to the index that evolving the
+    shot alone with its faults inserted gives.
     """
     circ = noisy.circuit
     if circ.n_qubits > TRAJECTORY_QUBIT_CAP:

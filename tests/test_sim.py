@@ -753,29 +753,194 @@ def test_sampled_tables_pass_a_chi_square_check_against_the_shot_limit(noisy, se
         assert chi2 <= chi_square_threshold(len(bins) - 1)
 
 
+def locations_of(noisy):
+    """The noise locations in the trajectory's order: the init flips, then each op's slot."""
+    return list(noisy.pre_channels) + [ch for slot in noisy.channels for ch in slot]
+
+
+def full_register(mat, qubits, n):
+    """A gate or Pauli on qubits as a 2^n x 2^n matrix."""
+    return qcore.apply_matrix(np.eye(2**n, dtype=complex), mat, qubits)
+
+
+def frame_oracle(noisy, k: int, pauli: np.ndarray):
+    """The outcome mask and rotation flips of a Pauli inserted at noise location k, from dense
+    matrices: it is conjugated as U P U^dagger by each gate after k, while each rotation, taken
+    as the identity, records whether it anticommutes with the rotation's generator there. The
+    mask is the basis state that the final Pauli sends |0...0> to."""
+    n = noisy.circuit.n_qubits
+    steps = [((), noisy.pre_channels)] + [
+        ((op,) if op.is_unitary else (), slot) for op, slot in zip(noisy.circuit.ops, noisy.channels)
+    ]
+    frame, flips, loc = None, [], 0
+    for gates, slot in steps:
+        for op in gates:
+            if op.kind in qcore.PARAMETRIC_KINDS:
+                gen = full_register(qcore.PAULI_Y if op.kind == "RY" else qcore.PAULI_Z, op.qubits, n)
+                flips.append(frame is not None and np.allclose(frame @ gen, -gen @ frame, atol=1e-12))
+            elif frame is not None:
+                u = full_register(op.matrix(), op.qubits, n)
+                frame = u @ frame @ u.conj().T
+        for ch in slot:
+            if loc == k:
+                frame = full_register(pauli, (ch.qubit,), n)
+            loc += 1
+    return int(np.argmax(np.abs(frame[:, 0]))), tuple(flips)
+
+
 @pytest.mark.parametrize(
     "noisy",
     [noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10)), noise.attach_noise(ENCODED, DEVICE)],
     ids=["encoded-p2=10%", "encoded-device"],
 )
-def test_each_distinct_fault_history_is_evolved_once(monkeypatch, noisy):
-    # shots are grouped by the bytes of their codes: a group must neither split
-    # one history (evolving it twice) nor merge two (evolving one of them never)
+def test_each_distinct_head_and_flip_pattern_is_evolved_once(monkeypatch, noisy):
+    # shots are grouped by the bytes of their head codes and their rotation-flip pattern: a
+    # group must neither split (evolving one pattern twice) nor merge two (evolving one of them
+    # never). The flips come from frame_oracle; under the device model the tail is empty, so
+    # every distinct fault history is evolved once, as before frames.
     n_shots, seed = 2548, 6
     traj = sim._Trajectory(noisy)
+    n_rot = sum(op.kind in qcore.PARAMETRIC_KINDS for op in noisy.circuit.ops)
+    locations = locations_of(noisy)
     u_loc = np.array([u for _, _, u in faulty_rows(noisy, n_shots, seed)])
-    want = np.unique(traj.fault_codes(u_loc), axis=0)
+    codes = traj.fault_codes(u_loc)
+    paulis = {sim._X: qcore.PAULI_X, sim._Y: qcore.PAULI_Y, sim._Z: qcore.PAULI_Z}
+    oracle = {}
+    want = set()
+    for row in codes:
+        flips = [False] * n_rot
+        for k in range(traj.head, len(locations)):
+            if row[k] in paulis:
+                if (k, row[k]) not in oracle:
+                    oracle[k, row[k]] = frame_oracle(noisy, k, paulis[row[k]])[1]
+                flips = [a != b for a, b in zip(flips, oracle[k, row[k]])]
+        want.add((tuple(row[:traj.head]), tuple(flips)))
+    if traj.head == len(locations):
+        assert want == {(tuple(c), (False,) * n_rot) for c in np.unique(codes, axis=0)}
+    else:
+        assert traj.head == 0 and len(want) == 2  # the one RY, flipped or not
     evolved = []
     run = sim._Trajectory.run
 
-    def recording_run(self, u):
-        evolved.extend(map(tuple, self.fault_codes(u)))
-        return run(self, u)
+    def recording_run(self, u, frames=None):
+        got = self.fault_codes(u)
+        assert np.all(got[:, self.head:] == sim._QUIET)  # tail faults act through the frames only
+        bits = [self.n + r for r in range(n_rot)]  # rotation r's flip is bit n + r of the words
+        flips = [tuple(bool((row[b // 64] >> np.uint64(b % 64)) & np.uint64(1)) for b in bits) for row in frames]
+        evolved.extend(zip(map(tuple, got[:, :self.head]), flips))
+        return run(self, u, frames)
 
     monkeypatch.setattr(sim._Trajectory, "run", recording_run)
     sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed))  # the default chunk: one
     assert len(evolved) == len(want) > 0
-    assert sorted(evolved) == sorted(map(tuple, want))
+    assert sorted(evolved) == sorted(want)
+
+
+FRAME_GATES = [make_gate(kind, (0, 1), 0.7) for kind in UNITARY_KINDS] + [qcore.cnot(1, 0)]
+
+
+@pytest.mark.parametrize("read", ["Z", "X"])
+@pytest.mark.parametrize("gate", FRAME_GATES, ids=[g.to_text() for g in FRAME_GATES])
+def test_frame_table_moves_each_pauli_through_each_gate(gate, read):
+    # a Pauli P on either qubit before the gate U: |U P psi|^2 = |U(+-angle) psi|^2 read at
+    # i ^ mask, with the angle negated where the table sets the rotation's flip bit. Read in
+    # the X basis (U followed by H on both qubits), the Z part of the frame is the mask.
+    after = (qcore.h(0), qcore.h(1)) if read == "X" else ()
+    circ = Circuit(2, (gate,) + after + (qcore.measure(0), qcore.measure(1)), (ROLE_DATA,) * 2)
+    pre = tuple(noise.PauliNoise(q, 0.1, 0.1, 0.1) for q in (0, 1))
+    traj = sim._Trajectory(noise.NoisyCircuit(circ, ((),) * len(circ.ops), pre, np.eye(2)))
+    assert traj.head == 0 and traj.frames.shape == (1, 4 * 2)  # one word per code at each init Pauli
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    for q in (0, 1):
+        assert traj.frames[0, 4 * q] == 0  # no fault, no frame
+        for code, pauli in zip((1, 2, 3), (qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z)):
+            word = int(traj.frames[0, 4 * q + code])
+            mask, flip = word & 3, word >> 2
+            assert flip in ((0, 1) if gate.kind in qcore.PARAMETRIC_KINDS else (0,))
+            flipped = dataclasses.replace(gate, angle=-gate.angle) if flip else gate
+            lhs, rhs = qcore.apply_matrix(psi, pauli, (q,)), psi
+            for op, op_flipped in zip((gate,) + after, (flipped,) + after):
+                lhs = qcore.apply_matrix(lhs, op.matrix(), op.qubits)
+                rhs = qcore.apply_matrix(rhs, op_flipped.matrix(), op.qubits)
+            lhs, rhs = np.abs(lhs) ** 2, np.abs(rhs) ** 2
+            assert np.max(np.abs(lhs - rhs[np.arange(4) ^ mask])) < 1e-12
+            assert (mask, (bool(flip),) * (gate.kind in qcore.PARAMETRIC_KINDS)) == frame_oracle(traj.noisy, q, pauli)
+
+
+def test_flip_bits_past_the_first_word_resolve_as_each_row_alone():
+    # 2 qubits and 70 rotations: rotation r's flip is bit 2 + r, so the last ones are in word 1
+    ops = []
+    for r in range(70):
+        ops += [qcore.ry(0.1 + 0.01 * r, r % 2) if r % 3 else qcore.rz(0.2 - 0.01 * r, r % 2), qcore.cnot(r % 2, 1 - r % 2)]
+    circ = Circuit(2, tuple(ops) + all_measured(2).ops, (ROLE_DATA,) * 2)
+    traj = sim._Trajectory(noise.attach_noise(circ, DepolarizingParams(p2=0.02, p1=0.02)))
+    assert traj.frames.shape[0] == 2 and traj.frames[1].any()
+    rng = np.random.default_rng(8)
+    u_loc, u_out = rng.random((150, traj.frames.shape[1] // 4)) ** 4, rng.random(150)  # about 1 in 5 faults
+    want = []
+    for u, x in zip(u_loc, u_out):
+        cdf = np.cumsum(np.abs(traj.run(u[None])[0]) ** 2)
+        want.append(int(np.searchsorted(cdf / cdf[-1], x, side="right")))
+    assert sim._faulty_outcomes(traj, u_loc, u_out).tolist() == want
+
+
+@st.composite
+def frame_cases(draw):
+    """A random 1-3 qubit circuit over every unitary kind, with a Pauli channel on each qubit of
+    each gate and an init Pauli on each qubit. Its first ops, RY then RZ at random angles on each
+    qubit, make the state generic, so that a wrong frame moves outcomes, and an H on some qubits
+    before the measurements reads the Z part of their frames. One location, from the
+    first to the last, is amplitude damping instead, or none is: the head runs up to it. Then
+    rows of location uniforms, each faulting at a drawn rate, with repeated rows and damping
+    draws below gamma, and an outcome uniform per row."""
+    n = draw(st.integers(1, 3))
+    kinds = UNITARY_KINDS + ("CNOT",) * 3 if n > 1 else qcore.UNITARY_1Q_KINDS  # CNOTs spread frames
+    angle = st.floats(-math.pi, math.pi)
+    ops = [gate(draw(angle), q) for q in range(n) for gate in (qcore.ry, qcore.rz)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=min(n, 2), max_size=2, unique=True))
+        ops.append(make_gate(kind, tuple(qubits), draw(angle)))
+    ops += [qcore.h(q) for q in range(n) if draw(st.booleans())] + list(all_measured(n).ops)
+    rate = st.floats(0.0, 1.0 / 3.0)
+    slots = [[(q, (draw(rate), draw(rate), draw(rate))) for q in op.qubits] for op in ops[:-n]] + [[]] * n
+    slots.insert(0, [(q, (draw(rate), draw(rate), draw(rate))) for q in range(n)])
+    n_loc = sum(map(len, slots))
+    head = draw(st.integers(0, n_loc))
+    gamma = draw(st.floats(0.0, 1.0))
+    k, channels = 0, []
+    for slot in slots:
+        channels.append(tuple(noise.DampingNoise(q, gamma) if k + j == head - 1 else noise.PauliNoise(q, *r)
+                              for j, (q, r) in enumerate(slot)))
+        k += len(slot)
+    noisy = noise.NoisyCircuit(Circuit(n, tuple(ops), (ROLE_DATA,) * n), tuple(channels[1:]), channels[0], np.eye(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = 60
+    locations = locations_of(noisy)
+    limit = np.array([ch.p_total if isinstance(ch, noise.PauliNoise) else ch.gamma for ch in locations])
+    u_loc = rng.random((n_rows, n_loc))
+    hit = rng.random((n_rows, n_loc)) < draw(st.floats(0.0, 1.0))
+    u_loc[hit] = (rng.random((n_rows, n_loc)) * limit)[hit]
+    u_loc = u_loc[rng.integers(n_rows, size=n_rows)]  # repeats, which share their evolution
+    return noisy, head, u_loc, rng.random(n_rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=frame_cases())
+def test_faulty_outcomes_equal_each_row_resolved_alone(case):
+    # grouped by head codes and flip pattern, with tail faults read through the frames, every
+    # row resolves to the index of its own state's cdf, as replay_faulty resolves it
+    noisy, head, u_loc, u_out = case
+    traj = sim._Trajectory(noisy)
+    assert traj.head == head
+    want = []
+    for u, x in zip(u_loc, u_out):
+        cdf = np.cumsum(np.abs(traj.run(u[None])[0]) ** 2)
+        cdf /= cdf[-1]
+        want.append(int(np.searchsorted(cdf, x, side="right")))
+    assert sim._faulty_outcomes(traj, u_loc, u_out).tolist() == want
 
 
 @st.composite
@@ -894,16 +1059,18 @@ def test_one_qubit_kernel_equals_the_plain_products():
 
 
 def test_faulty_passes_stay_within_the_amplitude_budget(monkeypatch):
+    # a rotation on every qubit, so that the faulty shots fall into many flip patterns
     n = 10
     ops = tuple(qcore.h(q) for q in range(n)) + tuple(qcore.cnot(q, q + 1) for q in range(n - 1))
+    ops += tuple(qcore.ry(0.1 + 0.2 * q, q) for q in range(n))
     circ = Circuit(n, ops + all_measured(n).ops, (ROLE_DATA,) * n)
     noisy = noise.attach_noise(circ, DepolarizingParams(p2=0.2, p1=0.05))
     rows = []
     run = sim._Trajectory.run
 
-    def recording_run(self, u_loc):
+    def recording_run(self, u_loc, frames=None):
         rows.append(u_loc.shape[0])
-        return run(self, u_loc)
+        return run(self, u_loc, frames)
 
     monkeypatch.setattr(sim._Trajectory, "run", recording_run)
     table = sample_shots(noisy, TrajectoryConfig(1500, seed=9))
