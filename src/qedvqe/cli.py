@@ -306,14 +306,6 @@ def _theta_weights(theta: float):
     return math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2, 0.5 * math.sin(theta)
 
 
-def _density_in_theta(build, model):
-    """theta -> the state of build(theta, "Z") under the model (_theta_basis)."""
-    basis = _theta_basis(build, model)
-    return lambda theta: qcore.DensityMatrix(
-        basis[0].n_qubits, sum(w * rho.mat for w, rho in zip(_theta_weights(theta), basis))
-    )
-
-
 def exp_scan(hamiltonian, noise, points, encoded, seed):
     # every number a theta needs is linear in rho(theta), so each is taken once per basis
     # matrix (kept unnormalized to its a2 = 0 branch if encoded) and a theta combines scalars

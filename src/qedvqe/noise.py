@@ -287,24 +287,21 @@ def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
     """Attach the model's channels gate by gate.
 
     Every 1q gate is followed by the single-qubit channel, every 2q gate by
-    independent channels on both its qubits. For a DeviceModel, the emission
-    ratio of each gate's error weight becomes amplitude damping and the
-    remainder stays depolarizing; init flips and the readout-flip kernel are
-    attached at the boundaries.
+    independent channels on both its qubits. The emission ratio of each
+    gate's error weight becomes amplitude damping and the remainder stays
+    depolarizing; init flips and the readout-flip kernel are attached at the
+    boundaries. DepolarizingParams are read as a DeviceModel of them alone.
     """
     if isinstance(model, DepolarizingParams):
-        depol, readout, p_init = model, ReadoutParams(), 0.0
-        r1 = r2 = 0.0
-    elif isinstance(model, DeviceModel):
-        depol, readout, p_init = model.depol, model.readout, model.p_init
-        r1, r2 = model.emission_ratio_1q, model.emission_ratio_2q
-        if model.crosstalk_meas or model.crosstalk_init:
-            log.info(
-                "crosstalk parameters (%g, %g) accepted but not simulated",
-                model.crosstalk_meas, model.crosstalk_init,
-            )
-    else:
+        model = DeviceModel(model)
+    if not isinstance(model, DeviceModel):
         raise TypeError("model must be DepolarizingParams or DeviceModel")
+    if model.crosstalk_meas or model.crosstalk_init:
+        log.info(
+            "crosstalk parameters (%g, %g) accepted but not simulated",
+            model.crosstalk_meas, model.crosstalk_init,
+        )
+    depol, r1, r2 = model.depol, model.emission_ratio_1q, model.emission_ratio_2q
 
     @functools.cache  # ops of equal (qubit, rate, ratio) share one slot's frozen channels
     def slot_for(qubit, p, ratio):
@@ -327,6 +324,6 @@ def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
         channels.append(tuple(slot))
 
     pre = tuple(
-        PauliNoise(q, p_init, 0.0, 0.0) for q in range(circuit.n_qubits)
-    ) if p_init > 0.0 else ()
-    return NoisyCircuit(circuit, tuple(channels), pre, readout.kernel)
+        PauliNoise(q, model.p_init, 0.0, 0.0) for q in range(circuit.n_qubits)
+    ) if model.p_init > 0.0 else ()
+    return NoisyCircuit(circuit, tuple(channels), pre, model.readout.kernel)

@@ -5,10 +5,11 @@ insertions plus jump/no-jump amplitude-damping branches on statevectors, so
 it reaches registers (up to TRAJECTORY_QUBIT_CAP qubits) that the density
 backend cannot. A circuit's shots split into the fault-free ones, whose read
 outcomes are one multinomial draw from the no-jump reference, and the faulty
-ones, each resolved from its own row of uniforms. The Pauli faults after the
-last damping location act as Pauli frames: an outcome mask, and a sign flip of
-the rotations they anticommute with. So one state is evolved per distinct
-(faults up to that location, rotation-flip pattern), as a row of one (B, 2^n)
+ones, each resolved from the fault codes its uniforms give under the
+first-fault law (_first_fault_codes). The Pauli faults after the last damping
+location act as Pauli frames: an outcome mask, and a sign flip of the
+rotations they anticommute with. So one state is evolved per distinct (codes
+up to that location, rotation-flip pattern), as a row of one (B, 2^n)
 statevector array, not one per fault history. Each drawn quantity reads words
 of its own SplitMix64 counter stream (splitmix), any word of which is computed
 directly, so no chunk or pass size moves a count (sample_shots).
@@ -319,19 +320,6 @@ def _multinomial(n: int, weights: np.ndarray, bits) -> np.ndarray:
     return out
 
 
-def _first_fault_rows(th: np.ndarray, fault_cdf: np.ndarray, u_f: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Location uniforms of faulty shots (u_f < fault_cdf[-1]) under the exact
-    law given their first fault, at K = searchsorted(fault_cdf, u_f, "right"):
-    th_j + (1 - th_j) v_j before K, th_K v_K at K and the free v_j after it."""
-    k = np.searchsorted(fault_cdf, u_f, side="right")
-    rows = np.arange(k.size)
-    out = (1.0 - th) * v
-    out += th  # th + (1 - th) v bit for bit, as addition commutes
-    np.copyto(out, v, where=np.arange(th.size) >= k[:, None])
-    out[rows, k] = th[k] * v[rows, k]
-    return out
-
-
 def _half_planes(amps: np.ndarray, qubit: int):
     """Views of the qubit=0 and qubit=1 halves of a (B, 2^n) batch of statevectors."""
     view = amps.reshape(amps.shape[0], 2**qubit, 2, -1)
@@ -345,14 +333,16 @@ def _rows(mask: np.ndarray):
 
 
 # Fault codes, one per shot and noise location: the Pauli inserted, or at a
-# damping location the shot's uniform when it is below gamma. _QUIET is no
+# damping location the shot's uniform when it is below gamma, which jumps when
+# it is below gamma times the row's |1> occupation. _JUMP is the uniform 0.0,
+# which jumps wherever the row has |1> weight: a decided jump. _QUIET is no
 # Pauli, or a damping draw at or above gamma, which never jumps; no uniform
 # reaches it.
-_QUIET, _X, _Y, _Z = 1.0, 2.0, 3.0, 4.0
+_JUMP, _QUIET, _X, _Y, _Z = 0.0, 1.0, 2.0, 3.0, 4.0
 
 
 class _Trajectory:
-    """Statevector evolution of a batch of shots, replaying pre-drawn uniforms.
+    """Statevector evolution of a batch of shots, replaying their fault codes.
 
     Each row of a (B, 2^n) array is one shot's statevector. Gates act on
     every row at once, and each row goes through the same float operations
@@ -531,19 +521,21 @@ class _Trajectory:
         amps[:, 0] = 1.0
         return amps
 
-    def run(self, u_loc: np.ndarray, frames: np.ndarray | None = None) -> np.ndarray:
-        """Evolve one shot per row of u_loc, which holds one uniform per noise
-        location, into a (B, 2^n) array of unnormalized statevectors. A row whose
-        frame (a row of words, as in _frame_table) sets rotation r's bit runs it at
-        minus its angle, applied as X R X, which is R(-angle) exactly in floats."""
-        codes = self.fault_codes(u_loc)
-        # a Pauli location that no row drew is skipped; damping always scales
-        skip = (self._pauli & np.all(codes == _QUIET, axis=0)).tolist()
-        amps = self._zero(len(u_loc))
+    def run(self, codes: np.ndarray, frames: np.ndarray) -> np.ndarray:
+        """Evolve one shot per row of codes into a (B, 2^n) array of unnormalized statevectors.
+        A row holds the codes of the first noise locations, at least the head's, and the
+        locations past them are quiet. A row whose frame (a row of words, as in _frame_table)
+        sets rotation r's bit runs it at minus its angle, applied as X R X, which is R(-angle)
+        exactly in floats; zero frames run every rotation as it is."""
+        # a Pauli location that no row drew, or past the codes, is skipped; damping always scales
+        quiet = np.ones(self._pauli.size, dtype=bool)
+        quiet[:codes.shape[1]] = np.all(codes == _QUIET, axis=0)
+        skip = (self._pauli & quiet).tolist()
+        amps = self._zero(len(codes))
         k, b = 0, self.n
         for gates, slot in self._steps:
             for op in gates:
-                if frames is None or op.kind not in PARAMETRIC_KINDS:
+                if op.kind not in PARAMETRIC_KINDS:
                     self._apply_gate(amps, op)
                     continue
                 flipped = np.where((frames[:, b // 64] >> np.uint64(b % 64)) & np.uint64(1), _X, _QUIET)
@@ -599,18 +591,37 @@ def _search_rows(table: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarra
     return base + (table[row, base] <= u)
 
 
-def _faulty_outcomes(traj: _Trajectory, u_loc, u_out) -> np.ndarray:
-    """Basis-state indices of shots that carry a fault, one per row of u_loc.
+def _first_fault_codes(traj: _Trajectory, th, fault_cdf, u_f, v) -> np.ndarray:
+    """Fault codes of faulty shots (u_f < fault_cdf[-1]) under the exact law given their first
+    fault, at K = searchsorted(fault_cdf, u_f, "right"): _QUIET before K; at K the Pauli that
+    th_K v_K draws, or at a damping location _JUMP; and fault_codes(v) after K.
+
+    Up to K a shot runs the no-jump reference's float operations (frames flip only rotations
+    after the last damping location), so its damping threshold at K is the reference's
+    th_K = gamma * _pop1_frac > 0, below which th_K v_K lies, as does 0.0: both jump. A draw
+    in [th_j, gamma) before K would not jump, so quiet is the same history there.
+    """
+    k = np.searchsorted(fault_cdf, u_f, side="right")
+    rows = np.arange(k.size)
+    u = v.copy()
+    u[rows, k] *= th[k]
+    codes = traj.fault_codes(u)
+    codes[np.arange(th.size) < k[:, None]] = _QUIET
+    codes[rows, k] = np.where(traj._pauli[k], codes[rows, k], _JUMP)
+    return codes
+
+
+def _faulty_outcomes(traj: _Trajectory, codes, u_out) -> np.ndarray:
+    """Basis-state indices of shots that carry a fault, one per row of codes (fault_codes).
 
     A shot's tail faults are resolved as Pauli frames: the XOR of their columns of traj.frames
     gives its outcome mask and the rotations it runs at minus their angle (its flip pattern).
     Shots are grouped by the bytes of their head codes and flip pattern; each group is evolved
-    once, from its first shot's head uniforms, in passes of at most _PASS_AMPS amplitudes. A
+    once, from its first shot's head codes, in passes of at most _PASS_AMPS amplitudes. A
     shot's outcome is then found in the cdf of its group's Born vector read at i ^ mask, which
     is the cdf of its own state with its faults inserted: one cdf per distinct (group, mask),
-    built in passes of at most _PASS_AMPS and searched by _search_rows.
+    built in chunks of at most _PASS_AMPS entries and searched by _search_rows.
     """
-    codes = traj.fault_codes(u_loc)
     head, n = traj.head, traj.n
     column = (codes[:, head:] - _QUIET).astype(np.intp) + 4 * np.arange(codes.shape[1] - head)
     frames = np.stack([np.bitwise_xor.reduce(words.take(column), axis=1) for words in traj.frames], axis=1)
@@ -622,26 +633,20 @@ def _faulty_outcomes(traj: _Trajectory, u_loc, u_out) -> np.ndarray:
     key[:, head] ^= mask  # the flip pattern alone
     _, first, group = np.unique(key.view(np.dtype((np.void, key.strides[0]))).ravel(),
                                 return_index=True, return_inverse=True)
-    cdf_key = (group << n) | mask.astype(np.intp)
-    order = np.argsort(cdf_key)
-    new = np.diff(cdf_key[order], prepend=-1) != 0
-    cdf_of = np.cumsum(new) - 1  # by shot in order, its cdf's index in cdfs
-    cdfs = cdf_key[order[new]]
-    ends = np.append(np.flatnonzero(new), order.size)
-    u_head = u_loc[first]
-    u_head[:, head:] = 1.0  # quiet at every tail location, whose faults act through the frames
+    cdfs, cdf_of = np.unique((group << n) | mask.astype(np.intp), return_inverse=True)
     outcomes = np.arange(1 << n)
     per_pass = max(1, _PASS_AMPS >> n)
-    starts = np.searchsorted(cdfs >> n, np.arange(0, first.size + per_pass, per_pass))
-    idx = np.empty(order.size, dtype=np.intp)
-    for p, lo in enumerate(range(0, first.size, per_pass)):
-        born = np.abs(traj.run(u_head[lo:lo + per_pass], frames[first[lo:lo + per_pass]])) ** 2
-        for c in range(starts[p], starts[p + 1], per_pass):
-            sel = cdfs[c:min(c + per_pass, starts[p + 1])]
+    idx = np.empty(group.size, dtype=np.intp)
+    for lo in range(0, first.size, per_pass):
+        rows = first[lo:lo + per_pass]
+        born = np.abs(traj.run(codes[rows, :head], frames[rows])) ** 2
+        start, stop = np.searchsorted(cdfs >> n, (lo, lo + per_pass))  # the cdfs of this pass's groups
+        for c in range(start, stop, per_pass):
+            sel = cdfs[c:min(c + per_pass, stop)]
             table = np.cumsum(born[(sel >> n)[:, None] - lo, outcomes ^ (sel & outcomes[-1])[:, None]], axis=1)
             table /= table[:, -1:].copy()
-            mine = order[ends[c]:ends[c + sel.size]]
-            idx[mine] = _search_rows(table, cdf_of[ends[c]:ends[c + sel.size]] - c, u_out[mine])
+            mine = np.flatnonzero((cdf_of >= c) & (cdf_of < c + sel.size))
+            idx[mine] = _search_rows(table, cdf_of[mine] - c, u_out[mine])
     return idx
 
 
@@ -652,11 +657,11 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
     N_F ~ Binomial(n_shots, P_F), P_F = P(any fault). The fault-free shots' read outcomes
     are Multinomial(n_shots - N_F, [reference Born vector on the measured bits, read through
     the kernel K, and the mass K drops]) (_multinomial). Each faulty shot draws, in order,
-    u (its first fault at u_f = P_F u: _first_fault_rows), u_out for its terminal Z-basis
-    outcome, one uniform per measured qubit for its read unless K is the identity, and one per
-    noise location. A bit whose true value is b reads as 1 - b when its uniform is below
-    K[1 - b, b], and drops the shot at or above K[0, b] + K[1, b]; the table holds the kept
-    shots, by outcome in ascending order.
+    u (its first fault at u_f = P_F u), u_out for its terminal Z-basis outcome, one uniform per
+    measured qubit for its read unless K is the identity, and v, one per noise location;
+    _first_fault_codes turns u_f and v into its fault codes. A bit whose true value is b reads
+    as 1 - b when its uniform is below K[1 - b, b], and drops the shot at or above
+    K[0, b] + K[1, b]; the table holds the kept shots, by outcome in ascending order.
 
     Each quantity has its own stream (_stream), read as raw words, so no internal size moves a
     count: family 0 gives N_F's uniform, family 1 the multinomial's, and in family 2 faulty shot j
@@ -704,14 +709,14 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
     for lo in range(0, n_faulty, per_chunk):
         u = _uniforms(bits.random_raw(min(per_chunk, n_faulty - lo) * row).reshape(-1, row))
         # u_f = P_F u < P_F, as P_F is 0 or a normal double from 2^-53 up and u < 1
-        idx = _faulty_outcomes(traj, _first_fault_rows(th, fault_cdf, p_fault * u[:, 0], u[:, loc]), u[:, 1])
-        codes = (idx[:, None] >> shifts) & 1
+        idx = _faulty_outcomes(traj, _first_fault_codes(traj, th, fault_cdf, p_fault * u[:, 0], u[:, loc]), u[:, 1])
+        outcome = (idx[:, None] >> shifts) & 1
         if n_read:
             u_read = u[:, 2:loc.start]
-            kept = np.all(u_read < keep_p[codes], axis=1)
-            codes ^= u_read < flip_p[codes]
-            codes = codes[kept]
-        tally += np.bincount(codes @ place, minlength=tally.size)
+            kept = np.all(u_read < keep_p[outcome], axis=1)
+            outcome ^= u_read < flip_p[outcome]
+            outcome = outcome[kept]
+        tally += np.bincount(outcome @ place, minlength=tally.size)
     counts = {bitstring(int(v), n_meas): int(tally[v]) for v in np.flatnonzero(tally)}
     return ShotTable(counts, int(tally.sum()), MeasurementLayout.of(circ))
 

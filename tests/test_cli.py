@@ -254,6 +254,11 @@ def test_scan_matches_closed_form_and_reports_argmin(tmp_path):
     )
 
 
+def density_at(basis, theta):
+    """rho(theta) from the scan's three basis matrices and their weights at theta."""
+    return qcore.DensityMatrix(basis[0].n_qubits, sum(w * rho.mat for w, rho in zip(cli._theta_weights(theta), basis)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     theta=st.floats(-4 * math.pi, 4 * math.pi),
@@ -267,7 +272,7 @@ def test_scan_state_from_three_evolutions_equals_the_evolved_state(theta, encode
     # theta enters through one RY or RZ, so rho(theta) is trigonometric in theta/2
     build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
     want = sim.evolve_density(noise.attach_noise(build(theta, "Z"), model)).mat
-    assert np.max(np.abs(cli._density_in_theta(build, model)(theta).mat - want)) <= 1e-12
+    assert np.max(np.abs(density_at(cli._theta_basis(build, model), theta).mat - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("encoded", [False, True], ids=["unencoded", "encoded"])
@@ -279,12 +284,12 @@ def test_closed_form_scan_rows_equal_the_per_theta_oracle(encoded, model):
     ham = estimate.default_h2()
     mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
     build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
-    rho_at = cli._density_in_theta(build, model)
+    basis = cli._theta_basis(build, model)
     files, extra, _ = cli.exp_scan(ham, model, 25, encoded, 4)
     rows = files["scan.csv"][1]
     assert len(rows) == 25
     for theta, mean, sem, var, eta_z, eta_x, seed in rows:
-        rho = rho_at(theta)
+        rho = density_at(basis, theta)
         if encoded:
             rho = analysis.project_qubit(rho, 5, 0)
         want_var = sum(
@@ -338,7 +343,7 @@ def _ansatz_with(*gates):
 ])
 def test_scan_checks_that_theta_is_one_rotation_angle(build, tmp_path, monkeypatch, capsys):
     with pytest.raises(ValueError, match="exactly one RY or RZ"):
-        cli._density_in_theta(build, noise.DepolarizingParams(p2=0.01))
+        cli._theta_basis(build, noise.DepolarizingParams(p2=0.01))
     # an ansatz that breaks the premise is a fault of the program, not of the config
     monkeypatch.setattr(cli.builders, "build_unencoded_ansatz", build)
     assert cli.main(["scan", "--out", str(tmp_path)]) == cli.EXIT_INTERNAL

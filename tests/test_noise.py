@@ -137,6 +137,19 @@ def test_attach_noise_channel_placement():
         assert first.setdefault(ch, ch) is ch  # equal channels are one object, built once per call
 
 
+def test_attach_noise_reads_depolarizing_params_as_their_device_model():
+    # DepolarizingParams attach as the DeviceModel of them alone: no damping, no init flips
+    # and the identity read; a model of any other type is refused
+    circ = builders.build_encoded_ansatz(0.3, "Z")
+    params = DepolarizingParams(p2=0.02)
+    nc, want = attach_noise(circ, params), attach_noise(circ, DeviceModel(params))
+    assert nc.channels == want.channels and nc.pre_channels == want.pre_channels == ()
+    assert not any(isinstance(ch, DampingNoise) for slot in nc.channels for ch in slot)
+    assert np.array_equal(nc.readout, np.eye(2))
+    with pytest.raises(TypeError, match="DepolarizingParams or DeviceModel"):
+        attach_noise(circ, ReadoutParams())
+
+
 def test_device_model_emission_split_and_init():
     model = DeviceModel(
         depol=DepolarizingParams(p2=1e-3, p1=1e-4),

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, find, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from qedvqe import builders, noise, qcore, sim, splitmix
@@ -367,6 +367,12 @@ def faulty_rows(noisy, n_shots: int, seed: int):
         yield u[1], u[2:2 + n_read], u_loc
 
 
+def run_alone(traj, u_loc: np.ndarray) -> np.ndarray:
+    """traj.run on the fault codes of rows of location uniforms, with zero frames: every fault
+    is inserted as the rows run."""
+    return traj.run(traj.fault_codes(u_loc), np.zeros((len(u_loc), traj.frames.shape[0]), dtype=np.uint64))
+
+
 def replay_faulty(noisy, n_shots: int, seed: int) -> Counter:
     """The sampler's faulty shots resolved one at a time: each row evolved alone, its outcome
     searched in its own cdf, and each bit read with its own uniform."""
@@ -374,7 +380,7 @@ def replay_faulty(noisy, n_shots: int, seed: int) -> Counter:
     kernel, n = noisy.readout, noisy.circuit.n_qubits
     counts = Counter()
     for u_out, u_read, u_loc in faulty_rows(noisy, n_shots, seed):
-        cdf = np.cumsum(np.abs(traj.run(u_loc[None])[0]) ** 2)
+        cdf = np.cumsum(np.abs(run_alone(traj, u_loc[None])[0]) ** 2)
         cdf /= cdf[-1]
         idx = int(np.searchsorted(cdf, u_out, side="right"))
         bits = [(idx >> (n - 1 - q)) & 1 for q in noisy.circuit.measured_qubits]
@@ -514,51 +520,75 @@ def first_fault_law(thresholds):
     return th, 1.0 - np.cumprod(1.0 - th)
 
 
+def init_trajectory(locations):
+    """The trajectory of a one-qubit read whose noise locations are these init channels."""
+    circ = Circuit(1, (qcore.measure(0),), (ROLE_DATA,))
+    return sim._Trajectory(noise.NoisyCircuit(circ, ((),), tuple(locations), np.eye(2)))
+
+
 @st.composite
 def first_fault_draws(draw):
-    """Thresholds with 0, 1 and inf among them, a first-fault draw u_f (some of
-    them on an entry of fault_cdf or just below it) and free uniforms v."""
+    """Init channels and their fault thresholds, 0, 1 and inf among them: a Pauli channel's
+    p_total, or a damping channel's gamma, as on a qubit in |1>, or inf for gamma = 1 on an
+    emptied no-jump branch. Then a first-fault draw u_f (some of them on an entry of fault_cdf
+    or just below it) and free uniforms v."""
     unit = st.floats(0.0, 1.0, exclude_max=True)
-    thresholds = np.array(draw(st.lists(st.sampled_from((0.0, 1.0, np.inf)) | st.floats(0.0, 1.0), min_size=1, max_size=8)))
+    rate = st.sampled_from((0.0, 1.0 / 3.0)) | st.floats(0.0, 1.0 / 3.0)
+    locations, thresholds = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            ch = noise.PauliNoise(0, draw(rate), draw(rate), draw(rate))
+            thresholds.append(ch.p_total)
+        else:
+            ch = noise.DampingNoise(0, draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)))
+            thresholds.append(np.inf if ch.gamma == 1.0 and draw(st.booleans()) else ch.gamma)
+        locations.append(ch)
+    thresholds = np.array(thresholds)
     _, fault_cdf = first_fault_law(thresholds)
     at = draw(st.sampled_from(fault_cdf.tolist()))
     u_f = draw(unit | st.just(at) | st.just(float(np.nextafter(at, 0.0))) | st.just(0.0))
-    v = np.array(draw(st.lists(unit | st.just(0.0), min_size=thresholds.size, max_size=thresholds.size)))
-    return thresholds, min(u_f, float(np.nextafter(1.0, 0.0))), v
+    v = np.array(draw(st.lists(unit | st.just(0.0) | st.just(1.0 - 2.0**-53), min_size=thresholds.size,
+                               max_size=thresholds.size)))
+    return locations, thresholds, min(u_f, float(np.nextafter(1.0, 0.0))), v
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=first_fault_draws())
-def test_first_fault_rows_fault_first_where_the_first_fault_draw_says(case):
-    thresholds, u_f, v = case
+def test_first_fault_codes_fault_first_where_the_first_fault_draw_says(case):
+    locations, thresholds, u_f, v = case
+    traj = init_trajectory(locations)
     th, fault_cdf = first_fault_law(thresholds)
     k = int(np.searchsorted(fault_cdf, u_f, side="right"))
     # a shot is faulty iff u_f < fault_cdf[-1], which is then K < L
     assert (u_f < fault_cdf[-1]) == (k < thresholds.size)
     if k == thresholds.size:
         return
-    u = sim._first_fault_rows(th, fault_cdf, np.array([u_f]), v[None])[0]
-    assert np.all((u >= 0.0) & (u <= 1.0))
-    assert u[k] < th[k] and u[k] < thresholds[k]  # strictly, where the sampler's codes compare
-    assert np.flatnonzero(u < thresholds)[0] == k
-    assert u[k + 1:].tobytes() == v[k + 1:].tobytes()
-    # the law's own float operations, bit for bit
-    assert u[:k].tobytes() == (th[:k] + (1.0 - th[:k]) * v[:k]).tobytes()
-    assert u[k] == th[k] * v[k]
+    codes = sim._first_fault_codes(traj, th, fault_cdf, np.array([u_f]), v[None])[0]
+    assert np.all(codes[:k] == sim._QUIET)
+    ch, x = locations[k], th[k] * v[k]
+    if isinstance(ch, noise.PauliNoise):
+        # the Pauli that th_K v_K draws, which is below p_total: a fault
+        assert x < ch.p_total
+        assert codes[k] == (sim._X if x < ch.p_x else sim._Y if x < ch.p_x + ch.p_y else sim._Z)
+    else:
+        assert codes[k] == sim._JUMP and th[k] > 0.0
+    assert codes[k + 1:].tobytes() == traj.fault_codes(v[None])[0, k + 1:].tobytes()
 
 
 def test_first_fault_location_follows_the_survival_law():
-    # over 10^5 shots of three locations, the first location below its
-    # threshold is k with probability prod_{j<k} (1 - th_j) th_k
+    # over 10^5 shots of three locations, the first location whose code faults
+    # is k with probability prod_{j<k} (1 - th_j) th_k
     rng = np.random.default_rng(17)
+    locations = [noise.PauliNoise(0, 0.05, 0.0, 0.0), noise.DampingNoise(0, 0.3), noise.PauliNoise(0, 0.0, 0.0, 0.5)]
+    traj = init_trajectory(locations)
     thresholds = np.array([0.05, 0.3, 0.5])
     th, fault_cdf = first_fault_law(thresholds)
     n = 10**5
     u_f = rng.random(n)
     faulty = u_f < fault_cdf[-1]
-    u = sim._first_fault_rows(th, fault_cdf, u_f[faulty], rng.random((faulty.sum(), 3)))
-    first = np.argmax(u < thresholds, axis=1)
-    assert np.all((u < thresholds)[np.arange(len(u)), first])
+    codes = sim._first_fault_codes(traj, th, fault_cdf, u_f[faulty], rng.random((faulty.sum(), 3)))
+    first = np.argmax(codes != sim._QUIET, axis=1)
+    assert np.all(codes[np.arange(len(codes)), first] == np.array([sim._X, sim._JUMP, sim._Z])[first])
     tally = np.bincount(first, minlength=3).tolist() + [n - faulty.sum()]
     survive = np.concatenate([[1.0], np.cumprod(1.0 - thresholds)])
     for k, count in enumerate(tally):
@@ -722,6 +752,36 @@ def test_sampler_matches_per_shot_loop_on_random_circuits(noisy, n_shots, seed, 
         assert_matches_per_shot_loop(noisy, n_shots, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(noisy=sampled_circuits(), seed=st.integers(0, 2**32 - 1))
+@example(noisy=noise.attach_noise(ENCODED, DEVICE), seed=0)
+def test_a_decided_jump_evolves_as_the_drawn_uniform(noisy, seed):
+    # a first fault at a damping location is coded _JUMP, not as the drawn th_K v_K: up to K
+    # the row runs the reference's float operations, so both fall below its jump threshold
+    # th_K there and the rows evolve bit for bit alike, also at the top uniform v_K = 1 - 2^-53.
+    # The drawn code is held below gamma: a |1> occupation of exactly 1 can round to 1 + 2^-52
+    # (an X before the damping), so th_K exceeds gamma and th_K v_K may reach it, where run
+    # takes a code at or above gamma as no jump although the law puts a jump there.
+    traj = sim._Trajectory(noisy)
+    th, fault_cdf = first_fault_law(traj.no_jump_reference()[1])
+    rng = np.random.default_rng(seed)
+    n_rows = 40
+    u_f = (fault_cdf[-1] if th.size else 0.0) * rng.random(n_rows)
+    v = rng.random((n_rows, th.size))
+    v[rng.random(v.shape) < 0.3] = 1.0 - 2.0**-53
+    k = np.searchsorted(fault_cdf, u_f, side="right")
+    faulty = np.flatnonzero(k < th.size)
+    codes = sim._first_fault_codes(traj, th, fault_cdf, u_f[faulty], v[faulty])
+    k, v = k[faulty], v[faulty]
+    jumped = np.flatnonzero(codes[np.arange(len(k)), k] == sim._JUMP)
+    assume(jumped.size > 0)
+    drawn = codes.copy()
+    at = k[jumped]
+    drawn[jumped, at] = np.minimum(th[at] * v[jumped, at], np.nextafter(traj._gamma[at], 0.0))
+    frames = np.zeros((len(codes), traj.frames.shape[0]), dtype=np.uint64)
+    assert traj.run(codes, frames).tobytes() == traj.run(drawn, frames).tobytes()
+
+
 def chi_square_threshold(dof: int, z: float = 6.0) -> float:
     """The chi-square quantile at the normal quantile z (1 - 1e-9 at z = 6), by the Wilson-Hilferty cube."""
     return dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
@@ -789,21 +849,31 @@ def frame_oracle(noisy, k: int, pauli: np.ndarray):
 
 
 @pytest.mark.parametrize(
-    "noisy",
-    [noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10)), noise.attach_noise(ENCODED, DEVICE)],
+    "noisy, n_shots",
+    [(noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10)), 2548), (noise.attach_noise(ENCODED, DEVICE), 5000)],
     ids=["encoded-p2=10%", "encoded-device"],
 )
-def test_each_distinct_head_and_flip_pattern_is_evolved_once(monkeypatch, noisy):
-    # shots are grouped by the bytes of their head codes and their rotation-flip pattern: a
-    # group must neither split (evolving one pattern twice) nor merge two (evolving one of them
-    # never). The flips come from frame_oracle; under the device model the tail is empty, so
-    # every distinct fault history is evolved once, as before frames.
-    n_shots, seed = 2548, 6
+def test_each_distinct_head_and_flip_pattern_is_evolved_once(monkeypatch, noisy, n_shots):
+    # shots are grouped by the bytes of their decided head codes and their rotation-flip
+    # pattern: a group must neither split (evolving one pattern twice) nor merge two (evolving
+    # one of them never). The decided codes come from the replay's old-law uniforms: quiet
+    # before a row's first uniform below its threshold, at K, and a jump there at a damping
+    # location. The flips come from frame_oracle. Under the device model the tail is empty,
+    # so every distinct decided history is evolved once: fewer than the distinct rows of codes
+    # of the raw uniforms, which would evolve a draw in [th_j, gamma) before K, or th_K v_K, as
+    # a history of its own (42 faulty shots at 5000: 27 histories, against 30 rows of codes).
+    seed = 6
     traj = sim._Trajectory(noisy)
     n_rot = sum(op.kind in qcore.PARAMETRIC_KINDS for op in noisy.circuit.ops)
     locations = locations_of(noisy)
     u_loc = np.array([u for _, _, u in faulty_rows(noisy, n_shots, seed)])
-    codes = traj.fault_codes(u_loc)
+    raw = traj.fault_codes(u_loc)
+    th, _ = first_fault_law(traj.no_jump_reference()[1])
+    first = np.argmax(u_loc < th, axis=1)
+    codes = raw.copy()
+    codes[np.arange(len(locations)) < first[:, None]] = sim._QUIET
+    damped = np.flatnonzero([isinstance(locations[k], noise.DampingNoise) for k in first])
+    codes[damped, first[damped]] = sim._JUMP
     paulis = {sim._X: qcore.PAULI_X, sim._Y: qcore.PAULI_Y, sim._Z: qcore.PAULI_Z}
     oracle = {}
     want = set()
@@ -817,18 +887,19 @@ def test_each_distinct_head_and_flip_pattern_is_evolved_once(monkeypatch, noisy)
         want.add((tuple(row[:traj.head]), tuple(flips)))
     if traj.head == len(locations):
         assert want == {(tuple(c), (False,) * n_rot) for c in np.unique(codes, axis=0)}
+        assert damped.size and len(want) < len(np.unique(raw, axis=0))
     else:
         assert traj.head == 0 and len(want) == 2  # the one RY, flipped or not
+        assert codes.tobytes() == raw.tobytes()  # Pauli codes before K are quiet already
     evolved = []
     run = sim._Trajectory.run
 
-    def recording_run(self, u, frames=None):
-        got = self.fault_codes(u)
-        assert np.all(got[:, self.head:] == sim._QUIET)  # tail faults act through the frames only
+    def recording_run(self, codes, frames):
+        assert codes.shape[1] == self.head  # tail faults act through the frames only
         bits = [self.n + r for r in range(n_rot)]  # rotation r's flip is bit n + r of the words
         flips = [tuple(bool((row[b // 64] >> np.uint64(b % 64)) & np.uint64(1)) for b in bits) for row in frames]
-        evolved.extend(zip(map(tuple, got[:, :self.head]), flips))
-        return run(self, u, frames)
+        evolved.extend(zip(map(tuple, codes), flips))
+        return run(self, codes, frames)
 
     monkeypatch.setattr(sim._Trajectory, "run", recording_run)
     sample_shots(noisy, TrajectoryConfig(n_shots, seed=seed))  # the default chunk: one
@@ -881,9 +952,9 @@ def test_flip_bits_past_the_first_word_resolve_as_each_row_alone():
     u_loc, u_out = rng.random((150, traj.frames.shape[1] // 4)) ** 4, rng.random(150)  # about 1 in 5 faults
     want = []
     for u, x in zip(u_loc, u_out):
-        cdf = np.cumsum(np.abs(traj.run(u[None])[0]) ** 2)
+        cdf = np.cumsum(np.abs(run_alone(traj, u[None])[0]) ** 2)
         want.append(int(np.searchsorted(cdf / cdf[-1], x, side="right")))
-    assert sim._faulty_outcomes(traj, u_loc, u_out).tolist() == want
+    assert sim._faulty_outcomes(traj, traj.fault_codes(u_loc), u_out).tolist() == want
 
 
 @st.composite
@@ -937,10 +1008,10 @@ def test_faulty_outcomes_equal_each_row_resolved_alone(case):
     assert traj.head == head
     want = []
     for u, x in zip(u_loc, u_out):
-        cdf = np.cumsum(np.abs(traj.run(u[None])[0]) ** 2)
+        cdf = np.cumsum(np.abs(run_alone(traj, u[None])[0]) ** 2)
         cdf /= cdf[-1]
         want.append(int(np.searchsorted(cdf, x, side="right")))
-    assert sim._faulty_outcomes(traj, u_loc, u_out).tolist() == want
+    assert sim._faulty_outcomes(traj, traj.fault_codes(u_loc), u_out).tolist() == want
 
 
 @st.composite
@@ -1031,10 +1102,10 @@ def test_batched_trajectory_rows_equal_one_row_passes():
         u[0, k] = 1e-3 * locations[k].gamma
     u[:, pauli[len(pauli) // 2]] = 0.0  # every row draws X at this location
     traj = sim._Trajectory(noisy)
-    batch = traj.run(u)
+    batch = run_alone(traj, u)
     assert batch.shape == (n_rows, 2**noisy.circuit.n_qubits)
     for r in range(n_rows):
-        assert batch[r].tobytes() == traj.run(u[r:r + 1])[0].tobytes()
+        assert batch[r].tobytes() == run_alone(traj, u[r:r + 1])[0].tobytes()
         want = trajectory_oracle(noisy, u[r])
         assert np.max(np.abs(batch[r] / np.linalg.norm(batch[r]) - want)) < 1e-12
 
@@ -1068,9 +1139,9 @@ def test_faulty_passes_stay_within_the_amplitude_budget(monkeypatch):
     rows = []
     run = sim._Trajectory.run
 
-    def recording_run(self, u_loc, frames=None):
-        rows.append(u_loc.shape[0])
-        return run(self, u_loc, frames)
+    def recording_run(self, codes, frames):
+        rows.append(codes.shape[0])
+        return run(self, codes, frames)
 
     monkeypatch.setattr(sim._Trajectory, "run", recording_run)
     table = sample_shots(noisy, TrajectoryConfig(1500, seed=9))
