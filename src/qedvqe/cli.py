@@ -217,10 +217,7 @@ def _study_rows(ham, model, theta, encoded, strategies=(), red=False, shots=None
     def row(label, picked):  # picked: basis -> (selected table, its survival)
         (z, z_stats), (x, x_stats) = picked["Z"], picked["X"]
         eta = {"Z": z_stats.eta, "X": x_stats.eta}
-        if shots is None:
-            est = estimate.energy_from_distributions(z.counts, x.counts, z.layout, ham, mode=mode, eta=eta)
-        else:
-            est = estimate.energy_from_shots(z, x, ham, mode=mode, eta=eta)
+        est = estimate.energy_from_shots(z, x, ham, mode=mode, eta=eta)
         return label, est, {"Z": z_stats, "X": x_stats}, z.n_shots / raw["Z"]
 
     if not encoded:

@@ -99,7 +99,7 @@ class EnergyEstimate:
     eta: dict[str, float] = field(default_factory=lambda: {"Z": 1.0, "X": 1.0})
 
 
-def _term_means(weighted: dict, layout: MeasurementLayout, mode: str, basis: str):
+def _term_means(table: ShotTable, mode: str, basis: str):
     """Weighted means of the term observables measured in one basis.
 
     The terms are those whose words hold only I and the basis letter: Z0, Z1
@@ -108,35 +108,16 @@ def _term_means(weighted: dict, layout: MeasurementLayout, mode: str, basis: str
     strings decode too (the NONE row keeps them). Integer counts accumulate
     exactly and divide once.
     """
+    layout = table.layout
     words = [w for w in WORDS[mode][1:] if set(w) <= {"I", basis}]
     supports = [[p for p, c in enumerate(w) if c != "I"] for w in words]
     if len(words[0]) != len(layout.roles) or any(layout.roles[p] != ROLE_DATA for s in supports for p in s):
         raise ValueError(f"the {mode} words do not read the data qubits of a layout with roles {layout.roles}")
-    sums, total = [0] * len(words), 0
-    for key, w in weighted.items():
-        total += w
-        for t, support in enumerate(supports):
-            sums[t] += -w if sum(key[p] == "1" for p in support) % 2 else w
+    total = table.n_shots
     if total <= 0.0:
         raise EmptySelectionError("no surviving samples")
-    return np.array(sums) / total
-
-
-def _combine(ham: H2Hamiltonian, z_means, xx_mean, n_z, n_x, eta) -> EnergyEstimate:
-    gs = ham.coeffs[1:]
-    means = (z_means[0], z_means[1], z_means[2], xx_mean)
-    ns = (n_z, n_z, n_z, n_x)
-    mean = ham.g0 + sum(g * m for g, m in zip(gs, means))
-    pieces = [g * g * max(0.0, 1.0 - m * m) for g, m in zip(gs, means)]
-    variance = sum(pieces)
-    sem2 = sum(p / n for p, n in zip(pieces, ns) if n) if all(ns) else 0.0
-    return EnergyEstimate(
-        mean=mean,
-        variance=variance,
-        sem=math.sqrt(sem2),
-        n_used={"Z": n_z, "X": n_x},
-        eta=dict(eta),
-    )
+    signs = np.where([layout.parity(s) for s in supports], -1, 1)
+    return (signs @ table.weights) / total
 
 
 def energy_from_shots(
@@ -146,14 +127,22 @@ def energy_from_shots(
     mode: str = MODE_UNENCODED,
     eta=None,
 ) -> EnergyEstimate:
-    """Estimate the energy from post-selected Z- and X-basis tables."""
-    if z_table.n_shots == 0 or x_table.n_shots == 0:
-        raise EmptySelectionError("post-selection rejected every shot")
-    z_means = _term_means(z_table.counts, z_table.layout, mode, "Z")
-    (xx,) = _term_means(x_table.counts, x_table.layout, mode, "X")
-    return _combine(
-        ham, z_means, xx, z_table.n_shots, x_table.n_shots,
-        eta or {"Z": 1.0, "X": 1.0},
+    """Estimate the energy from post-selected Z- and X-basis tables.
+
+    Tables of shot counts give the SEM of their kept shots; tables of
+    probabilities give the infinite-shot limit, with SEM 0 and n_used 0.
+    """
+    means = (*_term_means(z_table, mode, "Z"), *_term_means(x_table, mode, "X"))
+    n_z, n_x = (t.n_shots if t.weights.dtype.kind in "iu" else 0 for t in (z_table, x_table))
+    gs, ns = ham.coeffs[1:], (n_z, n_z, n_z, n_x)
+    pieces = [g * g * max(0.0, 1.0 - m * m) for g, m in zip(gs, means)]
+    sem2 = sum(p / n for p, n in zip(pieces, ns)) if all(ns) else 0.0
+    return EnergyEstimate(
+        mean=ham.g0 + sum(g * m for g, m in zip(gs, means)),
+        variance=sum(pieces),
+        sem=math.sqrt(sem2),
+        n_used={"Z": n_z, "X": n_x},
+        eta=dict(eta or {"Z": 1.0, "X": 1.0}),
     )
 
 
@@ -166,9 +155,8 @@ def energy_from_distributions(
     eta=None,
 ) -> EnergyEstimate:
     """Infinite-shot estimate from exact outcome distributions (SEM = 0)."""
-    z_means = _term_means(z_probs, layout, mode, "Z")
-    (xx,) = _term_means(x_probs, layout, mode, "X")
-    return _combine(ham, z_means, xx, 0, 0, eta or {"Z": 1.0, "X": 1.0})
+    z_table, x_table = (ShotTable.of(probs, layout, float) for probs in (z_probs, x_probs))
+    return energy_from_shots(z_table, x_table, ham, mode, eta)
 
 
 def scan_theta(runner, n_points: int = 150):

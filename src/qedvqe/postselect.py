@@ -3,13 +3,16 @@
 Survival fractions follow the study's normalization: the QED strategies are
 normalized to the a2=0-selected population. The readout-encoding vote is not
 a rule here: the sampler applies it as the circuit's read kernel
-(sim.sample_shots), and its survival is the kept shots over the raw shot total. The rules filter
-a ShotTable, sampled or exact (sim.shot_limit_table), and never rescale it.
+(sim.sample_shots), and its survival is the kept shots over the raw shot total. Each rule is
+parity checks over a ShotTable's outcome indices (MeasurementLayout.parity), a boolean mask
+that multiplies its weights, sampled or exact (sim.shot_limit_table), and never rescales them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .qcore import ROLE_A1, ROLE_A2, ROLE_DATA
 from .sim import MeasurementLayout, ShotTable
@@ -19,7 +22,6 @@ STRATEGY_PSA = "PSA"
 STRATEGY_PSP = "PSP"
 STRATEGY_PSAP = "PSAP"
 STRATEGIES = (STRATEGY_NONE, STRATEGY_PSA, STRATEGY_PSP, STRATEGY_PSAP)
-_A2 = "a2"  # the branch rule that runs before every strategy
 
 
 class EmptySelectionError(RuntimeError):
@@ -51,40 +53,12 @@ class SurvivalStats:
         return cls(eta, sigma, n_before, n_after)
 
 
-def _checks(layout: MeasurementLayout, kind: str, branch: int = 0):
-    """The parity checks an outcome key must pass to survive one rule.
-
-    ``kind`` is a strategy kind or ``_A2``. Each check is (positions,
-    parity): the XOR of the key's bits at those positions must equal the
-    parity. NONE has no checks.
-    """
-    if kind == _A2:
-        if branch not in (0, 1):
-            raise ValueError("branch must be 0 or 1")
-        return (((layout.position_of_role(ROLE_A2),), branch),)
-    checks = []
-    if kind in (STRATEGY_PSA, STRATEGY_PSAP):
-        checks.append(((layout.position_of_role(ROLE_A1),), 0))
-    if kind in (STRATEGY_PSP, STRATEGY_PSAP):
-        data = layout.positions_of_role(ROLE_DATA)
-        if len(data) != 4:
-            raise ValueError("parity post-selection needs the four encoded data qubits")
-        checks.append((data, 0))
-    return tuple(checks)
-
-
-def _filtered(table: ShotTable, checks) -> ShotTable:
-    """The table's entries whose keys pass every check, weights unchanged."""
-    counts = {
-        key: w for key, w in table.counts.items()
-        if all(sum(key[p] == "1" for p in pos) % 2 == parity for pos, parity in checks)
-    }
-    return ShotTable(counts, sum(counts.values()), table.layout)
-
-
 def select_a2_branch(table: ShotTable, branch: int) -> ShotTable:
     """Keep rows whose a2 bit equals the requested branch."""
-    return _filtered(table, _checks(table.layout, _A2, branch))
+    if branch not in (0, 1):
+        raise ValueError("branch must be 0 or 1")
+    a2 = table.layout.parity((table.layout.position_of_role(ROLE_A2),))
+    return ShotTable(table.weights * (a2 == branch), table.layout)
 
 
 def apply_strategy(table: ShotTable, strategy: Strategy):
@@ -96,23 +70,33 @@ def apply_strategy(table: ShotTable, strategy: Strategy):
     """
     if table.n_shots == 0:
         raise EmptySelectionError("cannot post-select an empty table")
-    out = _filtered(table, _checks(table.layout, strategy.kind))
+    layout, kind = table.layout, strategy.kind
+    kept = np.ones(table.weights.size, bool)
+    if kind in (STRATEGY_PSA, STRATEGY_PSAP):
+        kept &= layout.parity((layout.position_of_role(ROLE_A1),)) == 0
+    if kind in (STRATEGY_PSP, STRATEGY_PSAP):
+        data = layout.positions_of_role(ROLE_DATA)
+        if len(data) != 4:
+            raise ValueError("parity post-selection needs the four encoded data qubits")
+        kept &= layout.parity(data) == 0
+    out = ShotTable(table.weights * kept, layout)
     return out, SurvivalStats.of(table.n_shots, out.n_shots)
 
 
 def _normalized(table: ShotTable) -> dict:
-    if table.n_shots <= 0.0:
+    total = table.n_shots
+    if total <= 0.0:
         raise EmptySelectionError("post-selection removed all weight")
-    return {key: w / table.n_shots for key, w in table.counts.items()}
+    return {key: w / total for key, w in table.counts.items()}
 
 
 def select_a2_probs(probs: dict[str, float], layout: MeasurementLayout, branch: int):
     """select_a2_branch on an exact distribution; returns (renormalized map, branch weight)."""
-    out = select_a2_branch(ShotTable(probs, sum(probs.values()), layout), branch)
+    out = select_a2_branch(ShotTable.of(probs, layout), branch)
     return _normalized(out), out.n_shots
 
 
 def apply_strategy_probs(probs: dict[str, float], layout: MeasurementLayout, strategy: Strategy):
     """apply_strategy on an exact distribution; returns (renormalized map, eta)."""
-    out, stats = apply_strategy(ShotTable(probs, sum(probs.values()), layout), strategy)
+    out, stats = apply_strategy(ShotTable.of(probs, layout), strategy)
     return _normalized(out), stats.eta

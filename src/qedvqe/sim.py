@@ -15,12 +15,15 @@ of its own SplitMix64 counter stream (splitmix), any word of which is computed
 directly, so no chunk or pass size moves a count (sample_shots).
 Both backends read measured bits through the circuit's per-bit read kernel;
 the readout-encoding gadget is such a kernel (red_vote_kernel_for), so a
-readout-encoded run samples the 2- or 6-qubit circuit it encodes.
+readout-encoded run samples the 2- or 6-qubit circuit it encodes. Both return
+the read as a ShotTable, one weight vector by outcome index (shot counts, or
+probabilities from shot_limit_table); bitstrings appear only in dict adapters.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -83,22 +86,38 @@ class MeasurementLayout:
             raise ValueError(f"layout has {len(pos)} qubits of role {role!r}")
         return pos[0]
 
+    def parity(self, positions) -> np.ndarray:
+        """The XOR of the bits at these positions of each outcome index, 0 or 1 by index."""
+        m = len(self.qubits)
+        mask = sum(1 << (m - 1 - p) for p in positions)
+        return np.bitwise_count(np.arange(1 << m) & mask) & 1
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class ShotTable:
-    """Bitstring -> shot count (or probability, in a shot_limit_table) and
-    their total; index 0 of a key is the first measured qubit."""
+    """Weights by outcome index over the measured qubits, the first measured qubit the most
+    significant bit: integer weights are shot counts, float ones probabilities (shot_limit_table)."""
 
-    counts: dict[str, int | float]
-    n_shots: int | float
+    weights: np.ndarray
     layout: MeasurementLayout
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.n_shots:
-            raise ValueError("counts must sum to n_shots")
-        for key in self.counts:
-            if len(key) != len(self.layout.qubits):
-                raise ValueError("bitstring length must match measured qubits")
+        if self.weights.shape != (1 << len(self.layout.qubits),):
+            raise ValueError("weights must hold one entry per outcome of the measured qubits")
+
+    @classmethod
+    def of(cls, mapping: dict, layout: MeasurementLayout, dtype=None) -> "ShotTable":
+        """The table of a bitstring -> weight map; int weights stay shot counts."""
+        return cls(_vector(mapping, len(layout.qubits), dtype), layout)
+
+    @property
+    def n_shots(self) -> int | float:
+        return self.weights.sum().item()
+
+    @property
+    def counts(self):
+        """A read-only bitstring -> weight map of the nonzero weights."""
+        return MappingProxyType(_outcomes(self.weights))
 
 
 @dataclass(frozen=True)
@@ -228,10 +247,21 @@ def _read_probabilities(rho: DensityMatrix, kernel: np.ndarray) -> np.ndarray:
     return _read(probs, kernel)
 
 
-def _outcomes(probs: np.ndarray) -> dict[str, float]:
-    """A probability vector as outcome -> probability, without outcomes at or below 1e-15."""
-    n = probs.size.bit_length() - 1
-    return {bitstring(i, n): float(p) for i, p in enumerate(probs) if p > 1e-15}
+def _outcomes(weights: np.ndarray) -> dict:
+    """A weight vector by outcome index as bitstring -> weight, without weights at or below 1e-15."""
+    n = weights.size.bit_length() - 1
+    kept = np.flatnonzero(weights > 1e-15)
+    return dict(zip((bitstring(int(i), n) for i in kept), weights[kept].tolist()))
+
+
+def _vector(mapping: dict, n: int, dtype=None) -> np.ndarray:
+    """A bitstring -> weight map over n bits as a weight vector by outcome index."""
+    if any(len(key) != n for key in mapping):
+        raise ValueError("bitstring length must match measured qubits")
+    values = np.array(list(mapping.values()), dtype)
+    weights = np.zeros(1 << n, values.dtype)
+    weights[[int(key, 2) for key in mapping]] = values
+    return weights
 
 
 def born_distribution(rho: DensityMatrix, readout: ReadoutParams = ReadoutParams()) -> dict[str, float]:
@@ -247,9 +277,8 @@ def shot_limit_table(noisy: NoisyCircuit) -> tuple[ShotTable, float]:
     than the raw total, and nothing is renormalized.
     """
     rho = evolve_density(noisy)
-    probs = _outcomes(_read_measured(_read_probabilities(rho, np.eye(2)), noisy.circuit, noisy.readout))
-    table = ShotTable(probs, sum(probs.values()), MeasurementLayout.of(noisy.circuit))
-    return table, float(np.trace(rho.mat).real)
+    read = _read_measured(_read_probabilities(rho, np.eye(2)), noisy.circuit, noisy.readout)
+    return ShotTable(read, MeasurementLayout.of(noisy.circuit)), float(np.trace(rho.mat).real)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +466,12 @@ class _Trajectory:
         return np.where(self._pauli, kind, np.where(u_loc < self._gamma, u_loc, _QUIET))
 
     def _pop1_frac(self, amps, qubit):
-        """Occupation of |1> on the qubit of a one-row batch, relative to its norm."""
+        """Occupation of |1> on the qubit of a one-row batch, relative to its norm, at most 1:
+        the two sums run in different orders, so a qubit exactly in |1> can read 1 + 2^-52."""
         _, a1 = _half_planes(amps, qubit)
         w1 = float(np.vdot(a1, a1).real)
         total = float(np.vdot(amps, amps).real)
-        return w1 / total if total > 0.0 else 0.0
+        return min(w1 / total, 1.0) if total > 0.0 else 0.0
 
     def _apply_1q(self, amps, mat, qubit):
         # the products go to contiguous scratch, as fresh arrays would, so their
@@ -661,7 +691,7 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
     measured qubit for its read unless K is the identity, and v, one per noise location;
     _first_fault_codes turns u_f and v into its fault codes. A bit whose true value is b reads
     as 1 - b when its uniform is below K[1 - b, b], and drops the shot at or above
-    K[0, b] + K[1, b]; the table holds the kept shots, by outcome in ascending order.
+    K[0, b] + K[1, b]; the table holds the kept shots, as counts by outcome index.
 
     Each quantity has its own stream (_stream), read as raw words, so no internal size moves a
     count: family 0 gives N_F's uniform, family 1 the multinomial's, and in family 2 faulty shot j
@@ -717,8 +747,7 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
             outcome ^= u_read < flip_p[outcome]
             outcome = outcome[kept]
         tally += np.bincount(outcome @ place, minlength=tally.size)
-    counts = {bitstring(int(v), n_meas): int(tally[v]) for v in np.flatnonzero(tally)}
-    return ShotTable(counts, int(tally.sum()), MeasurementLayout.of(circ))
+    return ShotTable(tally, MeasurementLayout.of(circ))
 
 
 def sample_shots_batched(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
@@ -769,8 +798,6 @@ def red_vote_distribution(probs: dict[str, float], kernel: np.ndarray):
     """
     if not probs:
         raise ValueError("empty distribution")
-    t = np.zeros(2 ** len(next(iter(probs))))
-    t[[int(key, 2) for key in probs]] = list(probs.values())
-    flat = _read(t, kernel)
+    flat = _read(_vector(probs, len(next(iter(probs))), float), kernel)
     eta = float(flat.sum())
     return {key: p / eta for key, p in _outcomes(flat).items()}, eta

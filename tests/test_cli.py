@@ -575,6 +575,25 @@ def test_exact_rows_report_no_sampling_error():
         rows += cli._study_rows(ham, model, theta, True, ("NONE", "PSA", "PSP", "PSAP"), red)
         for label, est, _, _ in rows:
             assert est.sem == 0.0 and est.n_used == {"Z": 0, "X": 0}, label
+    # a distribution whose weights are whole numbers is still one of probabilities
+    layout = sim.MeasurementLayout((0, 1), (qcore.ROLE_DATA,) * 2)
+    est = estimate.energy_from_distributions({"00": 1}, {"00": 1}, layout, ham)
+    assert est.sem == 0.0 and est.n_used == {"Z": 0, "X": 0}
+
+
+def test_study_rows_carry_outcomes_as_weight_vectors(monkeypatch):
+    """From the read to the estimate, no row builds or parses a bitstring map."""
+
+    def refuse(*args):
+        pytest.fail("the study pipeline went through a bitstring map")
+
+    monkeypatch.setattr(sim, "_outcomes", refuse)
+    monkeypatch.setattr(sim, "_vector", refuse)
+    ham, model, theta = estimate.default_h2(), noise.default_device_model(), estimate.THETA_STAR
+    for shots in (None, 500):
+        for red in (False, True):
+            cli._study_rows(ham, model, theta, False, (), red, shots)
+            cli._study_rows(ham, model, theta, True, ("NONE", "PSA", "PSP", "PSAP"), red, shots)
 
 
 @pytest.mark.parametrize("encoded", [False, True])

@@ -29,7 +29,7 @@ from qedvqe.sim import MeasurementLayout, ShotTable
 
 
 def make_table(counts, roles):
-    return ShotTable(dict(counts), sum(counts.values()), make_layout(roles))
+    return ShotTable.of(counts, make_layout(roles))
 
 
 def make_layout(roles):
@@ -97,7 +97,7 @@ def test_logical_matrix_reproduces_energy_on_encoded_state():
 def _decoded(data_bits):
     """Logical (Z0, Z1, ZZ) eigenvalues _term_means reads off one encoded outcome."""
     layout = make_layout(ENC_ROLES)
-    return tuple(_term_means({"0" + data_bits + "0": 1}, layout, MODE_ENCODED, "Z"))
+    return tuple(_term_means(ShotTable.of({"0" + data_bits + "0": 1}, layout), MODE_ENCODED, "Z"))
 
 
 def _signs(l1, l2):
@@ -117,7 +117,7 @@ def test_decode_matches_codeword_supports():
         for bits in kets:
             assert _decoded(bits) == _signs(l1, l2)
     x_counts = {"0" + "0110" + "0": 3, "0" + "0101" + "0": 1}  # q1^q2 = 0, 1
-    assert tuple(_term_means(x_counts, make_layout(ENC_ROLES), MODE_ENCODED, "X")) == (0.5,)
+    assert tuple(_term_means(make_table(x_counts, ENC_ROLES), MODE_ENCODED, "X")) == (0.5,)
 
 
 @pytest.mark.parametrize(
@@ -132,7 +132,7 @@ def test_decode_matches_codeword_supports():
 def test_words_that_do_not_fit_the_layout_are_rejected(mode, roles):
     for basis in "ZX":
         with pytest.raises(ValueError):
-            _term_means({"0" * len(roles): 1}, make_layout(roles), mode, basis)
+            _term_means(make_table({"0" * len(roles): 1}, roles), mode, basis)
 
 
 def _z_side(word):
@@ -158,8 +158,8 @@ def test_decoded_means_equal_density_expectations(encoded, theta, p2, coeffs):
     _, z0, z1, zz, xx = WORDS[mode]
     want_z = [qcore.expectation(rho["Z"], qcore.pauli_word(w)) for w in (z0, z1, zz)]
     want_xx = qcore.expectation(rho["X"], qcore.pauli_word(_z_side(xx)))
-    assert np.allclose(_term_means(probs["Z"], layout, mode, "Z"), want_z, rtol=0, atol=1e-9)
-    assert _term_means(probs["X"], layout, mode, "X")[0] == pytest.approx(want_xx, abs=1e-9)
+    assert np.allclose(_term_means(ShotTable.of(probs["Z"], layout), mode, "Z"), want_z, rtol=0, atol=1e-9)
+    assert _term_means(ShotTable.of(probs["X"], layout), mode, "X")[0] == pytest.approx(want_xx, abs=1e-9)
     ham = H2Hamiltonian(*coeffs)
     est = energy_from_distributions(probs["Z"], probs["X"], layout, ham, mode)
     want = ham.g0 + sum(g * m for g, m in zip(ham.coeffs[1:], want_z + [want_xx]))

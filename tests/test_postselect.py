@@ -6,8 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qedvqe import builders, noise, qcore, sim
-from qedvqe.estimate import default_h2, energy_from_distributions, energy_from_shots
+from qedvqe.estimate import (
+    MODE_ENCODED,
+    MODE_UNENCODED,
+    WORDS,
+    _term_means,
+    default_h2,
+    energy_from_distributions,
+    energy_from_shots,
+)
 from qedvqe.postselect import (
+    STRATEGIES,
     EmptySelectionError,
     Strategy,
     SurvivalStats,
@@ -25,7 +34,7 @@ ENC_LAYOUT = MeasurementLayout(tuple(range(6)), ENC_ROLES)
 
 
 def enc_table(counts):
-    return ShotTable(dict(counts), sum(counts.values()), ENC_LAYOUT)
+    return ShotTable.of(counts, ENC_LAYOUT)
 
 
 def spec_rows():
@@ -79,7 +88,7 @@ def test_apply_strategy_empty_table_raises():
 
 def test_select_a2_branch_requires_role():
     layout = MeasurementLayout((0, 1), (qcore.ROLE_DATA,) * 2)
-    table = ShotTable({"00": 3}, 3, layout)
+    table = ShotTable.of({"00": 3}, layout)
     with pytest.raises(ValueError):
         select_a2_branch(table, 0)
     with pytest.raises(ValueError):
@@ -143,12 +152,11 @@ def red_vote(raw: ShotTable):
             counts[key[:n]] = counts.get(key[:n], 0) + c
     kept = sum(counts.values())
     collapsed = MeasurementLayout(meas.qubits[:n], meas.roles[:n])
-    return ShotTable(counts, kept, collapsed), SurvivalStats.of(raw.n_shots, kept)
+    return ShotTable.of(counts, collapsed, int), SurvivalStats.of(raw.n_shots, kept)
 
 
 def red_table(counts, roles):
-    layout = MeasurementLayout(tuple(range(len(roles))), tuple(roles))
-    return ShotTable(dict(counts), sum(counts.values()), layout)
+    return ShotTable.of(counts, MeasurementLayout(tuple(range(len(roles))), tuple(roles)))
 
 
 RED_1 = (qcore.ROLE_DATA, qcore.ROLE_RED, qcore.ROLE_RED)
@@ -247,3 +255,84 @@ def test_distribution_twins_match_table_filters(z, x, kind):
     shots = energy_from_shots(sel["Z"][0], sel["X"][0], ham, mode="encoded")
     exact = energy_from_distributions(sel["Z"][1], sel["X"][1], ENC_LAYOUT, ham, mode="encoded")
     assert shots.mean == pytest.approx(exact.mean, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# index masks against the per-key string rules
+# ---------------------------------------------------------------------------
+
+
+def key_rule_survivors(counts, layout, kind, branch=0):
+    """The string-key reference of a rule: a key survives when, for each of the
+    rule's checks, the XOR of its characters at the check's positions is the
+    check's parity. kind is a strategy kind or "a2" (the branch rule)."""
+    if kind == "a2":
+        if branch not in (0, 1):
+            raise ValueError("branch must be 0 or 1")
+        checks = [((layout.position_of_role(qcore.ROLE_A2),), branch)]
+    else:
+        checks = []
+        if kind in ("PSA", "PSAP"):
+            checks.append(((layout.position_of_role(qcore.ROLE_A1),), 0))
+        if kind in ("PSP", "PSAP"):
+            data = layout.positions_of_role(qcore.ROLE_DATA)
+            if len(data) != 4:
+                raise ValueError("parity post-selection needs the four encoded data qubits")
+            checks.append((data, 0))
+    return {
+        key: w for key, w in counts.items()
+        if all(sum(key[p] == "1" for p in pos) % 2 == parity for pos, parity in checks)
+    }
+
+
+def key_rule_term_means(counts, mode, basis):
+    """The string-key reference of _term_means: each term's sum of +-w by the
+    parity of the key's characters under the word, over the total weight."""
+    words = [w for w in WORDS[mode][1:] if set(w) <= {"I", basis}]
+    sums, total = [0] * len(words), 0
+    for key, w in counts.items():
+        total += w
+        for t, word in enumerate(words):
+            odd = sum(key[p] == "1" for p, c in enumerate(word) if c != "I") % 2
+            sums[t] += -w if odd else w
+    return np.array(sums) / total
+
+
+UNENC_LAYOUT = MeasurementLayout((0, 1), (qcore.ROLE_DATA,) * 2)
+
+
+@st.composite
+def weight_maps(draw):
+    """(layout, mode, map) on the encoded or the unencoded layout, of shot counts or of
+    probabilities, with at least one positive weight."""
+    layout, mode = draw(st.sampled_from(((ENC_LAYOUT, MODE_ENCODED), (UNENC_LAYOUT, MODE_UNENCODED))))
+    m = len(layout.qubits)
+    weight = draw(st.sampled_from((st.integers(1, 10**9), st.floats(1e-9, 1.0))))
+    keys = st.integers(0, 2**m - 1).map(lambda i: format(i, f"0{m}b"))
+    return layout, mode, draw(st.dictionaries(keys, weight, min_size=1, max_size=2**m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=weight_maps())
+def test_index_masks_keep_and_decode_what_the_key_rules_do(case):
+    layout, mode, counts = case
+    table = ShotTable.of(counts, layout)
+    rules = [(("a2", b), lambda t, b=b: select_a2_branch(t, b)) for b in (0, 1)]
+    rules += [((kind,), lambda t, kind=kind: apply_strategy(t, Strategy(kind))[0]) for kind in STRATEGIES]
+    for rule, apply in rules:
+        try:
+            want = key_rule_survivors(counts, layout, *rule)
+        except ValueError:
+            with pytest.raises(ValueError):
+                apply(table)
+            continue
+        got = apply(table)
+        assert got.weights.dtype == table.weights.dtype and got.layout == layout
+        assert got.weights.tolist() == ShotTable.of(want, layout, table.weights.dtype).weights.tolist(), rule
+    exact = table.weights.dtype.kind == "i"
+    for basis in "ZX":
+        got, want = _term_means(table, mode, basis), key_rule_term_means(counts, mode, basis)
+        if exact:
+            assert got.tolist() == want.tolist()
+        else:
+            assert got == pytest.approx(want, rel=0, abs=1e-12)

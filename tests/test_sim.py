@@ -1057,6 +1057,42 @@ def test_damping_that_empties_the_no_jump_branch_makes_every_shot_faulty():
     assert table.counts == {"0": 300}
 
 
+def test_the_no_jump_threshold_of_a_qubit_in_one_is_at_most_gamma():
+    # qubit 0 is exactly |1> at the damping location, and the two sums of its
+    # occupation once read 1 + 2^-52, putting the threshold above gamma
+    ops = (qcore.h(0), qcore.h(1), qcore.h(2), qcore.h(0), qcore.x(0)) + tuple(qcore.measure(q) for q in range(3))
+    channels = ((),) * 4 + ((noise.DampingNoise(0, 0.5),),) + ((),) * 3
+    noisy = noise.NoisyCircuit(Circuit(3, ops, (ROLE_DATA,) * 3), channels, (), np.eye(2))
+    _, thresholds = sim._Trajectory(noisy).no_jump_reference()
+    assert thresholds.tolist() == [0.5]
+
+
+def test_shot_tables_hold_one_weight_per_measured_outcome():
+    layout = sim.MeasurementLayout((0, 2), (ROLE_DATA,) * 2)
+    for bad in (np.zeros(2, np.int64), np.zeros(8), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            ShotTable(bad, layout)
+    with pytest.raises(ValueError):
+        ShotTable.of({"001": 1}, layout)
+    table = ShotTable.of({"10": 3, "01": 0}, layout)
+    assert table.weights.tolist() == [0, 0, 3, 0] and table.n_shots == 3
+    with pytest.raises(TypeError):
+        table.counts["10"] = 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    data=st.data(),
+    weight=st.sampled_from((st.integers(1, 10**12), st.floats(1e-12, 1.0))),
+)
+def test_a_weight_map_round_trips_through_its_table(n, data, weight):
+    mapping = data.draw(st.dictionaries(st.integers(0, 2**n - 1).map(lambda i: format(i, f"0{n}b")), weight))
+    table = ShotTable.of(mapping, sim.MeasurementLayout(tuple(range(n)), (ROLE_DATA,) * n))
+    assert table.counts == mapping
+    assert all(type(w) is type(mapping[k]) for k, w in table.counts.items())
+
+
 def trajectory_oracle(noisy, u_row) -> np.ndarray:
     """One shot's normalized final state, written out with qcore contractions:
     a Pauli location inserts X, Y or Z below p_x, p_x + p_y and p_total, and a
