@@ -5,7 +5,6 @@ Register layouts (qubit index order = ket order, most significant first):
 * unencoded ansatz:   q0, q1
 * state preparation:  a1, q0..q3
 * encoded ansatz:     a1, q0..q3, a2
-* syndrome circuit:   q0..q3, sX, sZ
 
 Gate lists are an implementation choice; the normative contracts are the
 analytic output states returned by the ``*_target_state`` helpers.
@@ -21,7 +20,6 @@ from .qcore import (
     ROLE_A2,
     ROLE_DATA,
     ROLE_RED,
-    ROLE_SYNDROME,
     Circuit,
     Gate,
     StateVector,
@@ -106,23 +104,6 @@ def build_encoded_ansatz(theta: float, basis: str = BASIS_Z) -> Circuit:
         ops += [h(q) for q in (1, 2, 3, 4)]
     ops += [measure(q) for q in range(6)]
     roles = (ROLE_A1, ROLE_DATA, ROLE_DATA, ROLE_DATA, ROLE_DATA, ROLE_A2)
-    return Circuit(6, tuple(ops), roles)
-
-
-def build_syndrome_circuit() -> Circuit:
-    """Stabilizer checks over (q0..q3, sX, sZ).
-
-    sX accumulates the data parity (ZZZZ check: bit-flip detection); sZ
-    measures XXXX indirectly (phase-flip detection). XXXX preserves data
-    parity, so the two checks commute and their order is irrelevant.
-    """
-    sx, sz = 4, 5
-    ops = [h(sz)]
-    ops += [cnot(sz, q) for q in range(4)]
-    ops += [h(sz)]
-    ops += [cnot(q, sx) for q in range(4)]
-    ops += [measure(q) for q in range(6)]
-    roles = (ROLE_DATA,) * 4 + (ROLE_SYNDROME, ROLE_SYNDROME)
     return Circuit(6, tuple(ops), roles)
 
 

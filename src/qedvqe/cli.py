@@ -318,7 +318,7 @@ def exp_scan(hamiltonian, noise, points, encoded, seed):
     def runner(theta: float) -> estimate.EnergyEstimate:
         w = _theta_weights(theta)
         mean, *terms = forms @ w / (analysis.support(traces @ w) if encoded else 1.0)
-        var = sum(g * g * max(0.0, 1.0 - m ** 2) for g, m in zip(hamiltonian.coeffs[1:], terms))
+        var = sum(estimate.term_variances(hamiltonian, terms))
         return estimate.EnergyEstimate(float(mean), float(var), 0.0, {"Z": 0, "X": 0})
 
     theta_min, curve = estimate.scan_theta(runner, points)

@@ -4,7 +4,8 @@ The estimator treats the five Pauli terms as independently measured: the Z
 terms share the computational-basis table, the XX term uses the
 Hadamard-rotated table, and the variance model sums g_i^2 (1 - <P_i>^2)
 without cross-term covariance. SEM combines the per-term pieces in
-quadrature using each basis's post-selected sample count.
+quadrature using each basis's post-selected sample count. The sampled rows
+and the scan take the per-term pieces from one rule, ``term_variances``.
 """
 from __future__ import annotations
 
@@ -69,16 +70,6 @@ class H2Hamiltonian:
             + self.g4 * math.sin(theta)
         )
 
-    def analytic_minimum(self):
-        theta = math.atan2(-self.g4, -(self.g1 + self.g2))
-        if theta > math.pi / 2:
-            theta -= math.pi
-        elif theta < -math.pi / 2:
-            theta += math.pi
-        candidates = (theta, theta + math.pi, theta - math.pi)
-        best = min(candidates, key=self.closed_form_energy)
-        return best, self.closed_form_energy(best)
-
 
 def default_h2() -> H2Hamiltonian:
     return H2Hamiltonian(
@@ -120,6 +111,11 @@ def _term_means(table: ShotTable, mode: str, basis: str):
     return (signs @ table.weights) / total
 
 
+def term_variances(ham: H2Hamiltonian, means) -> list:
+    """g_i^2 (1 - m_i^2), clamped at 0, of each non-identity term at its mean m_i."""
+    return [g * g * max(0.0, 1.0 - m * m) for g, m in zip(ham.coeffs[1:], means)]
+
+
 def energy_from_shots(
     z_table: ShotTable,
     x_table: ShotTable,
@@ -135,7 +131,7 @@ def energy_from_shots(
     means = (*_term_means(z_table, mode, "Z"), *_term_means(x_table, mode, "X"))
     n_z, n_x = (t.n_shots if t.weights.dtype.kind in "iu" else 0 for t in (z_table, x_table))
     gs, ns = ham.coeffs[1:], (n_z, n_z, n_z, n_x)
-    pieces = [g * g * max(0.0, 1.0 - m * m) for g, m in zip(gs, means)]
+    pieces = term_variances(ham, means)
     sem2 = sum(p / n for p, n in zip(pieces, ns)) if all(ns) else 0.0
     return EnergyEstimate(
         mean=ham.g0 + sum(g * m for g, m in zip(gs, means)),

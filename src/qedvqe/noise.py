@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, kron, superoperator
+from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, superoperator
 
 log = logging.getLogger(__name__)
 
@@ -134,28 +134,6 @@ def device_model_from_config(mapping: dict) -> DeviceModel:
 
 def default_device_model() -> DeviceModel:
     return device_model_from_config(dict(H11E_PARAMS))
-
-
-def depolarize_kraus(p: float, arity: int = 1):
-    """Weighted-unitary form of the depolarizing channel.
-
-    Returns [(weight, U)] with weights summing to one; the Kraus operators
-    are sqrt(weight) * U, so completeness holds by construction. Arity 2 is
-    the independent composition of the single-qubit channel on both qubits,
-    each with the same parameter.
-    """
-    _check_prob(p, "p")
-    if arity == 1:
-        return [
-            (1.0 - p, PAULI_I.copy()),
-            (p / 3.0, PAULI_X.copy()),
-            (p / 3.0, PAULI_Y.copy()),
-            (p / 3.0, PAULI_Z.copy()),
-        ]
-    if arity == 2:
-        single = depolarize_kraus(p, 1)
-        return [(wa * wb, kron(ua, ub)) for wa, ua in single for wb, ub in single]
-    raise ValueError("arity must be 1 or 2")
 
 
 def _weighted_sum(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:

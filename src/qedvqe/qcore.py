@@ -21,8 +21,7 @@ ROLE_DATA = "data"
 ROLE_A1 = "ancilla_a1"
 ROLE_A2 = "ancilla_a2"
 ROLE_RED = "red_readout"
-ROLE_SYNDROME = "syndrome"
-ROLES = (ROLE_DATA, ROLE_A1, ROLE_A2, ROLE_RED, ROLE_SYNDROME)
+ROLES = (ROLE_DATA, ROLE_A1, ROLE_A2, ROLE_RED)
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -112,12 +111,6 @@ class Gate:
             return _CNOT
         raise ValueError(f"{self.kind} has no unitary matrix")
 
-    def to_text(self) -> str:
-        parts = [self.kind] + [str(q) for q in self.qubits]
-        if self.angle is not None:
-            parts.append(repr(self.angle))
-        return " ".join(parts)
-
 
 def h(q):
     return Gate("H", (q,))
@@ -196,10 +189,6 @@ class Circuit:
         n2 = sum(1 for op in self.ops if op.is_unitary and len(op.qubits) == 2)
         nm = sum(1 for op in self.ops if op.kind == "MEASURE_Z")
         return n1, n2, nm
-
-    def to_text(self) -> str:
-        """Line-oriented serialization: one gate per line, KIND qubits [angle]."""
-        return "\n".join(op.to_text() for op in self.ops) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from qedvqe.builders import (
     BASIS_Z,
     build_encoded_ansatz,
     build_state_prep_422,
-    build_syndrome_circuit,
     build_unencoded_ansatz,
     codeword,
     encoded_branch_state,
@@ -169,40 +168,6 @@ def test_teleportation_branch_is_theta_plus_pi(theta):
 
 
 # ---------------------------------------------------------------------------
-# syndrome circuit
-# ---------------------------------------------------------------------------
-
-
-def _syndrome_probs(error=None, logical=(0, 0)):
-    syn = build_syndrome_circuit()
-    prep = [qcore.h(0), qcore.cnot(0, 1), qcore.cnot(0, 2), qcore.cnot(0, 3)]
-    if logical == (1, 1):
-        prep += [qcore.x(1), qcore.x(2)]
-    ops = tuple(prep + ([error] if error else []) + list(syn.ops))
-    circ = Circuit(6, ops, syn.roles)
-    probs = born(circ)
-    out = {}
-    for key, p in probs.items():
-        out[key[4:6]] = out.get(key[4:6], 0.0) + p  # (sX, sZ)
-    return out
-
-
-def test_syndrome_silent_on_codewords():
-    assert _syndrome_probs()["00"] == pytest.approx(1.0)
-    assert _syndrome_probs(logical=(1, 1))["00"] == pytest.approx(1.0)
-
-
-def test_syndrome_flags_bit_flip_on_sx():
-    probs = _syndrome_probs(error=qcore.x(2))
-    assert probs["10"] == pytest.approx(1.0)
-
-
-def test_syndrome_flags_phase_flip_on_sz():
-    probs = _syndrome_probs(error=qcore.z(1))
-    assert probs["01"] == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
 # logical operators (physical realizations acting on codewords)
 # ---------------------------------------------------------------------------
 
@@ -306,22 +271,22 @@ def test_red_wrap_requires_measurements():
 
 
 def test_encoded_circuit_serialization_golden():
-    text = build_encoded_ansatz(-0.22967, BASIS_Z).to_text()
-    assert text == (
-        "H 1\n"
-        "CNOT 1 2\n"
-        "CNOT 1 3\n"
-        "CNOT 1 4\n"
-        "CNOT 1 0\n"
-        "CNOT 2 0\n"
-        "H 5\n"
-        "CNOT 5 2\n"
-        "CNOT 5 3\n"
-        "RY 5 0.22967\n"
-        "MEASURE_Z 0\n"
-        "MEASURE_Z 1\n"
-        "MEASURE_Z 2\n"
-        "MEASURE_Z 3\n"
-        "MEASURE_Z 4\n"
-        "MEASURE_Z 5\n"
-    )
+    circ = build_encoded_ansatz(-0.22967, BASIS_Z)
+    assert [(op.kind, op.qubits, op.angle) for op in circ.ops] == [
+        ("H", (1,), None),
+        ("CNOT", (1, 2), None),
+        ("CNOT", (1, 3), None),
+        ("CNOT", (1, 4), None),
+        ("CNOT", (1, 0), None),
+        ("CNOT", (2, 0), None),
+        ("H", (5,), None),
+        ("CNOT", (5, 2), None),
+        ("CNOT", (5, 3), None),
+        ("RY", (5,), 0.22967),
+        ("MEASURE_Z", (0,), None),
+        ("MEASURE_Z", (1,), None),
+        ("MEASURE_Z", (2,), None),
+        ("MEASURE_Z", (3,), None),
+        ("MEASURE_Z", (4,), None),
+        ("MEASURE_Z", (5,), None),
+    ]

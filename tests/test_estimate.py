@@ -67,11 +67,12 @@ def test_matrix_matches_term_sum():
     words = ("II", "ZI", "IZ", "ZZ", "XX")
     want = sum(g * qcore.pauli_word(w) for g, w in zip(ham.coeffs, words))
     assert np.allclose(ham.matrix(), want)
-    # ground energy of the matrix equals the analytic scan minimum
-    evals = np.linalg.eigvalsh(ham.matrix())
-    theta_star, e_star = ham.analytic_minimum()
-    assert e_star == pytest.approx(evals.min(), abs=1e-9)
-    assert theta_star == pytest.approx(THETA_STAR, abs=5e-6)
+    # the ground state is the ansatz state cos(t/2)|00> + sin(t/2)|11> at t = THETA_STAR
+    evals, vecs = np.linalg.eigh(ham.matrix())
+    v = vecs[:, 0] * abs(vecs[0, 0]) / vecs[0, 0]  # the phase that makes v[0] > 0
+    theta = 2 * math.atan2(v[3].real, v[0].real)
+    assert theta == pytest.approx(THETA_STAR, abs=5e-6)
+    assert ham.closed_form_energy(theta) == pytest.approx(evals[0], abs=1e-9)
 
 
 def test_closed_form_energy_reference_points():

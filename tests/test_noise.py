@@ -15,7 +15,6 @@ from qedvqe.noise import (
     ReadoutParams,
     attach_noise,
     default_device_model,
-    depolarize_kraus,
     device_model_from_config,
     noiseless,
 )
@@ -29,31 +28,6 @@ def test_depolarizing_linkage_and_bounds():
         DepolarizingParams(p2=1.5)
     with pytest.raises(ValueError):
         ReadoutParams(-0.1, 0.0)
-
-
-def test_depolarize_kraus_p_zero_is_identity():
-    chan = depolarize_kraus(0.0, 1)
-    weights = [w for w, _ in chan if w > 0]
-    assert weights == [1.0]
-    assert np.allclose(chan[0][1], np.eye(2))
-
-
-def test_depolarize_kraus_excited_population():
-    # X and Y each transfer p/3 of |0><0| into |1><1|
-    p = 0.3
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    out = sum(w * u @ rho @ u.conj().T for w, u in depolarize_kraus(p, 1))
-    assert out[1, 1].real == pytest.approx(2 * p / 3)
-
-
-@pytest.mark.parametrize("p", [0.0, 0.123, 0.7, 1.0])
-@pytest.mark.parametrize("arity", [1, 2])
-def test_depolarize_kraus_trace_preserving(p, arity):
-    chan = depolarize_kraus(p, arity)
-    dim = 2 ** arity
-    total = sum(w * u.conj().T @ u for w, u in chan)
-    assert np.max(np.abs(total - np.eye(dim))) < 1e-12
-    assert sum(w for w, _ in chan) == pytest.approx(1.0, abs=1e-12)
 
 
 RATE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))

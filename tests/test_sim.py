@@ -72,14 +72,16 @@ def test_noiseless_encoded_density_is_target_projector():
 
 
 def test_full_depolarizing_single_gate_population():
-    # p = 1 splits the weight equally over X, Y, Z; X and Y excite |0> -> |1>
+    # p splits the weight equally over X, Y, Z; X and Y excite |0> -> |1>, so 2p/3 of it
+    # moves there, and p = 0 leaves |0><0| as it was
     circ = Circuit(1, (qcore.h(0), qcore.h(0), qcore.measure(0)), (ROLE_DATA,))
-    nc = noise.NoisyCircuit(
-        circ,
-        ((), (noise.PauliNoise.depolarizing(0, 1.0),), ()),
-    )
-    rho = evolve_density(nc)
-    assert rho.mat[1, 1].real == pytest.approx(2 / 3, abs=1e-12)
+    for p in (1.0, 0.3, 0.0):
+        nc = noise.NoisyCircuit(
+            circ,
+            ((), (noise.PauliNoise.depolarizing(0, p),), ()),
+        )
+        rho = evolve_density(nc)
+        assert np.max(np.abs(rho.mat - np.diag([1.0 - 2 * p / 3, 2 * p / 3]))) <= 1e-12
 
 
 def test_evolve_density_trace_and_cap(monkeypatch):
@@ -96,7 +98,7 @@ def noisy_circuits(draw):
     """A random 1-2 qubit circuit with init flips and random depolarizing and
     damping slots, and its Kraus-sum oracle: per step, the weighted operators
     (w, K) on the whole register, rho -> sum w K rho K^dagger. The oracle's
-    channels come from depolarize_kraus and hand-written pairs."""
+    channels are written out here: the four weighted Paulis and the damping pair."""
     n = draw(st.integers(1, 2))
     prob = st.floats(0.0, 1.0)
 
@@ -129,7 +131,8 @@ def noisy_circuits(draw):
                     steps.append([(1.0, on(k, q)) for k in pair])
                 else:
                     slot.append(noise.PauliNoise.depolarizing(q, p))
-                    steps.append([(w, on(k, q)) for w, k in noise.depolarize_kraus(p)])
+                    paulis = (np.eye(2), qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z)
+                    steps.append([(w, on(k, q)) for w, k in zip((1.0 - p, p / 3, p / 3, p / 3), paulis)])
         channels.append(tuple(slot))
     circ = Circuit(n, tuple(ops), (ROLE_DATA,) * n)
     return noise.NoisyCircuit(circ, tuple(channels), pre), steps
@@ -911,7 +914,9 @@ FRAME_GATES = [make_gate(kind, (0, 1), 0.7) for kind in UNITARY_KINDS] + [qcore.
 
 
 @pytest.mark.parametrize("read", ["Z", "X"])
-@pytest.mark.parametrize("gate", FRAME_GATES, ids=[g.to_text() for g in FRAME_GATES])
+@pytest.mark.parametrize("gate", FRAME_GATES, ids=[
+    " ".join(map(str, (g.kind, *g.qubits, *([g.angle] if g.angle is not None else [])))) for g in FRAME_GATES
+])
 def test_frame_table_moves_each_pauli_through_each_gate(gate, read):
     # a Pauli P on either qubit before the gate U: |U P psi|^2 = |U(+-angle) psi|^2 read at
     # i ^ mask, with the angle negated where the table sets the rotation's flip bit. Read in
