@@ -131,7 +131,7 @@ def fidelity(rho1, rho2) -> float:
     return float(min(max(np.trace(inner).real ** 2, 0.0), 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogicalErrorReport:
     """Error-probability split of a noisy encoded state against the ideal one.
 

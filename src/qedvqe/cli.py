@@ -18,7 +18,6 @@ error (the traceback goes to stderr).
 """
 from __future__ import annotations
 
-import argparse
 import collections
 import csv
 import dataclasses
@@ -28,7 +27,6 @@ import json
 import math
 import sys
 import time
-import traceback
 import zlib
 from pathlib import Path
 
@@ -567,6 +565,7 @@ def run(config: dict, out_dir) -> int:
         write_csv(out / "empty_selection.csv", ("experiment", "eta", "seed"), [(experiment, 0.0, values["seed"])])
         return EXIT_EMPTY_SELECTION
     except Exception:
+        import traceback
         traceback.print_exc()
         print(f"error: internal error while running {experiment!r}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -607,6 +606,7 @@ def load_config(path) -> dict:
 
 
 def main(argv=None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="qedvqe",
         description="Noisy error-detected VQE simulations for molecular hydrogen",

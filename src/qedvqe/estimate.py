@@ -32,7 +32,7 @@ WORDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class H2Hamiltonian:
     """g0 I + g1 Z0 + g2 Z1 + g3 Z0Z1 + g4 X0X1, coefficients in Hartree."""
 
@@ -81,8 +81,10 @@ THETA_STAR = -0.22967
 E_STAR_HA = -1.13712
 
 
-@dataclass
+@dataclass(eq=False)
 class EnergyEstimate:
+    """Energy mean, per-shot variance and SEM in Hartree, with the kept shots and survival by basis."""
+
     mean: float  # Ha
     variance: float  # Ha^2
     sem: float  # Ha
@@ -187,7 +189,7 @@ def shot_budget(variance: float, target_sem: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Integrals:
     """One- and two-body integrals of the 4-spin-orbital H2 Hamiltonian."""
 
@@ -240,8 +242,10 @@ def integrals_to_coeffs(ints: Integrals) -> tuple[float, float, float, float, fl
     return (g0, g1, g2, g3, g4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResourceCount:
+    """Gate and measurement counts of one circuit, with its shot count: the input of hqc_cost."""
+
     n_1q: int
     n_2q: int
     n_meas: int

@@ -15,16 +15,14 @@ weighted sum of fixed basis terms (``superoperators``). Its Kraus operators
 from __future__ import annotations
 
 import functools
-import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, superoperator
-
-log = logging.getLogger(__name__)
 
 
 def _check_prob(value, name):
@@ -73,8 +71,9 @@ class DeviceModel:
     """Device-style noise: depolarizing + emission + init flips + readout flips.
 
     The crosstalk fields are accepted for config compatibility but not
-    simulated (they are orders of magnitude below the dominant channels);
-    attach_noise logs when they are nonzero.
+    simulated (they are orders of magnitude below the dominant channels).
+    attach_noise logs a note when they are nonzero and ``logging`` is
+    already imported; until then no handler could show the record.
     """
 
     depol: DepolarizingParams
@@ -200,7 +199,7 @@ class PauliNoise:
         return cls(qubit, p / 3.0, p / 3.0, p / 3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DampingNoise:
     """Amplitude damping (spontaneous emission to |0>) with probability gamma."""
 
@@ -274,8 +273,9 @@ def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
         model = DeviceModel(model)
     if not isinstance(model, DeviceModel):
         raise TypeError("model must be DepolarizingParams or DeviceModel")
-    if model.crosstalk_meas or model.crosstalk_init:
-        log.info(
+    logging = sys.modules.get("logging")  # the package never imports it; before anything does, no handler exists
+    if logging is not None and (model.crosstalk_meas or model.crosstalk_init):
+        logging.getLogger(__name__).info(
             "crosstalk parameters (%g, %g) accepted but not simulated",
             model.crosstalk_meas, model.crosstalk_init,
         )

@@ -28,8 +28,10 @@ class EmptySelectionError(RuntimeError):
     """Post-selection rejected every shot; downstream estimates are undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Strategy:
+    """A post-selection rule by name: one of STRATEGIES."""
+
     kind: str
 
     def __post_init__(self):
@@ -37,7 +39,7 @@ class Strategy:
             raise ValueError(f"unknown strategy {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurvivalStats:
     """Fraction retained by a filter, with its binomial standard error."""
 

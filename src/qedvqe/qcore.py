@@ -148,7 +148,7 @@ def measure(q):
     return Gate("MEASURE_Z", (q,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
     """Ordered gate list over a fixed register with per-qubit role tags.
 

@@ -120,8 +120,10 @@ class ShotTable:
         return MappingProxyType(_outcomes(self.weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryConfig:
+    """Shot count of one sample_shots call, and the seed of its random streams."""
+
     n_shots: int
     seed: int = 0
 

@@ -510,6 +510,30 @@ def test_sampled_run_never_imports_numpy_random(tmp_path):
     assert (tmp_path / "table2.csv").exists()
 
 
+def test_fresh_import_leaves_parser_logging_and_traceback_unloaded(tmp_path):
+    # argparse loads in main, traceback on the error path, and logging never: a run
+    # in a fresh process (pytest itself has all three loaded) imports none of them,
+    # even when a crosstalk note is due, and still prints a traceback on a bug
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = (
+        "import sys\n"
+        "from qedvqe import builders, cli, estimate, noise\n"
+        "noise.attach_noise(builders.build_encoded_ansatz(estimate.THETA_STAR, 'Z'), noise.default_device_model())\n"
+        "loaded = {'argparse', 'logging', 'traceback'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ValueError('sampler bug')\n"
+        "cli.sim.sample_shots = broken\n"
+        "assert cli.run({'experiment': 'table2', 'shots': 10}, sys.argv[1]) == cli.EXIT_INTERNAL\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" in proc.stderr and "sampler bug" in proc.stderr
+
+
 def red_pipeline_limits(theta=estimate.THETA_STAR):
     """Exact limits of the red-pipeline rows, from the chain of acceptance
     criterion 10: evolve_density -> the vote kernel (or, without readout
