@@ -61,13 +61,19 @@ def project_state(rho: DensityMatrix, kind: str) -> DensityMatrix:
     return DensityMatrix(rho.n_qubits, mat / support(np.trace(mat).real))
 
 
-def projected_fidelity(ket: StateVector, rho: DensityMatrix, kind: str) -> float:
-    """fidelity(ket, project_state(rho, kind)) without the projected state: Pi is Hermitian
-    and idempotent, so it is <Pi psi|rho|Pi psi> / Tr(Pi rho), with Tr(Pi rho) = vdot(Pi, rho)."""
+def projected_fidelity(ket: StateVector, kind: str):
+    """rho -> fidelity(ket, project_state(rho, kind)) without the projected state, Pi|psi> taken
+    once for every rho: Pi is Hermitian and idempotent, so the fidelity is
+    <Pi psi|rho|Pi psi> / Tr(Pi rho), with Tr(Pi rho) = vdot(Pi, rho)."""
     pi = build_projector(kind)
-    weight = support(float(np.vdot(pi, rho.mat).real))
     phi = pi @ ket.amps
-    return float(min(max((phi.conj() @ rho.mat @ phi).real / weight, 0.0), 1.0))
+    bra = phi.conj()
+
+    def of(rho: DensityMatrix) -> float:
+        weight = support(float(np.vdot(pi, rho.mat).real))
+        return float(min(max((bra @ rho.mat @ phi).real / weight, 0.0), 1.0))
+
+    return of
 
 
 def qubit_branch(rho: DensityMatrix, qubit: int, value: int) -> np.ndarray:

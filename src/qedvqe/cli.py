@@ -22,7 +22,6 @@ import collections
 import csv
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -366,11 +365,11 @@ ANALYSIS_HEADER = (
 
 
 def _evolve_grid(circ, p2_grid):
-    """The density matrix of circ under depolarizing noise at each p2, in order: each run of
-    points whose channels share a layout (p2 = 0 attaches none) is one sim.evolve_densities call."""
-    noisy = [noise.attach_noise(circ, noise.DepolarizingParams(p2=p2)) for p2 in p2_grid]
-    for _, run in itertools.groupby(noisy, sim.density_layout):
-        yield from sim.evolve_densities(list(run))
+    """The density matrix of circ under depolarizing noise at each p2, in order: circ is attached
+    once per run of points that attach the same channels (p2 = 0 attaches none), and each run
+    is one sim.evolve_densities call on the run's rate columns (noise.attach_grid)."""
+    for noisy, rates in noise.attach_grid(circ, [noise.DepolarizingParams(p2=p2) for p2 in p2_grid]):
+        yield from sim.evolve_densities([noisy], rates)
 
 
 def _analysis_rows(p2_grid, theta, seed):
@@ -379,11 +378,12 @@ def _analysis_rows(p2_grid, theta, seed):
     ideal_u, ideal_e = builders.unencoded_target_state(theta), builders.encoded_target_state(theta)
     branch = builders.encoded_branch_state(theta, 0)  # the ideal states are kets
     circ_u, circ_e = builders.build_unencoded_ansatz(theta, "Z"), builders.build_encoded_ansatz(theta, "Z")
+    projected = [analysis.projected_fidelity(branch, kind) for kind in ("PI_A", "PI_P", "PI_AP")]
     for p2, rho_u, rho_e in zip(p2_grid, _evolve_grid(circ_u, p2_grid), _evolve_grid(circ_e, p2_grid)):
         report = analysis.logical_error_report(analysis.project_qubit(rho_e, 5, 0), branch)
         yield (
             p2, analysis.fidelity(ideal_u, rho_u), analysis.fidelity(ideal_e, rho_e),
-            *(analysis.projected_fidelity(branch, rho_e, kind) for kind in ("PI_A", "PI_P", "PI_AP")),
+            *(fidelity_of(rho_e) for fidelity_of in projected),
             report.p_eps_all, report.p_eps_NL, report.p_eps_L, report.p_eps_A, seed,
         )
 
@@ -406,9 +406,9 @@ def _analysis_runner(csv_name):
 
 def exp_stateprep(p2_grid, seed):
     rows, ideal = [], builders.prep_target_state()
+    projected = [analysis.projected_fidelity(ideal, kind) for kind in ("S_A", "S_P", "S_AP")]
     for p2, rho in zip(p2_grid, _evolve_grid(builders.build_state_prep_422(True), p2_grid)):
-        projected = (analysis.projected_fidelity(ideal, rho, kind) for kind in ("S_A", "S_P", "S_AP"))
-        rows.append((p2, analysis.fidelity(ideal, rho), *projected, seed))
+        rows.append((p2, analysis.fidelity(ideal, rho), *(fidelity_of(rho) for fidelity_of in projected), seed))
     header = ("p2", "F_prep", "F_S_A", "F_S_P", "F_S_AP", "seed")
     return {"stateprep.csv": (header, rows)}, {}, f"{len(rows)} noise points"
 

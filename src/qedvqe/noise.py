@@ -8,14 +8,16 @@ amplitude damping (spontaneous emission to |0>), add per-qubit
 initialization flips, and read terminal measurements through asymmetric
 readout flips. Noise attaches to gates only; idle qubits are noiseless.
 A channel's superoperator is affine in its rates, so each channel class builds
-the superoperators of a stack of channels of its kind from their rates, as one
-weighted sum of fixed basis terms (``superoperators``). Its Kraus operators
-(``kraus``) are the reference those stacks are tested against.
+the real superoperators of a stack of channels of its kind from their rate
+columns, as one weighted sum of fixed basis terms (``superoperators``); a grid
+of models is attached once per channel layout, with its rates as arrays
+(``attach_grid``). Its Kraus operators (``kraus``) are the reference those
+stacks are tested against.
 """
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -135,11 +137,11 @@ def default_device_model() -> DeviceModel:
     return device_model_from_config(dict(H11E_PARAMS))
 
 
-def _weighted_sum(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """sum_j weights[:, j] basis[j] as a (P, 4, 4) complex stack: one broadcast product, summed
-    over j in its fixed order, elementwise. No matmul runs over the stack axis, so an item's
-    floats do not depend on P or on the other items."""
-    return (weights[:, :, None, None] * basis).sum(axis=1).astype(complex)
+def _weighted_sum(weights, basis: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] basis[j] for weight columns of length P, as a (P, 4, 4) real stack: one
+    broadcast product, summed over j in its fixed order, elementwise. No matmul runs over the
+    stack axis, so an item's floats do not depend on P or on the other items."""
+    return (np.stack(weights, axis=1)[:, :, None, None] * basis).sum(axis=1)
 
 
 @functools.cache
@@ -187,12 +189,15 @@ class PauliNoise:
         weighted = ((1.0 - self.p_total, PAULI_I), (self.p_x, PAULI_X), (self.p_y, PAULI_Y), (self.p_z, PAULI_Z))
         return tuple(np.sqrt(p) * sigma for p, sigma in weighted if p > 0.0)
 
+    @property
+    def rates(self) -> tuple[float, ...]:
+        return self.p_x, self.p_y, self.p_z
+
     @classmethod
-    def superoperators(cls, channels) -> np.ndarray:
-        """The (P, 4, 4) superoperators of P Pauli channels: the weights
+    def superoperators(cls, p_x, p_y, p_z) -> np.ndarray:
+        """The (P, 4, 4) superoperators of P Pauli channels from their rate columns: the weights
         (1 - p_total, p_x, p_y, p_z) on S(I), S(X), S(Y), S(Z) (_weighted_sum)."""
-        weights = np.array([(1.0 - ch.p_total, ch.p_x, ch.p_y, ch.p_z) for ch in channels])
-        return _weighted_sum(weights, _pauli_basis())
+        return _weighted_sum((1.0 - (p_x + p_y + p_z), p_x, p_y, p_z), _pauli_basis())
 
     @classmethod
     def depolarizing(cls, qubit: int, p: float) -> "PauliNoise":
@@ -215,12 +220,15 @@ class DampingNoise:
         no_jump = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - self.gamma)]], dtype=complex)
         return no_jump, np.array([[0.0, np.sqrt(self.gamma)], [0.0, 0.0]], dtype=complex)
 
+    @property
+    def rates(self) -> tuple[float, ...]:
+        return (self.gamma,)
+
     @classmethod
-    def superoperators(cls, channels) -> np.ndarray:
-        """The (P, 4, 4) superoperators of P damping channels: A + sqrt(1 - gamma) B + gamma C
-        (_damping_basis, _weighted_sum)."""
-        weights = np.array([(1.0, math.sqrt(1.0 - ch.gamma), ch.gamma) for ch in channels])
-        return _weighted_sum(weights, _damping_basis())
+    def superoperators(cls, gamma) -> np.ndarray:
+        """The (P, 4, 4) superoperators of P damping channels from their rate column:
+        A + sqrt(1 - gamma) B + gamma C (_damping_basis, _weighted_sum)."""
+        return _weighted_sum((np.ones_like(gamma), np.sqrt(1.0 - gamma), gamma), _damping_basis())
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +268,20 @@ def noiseless(circuit: Circuit) -> NoisyCircuit:
     return NoisyCircuit(circuit, tuple(() for _ in circuit.ops))
 
 
+def _device(model) -> DeviceModel:
+    """A model as a DeviceModel: DepolarizingParams are read as a DeviceModel of them alone."""
+    if isinstance(model, DepolarizingParams):
+        model = DeviceModel(model)
+    if not isinstance(model, DeviceModel):
+        raise TypeError("model must be DepolarizingParams or DeviceModel")
+    return model
+
+
+def _split(p, ratio):
+    """A gate's error weight p as its (depolarizing, damping) rates, for floats or rate columns alike."""
+    return p * (1.0 - ratio), p * ratio
+
+
 def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
     """Attach the model's channels gate by gate.
 
@@ -269,10 +291,7 @@ def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
     depolarizing; init flips and the readout-flip kernel are attached at the
     boundaries. DepolarizingParams are read as a DeviceModel of them alone.
     """
-    if isinstance(model, DepolarizingParams):
-        model = DeviceModel(model)
-    if not isinstance(model, DeviceModel):
-        raise TypeError("model must be DepolarizingParams or DeviceModel")
+    model = _device(model)
     logging = sys.modules.get("logging")  # the package never imports it; before anything does, no handler exists
     if logging is not None and (model.crosstalk_meas or model.crosstalk_init):
         logging.getLogger(__name__).info(
@@ -284,10 +303,11 @@ def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
     @functools.cache  # ops of equal (qubit, rate, ratio) share one slot's frozen channels
     def slot_for(qubit, p, ratio):
         out = []
-        if p * (1.0 - ratio) > 0.0:
-            out.append(PauliNoise.depolarizing(qubit, p * (1.0 - ratio)))
-        if p * ratio > 0.0:
-            out.append(DampingNoise(qubit, p * ratio))
+        depolarizing, damping = _split(p, ratio)
+        if depolarizing > 0.0:
+            out.append(PauliNoise.depolarizing(qubit, depolarizing))
+        if damping > 0.0:
+            out.append(DampingNoise(qubit, damping))
         return tuple(out)
 
     channels = []
@@ -305,3 +325,29 @@ def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
         PauliNoise(q, model.p_init, 0.0, 0.0) for q in range(circuit.n_qubits)
     ) if model.p_init > 0.0 else ()
     return NoisyCircuit(circuit, tuple(channels), pre, model.readout.kernel)
+
+
+def attach_grid(circuit: Circuit, models):
+    """attach_noise over a grid of models, once per run of consecutive models that attach the
+    same channels: yields, per run, the circuit attached at the run's first model and the run's
+    rates as sim.evolve_densities reads them, a (points, m) array whose row holds the rates of
+    every channel (init flips first, then slot by slot). They take attach_noise's float
+    operations, so each row is the rates of the channels attach_noise gives that point's model."""
+    models = [_device(m) for m in models]
+    p1, r1, p2, r2, p_init = np.array(
+        [(m.depol.p1, m.emission_ratio_1q, m.depol.p2, m.emission_ratio_2q, m.p_init) for m in models]
+    ).T
+    split = {1: _split(p1, r1), 2: _split(p2, r2)}  # by the gate's qubit count
+    attached = np.stack([*split[1], *split[2], p_init]) > 0.0  # which channels each point attaches
+    start = 0
+    for _, run in itertools.groupby(attached.T.tolist()):
+        run = slice(start, start + len(list(run)))
+        start = run.stop
+        noisy = attach_noise(circuit, models[run.start])
+        zero = np.zeros(run.stop - run.start)
+        columns = [c for _ in noisy.pre_channels for c in (p_init[run], zero, zero)]
+        for op, slot in zip(circuit.ops, noisy.channels):
+            depolarizing, damping = split[len(op.qubits)]
+            for ch in slot:
+                columns += (depolarizing[run] / 3.0,) * 3 if type(ch) is PauliNoise else (damping[run],)
+        yield noisy, np.reshape(columns, (-1, len(zero))).T

@@ -259,13 +259,19 @@ def apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
     of 2^N entries (a ket, a 2^n x 2^n matrix or a (2,)*N tensor, kept in its
     shape), the first axis most significant, as a transpose, one (2^k, rest)
     matmul, and the inverse transpose. A (P, 2^k, 2^k) stack acts on a tensor whose first
-    axis holds P such tensors, the p-th matrix on the p-th, each product as it would run alone."""
+    axis holds P such tensors, the p-th matrix on the p-th, each product as it would run alone;
+    a stack or a tensor of one item is broadcast against the other's P. A real mat on a complex
+    tensor is one real matmul over the float view, real and imaginary parts side by side."""
     stack = tensor.shape[:mat.ndim - 2]  # () or (P,)
     lead, n = len(stack), (tensor.size // math.prod(stack)).bit_length() - 1
     order = [*range(lead), *(lead + a for a in axes), *(lead + a for a in range(n) if a not in axes)]
     front = tensor.reshape(stack + (2,) * n).transpose(order).reshape(*stack, mat.shape[-1], -1)
     back = sorted(range(lead + n), key=order.__getitem__)  # the inverse permutation
-    return (mat @ front).reshape(stack + (2,) * n).transpose(back).reshape(tensor.shape)
+    if mat.dtype == float and front.dtype == complex:
+        out = (mat @ np.ascontiguousarray(front).view(float)).view(complex)
+    else:
+        out = mat @ front
+    return out.reshape(out.shape[:lead] + (2,) * n).transpose(back).reshape(out.shape[:lead] + tensor.shape[lead:])
 
 
 def superoperator(kraus) -> np.ndarray:

@@ -58,9 +58,14 @@ TRAJECTORY_QUBIT_CAP = 20
 _CHUNK_BYTES = 2**23
 _PASS_AMPS = 2**14
 # The density entries of one evolve_densities stack: 2 states at 6 qubits, 512 at 2.
-# Slots are fused once for a group of whole stacks, at least _GROUP_CIRCUITS circuits
+# Slots are fused once for a group of whole stacks, at least _GROUP_CIRCUITS states
 # (4 stacks at 6 qubits). A group of more than one stack holds its fused slots: draining
-# a 60-point encoded grid peaks at 1.2 MB traced, against 2.7 MB fused as one group.
+# the 60-point encoded grid, attached once, peaks at 0.46 MB traced (real states and
+# stacks), against 1.2 MB fused as one group. Measured in process with real superoperators
+# and grids attached once (2-vCPU shared host, BLAS at one thread): 2^12 to 2^16 entries and
+# groups of 8 to 60 states were within noise of each other (2^14 entries in groups of 16 won
+# 25 of 40 alternating pairs of the exact-density configs, medians 93.3 and 92.8 ms), and
+# one whole-grid stack (2^18, 60 states) was 16-23 % slower; so the sizes stay.
 _STACK_AMPS = 2**13
 _GROUP_CIRCUITS = 8
 
@@ -140,19 +145,26 @@ class TrajectoryConfig:
 @functools.lru_cache(maxsize=1024)
 def _superoperator(gate: Gate) -> np.ndarray:
     """A gate's superoperator, shared and so read-only; bounded, as every angle is a new gate.
-    Channels are not cached: _stacked builds theirs from their rates, a stack at a time."""
+    U (x) U* is real for every kind but RZ and S, and kept real, so that qcore.apply_matrix
+    contracts it as a real matmul; the dtype goes by kind, so one layout's stacks share it."""
     out = superoperator((gate.matrix(),))
+    if gate.kind not in ("RZ", "S"):
+        out = out.real.copy()
     out.setflags(write=False)
     return out
 
 
-def _stacked(ops) -> np.ndarray:
-    """The superoperators of ops, all gates or all channels of one class, as one (P, 4^k, 4^k)
-    stack: gates' from the cache (for one gate, a view of its own), channels' from their
-    rates by their class (PauliNoise.superoperators, DampingNoise.superoperators)."""
-    if not isinstance(ops[0], Gate):
-        return type(ops[0]).superoperators(ops)
-    return _superoperator(ops[0])[None] if len(ops) == 1 else np.stack([_superoperator(op) for op in ops])
+def _stacked(gates) -> np.ndarray:
+    """The superoperators of gates as one (P, 4^k, 4^k) stack from the cache; a gate that every
+    circuit shares as (1, 4^k, 4^k), a view of its own, which the stack's states broadcast."""
+    if all(gate == gates[0] for gate in gates[1:]):
+        return _superoperator(gates[0])[None]
+    return np.stack([_superoperator(gate) for gate in gates])
+
+
+def _channels(noisy: NoisyCircuit) -> list:
+    """The channels of a circuit in the order of their rate columns: init flips, then slot by slot."""
+    return [ch for slot in (noisy.pre_channels,) + noisy.channels for ch in slot]
 
 
 def density_layout(noisy: NoisyCircuit) -> tuple:
@@ -163,31 +175,46 @@ def density_layout(noisy: NoisyCircuit) -> tuple:
     return noisy.circuit.n_qubits, [(op.kind, op.qubits) for op in ops], channels
 
 
-def _fused_steps(group):
-    """The contractions of an evolve_densities group, in order, as (stack, qubits) with one
-    item per circuit: each init flip, then per slot a unitary gate fused with the slot's
-    channels on its qubits (one superoperator), and each other channel on its own pair."""
-    for chs in zip(*(nc.pre_channels for nc in group)):
-        yield _stacked(chs), (chs[0].qubit,)
-    for ops, slots in zip(zip(*(nc.circuit.ops for nc in group)), zip(*(nc.channels for nc in group))):
-        op, rest = ops[0], range(len(slots[0]))
+def _fused_steps(circuits, rates):
+    """The contractions of an evolve_densities group, in order, as (stack, qubits) with one item
+    per state or one for all: each init flip, then per slot a unitary gate fused with the slot's
+    channels on its qubits (one superoperator), and each other channel on its own pair. Gates
+    come from the circuits (_stacked), channels from their rate columns by their class
+    (PauliNoise.superoperators, DampingNoise.superoperators)."""
+    first, columns = circuits[0], iter(rates.T)
+
+    def stack(ch):
+        return type(ch).superoperators(*(next(columns) for _ in ch.rates))
+
+    for ch in first.pre_channels:
+        yield stack(ch), (ch.qubit,)
+    for i, (op, slot) in enumerate(zip(first.circuit.ops, first.channels)):
+        stacks, rest = [stack(ch) for ch in slot], range(len(slot))
         if op.is_unitary:
-            fused = _stacked(ops)
-            for j in (j for j in rest if slots[0][j].qubit in op.qubits):
-                pair = op.qubits.index(slots[0][j].qubit)
-                fused = apply_matrix(fused, _stacked([slot[j] for slot in slots]), (2 * pair, 2 * pair + 1))
+            fused = _stacked([nc.circuit.ops[i] for nc in circuits])
+            for j in (j for j in rest if slot[j].qubit in op.qubits):
+                pair = op.qubits.index(slot[j].qubit)
+                fused = apply_matrix(fused, stacks[j], (2 * pair, 2 * pair + 1))
             yield fused, op.qubits
-            rest = [j for j in rest if slots[0][j].qubit not in op.qubits]  # these commute with it and follow
+            rest = [j for j in rest if slot[j].qubit not in op.qubits]  # these commute with it and follow
         for j in rest:
-            yield _stacked([slot[j] for slot in slots]), (slots[0][j].qubit,)
+            yield stacks[j], (slot[j].qubit,)
 
 
-def evolve_densities(noisy_circuits):
-    """Yields, in order, each circuit's exact mixed state after all gates and channels, before
-    measurement/readout. The circuits must share their density_layout (else a ValueError);
-    they are evolved in stacks of at most _STACK_AMPS density entries, one alive at a time,
-    with one contraction per stack for each of _fused_steps. Those are built once for a group
-    of whole stacks (_GROUP_CIRCUITS), and each stack reads its own rows of them."""
+def _items(seq, lo: int, hi: int):
+    """Rows lo:hi of a sequence of one item per state; one item for all states is kept whole."""
+    return seq if len(seq) == 1 else seq[lo:hi]
+
+
+def evolve_densities(noisy_circuits, rates=None):
+    """Yields, in order, each state's exact mixed state after all gates and channels, before
+    measurement/readout. The circuits must share their density_layout (else a ValueError).
+    rates is a (states, m) array of each state's channel rates in _channels order, as
+    noise.attach_grid gives it (default: the circuits' own); circuits and rows hold one item
+    per state or one for all. States are evolved in stacks of at most _STACK_AMPS density
+    entries, one alive at a time, real until a complex stack comes, with one contraction per
+    stack for each of _fused_steps. Those are built once for a group of whole stacks
+    (_GROUP_CIRCUITS), and each stack reads its own rows of them."""
     noisy_circuits = list(noisy_circuits)
     if not noisy_circuits:
         return
@@ -197,18 +224,24 @@ def evolve_densities(noisy_circuits):
     n = layout[0]
     if n > DENSITY_QUBIT_CAP:
         raise ValueError(f"density backend capped at {DENSITY_QUBIT_CAP} qubits, got {n}")
+    if rates is None:
+        rates = np.array([[rate for ch in _channels(nc) for rate in ch.rates] for nc in noisy_circuits])
+    count = max(len(noisy_circuits), len(rates))
+    width = sum(len(ch.rates) for ch in _channels(noisy_circuits[0]))
+    if rates.shape[1:] != (width,) or {len(noisy_circuits), len(rates)} - {1, count}:
+        raise ValueError("rates must hold every channel's rates, in one row per state or one for all")
     per_stack = max(1, _STACK_AMPS >> 2 * n)
     per_group = per_stack * max(1, _GROUP_CIRCUITS // per_stack)
-    for start in range(0, len(noisy_circuits), per_group):
-        group = noisy_circuits[start:start + per_group]
-        steps = _fused_steps(group)
-        if len(group) > per_stack:  # held, as every stack of the group reads each step
+    for start in range(0, count, per_group):
+        group = min(per_group, count - start)
+        steps = _fused_steps(_items(noisy_circuits, start, start + group), _items(rates, start, start + group))
+        if group > per_stack:  # held, as every stack of the group reads each step
             steps = list(steps)
-        for lo in range(0, len(group), per_stack):
-            size = min(per_stack, len(group) - lo)
-            rho = DensityMatrix.zero(n).mat.reshape(1, -1).repeat(size, axis=0)
+        for lo in range(0, group, per_stack):
+            size = min(per_stack, group - lo)
+            rho = DensityMatrix.zero(n).mat.real.reshape(1, -1).repeat(size, axis=0)
             for stack, qubits in steps:
-                rho = apply_superoperator(rho, stack[lo:lo + size], qubits)
+                rho = apply_superoperator(rho, _items(stack, lo, lo + size), qubits)
             for mat in rho.reshape(size, 2**n, 2**n):
                 tr = np.trace(mat).real
                 if abs(tr - 1.0) > 1e-10:

@@ -144,10 +144,10 @@ def test_projected_fidelity_equals_that_of_the_projected_state(seed, rank):
         n = pi.shape[0].bit_length() - 1
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         ket, rho = StateVector(n, psi / np.linalg.norm(psi)), random_density(rng, n, rank)
-        assert abs(projected_fidelity(ket, rho, kind) - fidelity(ket, project_state(rho, kind))) <= 1e-12
+        assert abs(projected_fidelity(ket, kind)(rho) - fidelity(ket, project_state(rho, kind))) <= 1e-12
         # a state with no weight in the projector's range is a total rejection on both routes
         outside = DensityMatrix(n, (np.eye(2**n) - pi) / (2**n - RANKS[kind]))
-        for route in (lambda: projected_fidelity(ket, outside, kind), lambda: project_state(outside, kind)):
+        for route in (lambda: projected_fidelity(ket, kind)(outside), lambda: project_state(outside, kind)):
             with pytest.raises(ValueError, match="vanishing support"):
                 route()
 

@@ -13,6 +13,7 @@ from qedvqe.noise import (
     DeviceModel,
     PauliNoise,
     ReadoutParams,
+    attach_grid,
     attach_noise,
     default_device_model,
     device_model_from_config,
@@ -58,14 +59,43 @@ def test_every_channel_kraus_set_is_complete(rates, gamma):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(pauli_rates(), min_size=1, max_size=8), st.lists(RATE, min_size=1, max_size=8))
 def test_rate_built_superoperator_stacks_match_kraus_and_each_channel_alone(pauli, gammas):
-    # each item is its Kraus sum to rounding, and its bytes do not depend on the rest of the
-    # stack, so a circuit evolved alone or in any stack of circuits keeps its bytes
+    # each item is its Kraus sum to rounding, real, and its bytes do not depend on the rest of
+    # the stack, so a circuit evolved alone or in any stack of circuits keeps its bytes
     for channels in ([PauliNoise(0, *r) for r in pauli], [DampingNoise(1, g) for g in gammas]):
-        stack = type(channels[0]).superoperators(channels)
-        assert stack.shape == (len(channels), 4, 4) and stack.dtype == complex
+        cls = type(channels[0])
+        stack = cls.superoperators(*map(np.array, zip(*(ch.rates for ch in channels))))
+        assert stack.shape == (len(channels), 4, 4) and stack.dtype == float
         for ch, sup in zip(channels, stack):
             assert np.max(np.abs(sup - qcore.superoperator(ch.kraus))) <= 1e-15
-            assert sup.tobytes() == type(ch).superoperators([ch])[0].tobytes()
+            assert sup.tobytes() == cls.superoperators(*(np.array([rate]) for rate in ch.rates))[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.sampled_from([0.0, 1e-323, 0.01]), st.floats(0.0, 0.5)),  # p2; p1 = p2/10 underflows at 1e-323
+    st.sampled_from([0.0, 0.43, 1.0]),  # emission ratio, both gate classes
+    st.sampled_from([0.0, 3.62e-5]),  # init flips
+), min_size=1, max_size=12))
+def test_attach_grid_attaches_once_per_run_and_rows_are_each_points_rates(points):
+    # one attachment per run of consecutive points that attach the same channels (p2 = 0 and
+    # no init flips attach none), and each point's row is, bit for bit, the rates of the
+    # channels attach_noise gives its own model, in the order evolve_densities reads them
+    models = [
+        DeviceModel(DepolarizingParams(p2=p2), p_init=p_init, emission_ratio_1q=ratio, emission_ratio_2q=ratio)
+        for p2, ratio, p_init in points
+    ]
+    circuit = builders.build_encoded_ansatz(0.3, "Z")
+    alone = [attach_noise(circuit, m) for m in models]
+    start = 0
+    for noisy, rates in attach_grid(circuit, models):
+        assert sim.density_layout(noisy) == sim.density_layout(alone[start])
+        for row, other in zip(rates, alone[start:start + len(rates)]):
+            assert sim.density_layout(other) == sim.density_layout(noisy)
+            assert row.tobytes() == np.array([r for ch in sim._channels(other) for r in ch.rates], float).tobytes()
+        start += len(rates)
+        if start < len(alone):  # a run ends where the next point attaches other channels
+            assert sim.density_layout(alone[start]) != sim.density_layout(noisy)
+    assert start == len(models)
 
 
 @pytest.mark.parametrize("cls, rates, field", [

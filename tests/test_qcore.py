@@ -124,6 +124,32 @@ def test_apply_matrix_equals_the_dense_oracle(data, n_bits, k, seed, stack):
         assert item.tobytes() == apply_matrix(tensor, mat, axes).tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n_bits=st.integers(2, 8),
+    k=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    stack=st.integers(1, 60),
+    single=st.sampled_from([None, "mat", "tensor"]),
+)
+def test_real_matrix_on_complex_tensor_is_its_complex_product_item_by_item(data, n_bits, k, seed, stack, single):
+    # a real mat contracts over the complex tensor's float view, as a real superoperator does on
+    # a density: the product of mat.astype(complex) to 1e-15, and each item's bytes are those it
+    # has alone, so no stack size (nor broadcasting a one-item mat or tensor) moves a state's bits
+    axes = data.draw(st.permutations(range(n_bits)).map(lambda p: tuple(p[:k])), label="axes")
+    rng = np.random.default_rng(seed)
+    mats = rng.uniform(-0.5, 0.5, (1 if single == "mat" else stack, 2**k, 2**k))
+    shape = (1 if single == "tensor" else stack, 2**n_bits)
+    tensors = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+    got = apply_matrix(tensors, mats, axes)
+    assert got.shape == (stack, 2**n_bits) and got.dtype == complex
+    assert np.max(np.abs(got - apply_matrix(tensors, mats.astype(complex), axes))) <= 1e-15
+    for p, item in enumerate(got):
+        alone = apply_matrix(tensors[min(p, len(tensors) - 1)], mats[min(p, len(mats) - 1)], axes)
+        assert item.tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_unitarity_preserved_on_random_circuits(seed):
     rng = np.random.default_rng(seed)

@@ -191,15 +191,28 @@ def test_channel_superoperators_are_built_once_and_read_only(op):
         shared = sim._superoperator(op)
         assert sim._superoperator(dataclasses.replace(op)) is shared  # keyed by the gate's value
         assert np.array_equal(shared, qcore.superoperator((op.matrix(),)))
+        # a gate every circuit of a stack shares is broadcast from the cache, not copied
+        assert sim._stacked([op, dataclasses.replace(op)]).base is shared
     else:
         basis = {noise.PauliNoise: noise._pauli_basis, noise.DampingNoise: noise._damping_basis}[type(op)]
         shared = basis()
         assert basis() is shared
-        sup = sim._stacked([dataclasses.replace(op)])
+        sup = type(op).superoperators(*(np.array([rate]) for rate in dataclasses.replace(op).rates))
         assert sup.shape == (1, 4, 4)
         assert np.max(np.abs(sup[0] - qcore.superoperator(op.kraus))) <= 1e-15
     with pytest.raises(ValueError, match="read-only"):
         shared[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("kind", UNITARY_KINDS)
+@pytest.mark.parametrize("angle", [0.0, 0.7])
+def test_gate_superoperators_are_real_but_for_rz_and_s(kind, angle):
+    # U (x) U* is real for every other kind at any angle, so it is kept real and contracts as
+    # a real matmul; the dtype goes by kind, not value (RZ(0) is real too), so one layout's
+    # stacks share it at every angle
+    shared = sim._superoperator(make_gate(kind, (0, 1), angle))
+    assert shared.dtype == (complex if kind in ("RZ", "S") else float)
+    assert shared.flags.c_contiguous
 
 
 @settings(max_examples=30, deadline=None)
@@ -228,14 +241,48 @@ def test_evolve_densities_equals_each_circuit_evolved_alone(build, device, point
     assert list(sim.evolve_densities([])) == []
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    build=st.sampled_from([builders.build_unencoded_ansatz, builders.build_encoded_ansatz]),
+    device=st.booleans(),
+    grid=st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 0.2)), min_size=1, max_size=20),
+    theta=st.floats(-math.pi, math.pi),
+    stack_amps=st.sampled_from([2**4, 2**6, 2**13]),
+    group_circuits=st.sampled_from([1, 2, 4, 8, 16]),
+)
+def test_a_grid_attached_once_evolves_each_point_as_it_would_alone(build, device, grid, theta, stack_amps, group_circuits):
+    # the exact grids' route: one attachment per run of points and the run's rate rows, with
+    # gates broadcast over the stack; each state keeps the bytes of its point attached and
+    # evolved alone, wherever a run, a stack or a group starts (CI's split-grid cmp)
+    def model(p2):
+        depol = DepolarizingParams(p2=p2)
+        return dataclasses.replace(noise.default_device_model(), depol=depol, p_init=p2 / 20) if device else depol
+
+    circuit, models = build(theta, "Z"), [model(p2) for p2 in grid]
+    with mock.patch.object(sim, "_STACK_AMPS", stack_amps), mock.patch.object(sim, "_GROUP_CIRCUITS", group_circuits):
+        got = [rho for noisy, rates in noise.attach_grid(circuit, models) for rho in sim.evolve_densities([noisy], rates)]
+    assert len(got) == len(grid)
+    for rho, m in zip(got, models):
+        assert rho.mat.tobytes() == evolve_density(noise.attach_noise(circuit, m)).mat.tobytes()
+
+
+def test_evolve_densities_refuses_rates_that_do_not_fit():
+    nc = _bell()  # three depolarizing channels: nine rates a row
+    rates = np.array([[r for ch in sim._channels(nc) for r in ch.rates]] * 3)
+    assert [rho.mat.tobytes() for rho in sim.evolve_densities([nc], rates)] == [evolve_density(nc).mat.tobytes()] * 3
+    for circuits, bad in (([nc], rates[:, 1:]), ([nc], np.zeros((3, 0))), ([nc, nc], rates)):
+        with pytest.raises(ValueError, match="rates must"):
+            list(sim.evolve_densities(circuits, bad))
+
+
 def test_evolve_densities_holds_one_group_of_fused_slots_at_a_time():
-    # the 60-point encoded grid of a dense fidelity sweep: a generator drained state by
-    # state holds one stack and one group's fused slots, not the grid's
-    noisy = [noise.attach_noise(ENCODED, DepolarizingParams(p2=k / 600)) for k in range(1, 61)]
+    # the 60-point encoded grid of a dense fidelity sweep, attached once: a generator drained
+    # state by state holds one stack and one group's fused slots, not the grid's
+    ((noisy, rates),) = noise.attach_grid(ENCODED, [DepolarizingParams(p2=k / 600) for k in range(1, 61)])
     sim._superoperator.cache_clear()
     tracemalloc.start()
     try:
-        for rho in sim.evolve_densities(noisy):
+        for rho in sim.evolve_densities([noisy], rates):
             del rho
         _, peak = tracemalloc.get_traced_memory()
     finally:
