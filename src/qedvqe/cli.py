@@ -438,9 +438,11 @@ def exp_budget(variance, target_sem):
     return {"budget.csv": (header, [(variance, target_sem, shots)])}, {"shots": shots}, str(shots)
 
 
-def _study_circuits(theta: float) -> dict:
-    """The circuits whose gate counts hqc prices and every manifest records."""
-    return {
+@functools.lru_cache(maxsize=16)
+def _study_gate_counts(theta: float) -> tuple:
+    """(label, (n_1q, n_2q, n_meas)) of each study circuit, whose counts hqc prices and every
+    manifest records, built once per theta, as tuples no caller can change."""
+    circuits = {
         "unencoded/Z": builders.build_unencoded_ansatz(theta, "Z"),
         "unencoded/X": builders.build_unencoded_ansatz(theta, "X"),
         "encoded/Z": builders.build_encoded_ansatz(theta, "Z"),
@@ -448,17 +450,16 @@ def _study_circuits(theta: float) -> dict:
         "unencoded+red/Z": builders.wrap_with_red(builders.build_unencoded_ansatz(theta, "Z")),
         "encoded+red/Z": builders.wrap_with_red(builders.build_encoded_ansatz(theta, "Z")),
     }
+    return tuple((label, circ.gate_counts()) for label, circ in circuits.items())
 
 
 def exp_hqc(shots, theta):
-    """Device-credit costs for the study circuits; counts are this package's
-
-    constructions, not the published post-transpilation table, and are never
-    asserted against it."""
-    rows = []
-    for label, circ in _study_circuits(theta).items():
-        rc = estimate.ResourceCount.of_circuit(circ, shots)
-        rows.append((label, rc.n_1q, rc.n_2q, rc.n_meas, shots, estimate.hqc_cost(rc)))
+    """Device-credit costs for the study circuits; counts are this package's constructions,
+    not the published post-transpilation table, and are never asserted against it."""
+    rows = [
+        (label, *counts, shots, estimate.hqc_cost(estimate.ResourceCount(*counts, shots)))
+        for label, counts in _study_gate_counts(theta)
+    ]
     header = ("circuit", "n_1q", "n_2q", "n_meas", "shots", "hqc_credits")
     return {"hqc.csv": (header, rows)}, {}, f"{len(rows)} circuits at {shots} shots"
 
@@ -503,12 +504,6 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=16)
-def _study_gate_counts(theta: float) -> tuple:
-    """(label, (n_1q, n_2q, n_meas)) of each study circuit, built once per theta, as tuples no caller can change."""
-    return tuple((label, circ.gate_counts()) for label, circ in _study_circuits(theta).items())
 
 
 def _gate_counts(theta: float) -> dict:

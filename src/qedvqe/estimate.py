@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .postselect import EmptySelectionError
-from .qcore import ROLE_DATA, Circuit, pauli_word
+from .qcore import ROLE_DATA, pauli_word
 from .sim import MeasurementLayout, ShotTable
 
 MODE_UNENCODED = "unencoded"
@@ -254,11 +254,6 @@ class ResourceCount:
     def __post_init__(self):
         if min(self.n_1q, self.n_2q, self.n_meas, self.shots) < 0:
             raise ValueError("resource counts must be nonnegative")
-
-    @classmethod
-    def of_circuit(cls, circuit: Circuit, shots: int) -> "ResourceCount":
-        n1, n2, nm = circuit.gate_counts()
-        return cls(n1, n2, nm, shots)
 
 
 def hqc_cost(rc: ResourceCount) -> float:

@@ -334,6 +334,8 @@ def attach_grid(circuit: Circuit, models):
     every channel (init flips first, then slot by slot). They take attach_noise's float
     operations, so each row is the rates of the channels attach_noise gives that point's model."""
     models = [_device(m) for m in models]
+    if not models:
+        return
     p1, r1, p2, r2, p_init = np.array(
         [(m.depol.p1, m.emission_ratio_1q, m.depol.p2, m.emission_ratio_2q, m.p_init) for m in models]
     ).T

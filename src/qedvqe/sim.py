@@ -273,13 +273,12 @@ def _read_measured(probs: np.ndarray, circuit: Circuit, kernel: np.ndarray) -> n
     return _read(probs.reshape((2,) * n).sum(axis=unmeasured).reshape(-1), kernel)
 
 
-def _read_probabilities(rho: DensityMatrix, kernel: np.ndarray) -> np.ndarray:
-    """The Born diagonal, checked to sum to 1, read through a per-bit kernel
-    that may be lossy, as a full vector over basis-state indices."""
+def _born(rho: DensityMatrix) -> np.ndarray:
+    """The Born diagonal over basis-state indices, checked to sum to 1."""
     probs = np.clip(rho.diagonal(), 0.0, None)
     if abs(probs.sum() - 1.0) > 1e-10:
         raise ValueError("Born distribution does not sum to 1")
-    return _read(probs, kernel)
+    return probs
 
 
 def _outcomes(weights: np.ndarray) -> dict:
@@ -301,7 +300,7 @@ def _vector(mapping: dict, n: int, dtype=None) -> np.ndarray:
 
 def born_distribution(rho: DensityMatrix, readout: ReadoutParams = ReadoutParams()) -> dict[str, float]:
     """Read-out probabilities by bitstring, without outcomes at or below 1e-15."""
-    return _outcomes(_read_probabilities(rho, readout.kernel))
+    return _outcomes(_read(_born(rho), readout.kernel))
 
 
 def shot_limit_table(noisy: NoisyCircuit) -> tuple[ShotTable, float]:
@@ -312,7 +311,7 @@ def shot_limit_table(noisy: NoisyCircuit) -> tuple[ShotTable, float]:
     than the raw total, and nothing is renormalized.
     """
     rho = evolve_density(noisy)
-    read = _read_measured(_read_probabilities(rho, np.eye(2)), noisy.circuit, noisy.readout)
+    read = _read_measured(_born(rho), noisy.circuit, noisy.readout)
     return ShotTable(read, MeasurementLayout.of(noisy.circuit)), float(np.trace(rho.mat).real)
 
 
@@ -425,7 +424,6 @@ class _Trajectory:
     def __init__(self, noisy: NoisyCircuit):
         self.noisy = noisy
         self.n = noisy.circuit.n_qubits
-        self._scratch = np.empty((3, 0), dtype=complex)  # grown by _apply_1q
         # (gates, channels) in order: the init flips, then each op and its slot
         self._steps = [((), noisy.pre_channels)] + [
             ((op,) if op.is_unitary else (), slot) for op, slot in zip(noisy.circuit.ops, noisy.channels)
@@ -509,21 +507,9 @@ class _Trajectory:
         return min(w1 / total, 1.0) if total > 0.0 else 0.0
 
     def _apply_1q(self, amps, mat, qubit):
-        # the products go to contiguous scratch, as fresh arrays would, so their
-        # float operations are unchanged; reusing it spares a large register
-        # the page faults of three new half-size arrays per gate
         a0, a1 = _half_planes(amps, qubit)
-        size = amps.size // 2
-        if self._scratch.shape[1] < size:
-            self._scratch = np.empty((3, size), dtype=complex)
-        t, s, u = (b[:size].reshape(a0.shape) for b in self._scratch)
-        np.multiply(mat[0, 0], a0, out=t)
-        np.multiply(mat[0, 1], a1, out=u)
-        t += u
-        np.multiply(mat[1, 0], a0, out=s)
-        np.multiply(mat[1, 1], a1, out=u)
-        s += u
-        a1[...] = s
+        t = mat[0, 0] * a0 + mat[0, 1] * a1
+        a1[...] = mat[1, 0] * a0 + mat[1, 1] * a1
         a0[...] = t
 
     def _quad_view(self, amps, qa, qb):
@@ -586,12 +572,13 @@ class _Trajectory:
         amps[:, 0] = 1.0
         return amps
 
-    def run(self, codes: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    def run(self, codes: np.ndarray, frames: np.ndarray, thresholds: list | None = None) -> np.ndarray:
         """Evolve one shot per row of codes into a (B, 2^n) array of unnormalized statevectors.
         A row holds the codes of the first noise locations, at least the head's, and the
         locations past them are quiet. A row whose frame (a row of words, as in _frame_table)
         sets rotation r's bit runs it at minus its angle, applied as X R X, which is R(-angle)
-        exactly in floats; zero frames run every rotation as it is."""
+        exactly in floats; zero frames run every rotation as it is. Given a list, a run of one row
+        appends each location's fault threshold to thresholds as the row reaches it (no_jump_reference)."""
         # a Pauli location that no row drew, or past the codes, is skipped; damping always scales
         quiet = np.ones(self._pauli.size, dtype=bool)
         quiet[:codes.shape[1]] = np.all(codes == _QUIET, axis=0)
@@ -609,36 +596,30 @@ class _Trajectory:
                 self._apply_gate(amps, op)
                 self._apply_pauli(amps, op.qubits[0], flipped)
             for ch in slot:
+                if thresholds is not None:
+                    thresholds.append(ch.p_total if self._pauli[k] else ch.gamma * self._pop1_frac(amps, ch.qubit))
                 if not skip[k]:
                     self._apply_channel(amps, ch, codes[:, k])
+                    if thresholds is not None and not amps.any():
+                        thresholds[-1] = np.inf
                 k += 1
         return amps
 
     def no_jump_reference(self):
-        """One sweep with no Pauli faults and no damping jumps.
+        """run on one row with no Pauli faults, no damping jumps and zero frames.
 
         Returns (final normalized amps, fault thresholds): a shot is fault-free
         when every location's uniform reaches its threshold, which is p_total
-        for Pauli noise and the reference p_jump for damping. Such a shot is
-        resolved without evolving. A damping location that empties the no-jump
-        branch (gamma = 1 on a qubit with no |0> weight) makes every shot jump
-        there: its threshold is infinite, and the returned amps are all zero.
+        for Pauli noise and, for damping, the reference p_jump, gamma times the
+        row's |1> occupation just before the location. Such a shot is resolved
+        without evolving. A damping location that empties the no-jump branch
+        (gamma = 1 on a qubit with no |0> weight) makes every shot jump there:
+        its threshold is infinite, and the returned amps are all zero.
         """
-        amps = self._zero(1)
-        thresholds = []
-        for gates, slot in self._steps:
-            for op in gates:
-                self._apply_gate(amps, op)
-            for ch in slot:
-                if isinstance(ch, PauliNoise):
-                    thresholds.append(ch.p_total)
-                    continue
-                thresholds.append(ch.gamma * self._pop1_frac(amps, ch.qubit))
-                self._apply_channel(amps, ch, np.array([_QUIET]))
-                if not amps.any():
-                    thresholds[-1] = np.inf
-        norm = np.linalg.norm(amps[0])
-        return amps[0] / (norm or 1.0), np.array(thresholds)
+        thresholds, frames = [], np.zeros((1, len(self.frames)), np.uint64)
+        amps = self.run(np.full((1, self._pauli.size), _QUIET), frames, thresholds)[0]
+        norm = np.linalg.norm(amps)
+        return amps / (norm or 1.0), np.array(thresholds)
 
 
 def _search_rows(table: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -661,8 +642,8 @@ def _first_fault_codes(traj: _Trajectory, th, fault_cdf, u_f, v) -> np.ndarray:
     fault, at K = searchsorted(fault_cdf, u_f, "right"): _QUIET before K; at K the Pauli that
     th_K v_K draws, or at a damping location _JUMP; and fault_codes(v) after K.
 
-    Up to K a shot runs the no-jump reference's float operations (frames flip only rotations
-    after the last damping location), so its damping threshold at K is the reference's
+    The no-jump reference is run on one quiet row, which a shot is up to K (frames flip only
+    rotations after the last damping location), so its damping threshold at K is the reference's
     th_K = gamma * _pop1_frac > 0, below which th_K v_K lies, as does 0.0: both jump. A draw
     in [th_j, gamma) before K would not jump, so quiet is the same history there.
     """
@@ -816,7 +797,7 @@ def red_vote_kernel_for(model) -> np.ndarray:
             channels=((),) * b + gadget.channels[b:],
             pre_channels=tuple(ch for ch in gadget.pre_channels if ch.qubit != 0),
         )
-        probs = _read_probabilities(evolve_density(gadget), gadget.readout)
+        probs = _read(_born(evolve_density(gadget)), gadget.readout)
         kernel[:, b] = probs[0b000], probs[0b111]
     return kernel
 

@@ -324,6 +324,16 @@ def test_analysis_and_stateprep_grid_rows_equal_one_point_runs():
         assert [float(v).hex() for v in prep_row] == [float(v).hex() for v in want]
 
 
+def test_an_empty_grid_writes_its_header_alone(tmp_path):
+    # nothing is attached or evolved, and each grid experiment still exits 0 with its CSV
+    assert list(cli._evolve_grid(builders.build_encoded_ansatz(0.3, "Z"), [])) == []
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"p2_grid": []}))
+    for exp, name in (("fidelity-sweep", "fidelity_sweep"), ("logical-error", "logical_error"), ("stateprep", "stateprep")):
+        assert cli.main([exp, "--config", str(cfg), "--out", str(tmp_path / exp)]) == cli.EXIT_OK
+        assert len((tmp_path / exp / f"{name}.csv").read_text().splitlines()) == 1
+
+
 def _ansatz_with(*gates):
     """An ansatz whose Z-basis circuit is the gates theta -> ops, then a read of both qubits."""
     def build(theta, basis):

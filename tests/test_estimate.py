@@ -340,11 +340,6 @@ def test_hqc_linear_in_shots():
     assert hqc_cost(ResourceCount(3, 7, 6, 5000)) - 5.0 == pytest.approx(5 * base)
 
 
-def test_resource_count_of_circuit():
-    rc = ResourceCount.of_circuit(builders.build_encoded_ansatz(0.1, "Z"), 10)
-    assert (rc.n_1q, rc.n_2q, rc.n_meas, rc.shots) == (3, 7, 6, 10)
-
-
 # ---------------------------------------------------------------------------
 # integral reduction (closed form + fermionic brute force)
 # ---------------------------------------------------------------------------

@@ -98,6 +98,11 @@ def test_attach_grid_attaches_once_per_run_and_rows_are_each_points_rates(points
     assert start == len(models)
 
 
+def test_an_empty_grid_attaches_nothing():
+    # as sim.evolve_densities([]) yields nothing
+    assert list(attach_grid(builders.build_encoded_ansatz(0.3, "Z"), [])) == []
+
+
 @pytest.mark.parametrize("cls, rates, field", [
     (PauliNoise, (0.5, 0.5, 0.5), "p_total"),
     (PauliNoise, (-0.1, 0.0, 0.0), "p_x"),

@@ -326,13 +326,13 @@ def test_born_distribution_basics():
 def test_read_through_a_lossy_kernel_checks_mass_before_and_after():
     rho = qcore.DensityMatrix(2, np.eye(4) / 4)
     vote = np.array([[0.9, 0.0], [0.05, 0.8]])  # keeps 0.95 of the 0s and 0.8 of the 1s
-    probs = sim._read_probabilities(rho, vote)
+    probs = sim._read(sim._born(rho), vote)
     assert probs.sum() == pytest.approx(((0.95 + 0.8) / 2) ** 2, abs=1e-15)
     with pytest.raises(ValueError, match="created probability mass"):
-        sim._read_probabilities(rho, np.array([[1.0, 0.0], [1e-9, 1.0]]))
+        sim._read(sim._born(rho), np.array([[1.0, 0.0], [1e-9, 1.0]]))
     # the Born diagonal is checked before the push, so a lossy kernel cannot hide lost trace
     with pytest.raises(ValueError, match="does not sum to 1"):
-        sim._read_probabilities(qcore.DensityMatrix(2, np.eye(4) / 5), vote)
+        sim._read(sim._born(qcore.DensityMatrix(2, np.eye(4) / 5)), vote)
     # each bit's push is one qcore.apply_matrix call, kernel @ (2, rest) with the
     # bit's axis in front: the float operations of this tensordot/moveaxis loop,
     # so the read equals it bit for bit
@@ -342,7 +342,7 @@ def test_read_through_a_lossy_kernel_checks_mass_before_and_after():
         t = np.clip(rho.diagonal(), 0.0, None).reshape((2,) * 6)
         for q in range(6):
             t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [q])), 0, q)
-        assert np.array_equal(sim._read_probabilities(rho, kernel), t.reshape(-1))
+        assert np.array_equal(sim._read(sim._born(rho), kernel), t.reshape(-1))
 
 
 def test_born_distribution_readout_flip():
@@ -944,7 +944,9 @@ def test_each_distinct_head_and_flip_pattern_is_evolved_once(monkeypatch, noisy,
     evolved = []
     run = sim._Trajectory.run
 
-    def recording_run(self, codes, frames):
+    def recording_run(self, codes, frames, thresholds=None):
+        if thresholds is not None:  # the no-jump reference, not a faulty pass
+            return run(self, codes, frames, thresholds)
         assert codes.shape[1] == self.head  # tail faults act through the frames only
         bits = [self.n + r for r in range(n_rot)]  # rotation r's flip is bit n + r of the words
         flips = [tuple(bool((row[b // 64] >> np.uint64(b % 64)) & np.uint64(1)) for b in bits) for row in frames]
@@ -1145,32 +1147,43 @@ def test_a_weight_map_round_trips_through_its_table(n, data, weight):
     assert all(type(w) is type(mapping[k]) for k, w in table.counts.items())
 
 
-def trajectory_oracle(noisy, u_row) -> np.ndarray:
-    """One shot's normalized final state, written out with qcore contractions:
-    a Pauli location inserts X, Y or Z below p_x, p_x + p_y and p_total, and a
-    damping location jumps when its uniform is below the jump probability."""
+def trajectory_oracle(noisy, u_row):
+    """One shot's normalized final state and each location's threshold, written out with qcore
+    contractions: a Pauli location inserts X, Y or Z below p_x, p_x + p_y and p_total, its
+    threshold, and a damping location jumps when its uniform is below the jump probability, its
+    threshold. A location that leaves no state (a no-jump branch that gamma = 1 empties) leaves
+    the zero vector and gets an infinite threshold. The last item is the least norm that a
+    damping location leaves of the normalized state it acts on (1.0 if there is none)."""
     n = noisy.circuit.n_qubits
     amps = qcore.StateVector.zero(n).amps
     steps = [((), noisy.pre_channels)] + [
         ((op,) if op.is_unitary else (), slot) for op, slot in zip(noisy.circuit.ops, noisy.channels)
     ]
-    uniforms = iter(u_row)
+    uniforms, thresholds, least = iter(u_row), [], 1.0
     for gates, slot in steps:
         for op in gates:
             amps = qcore.apply_matrix(amps, op.matrix(), op.qubits)
         for ch in slot:
             u = next(uniforms)
             if isinstance(ch, noise.PauliNoise):
+                thresholds.append(ch.p_total)
                 if u >= ch.p_total:
                     continue
                 mat = qcore.PAULI_X if u < ch.p_x else qcore.PAULI_Y if u < ch.p_x + ch.p_y else qcore.PAULI_Z
             else:
                 no_jump, jump = ch.kraus
                 jumped = qcore.apply_matrix(amps, jump, (ch.qubit,))
-                mat = jump if u < np.vdot(jumped, jumped).real else no_jump
+                thresholds.append(np.vdot(jumped, jumped).real)
+                mat = jump if u < thresholds[-1] else no_jump
             amps = qcore.apply_matrix(amps, mat, (ch.qubit,))
-            amps /= np.linalg.norm(amps)
-    return amps
+            norm = np.linalg.norm(amps)
+            if isinstance(ch, noise.DampingNoise) and amps.any():
+                least = min(least, norm)
+            if norm == 0.0:
+                thresholds[-1] = np.inf
+            else:
+                amps /= norm
+    return amps, thresholds, least
 
 
 def test_batched_trajectory_rows_equal_one_row_passes():
@@ -1194,13 +1207,53 @@ def test_batched_trajectory_rows_equal_one_row_passes():
     assert batch.shape == (n_rows, 2**noisy.circuit.n_qubits)
     for r in range(n_rows):
         assert batch[r].tobytes() == run_alone(traj, u[r:r + 1])[0].tobytes()
-        want = trajectory_oracle(noisy, u[r])
+        want, _, _ = trajectory_oracle(noisy, u[r])
         assert np.max(np.abs(batch[r] / np.linalg.norm(batch[r]) - want)) < 1e-12
 
 
+EMPTIED = noise.NoisyCircuit(
+    Circuit(2, (qcore.h(1), qcore.x(0), qcore.measure(0), qcore.measure(1)), (ROLE_DATA,) * 2),
+    ((), (noise.DampingNoise(0, 1.0), noise.PauliNoise(1, 0.1, 0.0, 0.0)), (noise.DampingNoise(0, 0.5),), ()),
+    (), np.eye(2),
+)
+
+# qubit 0's |1> population sums to 1 + 2^-52 in qcore's contraction, so the oracle's jump
+# probability at its gamma = 1 location is above 1
+OVER_ONE = noise.NoisyCircuit(
+    Circuit(2, (qcore.x(0), qcore.h(1), qcore.x(1), qcore.measure(0)), (ROLE_DATA,) * 2),
+    ((), (), (), (noise.DampingNoise(0, 0.0), noise.DampingNoise(0, 1.0))), (), np.eye(2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(noisy=sampled_circuits())
+@example(noisy=EMPTIED)  # gamma = 1 empties qubit 0's no-jump branch, and a later damping finds it empty
+@example(noisy=OVER_ONE)
+def test_no_jump_reference_matches_a_kraus_oracle(noisy):
+    # the fault-free, jump-free state of trajectory_oracle against the reference, which is
+    # _Trajectory.run on one quiet row. Uniforms of +inf insert no Pauli, and take the no-jump
+    # Kraus operator at each damping location (then the state is renormalised) even where
+    # round-off puts the oracle's jump probability above 1
+    amps, thresholds = sim._Trajectory(noisy).no_jump_reference()
+    locations = locations_of(noisy)
+    want, want_th, least = trajectory_oracle(noisy, np.full(len(locations), np.inf))
+    # a branch that keeps almost none of its state renormalises round-off: whether its residue
+    # is exactly zero depends on each kernel's order of summation
+    assume(least > 1e-3)
+    assert np.max(np.abs(amps - want), initial=0.0) < 1e-12
+    assert len(thresholds) == len(locations)
+    for ch, got, th in zip(locations, thresholds, want_th):
+        if isinstance(ch, noise.PauliNoise):
+            assert got == ch.p_total
+        elif th == np.inf:
+            assert got == np.inf
+        else:
+            assert abs(got - th) < 1e-12 and got <= ch.gamma
+
+
 def test_one_qubit_kernel_equals_the_plain_products():
-    # the kernel writes its products into reused scratch; each row must still
-    # equal mat @ (a0, a1) written as plain array expressions, bit for bit
+    # the batched kernel on each row equals mat @ (a0, a1) written as plain
+    # array expressions on that row alone, bit for bit
     rng = np.random.default_rng(11)
     traj = sim._Trajectory(noise.noiseless(all_measured(1)))
     for n in range(1, 8):
@@ -1227,9 +1280,10 @@ def test_faulty_passes_stay_within_the_amplitude_budget(monkeypatch):
     rows = []
     run = sim._Trajectory.run
 
-    def recording_run(self, codes, frames):
-        rows.append(codes.shape[0])
-        return run(self, codes, frames)
+    def recording_run(self, codes, frames, thresholds=None):
+        if thresholds is None:  # a faulty pass, not the no-jump reference
+            rows.append(codes.shape[0])
+        return run(self, codes, frames, thresholds)
 
     monkeypatch.setattr(sim._Trajectory, "run", recording_run)
     table = sample_shots(noisy, TrajectoryConfig(1500, seed=9))
