@@ -13,9 +13,12 @@ up to that location, rotation-flip pattern), as a row of one (B, 2^n)
 statevector array, not one per fault history. Each drawn quantity reads words
 of its own SplitMix64 counter stream (splitmix), any word of which is computed
 directly, so no chunk or pass size moves a count (sample_shots).
-Both backends read measured bits through the circuit's per-bit read kernel;
-the readout-encoding gadget is such a kernel (red_vote_kernel_for), so a
-readout-encoded run samples the 2- or 6-qubit circuit it encodes. Both return
+Both backends read measured bits through the circuit's per-bit read kernel,
+by one rule for every Born vector (_read_measured: the read, then the mass the
+kernel drops); fault-free shots draw from the reference's read weights, and a
+faulty shot inverts one uniform on its own state's. The readout-encoding
+gadget is such a kernel (red_vote_kernel_for), so a readout-encoded run
+samples the 2- or 6-qubit circuit it encodes. Both return
 the read as a ShotTable, one weight vector by outcome index (shot counts, or
 probabilities from shot_limit_table); bitstrings appear only in dict adapters.
 """
@@ -255,22 +258,28 @@ def evolve_density(noisy: NoisyCircuit) -> DensityMatrix:
 
 
 def _read(probs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """A distribution over basis-state indices read through the per-bit kernel
-    K[read, true] on every bit; a lossy kernel leaves less mass, never more."""
+    """A distribution over basis-state indices, or a stack of them along a leading axis, each
+    read through the per-bit kernel K[read, true] on every bit; a lossy kernel leaves less
+    mass, never more."""
     if not np.array_equal(kernel, np.eye(2)):
-        for q in range(probs.size.bit_length() - 1):
-            probs = apply_matrix(probs, kernel, (q,))
-    if probs.sum() > 1.0 + 1e-10:
+        for q in range(probs.shape[-1].bit_length() - 1):
+            probs = apply_matrix(probs, kernel if probs.ndim == 1 else kernel[None], (q,))
+    if np.any(probs.sum(axis=-1) > 1.0 + 1e-10):
         raise ValueError("read kernel created probability mass")
     return probs
 
 
 def _read_measured(probs: np.ndarray, circuit: Circuit, kernel: np.ndarray) -> np.ndarray:
-    """A distribution over the register's basis-state indices, marginalised to the measured
-    qubits (the first one the most significant bit) and read through the per-bit kernel."""
-    n = circuit.n_qubits
-    unmeasured = tuple(q for q in range(n) if q not in circuit.measured_qubits)
-    return _read(probs.reshape((2,) * n).sum(axis=unmeasured).reshape(-1), kernel)
+    """The read weights of a distribution over the register's basis-state indices, or of a stack
+    of them along a leading axis: each marginalised to the measured qubits (the first one the
+    most significant bit) and read through the per-bit kernel, then the mass the kernel drops,
+    exactly 0 when every kernel column sums to 1 and else what the read lost of the total."""
+    n, lead, measured = circuit.n_qubits, probs.shape[:-1], circuit.measured_qubits
+    unmeasured = tuple(len(lead) + q for q in range(n) if q not in measured)
+    read = _read(probs.reshape(lead + (2,) * n).sum(axis=unmeasured).reshape(lead + (-1,)), kernel)
+    lossless = np.all(kernel.sum(axis=0) == 1.0)
+    dropped = np.zeros(lead) if lossless else np.maximum(probs.sum(axis=-1) - read.sum(axis=-1), 0.0)
+    return np.concatenate([read, dropped[..., None]], axis=-1)
 
 
 def _born(rho: DensityMatrix) -> np.ndarray:
@@ -311,7 +320,7 @@ def shot_limit_table(noisy: NoisyCircuit) -> tuple[ShotTable, float]:
     than the raw total, and nothing is renormalized.
     """
     rho = evolve_density(noisy)
-    read = _read_measured(_born(rho), noisy.circuit, noisy.readout)
+    read = _read_measured(_born(rho), noisy.circuit, noisy.readout)[:-1]
     return ShotTable(read, MeasurementLayout.of(noisy.circuit)), float(np.trace(rho.mat).real)
 
 
@@ -625,9 +634,10 @@ class _Trajectory:
 def _search_rows(table: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
     """np.searchsorted(table[row[i]], u[i], side="right") for every i, bit for bit.
 
-    Each row of table is non-decreasing with 2^n entries. The count of entries at or
-    below u[i] is found by a branch-free binary search: n vectorised steps, each one
-    gather and one comparison per shot, then one for the last entry.
+    Each row of table is non-decreasing with 2^n entries, or 2^n + 1 whose last exceeds every
+    u[i], as a normalised read cdf's 1.0 does. The count of entries at or below u[i] is found
+    by a branch-free binary search over the first 2^n: n vectorised steps, each one gather
+    and one comparison per shot, then one for the last of them.
     """
     base = np.zeros(u.size, dtype=np.intp)
     half = table.shape[1] >> 1
@@ -658,15 +668,17 @@ def _first_fault_codes(traj: _Trajectory, th, fault_cdf, u_f, v) -> np.ndarray:
 
 
 def _faulty_outcomes(traj: _Trajectory, codes, u_out) -> np.ndarray:
-    """Basis-state indices of shots that carry a fault, one per row of codes (fault_codes).
+    """Read outcome indices of shots that carry a fault, one per row of codes (fault_codes):
+    an index over the measured qubits, as in ShotTable, or 2^m for a shot the read drops.
 
     A shot's tail faults are resolved as Pauli frames: the XOR of their columns of traj.frames
     gives its outcome mask and the rotations it runs at minus their angle (its flip pattern).
     Shots are grouped by the bytes of their head codes and flip pattern; each group is evolved
-    once, from its first shot's head codes, in passes of at most _PASS_AMPS amplitudes. A
-    shot's outcome is then found in the cdf of its group's Born vector read at i ^ mask, which
-    is the cdf of its own state with its faults inserted: one cdf per distinct (group, mask),
-    built in chunks of at most _PASS_AMPS entries and searched by _search_rows.
+    once, from its first shot's head codes, in passes of at most _PASS_AMPS amplitudes. Its
+    Born vector read at i ^ mask is that of the shot's own state with its faults inserted, and
+    its read weights (_read_measured, as the fault-free shots') make one cdf per distinct
+    (group, mask), built in chunks of at most _PASS_AMPS Born entries; u_out is searched in it
+    by _search_rows.
     """
     head, n = traj.head, traj.n
     column = (codes[:, head:] - _QUIET).astype(np.intp) + 4 * np.arange(codes.shape[1] - head)
@@ -689,7 +701,8 @@ def _faulty_outcomes(traj: _Trajectory, codes, u_out) -> np.ndarray:
         start, stop = np.searchsorted(cdfs >> n, (lo, lo + per_pass))  # the cdfs of this pass's groups
         for c in range(start, stop, per_pass):
             sel = cdfs[c:min(c + per_pass, stop)]
-            table = np.cumsum(born[(sel >> n)[:, None] - lo, outcomes ^ (sel & outcomes[-1])[:, None]], axis=1)
+            own = born[(sel >> n)[:, None] - lo, outcomes ^ (sel & outcomes[-1])[:, None]]  # each class's Born row
+            table = np.cumsum(_read_measured(own, traj.noisy.circuit, traj.noisy.readout), axis=1)
             table /= table[:, -1:].copy()
             mine = np.flatnonzero((cdf_of >= c) & (cdf_of < c + sel.size))
             idx[mine] = _search_rows(table, cdf_of[mine] - c, u_out[mine])
@@ -700,31 +713,29 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
     """Sample shots by stochastic fault insertion on statevectors.
 
     The n_shots split exactly, by the law of total probability. The faulty count is
-    N_F ~ Binomial(n_shots, P_F), P_F = P(any fault). The fault-free shots' read outcomes
-    are Multinomial(n_shots - N_F, [reference Born vector on the measured bits, read through
-    the kernel K, and the mass K drops]) (_multinomial). Each faulty shot draws, in order,
-    u (its first fault at u_f = P_F u), u_out for its terminal Z-basis outcome, one uniform per
-    measured qubit for its read unless K is the identity, and v, one per noise location;
-    _first_fault_codes turns u_f and v into its fault codes. A bit whose true value is b reads
-    as 1 - b when its uniform is below K[1 - b, b], and drops the shot at or above
-    K[0, b] + K[1, b]; the table holds the kept shots, as counts by outcome index.
+    N_F ~ Binomial(n_shots, P_F), P_F = P(any fault). A shot's read outcome follows the read
+    weights of its Born vector (_read_measured): the vector on the measured bits read through
+    the kernel K, and the mass K drops. The fault-free shots' outcomes are
+    Multinomial(n_shots - N_F, read weights of the reference) (_multinomial). Each faulty shot
+    draws, in order, u (its first fault at u_f = P_F u), u_out, which it inverts on the cdf of
+    its own state's read weights, and v, one per noise location; _first_fault_codes turns u_f
+    and v into its fault codes. The table holds the kept shots, as counts by outcome index.
 
     Each quantity has its own stream (_stream), read as raw words, so no internal size moves a
     count: family 0 gives N_F's uniform, family 1 the multinomial's, and in family 2 faulty shot j
-    owns words j row to (j + 1) row, drawn in chunks of at most _CHUNK_BYTES. With k_f the key of
-    family f and word(k, i) = splitmix.mix(k + (i + 1) gamma mod 2^64): N_F = _binomial(n_shots, P_F,
-    _uniforms(word(k_0, 0))), and entry i of shot j's row is _uniforms(word(k_2, j row + i)).
-    Each chunk evolves one state per distinct (head codes, rotation-flip pattern) and resolves
-    every shot on it through its Pauli frame (_faulty_outcomes), to the index that evolving the
-    shot alone with its faults inserted gives.
+    owns words j row to (j + 1) row, row = 2 + locations, drawn in chunks of at most _CHUNK_BYTES.
+    With k_f the key of family f and word(k, i) = splitmix.mix(k + (i + 1) gamma mod 2^64):
+    N_F = _binomial(n_shots, P_F, _uniforms(word(k_0, 0))), and entry i of shot j's row is
+    _uniforms(word(k_2, j row + i)). Each chunk evolves one state per distinct (head codes,
+    rotation-flip pattern) and resolves every shot on it through its Pauli frame
+    (_faulty_outcomes), to the outcome that evolving the shot alone with its faults inserted gives.
     """
     circ = noisy.circuit
     if circ.n_qubits > TRAJECTORY_QUBIT_CAP:
         raise ValueError(
             f"trajectory backend capped at {TRAJECTORY_QUBIT_CAP} qubits, got {circ.n_qubits}"
         )
-    measured = circ.measured_qubits
-    if not measured:
+    if not circ.measured_qubits:
         raise ValueError("circuit has no terminal measurements")
     traj = _Trajectory(noisy)
 
@@ -735,35 +746,18 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
     p_fault = fault_cdf[-1] if th.size else 0.0
     u = _uniforms(_stream(cfg.seed, 0).random_raw(1))
     n_faulty = int(_binomial(np.array([cfg.n_shots]), np.array([p_fault]), u)[0])
+    weights = _read_measured(np.abs(ref_amps) ** 2, circ, noisy.readout)
+    tally = _multinomial(cfg.n_shots - n_faulty, weights, _stream(cfg.seed, 1))
 
-    n, n_meas, kernel = circ.n_qubits, len(measured), noisy.readout
-    born = np.abs(ref_amps) ** 2
-    read = _read_measured(born, circ, kernel)
-    # by true bit b: misread below K[1 - b, b], dropped at or above the column sum
-    flip_p, keep_p = kernel[[1, 0], [0, 1]], kernel.sum(axis=0)
-    dropped = 0.0 if np.all(keep_p == 1.0) else max(born.sum() - read.sum(), 0.0)
-    tally = _multinomial(cfg.n_shots - n_faulty, np.append(read, dropped), _stream(cfg.seed, 1))[:-1]
-
-    # an identity read needs no draws
-    n_read = 0 if np.array_equal(kernel, np.eye(2)) else n_meas
-    row = 2 + n_read + th.size
-    loc = slice(2 + n_read, row)
-    shifts = n - 1 - np.array(measured)
-    place = 1 << np.arange(n_meas - 1, -1, -1)
+    row = 2 + th.size
     bits = _stream(cfg.seed, 2)
     per_chunk = max(1, _CHUNK_BYTES // (8 * row))
     for lo in range(0, n_faulty, per_chunk):
         u = _uniforms(bits.random_raw(min(per_chunk, n_faulty - lo) * row).reshape(-1, row))
         # u_f = P_F u < P_F, as P_F is 0 or a normal double from 2^-53 up and u < 1
-        idx = _faulty_outcomes(traj, _first_fault_codes(traj, th, fault_cdf, p_fault * u[:, 0], u[:, loc]), u[:, 1])
-        outcome = (idx[:, None] >> shifts) & 1
-        if n_read:
-            u_read = u[:, 2:loc.start]
-            kept = np.all(u_read < keep_p[outcome], axis=1)
-            outcome ^= u_read < flip_p[outcome]
-            outcome = outcome[kept]
-        tally += np.bincount(outcome @ place, minlength=tally.size)
-    return ShotTable(tally, MeasurementLayout.of(circ))
+        idx = _faulty_outcomes(traj, _first_fault_codes(traj, th, fault_cdf, p_fault * u[:, 0], u[:, 2:]), u[:, 1])
+        tally += np.bincount(idx, minlength=tally.size)
+    return ShotTable(tally[:-1], MeasurementLayout.of(circ))
 
 
 def sample_shots_batched(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:

@@ -345,6 +345,30 @@ def test_read_through_a_lossy_kernel_checks_mass_before_and_after():
         assert np.array_equal(sim._read(sim._born(rho), kernel), t.reshape(-1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    n_rows=st.integers(1, 40),
+    keep=st.lists(st.sampled_from((1.0, 0.9, 0.55)), min_size=2, max_size=2),
+    flip=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2),
+    data=st.data(),
+)
+def test_a_stack_of_rows_reads_as_each_row_alone(n, n_rows, keep, flip, data):
+    # faulty shots read their classes' Born rows as one stack: each row's read, and its read
+    # weights on a subset of measured qubits, are the bytes of that row read alone. Rows may
+    # hold less than 1, as an unnormalized faulty state does, and zeros.
+    measured = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    circ = Circuit(n, tuple(qcore.measure(q) for q in sorted(measured)), (ROLE_DATA,) * n)
+    kernel = np.array([[keep[0] - flip[0], flip[1]], [flip[0], keep[1] - flip[1]]])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((n_rows, 2**n)) * (rng.random((n_rows, 2**n)) < 0.8)
+    rows /= rows.sum(axis=1, keepdims=True) + rng.random((n_rows, 1))
+    stacked = sim._read_measured(rows, circ, kernel)
+    assert stacked.shape == (n_rows, 2 ** len(measured) + 1)
+    assert stacked.tobytes() == np.array([sim._read_measured(row, circ, kernel) for row in rows]).tobytes()
+    assert sim._read(rows, kernel).tobytes() == np.array([sim._read(row, kernel) for row in rows]).tobytes()
+
+
 def test_born_distribution_readout_flip():
     rho = qcore.StateVector(1, [1, 0]).outer()
     probs = born_distribution(rho, ReadoutParams(p_flip0=1e-3))
@@ -388,12 +412,12 @@ def reference_uniforms(seed: int, family: int, n_draws: int, first_word: int = 0
 
 
 def faulty_rows(noisy, n_shots: int, seed: int):
-    """Per faulty shot, (u_out, read uniforms, location uniforms), drawn one shot at a time
-    from the reference streams.
+    """Per faulty shot, (u_out, location uniforms), drawn one shot at a time from the
+    reference streams.
 
     N_F inverts family 0's first uniform through sim._binomial, which is checked against exact
-    pmfs below. Faulty shot j reads its row of 2 + n_read + n_loc uniforms from family 2, past
-    the rows of every earlier shot: u, u_out, the reads, then v. With
+    pmfs below. Faulty shot j reads its row of 2 + n_loc uniforms from family 2, past the rows
+    of every earlier shot: u, u_out, then v, whatever the read kernel. With
     u_f = P_F u, the first faulty location K is the first k at which the survival product
     prod_{j <= k} (1 - th_j) drops to or below 1 - u_f; then u_j = th_j + (1 - th_j) v_j
     before K, th_K v_K at K and v_j after it.
@@ -402,11 +426,10 @@ def faulty_rows(noisy, n_shots: int, seed: int):
     th = [min(t, 1.0) for t in thresholds.tolist()]
     p_fault = 1.0 - math.prod(1.0 - t for t in th)
     n_faulty = int(sim._binomial(np.array([n_shots]), np.array([p_fault]), reference_uniforms(seed, 0, 1))[0])
-    n_read = 0 if np.array_equal(noisy.readout, np.eye(2)) else len(noisy.circuit.measured_qubits)
-    row = 2 + n_read + len(th)
+    row = 2 + len(th)
     for j in range(n_faulty):
         u = reference_uniforms(seed, 2, row, j * row).tolist()
-        u_f, v = p_fault * u[0], u[2 + n_read:]
+        u_f, v = p_fault * u[0], u[2:]
         survive = 1.0
         for first, t in enumerate(th):
             survive *= 1.0 - t
@@ -414,7 +437,7 @@ def faulty_rows(noisy, n_shots: int, seed: int):
                 break
         u_loc = np.array([t + (1.0 - t) * x if k < first else t * x if k == first else x
                           for k, (t, x) in enumerate(zip(th, v))])
-        yield u[1], u[2:2 + n_read], u_loc
+        yield u[1], u_loc
 
 
 def run_alone(traj, u_loc: np.ndarray) -> np.ndarray:
@@ -423,23 +446,35 @@ def run_alone(traj, u_loc: np.ndarray) -> np.ndarray:
     return traj.run(traj.fault_codes(u_loc), np.zeros((len(u_loc), traj.frames.shape[0]), dtype=np.uint64))
 
 
+def read_weights(noisy, amps: np.ndarray) -> np.ndarray:
+    """The read weights of one statevector, written apart from sim: its Born vector marginalised
+    to the measured bits index by index, read bit by bit through the kernel by tensordot, then
+    the mass the kernel drops, exactly 0 when every kernel column sums to 1."""
+    n, measured, kernel = noisy.circuit.n_qubits, noisy.circuit.measured_qubits, noisy.readout
+    born = np.abs(amps) ** 2
+    marginal = np.zeros(2 ** len(measured))
+    for idx, p in enumerate(born):
+        marginal[int("".join(str((idx >> (n - 1 - q)) & 1) for q in measured), 2)] += p
+    t = marginal.reshape((2,) * len(measured))
+    for q in range(len(measured)):
+        t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [q])), 0, q)
+    read = t.reshape(-1)
+    dropped = 0.0 if np.all(kernel.sum(axis=0) == 1.0) else max(born.sum() - read.sum(), 0.0)
+    return np.append(read, dropped)
+
+
 def replay_faulty(noisy, n_shots: int, seed: int) -> Counter:
-    """The sampler's faulty shots resolved one at a time: each row evolved alone, its outcome
-    searched in its own cdf, and each bit read with its own uniform."""
+    """The sampler's faulty shots resolved one at a time: each row evolved alone, and its
+    outcome searched in the cdf of its own read weights; the last entry drops the shot."""
     traj = sim._Trajectory(noisy)
-    kernel, n = noisy.readout, noisy.circuit.n_qubits
+    n_meas = len(noisy.circuit.measured_qubits)
     counts = Counter()
-    for u_out, u_read, u_loc in faulty_rows(noisy, n_shots, seed):
-        cdf = np.cumsum(np.abs(run_alone(traj, u_loc[None])[0]) ** 2)
+    for u_out, u_loc in faulty_rows(noisy, n_shots, seed):
+        cdf = np.cumsum(read_weights(noisy, run_alone(traj, u_loc[None])[0]))
         cdf /= cdf[-1]
         idx = int(np.searchsorted(cdf, u_out, side="right"))
-        bits = [(idx >> (n - 1 - q)) & 1 for q in noisy.circuit.measured_qubits]
-        if u_read:
-            reads = list(zip(bits, u_read))
-            if any(u >= kernel[0, b] + kernel[1, b] for b, u in reads):
-                continue  # a failed vote drops the shot
-            bits = [b ^ (u < kernel[1 - b, b]) for b, u in reads]
-        counts["".join("1" if b else "0" for b in bits)] += 1
+        if idx < 1 << n_meas:
+            counts[qcore.bitstring(idx, n_meas)] += 1
     return counts
 
 
@@ -731,25 +766,18 @@ PARTIAL = Circuit(
     ids=["encoded-device-flips", "encoded-device-vote", "encoded-p2=5%-lossy", "partial-p2=5%-lossy"],
 )
 def test_fault_free_weights_are_the_reference_born_vector_read_through_the_kernel(noisy):
-    # the multinomial's weights: the reference Born vector marginalised to the measured bits
-    # (written out index by index here), read bit by bit through the kernel, then the mass the
-    # kernel drops, which is exactly 0 for a kernel whose columns sum to 1
+    # the multinomial's weights: the reference Born vector marginalised to the measured bits,
+    # read bit by bit through the kernel, then the mass the kernel drops, which is exactly 0
+    # for a kernel whose columns sum to 1 (read_weights writes each step out)
     _, weights, _ = sample_recording(noisy, TrajectoryConfig(500, seed=3))
     ref, _ = sim._Trajectory(noisy).no_jump_reference()
-    n, measured, kernel = noisy.circuit.n_qubits, noisy.circuit.measured_qubits, noisy.readout
-    born = np.zeros(2 ** len(measured))
-    for idx, amp in enumerate(ref):
-        code = int("".join(str((idx >> (n - 1 - q)) & 1) for q in measured), 2)
-        born[code] += abs(amp) ** 2
-    t = born.reshape((2,) * len(measured))
-    for q in range(len(measured)):
-        t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [q])), 0, q)
-    assert weights.shape == (born.size + 1,)
-    assert np.allclose(weights[:-1], t.reshape(-1), rtol=1e-12, atol=0.0)
-    if np.all(kernel.sum(axis=0) == 1.0):
+    want = read_weights(noisy, ref)
+    assert weights.shape == want.shape == (2 ** len(noisy.circuit.measured_qubits) + 1,)
+    assert weights.tobytes() == want.tobytes()
+    if np.all(noisy.readout.sum(axis=0) == 1.0):
         assert weights[-1] == 0.0
     else:
-        assert weights[-1] == pytest.approx(1.0 - t.sum(), abs=1e-14)
+        assert weights[-1] == pytest.approx(1.0 - want[:-1].sum(), abs=1e-14)
         assert weights[-1] > 0.01
 
 
@@ -837,8 +865,16 @@ def chi_square_threshold(dof: int, z: float = 6.0) -> float:
     return dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
 
 
+# the device model with p2 raised to 5 %: most encoded shots carry a fault
+DEVICE_P2_5 = dataclasses.replace(DEVICE, depol=dataclasses.replace(DEVICE.depol, p2=0.05))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(noisy=sampled_circuits(), seed=st.integers(0, 2**63 - 1))
+# sampled_circuits() stop at 3 qubits: these read the faulty shots of the 6-qubit encoded
+# register through its asymmetric flips and through its vote kernel, which drops shots
+@example(noisy=noise.attach_noise(ENCODED, DEVICE_P2_5), seed=0)
+@example(noisy=with_readout(noise.attach_noise(ENCODED, DEVICE_P2_5), red_vote_kernel_for(DEVICE_P2_5)), seed=0)
 def test_sampled_tables_pass_a_chi_square_check_against_the_shot_limit(noisy, seed):
     # fixed examples and seeds (derandomized); the bins are the kept outcomes and the dropped
     # shots, with those expected below 5 shots pooled, and the pool joined to the smallest
@@ -916,7 +952,7 @@ def test_each_distinct_head_and_flip_pattern_is_evolved_once(monkeypatch, noisy,
     traj = sim._Trajectory(noisy)
     n_rot = sum(op.kind in qcore.PARAMETRIC_KINDS for op in noisy.circuit.ops)
     locations = locations_of(noisy)
-    u_loc = np.array([u for _, _, u in faulty_rows(noisy, n_shots, seed)])
+    u_loc = np.array([u for _, u in faulty_rows(noisy, n_shots, seed)])
     raw = traj.fault_codes(u_loc)
     th, _ = first_fault_law(traj.no_jump_reference()[1])
     first = np.argmax(u_loc < th, axis=1)
