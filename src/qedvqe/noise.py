@@ -7,12 +7,16 @@ Device models divert a configured fraction of each gate's error weight into
 amplitude damping (spontaneous emission to |0>), add per-qubit
 initialization flips, and read terminal measurements through asymmetric
 readout flips. Noise attaches to gates only; idle qubits are noiseless.
+The attachment rule lives in one place: a model's five numbers (p1, p2,
+the two emission ratios and p_init) give its rule row, the rate each kind
+of channel takes (``_rule``), and a circuit's channels are built from one
+row, each rate read from a column of it (``_attach``). ``attach_grid``
+applies the rule to a grid of models once per channel layout and gathers
+every point's rates by those columns; ``attach_noise`` is its one-point case.
 A channel's superoperator is affine in its rates, so each channel class builds
 the real superoperators of a stack of channels of its kind from their rate
-columns, as one weighted sum of fixed basis terms (``superoperators``); a grid
-of models is attached once per channel layout, with its rates as arrays
-(``attach_grid``). Its Kraus operators (``kraus``) are the reference those
-stacks are tested against.
+columns, as one weighted sum of fixed basis terms (``superoperators``). Its
+Kraus operators (``kraus``) are the reference those stacks are tested against.
 """
 from __future__ import annotations
 
@@ -40,10 +44,10 @@ class DepolarizingParams:
     p1: float | None = None
 
     def __post_init__(self):
+        _check_prob(self.p2, "p2")  # first, as a bad p2 would make a bad derived p1
         if self.p1 is None:
             object.__setattr__(self, "p1", self.p2 / 10.0)
         _check_prob(self.p1, "p1")
-        _check_prob(self.p2, "p2")
 
 
 @dataclass(frozen=True)
@@ -199,10 +203,6 @@ class PauliNoise:
         (1 - p_total, p_x, p_y, p_z) on S(I), S(X), S(Y), S(Z) (_weighted_sum)."""
         return _weighted_sum((1.0 - (p_x + p_y + p_z), p_x, p_y, p_z), _pauli_basis())
 
-    @classmethod
-    def depolarizing(cls, qubit: int, p: float) -> "PauliNoise":
-        return cls(qubit, p / 3.0, p / 3.0, p / 3.0)
-
 
 @dataclass(frozen=True, eq=False)
 class DampingNoise:
@@ -268,88 +268,73 @@ def noiseless(circuit: Circuit) -> NoisyCircuit:
     return NoisyCircuit(circuit, tuple(() for _ in circuit.ops))
 
 
-def _device(model) -> DeviceModel:
-    """A model as a DeviceModel: DepolarizingParams are read as a DeviceModel of them alone."""
-    if isinstance(model, DepolarizingParams):
-        model = DeviceModel(model)
-    if not isinstance(model, DeviceModel):
+def _rule(model):
+    """A model's rule row, from its five numbers (DepolarizingParams are the device model of them
+    alone): by column, the init flip rate, then per gate class (1q, 2q) the per-Pauli rate
+    p (1 - r) / 3.0 and the damping rate p r of its error weight p, then 0.0; and which of the
+    first five channels it attaches, those of nonzero weight (p (1 - r) before the division)."""
+    if isinstance(model, DeviceModel):
+        p1, p2, p_init = model.depol.p1, model.depol.p2, model.p_init
+        r1, r2 = model.emission_ratio_1q, model.emission_ratio_2q
+    elif isinstance(model, DepolarizingParams):
+        p1, p2, r1, r2, p_init = model.p1, model.p2, 0.0, 0.0, 0.0
+    else:
         raise TypeError("model must be DepolarizingParams or DeviceModel")
-    return model
+    d1, g1, d2, g2 = p1 * (1.0 - r1), p1 * r1, p2 * (1.0 - r2), p2 * r2
+    return (p_init, d1 / 3.0, g1, d2 / 3.0, g2, 0.0), (p_init > 0.0, d1 > 0.0, g1 > 0.0, d2 > 0.0, g2 > 0.0)
 
 
-def _split(p, ratio):
-    """A gate's error weight p as its (depolarizing, damping) rates, for floats or rate columns alike."""
-    return p * (1.0 - ratio), p * ratio
+def _attach(circuit: Circuit, model, row, attached):
+    """The circuit with the channels of a model's rule row (_rule), and the row's column of each
+    of their rates in sim._channels order: init flips, then slot by slot. A 1q gate is followed
+    by its class's channels on its qubit, a 2q gate by independent ones on both; equal channels
+    are one frozen object. DepolarizingParams read through the identity."""
+    read = DeviceModel.readout  # its default, the identity
+    if isinstance(model, DeviceModel):
+        read = model.readout
+        logging = sys.modules.get("logging")  # the package never imports it; before anything does, no handler exists
+        if logging is not None and (model.crosstalk_meas or model.crosstalk_init):
+            logging.getLogger(__name__).info(
+                "crosstalk parameters (%g, %g) accepted but not simulated",
+                model.crosstalk_meas, model.crosstalk_init,
+            )
+
+    @functools.cache  # keyed by the channels' rates, None where the row attaches no such channel
+    def channels_on(qubit, depolarizing, damping):
+        out = () if depolarizing is None else (PauliNoise(qubit, depolarizing, depolarizing, depolarizing),)
+        return out if damping is None else out + (DampingNoise(qubit, damping),)
+
+    gate = {}  # by the gate's qubit count: its channels' rates on one qubit, and their columns
+    for k, c in ((1, 1), (2, 3)):  # the class's per-Pauli column; its damping column follows
+        rates = (row[c] if attached[c] else None, row[c + 1] if attached[c + 1] else None)
+        gate[k] = rates, (c, c, c) * attached[c] + (c + 1,) * attached[c + 1]
+    pre = tuple(PauliNoise(q, row[0], row[5], row[5]) for q in range(circuit.n_qubits)) if attached[0] else ()
+    columns, channels = [0, 5, 5] * len(pre), []
+    for op in circuit.ops:
+        slot = ()
+        if op.is_unitary:
+            rates, cols = gate[len(op.qubits)]
+            for q in op.qubits:
+                slot += channels_on(q, *rates)
+                columns += cols
+        channels.append(slot)
+    return NoisyCircuit(circuit, tuple(channels), pre, read.kernel), columns
 
 
 def attach_noise(circuit: Circuit, model) -> NoisyCircuit:
-    """Attach the model's channels gate by gate.
-
-    Every 1q gate is followed by the single-qubit channel, every 2q gate by
-    independent channels on both its qubits. The emission ratio of each
-    gate's error weight becomes amplitude damping and the remainder stays
-    depolarizing; init flips and the readout-flip kernel are attached at the
-    boundaries. DepolarizingParams are read as a DeviceModel of them alone.
-    """
-    model = _device(model)
-    logging = sys.modules.get("logging")  # the package never imports it; before anything does, no handler exists
-    if logging is not None and (model.crosstalk_meas or model.crosstalk_init):
-        logging.getLogger(__name__).info(
-            "crosstalk parameters (%g, %g) accepted but not simulated",
-            model.crosstalk_meas, model.crosstalk_init,
-        )
-    depol, r1, r2 = model.depol, model.emission_ratio_1q, model.emission_ratio_2q
-
-    @functools.cache  # ops of equal (qubit, rate, ratio) share one slot's frozen channels
-    def slot_for(qubit, p, ratio):
-        out = []
-        depolarizing, damping = _split(p, ratio)
-        if depolarizing > 0.0:
-            out.append(PauliNoise.depolarizing(qubit, depolarizing))
-        if damping > 0.0:
-            out.append(DampingNoise(qubit, damping))
-        return tuple(out)
-
-    channels = []
-    for op in circuit.ops:
-        if not op.is_unitary:
-            channels.append(())
-            continue
-        slot = []
-        p, ratio = (depol.p1, r1) if len(op.qubits) == 1 else (depol.p2, r2)
-        for q in op.qubits:
-            slot.extend(slot_for(q, p, ratio))
-        channels.append(tuple(slot))
-
-    pre = tuple(
-        PauliNoise(q, model.p_init, 0.0, 0.0) for q in range(circuit.n_qubits)
-    ) if model.p_init > 0.0 else ()
-    return NoisyCircuit(circuit, tuple(channels), pre, model.readout.kernel)
+    """The model's channels attached gate by gate: attach_grid's rule at one point, no rates gathered."""
+    return _attach(circuit, model, *_rule(model))[0]
 
 
 def attach_grid(circuit: Circuit, models):
-    """attach_noise over a grid of models, once per run of consecutive models that attach the
-    same channels: yields, per run, the circuit attached at the run's first model and the run's
-    rates as sim.evolve_densities reads them, a (points, m) array whose row holds the rates of
-    every channel (init flips first, then slot by slot). They take attach_noise's float
-    operations, so each row is the rates of the channels attach_noise gives that point's model."""
-    models = [_device(m) for m in models]
-    if not models:
-        return
-    p1, r1, p2, r2, p_init = np.array(
-        [(m.depol.p1, m.emission_ratio_1q, m.depol.p2, m.emission_ratio_2q, m.p_init) for m in models]
-    ).T
-    split = {1: _split(p1, r1), 2: _split(p2, r2)}  # by the gate's qubit count
-    attached = np.stack([*split[1], *split[2], p_init]) > 0.0  # which channels each point attaches
-    start = 0
-    for _, run in itertools.groupby(attached.T.tolist()):
-        run = slice(start, start + len(list(run)))
-        start = run.stop
-        noisy = attach_noise(circuit, models[run.start])
-        zero = np.zeros(run.stop - run.start)
-        columns = [c for _ in noisy.pre_channels for c in (p_init[run], zero, zero)]
-        for op, slot in zip(circuit.ops, noisy.channels):
-            depolarizing, damping = split[len(op.qubits)]
-            for ch in slot:
-                columns += (depolarizing[run] / 3.0,) * 3 if type(ch) is PauliNoise else (damping[run],)
-        yield noisy, np.reshape(columns, (-1, len(zero))).T
+    """The attachment rule over a grid of models, applied once per run of consecutive models that
+    attach the same channels: yields, per run, the circuit attached at the run's first model and
+    the run's rates as sim.evolve_densities reads them, a (points, m) array whose row holds the
+    rates of every channel under that point's model (init flips first, then slot by slot),
+    gathered by column from the points' rule rows."""
+    rules = [(model, *_rule(model)) for model in models]
+    table = np.array([row for _, row, _ in rules])
+    for _, run in itertools.groupby(range(len(rules)), key=lambda i: rules[i][2]):
+        run = list(run)
+        noisy, columns = _attach(circuit, *rules[run[0]])
+        yield noisy, table[run[0]:run[-1] + 1, columns]

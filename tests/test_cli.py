@@ -109,6 +109,15 @@ def test_unusable_config_value_names_its_key(tmp_path, capsys, experiment, cfg, 
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p2", [20, -0.01])
+def test_a_bad_p2_is_named_as_p2_not_as_the_p1_derived_from_it(tmp_path, capsys, p2):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"points": 2, "noise": {"p2": p2}}))
+    assert cli.main(["scan", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert f"(p2 must be in [0, 1], got {float(p2)})" in err and "p1" not in err
+
+
 @pytest.mark.parametrize("experiment", [["scan"], {"name": "scan"}, None, "sacn"])
 def test_unknown_experiment_is_config_error(tmp_path, capsys, experiment):
     assert cli.run({"experiment": experiment}, tmp_path) == cli.EXIT_BAD_CONFIG

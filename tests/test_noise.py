@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qedvqe import builders, noise, qcore, sim
@@ -27,6 +27,9 @@ def test_depolarizing_linkage_and_bounds():
     assert DepolarizingParams(p2=0.01, p1=0.05).p1 == 0.05
     with pytest.raises(ValueError):
         DepolarizingParams(p2=1.5)
+    for p2 in (20.0, -0.01):  # p1 = p2 / 10 is derived from p2, so the error names p2, the key set
+        with pytest.raises(ValueError, match="p2 must"):
+            DepolarizingParams(p2=p2)
     with pytest.raises(ValueError):
         ReadoutParams(-0.1, 0.0)
 
@@ -79,7 +82,9 @@ def test_rate_built_superoperator_stacks_match_kraus_and_each_channel_alone(paul
 def test_attach_grid_attaches_once_per_run_and_rows_are_each_points_rates(points):
     # one attachment per run of consecutive points that attach the same channels (p2 = 0 and
     # no init flips attach none), and each point's row is, bit for bit, the rates of the
-    # channels attach_noise gives its own model, in the order evolve_densities reads them
+    # channels attach_noise gives its own model, in the order evolve_densities reads them.
+    # attach_noise is the grid's one-point case, so this checks the runs and the gather by
+    # column; test_attachment_follows_the_rule_written_out checks the rule itself
     models = [
         DeviceModel(DepolarizingParams(p2=p2), p_init=p_init, emission_ratio_1q=ratio, emission_ratio_2q=ratio)
         for p2, ratio, p_init in points
@@ -95,6 +100,66 @@ def test_attach_grid_attaches_once_per_run_and_rows_are_each_points_rates(points
         start += len(rates)
         if start < len(alone):  # a run ends where the next point attaches other channels
             assert sim.density_layout(alone[start]) != sim.density_layout(noisy)
+    assert start == len(models)
+
+
+PROB = st.one_of(st.sampled_from([0.0, 1e-323, 0.01, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def noise_models(draw):
+    """DepolarizingParams with p1 derived or set (p1 = 0 < p2 and p2 = 0 < p1 included), or a
+    DeviceModel of them with independent emission ratios and init flips."""
+    depol = DepolarizingParams(p2=draw(PROB), p1=draw(st.one_of(st.none(), PROB)))
+    if draw(st.booleans()):
+        return depol
+    return DeviceModel(depol, p_init=draw(PROB), emission_ratio_1q=draw(PROB), emission_ratio_2q=draw(PROB))
+
+
+def rule_written_out(circuit, model):
+    """The channels the data-sheet rule gives circuit under model, as (type, qubit, rates) per
+    slot, init flips first: p_init as an X flip on every qubit, and after each gate, on each of
+    its qubits, p (1 - r) / 3.0 per Pauli and p r of damping, p and r being the gate class's
+    error weight and emission ratio; a channel of weight 0 is not attached."""
+    if isinstance(model, DepolarizingParams):
+        model = DeviceModel(model)
+    p_init = model.p_init
+    gate_class = {1: (model.depol.p1, model.emission_ratio_1q), 2: (model.depol.p2, model.emission_ratio_2q)}
+    slots = [[(PauliNoise, q, (p_init, 0.0, 0.0)) for q in range(circuit.n_qubits)] if p_init > 0.0 else []]
+    for op in circuit.ops:
+        slot = []
+        for q in op.qubits if op.is_unitary else ():
+            p, r = gate_class[len(op.qubits)]
+            if p * (1.0 - r) > 0.0:
+                slot.append((PauliNoise, q, (p * (1.0 - r) / 3.0,) * 3))
+            if p * r > 0.0:
+                slot.append((DampingNoise, q, (p * r,)))
+        slots.append(slot)
+    return slots
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["encoded", "unencoded"]), st.lists(noise_models(), min_size=1, max_size=8))
+@example("encoded", [DepolarizingParams(p2=0.01, p1=0.0), DeviceModel(DepolarizingParams(p2=0.0, p1=0.02))])
+@example("unencoded", [DeviceModel(DepolarizingParams(p2=0.02, p1=0.001), p_init=1e-5,
+                                   emission_ratio_1q=0.54, emission_ratio_2q=0.43), DepolarizingParams(p2=0.02)])
+def test_attachment_follows_the_rule_written_out(which, models):
+    # an oracle apart from noise's own rule: attach_noise's channels and every attach_grid row
+    # hold, bit for bit, the rates the rule written out above gives each point's model
+    circuit = (builders.build_encoded_ansatz if which == "encoded" else builders.build_unencoded_ansatz)(0.3, "Z")
+    want = [rule_written_out(circuit, m) for m in models]
+    for model, slots in zip(models, want):
+        nc = attach_noise(circuit, model)
+        got = [[(type(ch), ch.qubit, ch.rates) for ch in slot] for slot in (nc.pre_channels,) + nc.channels]
+        assert repr(got) == repr(slots)  # repr tells every float bit apart, and -0.0 from 0.0
+    start = 0
+    for noisy, rates in attach_grid(circuit, models):
+        for row, slots in zip(rates, want[start:start + len(rates)]):
+            assert [[(cls, q) for cls, q, _ in slot] for slot in slots] == [
+                [(type(ch), ch.qubit) for ch in slot] for slot in (noisy.pre_channels,) + noisy.channels
+            ]
+            assert row.tobytes() == np.array([r for slot in slots for *_, rs in slot for r in rs], float).tobytes()
+        start += len(rates)
     assert start == len(models)
 
 
@@ -144,6 +209,15 @@ def test_attach_noise_channel_placement():
     first = {}
     for ch in (ch for slot in nc.channels for ch in slot):
         assert first.setdefault(ch, ch) is ch  # equal channels are one object, built once per call
+    # where one- and two-qubit gates attach equal channels, a qubit's gates of both classes
+    # share them: one object per qubit and channel type, damping (compared by identity) included
+    equal = DeviceModel(DepolarizingParams(p2=0.01, p1=0.01), emission_ratio_1q=0.4, emission_ratio_2q=0.4)
+    one = {}
+    for op, slot in zip(circ.ops, attach_noise(circ, equal).channels):
+        assert len(slot) == (2 * len(op.qubits) if op.is_unitary else 0)
+        for ch in slot:
+            assert one.setdefault((type(ch), ch.qubit), ch) is ch
+    assert len(one) == 2 * circ.n_qubits
 
 
 def test_attach_noise_reads_depolarizing_params_as_their_device_model():

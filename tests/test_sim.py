@@ -78,7 +78,7 @@ def test_full_depolarizing_single_gate_population():
     for p in (1.0, 0.3, 0.0):
         nc = noise.NoisyCircuit(
             circ,
-            ((), (noise.PauliNoise.depolarizing(0, p),), ()),
+            ((), (noise.PauliNoise(0, p / 3.0, p / 3.0, p / 3.0),), ()),
         )
         rho = evolve_density(nc)
         assert np.max(np.abs(rho.mat - np.diag([1.0 - 2 * p / 3, 2 * p / 3]))) <= 1e-12
@@ -130,7 +130,7 @@ def noisy_circuits(draw):
                     pair = (np.diag([1.0, math.sqrt(1.0 - p)]), np.array([[0.0, math.sqrt(p)], [0.0, 0.0]]))
                     steps.append([(1.0, on(k, q)) for k in pair])
                 else:
-                    slot.append(noise.PauliNoise.depolarizing(q, p))
+                    slot.append(noise.PauliNoise(q, p / 3.0, p / 3.0, p / 3.0))
                     paulis = (np.eye(2), qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z)
                     steps.append([(w, on(k, q)) for w, k in zip((1.0 - p, p / 3, p / 3, p / 3), paulis)])
         channels.append(tuple(slot))
