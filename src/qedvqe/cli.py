@@ -13,8 +13,9 @@ THETA are accepted by every run. Before any work, run warns on stderr about the
 keys an experiment does not read (nested ones as 'noise.p_2'), converts every
 declared key, and then calls the runner with the converted values as keyword
 arguments. Exit codes: 0 success, 2 a config value that cannot be used (the
-message names its key), 3 a post-selection that kept no shot, 4 an internal
-error (the traceback goes to stderr).
+message names its key) or an --out path that cannot be made a directory (the
+message names --out and the path), 3 a post-selection that kept no shot, 4 an
+internal error (the traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -185,45 +186,48 @@ ENERGY_HEADER = (
 )
 
 
-def _study_rows(ham, model, theta, encoded, strategies=(), red=False, shots=None, seed=0, tag=""):
-    """The study rows of one ansatz: build -> attach_noise -> read kernel
-    (readout flips, or the vote with red) -> read -> a2 = 0 -> strategy
-    (encoded only) -> estimate, with nothing renormalized between steps.
+def _study_rows(ham, model, theta, strategies, red=False, shots=None, seed=0, tags=("unencoded", "encoded")):
+    """One model's study: the unencoded row, then the encoded row of each strategy.
 
-    Only the read forks: sample_shots_batched under the sub-seed of
-    tag/basis, or with shots=None its exact limit sim.shot_limit_table.
-    Returns [(label, EnergyEstimate, SurvivalStats by basis, eta_overall_Z)],
-    eta_overall_Z being the kept over the raw Z weight. Exact rows have SEM 0
-    and n_used 0; sigma_eta means something for sampled rows only.
+    Each ansatz runs build -> attach_noise -> read kernel (readout flips, or
+    the vote with red, built once per call) -> read -> a2 = 0 -> strategy
+    (encoded only) -> estimate, with nothing renormalized between steps. Only
+    the read forks: sample_shots_batched under the sub-seed of tag/basis, tags
+    being the unencoded and the encoded ansatz's tag, or with shots=None its
+    exact limit sim.shot_limit_table. Returns [(label, EnergyEstimate,
+    SurvivalStats by basis, eta_overall_Z)], eta_overall_Z being the kept over
+    the raw Z weight. Exact rows have SEM 0 and n_used 0; sigma_eta means
+    something for sampled rows only.
     """
-    build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
     vote = sim.red_vote_kernel_for(model) if red else None
-    tables, raw = {}, {}
-    for basis in ("Z", "X"):
-        nc = noise.attach_noise(build(theta, basis), model)
-        if red:
-            nc = dataclasses.replace(nc, readout=vote)
-        if shots is None:
-            tables[basis], raw[basis] = sim.shot_limit_table(nc)
+    rows = []
+    for encoded, tag in zip((False, True), tags):
+        build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
+        tables, raw = {}, {}
+        for basis in ("Z", "X"):
+            nc = noise.attach_noise(build(theta, basis), model)
+            if red:
+                nc = dataclasses.replace(nc, readout=vote)
+            if shots is None:
+                tables[basis], raw[basis] = sim.shot_limit_table(nc)
+            else:
+                cfg = sim.TrajectoryConfig(shots, _sub_seed(seed, f"{tag}/{basis}"))
+                tables[basis], raw[basis] = sim.sample_shots_batched(nc, cfg), shots
+        mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
+        name = mode + ("+red" if red else "")
+        if encoded:
+            branch = {b: postselect.select_a2_branch(tables[b], 0) for b in "ZX"}
+            picks = [
+                (f"{name}/{kind}", {b: postselect.apply_strategy(branch[b], postselect.Strategy(kind)) for b in "ZX"})
+                for kind in strategies
+            ]
         else:
-            cfg = sim.TrajectoryConfig(shots, _sub_seed(seed, f"{tag}/{basis}"))
-            tables[basis], raw[basis] = sim.sample_shots_batched(nc, cfg), shots
-    mode = estimate.MODE_ENCODED if encoded else estimate.MODE_UNENCODED
-    name = mode + ("+red" if red else "")
-
-    def row(label, picked):  # picked: basis -> (selected table, its survival)
-        (z, z_stats), (x, x_stats) = picked["Z"], picked["X"]
-        eta = {"Z": z_stats.eta, "X": x_stats.eta}
-        est = estimate.energy_from_shots(z, x, ham, mode=mode, eta=eta)
-        return label, est, {"Z": z_stats, "X": x_stats}, z.n_shots / raw["Z"]
-
-    if not encoded:
-        return [row(name, {b: (tables[b], postselect.SurvivalStats.of(raw[b], tables[b].n_shots)) for b in "ZX"})]
-    branch = {b: postselect.select_a2_branch(tables[b], 0) for b in "ZX"}
-    return [
-        row(f"{name}/{kind}", {b: postselect.apply_strategy(branch[b], postselect.Strategy(kind)) for b in "ZX"})
-        for kind in strategies
-    ]
+            picks = [(name, {b: (tables[b], postselect.SurvivalStats.of(raw[b], tables[b].n_shots)) for b in "ZX"})]
+        for label, picked in picks:  # picked: basis -> (selected table, its survival)
+            (z, z_stats), (x, x_stats) = picked["Z"], picked["X"]
+            est = estimate.energy_from_shots(z, x, ham, mode=mode, eta={"Z": z_stats.eta, "X": x_stats.eta})
+            rows.append((label, est, {"Z": z_stats, "X": x_stats}, z.n_shots / raw["Z"]))
+    return rows
 
 
 def _row(label, est, stats, seed):
@@ -233,24 +237,6 @@ def _row(label, est, stats, seed):
         stats["Z"].eta, stats["X"].eta, stats["Z"].sigma_eta, stats["X"].sigma_eta,
         est.n_used["Z"], est.n_used["X"], seed,
     )
-
-
-def _unencoded_row(ham, model, shots, seed, theta, tag="unencoded"):
-    ((label, est, stats, _),) = _study_rows(ham, model, theta, False, shots=shots, seed=seed, tag=tag)
-    return _row(label, est, stats, seed), est
-
-
-def _encoded_rows(ham, model, shots, seed, theta, strategies, tag="encoded"):
-    rows = _study_rows(ham, model, theta, True, strategies, shots=shots, seed=seed, tag=tag)
-    return (
-        [_row(label, est, stats, seed) for label, est, stats, _ in rows],
-        {kind: est for kind, (_, est, _, _) in zip(strategies, rows)},
-    )
-
-
-def _density_strategy_energy(ham, model, theta, kind):
-    """Infinite-shot energy of a projected encoded state (Z-basis circuit)."""
-    return _projected_energy(ham, _evolve(builders.build_encoded_ansatz(theta, "Z"), model), kind)
 
 
 def _projected_energy(ham, rho, kind):
@@ -263,14 +249,14 @@ def _projected_energy(ham, rho, kind):
 
 
 def shot_limit_estimates(ham, model, theta, strategies=("NONE", "PSA", "PSP", "PSAP")):
-    """Infinite-shot limit of the shot pipeline: the exact side of _study_rows.
+    """Infinite-shot limit of the shot pipeline: one exact _study_rows call.
 
     Unlike the projected-density energies, this keeps the measurement's
     phase collapse, so it is the converged value of the sampled estimators.
-    Returns {label: (EnergyEstimate with SEM 0, eta_by_basis)} including 'unencoded'.
+    Returns {label: (EnergyEstimate with SEM 0, eta_by_basis)}: 'unencoded'
+    and 'encoded/<kind>' for each strategy.
     """
-    rows = _study_rows(ham, model, theta, False) + _study_rows(ham, model, theta, True, strategies)
-    return {label: (est, est.eta) for label, est, _, _ in rows}
+    return {label: (est, est.eta) for label, est, _, _ in _study_rows(ham, model, theta, strategies)}
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +315,8 @@ def exp_scan(hamiltonian, noise, points, encoded, seed):
 
 
 def exp_table2(hamiltonian, noise, shots, strategies, seed, theta):
-    rows = [_unencoded_row(hamiltonian, noise, shots, seed, theta)[0]]
-    rows += _encoded_rows(hamiltonian, noise, shots, seed, theta, strategies)[0]
+    study = _study_rows(hamiltonian, noise, theta, strategies, shots=shots, seed=seed)
+    rows = [_row(label, est, stats, seed) for label, est, stats, _ in study]
     density = [
         ("density/unencoded", 1e3 * qcore.expectation(
             _evolve(builders.build_unencoded_ansatz(theta, "Z"), noise), hamiltonian.matrix()
@@ -346,16 +332,13 @@ def exp_table2(hamiltonian, noise, shots, strategies, seed, theta):
 
 
 def exp_sweep_depol(hamiltonian, shots, p2_grid, strategies, seed, theta):
-    rows = [row for p2 in p2_grid for row in _sweep_point(p2, hamiltonian, shots, seed, theta, strategies)]
+    rows = []
+    for p2 in p2_grid:
+        model, tags = noise.DepolarizingParams(p2=p2), (f"p2={p2!r}/unenc", f"p2={p2!r}/enc")
+        study = _study_rows(hamiltonian, model, theta, strategies, shots=shots, seed=seed, tags=tags)
+        rows += [(p2,) + _row(label, est, stats, seed) for label, est, stats, _ in study]
     header = ("p2",) + ENERGY_HEADER
     return {"sweep_depol.csv": (header, rows)}, {}, f"{len(p2_grid)} noise points x {1 + len(strategies)} rows"
-
-
-def _sweep_point(p2, ham, shots, seed, theta, strategies):
-    model = noise.DepolarizingParams(p2=p2)
-    rows = [_unencoded_row(ham, model, shots, seed, theta, tag=f"p2={p2!r}/unenc")[0]]
-    rows += _encoded_rows(ham, model, shots, seed, theta, strategies, tag=f"p2={p2!r}/enc")[0]
-    return [(p2,) + row for row in rows]
 
 
 ANALYSIS_HEADER = (
@@ -388,11 +371,6 @@ def _analysis_rows(p2_grid, theta, seed):
         )
 
 
-def _analysis_point(p2, theta, seed):
-    """The analysis row of one p2, equal to its row in any grid."""
-    return next(_analysis_rows([p2], theta, seed))
-
-
 def _analysis_runner(csv_name):
     """The one runner of fidelity-sweep and logical-error, which differ only in
     the CSV they write: fidelities and the logical-error split over p2_grid."""
@@ -417,11 +395,8 @@ def exp_red_pipeline(hamiltonian, noise, shots, seed, theta):
     """Device-model comparison of the four study rows, with and without RED."""
     rows = []
     for red in (False, True):
-        study = _study_rows(hamiltonian, noise, theta, False, red=red, shots=shots, seed=seed, tag=f"unenc/red={red}")
-        study += _study_rows(
-            hamiltonian, noise, theta, True, ["PSAP"], red=red, shots=shots, seed=seed,
-            tag="encoded" + ("+red" if red else ""),
-        )
+        tags = (f"unenc/red={red}", "encoded" + ("+red" if red else ""))
+        study = _study_rows(hamiltonian, noise, theta, ["PSAP"], red=red, shots=shots, seed=seed, tags=tags)
         for label, est, stats, eta_overall in study:
             rows.append(_row(label, est, stats, seed) + (1e3 * abs(est.mean - estimate.E_STAR_HA), eta_overall))
     header = ENERGY_HEADER + ("delta_mHa", "eta_overall_Z")
@@ -546,7 +521,11 @@ def run(config: dict, out_dir) -> int:
     keys = {"seed": SEED, "theta": THETA, **reads}
     for key in _unread_keys(config, keys):
         print(f"warning: config key {key!r} is not read by {experiment!r}; ignored", file=sys.stderr)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {str(out)!r} cannot be made an output directory ({exc.strerror})", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     started = time.time()
     try:
         values = {key: _convert(config, key, spec) for key, spec in keys.items()}

@@ -51,20 +51,13 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def table2_run():
-    shots = 200000
-    row_u, est_u = cli._unencoded_row(HAM, DEPOL_09, shots, SEED, THETA)
-    rows, ests = cli._encoded_rows(
-        HAM, DEPOL_09, shots, SEED, THETA, ["NONE", "PSA", "PSP", "PSAP"]
-    )
-    energies = {"unencoded": row_u[1]}
-    energies.update({r[0]: r[1] for r in rows})
-    sems = {"unencoded": row_u[2]}
-    sems.update({r[0]: r[2] for r in rows})
-    etas = {r[0]: (r[4], r[6]) for r in rows}  # label -> (eta_Z, sigma_eta_Z)
-    ns = {r[0]: r[8] for r in rows}
+    study = cli._study_rows(HAM, DEPOL_09, THETA, ["NONE", "PSA", "PSP", "PSAP"], shots=200000, seed=SEED)
+    rows = [cli._row(label, est, stats, SEED) for label, est, stats, _ in study]
     return {
-        "energies": energies, "sems": sems, "etas": etas, "n_z": ns,
-        "ests": ests, "est_u": est_u,
+        "energies": {r[0]: r[1] for r in rows},
+        "sems": {r[0]: r[2] for r in rows},
+        "etas": {r[0]: (r[4], r[6]) for r in rows},  # label -> (eta_Z, sigma_eta_Z)
+        "n_z": {r[0]: r[8] for r in rows},
     }
 
 
@@ -77,7 +70,7 @@ def table2_limit():
 @pytest.fixture(scope="module")
 def sweep_rows():
     grid = (0.001, 0.005, 0.01, 0.02, 0.05, 0.10)
-    return [cli._analysis_point(p2, THETA, SEED) for p2 in grid]
+    return list(cli._analysis_rows(grid, THETA, SEED))
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +119,8 @@ def test_criterion_3_scan():
 def test_criterion_4_chemical_accuracy_and_density_ordering(table2_run, table2_limit):
     e_psap = table2_limit["encoded/PSAP"]
     close = abs(e_psap - (-1137.12)) <= 1.6
-    density = {
-        kind: 1e3 * cli._density_strategy_energy(HAM, DEPOL_09, THETA, kind)
-        for kind in ("NONE", "PSA", "PSP", "PSAP")
-    }
+    rho = cli._evolve(builders.build_encoded_ansatz(THETA, "Z"), DEPOL_09)
+    density = {kind: 1e3 * cli._projected_energy(HAM, rho, kind) for kind in ("NONE", "PSA", "PSP", "PSAP")}
     ordered = density["PSAP"] <= density["PSP"] <= density["PSA"] <= density["NONE"]
     ok = close and ordered
     report(

@@ -124,6 +124,21 @@ def test_unknown_experiment_is_config_error(tmp_path, capsys, experiment):
     assert f"unknown or missing experiment {experiment!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_an_out_path_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, monkeypatch, under):
+    # --out naming a file (FileExistsError) or a path under one (NotADirectoryError)
+    # exits 2 before any work, with one error line naming --out and the path
+    blocker = tmp_path / "some_file"
+    blocker.write_text("kept")
+    out = blocker / "sub" if under else blocker
+    _, reads = cli.EXPERIMENTS["hqc"]
+    monkeypatch.setitem(cli.EXPERIMENTS, "hqc", (lambda **kw: pytest.fail("the run started"), reads))
+    assert cli.main(["hqc", "--out", str(out)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {str(out)!r}") and "Traceback" not in err
+    assert blocker.read_text() == "kept"
+
+
 def test_unknown_config_keys_warn_before_the_run(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"varience": 1.0, "shot": 5}))
@@ -327,7 +342,7 @@ def test_analysis_and_stateprep_grid_rows_equal_one_point_runs():
     prep = cli.exp_stateprep(grid, 3)[0]["stateprep.csv"][1]
     for p2, row, prep_row in zip(grid, rows, prep, strict=True):
         assert [v.hex() if isinstance(v, float) else v for v in row] == [
-            v.hex() if isinstance(v, float) else v for v in cli._analysis_point(p2, theta, 3)
+            v.hex() if isinstance(v, float) else v for v in next(cli._analysis_rows([p2], theta, 3))
         ]
         (want,) = cli.exp_stateprep([p2], 3)[0]["stateprep.csv"][1]
         assert [float(v).hex() for v in prep_row] == [float(v).hex() for v in want]
@@ -380,8 +395,9 @@ def test_table2_evolves_each_circuit_once(monkeypatch):
     assert len(calls) == 2
     monkeypatch.setattr(sim, "evolve_density", evolve)
     density = {label: value for label, value, _ in files["table2_density.csv"][1]}
+    rho = cli._evolve(builders.build_encoded_ansatz(theta, "Z"), model)
     for kind in strategies:
-        want = 1e3 * cli._density_strategy_energy(ham, model, theta, kind)
+        want = 1e3 * cli._projected_energy(ham, rho, kind)
         assert density[f"density/{kind}"].hex() == want.hex()
 
 
@@ -601,7 +617,7 @@ def test_exact_rows_match_the_hand_written_chain(red):
     """The exact side of the study-row pipeline against red_pipeline_limits."""
     model, ham, theta = noise.default_device_model(), estimate.default_h2(), estimate.THETA_STAR
     limits = red_pipeline_limits()
-    rows = cli._study_rows(ham, model, theta, False, (), red) + cli._study_rows(ham, model, theta, True, ["PSAP"], red)
+    rows = cli._study_rows(ham, model, theta, ["PSAP"], red)
     assert len(rows) == 2
     for label, est, _, eta_overall in rows:
         energy, eta = limits[label]
@@ -614,8 +630,7 @@ def test_exact_rows_report_no_sampling_error():
     gives them SEM 0 and n_used 0."""
     ham, model, theta = estimate.default_h2(), noise.DepolarizingParams(p2=9e-4), estimate.THETA_STAR
     for red in (False, True):
-        rows = cli._study_rows(ham, model, theta, False, (), red)
-        rows += cli._study_rows(ham, model, theta, True, ("NONE", "PSA", "PSP", "PSAP"), red)
+        rows = cli._study_rows(ham, model, theta, ("NONE", "PSA", "PSP", "PSAP"), red)
         for label, est, _, _ in rows:
             assert est.sem == 0.0 and est.n_used == {"Z": 0, "X": 0}, label
     # a distribution whose weights are whole numbers is still one of probabilities
@@ -635,8 +650,38 @@ def test_study_rows_carry_outcomes_as_weight_vectors(monkeypatch):
     ham, model, theta = estimate.default_h2(), noise.default_device_model(), estimate.THETA_STAR
     for shots in (None, 500):
         for red in (False, True):
-            cli._study_rows(ham, model, theta, False, (), red, shots)
-            cli._study_rows(ham, model, theta, True, ("NONE", "PSA", "PSP", "PSAP"), red, shots)
+            cli._study_rows(ham, model, theta, ("NONE", "PSA", "PSP", "PSAP"), red, shots)
+
+
+def test_a_red_study_builds_its_vote_kernel_once(monkeypatch):
+    """One vote kernel serves both ansatze of a readout-encoded study."""
+    kernel_for, calls = sim.red_vote_kernel_for, []
+    monkeypatch.setattr(sim, "red_vote_kernel_for", lambda model: calls.append(model) or kernel_for(model))
+    ham, model, theta = estimate.default_h2(), noise.default_device_model(), estimate.THETA_STAR
+    cli.exp_red_pipeline(ham, model, 200, 0, theta)
+    assert len(calls) == 1  # the red=False study builds none
+    calls.clear()
+    cli._study_rows(ham, model, theta, ("NONE", "PSA", "PSP", "PSAP"), red=True, shots=None)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("config, tags", [
+    ({"experiment": "table2"}, ["unencoded/Z", "unencoded/X", "encoded/Z", "encoded/X"]),
+    ({"experiment": "sweep-depol", "p2_grid": [0.01, 0.05]}, [
+        "p2=0.01/unenc/Z", "p2=0.01/unenc/X", "p2=0.01/enc/Z", "p2=0.01/enc/X",
+        "p2=0.05/unenc/Z", "p2=0.05/unenc/X", "p2=0.05/enc/Z", "p2=0.05/enc/X",
+    ]),
+    ({"experiment": "red-pipeline"}, [
+        "unenc/red=False/Z", "unenc/red=False/X", "encoded/Z", "encoded/X",
+        "unenc/red=True/Z", "unenc/red=True/X", "encoded+red/Z", "encoded+red/X",
+    ]),
+], ids=["table2", "sweep-depol", "red-pipeline"])
+def test_each_sampled_circuit_keeps_its_sub_seed(tmp_path, monkeypatch, config, tags):
+    """Every sampled CSV's bytes hang on these tags: a renamed one moves them."""
+    sample, seeds = sim.sample_shots_batched, []
+    monkeypatch.setattr(sim, "sample_shots_batched", lambda noisy, cfg: seeds.append(cfg.seed) or sample(noisy, cfg))
+    assert cli.run(dict(config, seed=0, shots=100), tmp_path) == cli.EXIT_OK
+    assert seeds == [cli._sub_seed(0, tag) for tag in tags]
 
 
 @pytest.mark.parametrize("encoded", [False, True])
