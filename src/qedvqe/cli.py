@@ -13,9 +13,10 @@ THETA are accepted by every run. Before any work, run warns on stderr about the
 keys an experiment does not read (nested ones as 'noise.p_2'), converts every
 declared key, and then calls the runner with the converted values as keyword
 arguments. Exit codes: 0 success, 2 a config value that cannot be used (the
-message names its key) or an --out path that cannot be made a directory (the
-message names --out and the path), 3 a post-selection that kept no shot, 4 an
-internal error (the traceback goes to stderr).
+message names its key), an --out path that cannot be made a directory (the
+message names --out and the path) or an output file in it that cannot be written
+(the message names --out, the file and the OS error), 3 a post-selection that
+kept no shot, 4 an internal error (the traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -510,6 +511,11 @@ def _convert(config: dict, key: str, spec: Key):
         raise ConfigError(f"config key {key!r}: cannot use {raw!r} ({exc})") from None
 
 
+def _unwritable(out: Path, exc: OSError) -> int:
+    print(f"error: --out {str(out)!r}: cannot write {Path(exc.filename).name!r} ({exc.strerror})", file=sys.stderr)
+    return EXIT_BAD_CONFIG
+
+
 def run(config: dict, out_dir) -> int:
     """Run one experiment; writes manifest + CSVs, returns a process exit code."""
     out = Path(out_dir)
@@ -536,15 +542,16 @@ def run(config: dict, out_dir) -> int:
         return EXIT_BAD_CONFIG
     except postselect.EmptySelectionError as exc:
         print(f"error: empty post-selection: {exc}", file=sys.stderr)
-        write_csv(out / "empty_selection.csv", ("experiment", "eta", "seed"), [(experiment, 0.0, values["seed"])])
+        try:
+            write_csv(out / "empty_selection.csv", ("experiment", "eta", "seed"), [(experiment, 0.0, values["seed"])])
+        except OSError as exc:
+            return _unwritable(out, exc)
         return EXIT_EMPTY_SELECTION
     except Exception:
         import traceback
         traceback.print_exc()
         print(f"error: internal error while running {experiment!r}", file=sys.stderr)
         return EXIT_INTERNAL
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
     manifest = {
         "tool": "qedvqe",
         "version": __version__,
@@ -557,9 +564,14 @@ def run(config: dict, out_dir) -> int:
         "wall_time_s": round(time.time() - started, 3),
     }
     manifest.update(extra)
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        for name, (header, rows) in tables.items():
+            write_csv(out / name, header, rows)
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        return _unwritable(out, exc)
     print(summary)
     print(f"wrote {', '.join(sorted(tables))} and manifest.json to {out}")
     return EXIT_OK

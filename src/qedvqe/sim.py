@@ -398,10 +398,9 @@ def _half_planes(amps: np.ndarray, qubit: int):
     return view[:, :, 0, :], view[:, :, 1, :]
 
 
-def _rows(mask: np.ndarray):
-    """An index of the rows in mask. Indexing rows copies their half-planes,
-    so when mask holds every row this is Ellipsis, which works in place."""
-    return Ellipsis if mask.all() else mask
+def _per_row(pick: np.ndarray, on: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """A (B, 2, 2) stack of on where pick is set and off elsewhere; off itself when no row picks."""
+    return np.where(pick[:, None, None], on, off) if pick.any() else off
 
 
 # Fault codes, one per shot and noise location: the Pauli inserted, or at a
@@ -411,6 +410,9 @@ def _rows(mask: np.ndarray):
 # Pauli, or a damping draw at or above gamma, which never jumps; no uniform
 # reaches it.
 _JUMP, _QUIET, _X, _Y, _Z = 0.0, 1.0, 2.0, 3.0, 4.0
+# the operator of each Pauli code, indexed by code - _QUIET, and a damping jump's
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_JUMP_OP = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 class _Trajectory:
@@ -421,8 +423,7 @@ class _Trajectory:
     as it would alone. States are kept unnormalized while damping no-jump
     factors accumulate; since p_jump = gamma * pop1 / norm^2 never exceeds
     gamma, a jump decision only needs the occupation when its uniform falls
-    below gamma, which keeps the common no-jump case to a single half-plane
-    scaling.
+    below gamma, so the common no-jump case reads no row's state.
 
     The faults at the first head locations, up to and including the last
     damping one, are inserted as the rows run. The Pauli faults after it, the
@@ -516,22 +517,19 @@ class _Trajectory:
         return min(w1 / total, 1.0) if total > 0.0 else 0.0
 
     def _apply_1q(self, amps, mat, qubit):
+        """mat @ (a0, a1) in place on the qubit's half-planes: one (2, 2) matrix for every row,
+        or a (B, 2, 2) stack of one per row."""
         a0, a1 = _half_planes(amps, qubit)
-        t = mat[0, 0] * a0 + mat[0, 1] * a1
-        a1[...] = mat[1, 0] * a0 + mat[1, 1] * a1
+        m = mat[:, None, None] if mat.ndim == 3 else mat
+        t = m[..., 0, 0] * a0 + m[..., 0, 1] * a1
+        a1[...] = m[..., 1, 0] * a0 + m[..., 1, 1] * a1
         a0[...] = t
 
-    def _quad_view(self, amps, qa, qb):
-        """6-D view exposing qubits qa < qb as explicit axes 2 and 4."""
-        return amps.reshape(amps.shape[0], 2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
-
-    def _apply_gate(self, amps, op):
-        """The batched one-qubit kernel, or for CNOT (the IR's one two-qubit kind) the row swap."""
-        if op.kind != "CNOT":
-            self._apply_1q(amps, op.matrix(), op.qubits[0])
-            return
+    def _apply_cnot(self, amps, op):
+        """The row swap of CNOT, the IR's one two-qubit kind, on a view with the lower of its
+        qubits as axis 2 and the higher as axis 4."""
         c, t = op.control, op.targets[0]
-        view = self._quad_view(amps, min(c, t), max(c, t))
+        view = amps.reshape(amps.shape[0], 2 ** min(c, t), 2, 2 ** (abs(c - t) - 1), 2, -1)
         if c < t:
             p0, p1 = view[:, :, 1, :, 0, :], view[:, :, 1, :, 1, :]
         else:
@@ -539,42 +537,6 @@ class _Trajectory:
         tmp = p0.copy()
         p0[...] = p1
         p1[...] = tmp
-
-    def _apply_pauli(self, amps, qubit, codes):
-        """The Pauli of each row's code on the qubit; a _QUIET row is left as it is."""
-        a0, a1 = _half_planes(amps, qubit)
-        for kind in (_X, _Y, _Z):
-            drew = codes == kind
-            if not drew.any():
-                continue
-            rows = _rows(drew)
-            if kind == _Z:
-                a1[rows] *= -1.0
-                continue
-            t = a0[rows].copy() if rows is Ellipsis else a0[rows]  # a mask gather is a copy already
-            if kind == _X:
-                a0[rows] = a1[rows]
-                a1[rows] = t
-            else:
-                a0[rows] = -1j * a1[rows]
-                a1[rows] = 1j * t
-
-    def _apply_channel(self, amps, ch, codes):
-        """Apply one location, given its code for every row."""
-        if isinstance(ch, PauliNoise):
-            self._apply_pauli(amps, ch.qubit, codes)
-            return
-        # damping: only a draw below gamma can jump, and then it reads its own row's state
-        a0, a1 = _half_planes(amps, ch.qubit)
-        jump = np.zeros(codes.size, dtype=bool)
-        for r in np.flatnonzero(codes < ch.gamma):
-            jump[r] = codes[r] < ch.gamma * self._pop1_frac(amps[r:r + 1], ch.qubit)
-        if jump.any():
-            rows = _rows(jump)
-            a0[rows] = a1[rows]
-            a1[rows] = 0.0
-        if not jump.all():
-            a1[_rows(~jump)] *= np.sqrt(1.0 - ch.gamma)
 
     def _zero(self, n_rows: int) -> np.ndarray:
         amps = np.zeros((n_rows, 2**self.n), dtype=complex)
@@ -585,32 +547,37 @@ class _Trajectory:
         """Evolve one shot per row of codes into a (B, 2^n) array of unnormalized statevectors.
         A row holds the codes of the first noise locations, at least the head's, and the
         locations past them are quiet. A row whose frame (a row of words, as in _frame_table)
-        sets rotation r's bit runs it at minus its angle, applied as X R X, which is R(-angle)
-        exactly in floats; zero frames run every rotation as it is. Given a list, a run of one row
-        appends each location's fault threshold to thresholds as the row reaches it (no_jump_reference)."""
-        # a Pauli location that no row drew, or past the codes, is skipped; damping always scales
-        quiet = np.ones(self._pauli.size, dtype=bool)
-        quiet[:codes.shape[1]] = np.all(codes == _QUIET, axis=0)
-        skip = (self._pauli & quiet).tolist()
+        sets rotation r's bit runs it at minus its angle, as R[::-1, ::-1], which is X R X and
+        R(-angle) exactly in floats; zero frames run every rotation as it is. Given a list, a run
+        of one row appends each location's fault threshold to thresholds as the row reaches it
+        (no_jump_reference)."""
+        # a Pauli location that no row drew, or past the codes, is skipped; damping always runs
+        quiet = np.all(codes == _QUIET, axis=0).tolist() + [True] * (self._pauli.size - codes.shape[1])
         amps = self._zero(len(codes))
         k, b = 0, self.n
         for gates, slot in self._steps:
             for op in gates:
-                if op.kind not in PARAMETRIC_KINDS:
-                    self._apply_gate(amps, op)
+                if op.kind == "CNOT":
+                    self._apply_cnot(amps, op)
                     continue
-                flipped = np.where((frames[:, b // 64] >> np.uint64(b % 64)) & np.uint64(1), _X, _QUIET)
-                b += 1
-                self._apply_pauli(amps, op.qubits[0], flipped)
-                self._apply_gate(amps, op)
-                self._apply_pauli(amps, op.qubits[0], flipped)
+                mat = op.matrix()
+                if op.kind in PARAMETRIC_KINDS:
+                    flipped = ((frames[:, b // 64] >> np.uint64(b % 64)) & np.uint64(1)).astype(bool)
+                    mat, b = _per_row(flipped, mat[::-1, ::-1], mat), b + 1
+                self._apply_1q(amps, mat, op.qubits[0])
             for ch in slot:
                 if thresholds is not None:
                     thresholds.append(ch.p_total if self._pauli[k] else ch.gamma * self._pop1_frac(amps, ch.qubit))
-                if not skip[k]:
-                    self._apply_channel(amps, ch, codes[:, k])
+                if not self._pauli[k]:  # damping: a draw below gamma may jump, reading its own row
+                    jump = np.zeros(len(amps), dtype=bool)
+                    for r in np.flatnonzero(codes[:, k] < ch.gamma):
+                        jump[r] = codes[r, k] < ch.gamma * self._pop1_frac(amps[r:r + 1], ch.qubit)
+                    no_jump = np.diag([1.0, np.sqrt(1.0 - ch.gamma)])
+                    self._apply_1q(amps, _per_row(jump, _JUMP_OP, no_jump), ch.qubit)
                     if thresholds is not None and not amps.any():
                         thresholds[-1] = np.inf
+                elif not quiet[k]:  # the Pauli each row drew
+                    self._apply_1q(amps, _PAULIS[(codes[:, k] - _QUIET).astype(np.intp)], ch.qubit)
                 k += 1
         return amps
 

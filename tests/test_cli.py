@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import dis
+import errno
 import inspect
 import json
 import math
@@ -137,6 +138,25 @@ def test_an_out_path_that_cannot_be_a_directory_is_a_config_error(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out {str(out)!r}") and "Traceback" not in err
     assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("name", ["budget.csv", "manifest.json", "empty_selection.csv"])
+def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch, name):
+    # a CSV, the manifest or the empty-selection record that cannot be written (a directory
+    # holds its name) exits 2 with one error line naming --out, the file and the OS message
+    (tmp_path / name).mkdir()
+    if name == "empty_selection.csv":
+        def empty(**kw):
+            raise postselect.EmptySelectionError("no surviving samples")
+
+        _, reads = cli.EXPERIMENTS["budget"]
+        monkeypatch.setitem(cli.EXPERIMENTS, "budget", (empty, reads))
+    assert cli.main(["budget", "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    line = err.splitlines()[-1]
+    assert line.startswith(f"error: --out {str(tmp_path)!r}") and repr(name) in line
+    assert os.strerror(errno.EISDIR) in line and "Traceback" not in err
+    assert (tmp_path / name).is_dir() and not (tmp_path / "manifest.json").is_file()
 
 
 def test_unknown_config_keys_warn_before_the_run(tmp_path, capsys):

@@ -1287,11 +1287,21 @@ def test_no_jump_reference_matches_a_kraus_oracle(noisy):
             assert abs(got - th) < 1e-12 and got <= ch.gamma
 
 
+def plain_1q(row, mat, qubit):
+    """mat @ (a0, a1) on one row's half-planes, written as plain array expressions."""
+    a0, a1 = row.reshape(2**qubit, 2, -1)[:, 0], row.reshape(2**qubit, 2, -1)[:, 1]
+    t = mat[0, 0] * a0 + mat[0, 1] * a1
+    a1[...] = mat[1, 0] * a0 + mat[1, 1] * a1
+    a0[...] = t
+
+
 def test_one_qubit_kernel_equals_the_plain_products():
     # the batched kernel on each row equals mat @ (a0, a1) written as plain
-    # array expressions on that row alone, bit for bit
+    # array expressions on that row alone, bit for bit: one matrix for every row,
+    # or a (B, 2, 2) stack of one per row
     rng = np.random.default_rng(11)
     traj = sim._Trajectory(noise.noiseless(all_measured(1)))
+    x_mat = np.array([[0.0, 1.0], [1.0, 0.0]])
     for n in range(1, 8):
         for qubit in range(n):
             mat = np.exp(1j * rng.uniform(-math.pi, math.pi, (2, 2))) * rng.uniform(0.1, 1.0, (2, 2))
@@ -1299,11 +1309,27 @@ def test_one_qubit_kernel_equals_the_plain_products():
             want = amps.copy()
             traj._apply_1q(amps, mat, qubit)
             for row in want:
-                a0, a1 = row.reshape(2**qubit, 2, -1)[:, 0], row.reshape(2**qubit, 2, -1)[:, 1]
-                t = mat[0, 0] * a0 + mat[0, 1] * a1
-                a1[...] = mat[1, 0] * a0 + mat[1, 1] * a1
-                a0[...] = t
+                plain_1q(row, mat, qubit)
             assert amps.tobytes() == want.tobytes()
+
+            stack = np.exp(1j * rng.uniform(-math.pi, math.pi, (4, 2, 2))) * rng.uniform(0.1, 1.0, (4, 2, 2))
+            amps = rng.standard_normal((4, 2**n)) + 1j * rng.standard_normal((4, 2**n))
+            want = amps.copy()
+            traj._apply_1q(amps, stack, qubit)
+            for row, m in zip(want, stack):
+                plain_1q(row, m, qubit)
+            assert amps.tobytes() == want.tobytes()
+
+            # a frame-flipped rotation: R[::-1, ::-1] on a row is X, then R, then X
+            for kind in qcore.PARAMETRIC_KINDS:
+                rot = make_gate(kind, [qubit], rng.uniform(-math.pi, math.pi)).matrix()
+                amps = rng.standard_normal((2, 2**n)) + 1j * rng.standard_normal((2, 2**n))
+                want = amps.copy()
+                traj._apply_1q(amps, np.stack([rot, rot[::-1, ::-1]]), qubit)
+                plain_1q(want[0], rot, qubit)
+                for m in (x_mat, rot, x_mat):
+                    plain_1q(want[1], m, qubit)
+                assert amps.tobytes() == want.tobytes()
 
 
 def test_faulty_passes_stay_within_the_amplitude_budget(monkeypatch):
