@@ -255,23 +255,31 @@ class DensityMatrix:
 
 
 def apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
-    """The one contraction kernel: mat (2^k x 2^k) on the k bit axes of a tensor
-    of 2^N entries (a ket, a 2^n x 2^n matrix or a (2,)*N tensor, kept in its
-    shape), the first axis most significant, as a transpose, one (2^k, rest)
-    matmul, and the inverse transpose. A (P, 2^k, 2^k) stack acts on a tensor whose first
+    """The one contraction kernel: mat (2^k x 2^k) on the k bit axes of a tensor of 2^N entries
+    (a ket, a 2^n x 2^n matrix or a (2,)*N tensor, kept in its shape), the first axis most
+    significant. Axes a to a + k - 1, in that order, are one matmul on the view (2^a, 2^k, rest),
+    or view @ mat^T when rest is 1; other axes go through a transpose, one (2^k, rest) matmul and
+    the inverse transpose. A (P, 2^k, 2^k) stack acts on a tensor whose first
     axis holds P such tensors, the p-th matrix on the p-th, each product as it would run alone;
     a stack or a tensor of one item is broadcast against the other's P. A real mat on a complex
     tensor is one real matmul over the float view, real and imaginary parts side by side."""
     stack = tensor.shape[:mat.ndim - 2]  # () or (P,)
     lead, n = len(stack), (tensor.size // math.prod(stack)).bit_length() - 1
-    order = [*range(lead), *(lead + a for a in axes), *(lead + a for a in range(n) if a not in axes)]
-    front = tensor.reshape(stack + (2,) * n).transpose(order).reshape(*stack, mat.shape[-1], -1)
-    back = sorted(range(lead + n), key=order.__getitem__)  # the inverse permutation
-    if mat.dtype == float and front.dtype == complex:
-        out = (mat @ np.ascontiguousarray(front).view(float)).view(complex)
+    if tuple(axes) == tuple(range(axes[0], axes[0] + len(axes))):  # a run: no transposes
+        front, back = tensor.reshape(*stack, 2 ** axes[0], mat.shape[-1], -1), None
     else:
-        out = mat @ front
-    return out.reshape(out.shape[:lead] + (2,) * n).transpose(back).reshape(out.shape[:lead] + tensor.shape[lead:])
+        order = [*range(lead), *(lead + a for a in axes), *(lead + a for a in range(n) if a not in axes)]
+        front = tensor.reshape(stack + (2,) * n).transpose(order).reshape(*stack, 1, mat.shape[-1], -1)
+        back = sorted(range(lead + n), key=order.__getitem__)  # the inverse permutation
+    if mat.dtype == float and front.dtype == complex:
+        out = (mat[..., None, :, :] @ np.ascontiguousarray(front).view(float)).view(complex)
+    elif front.shape[-1] == 1:  # nothing follows the axes: far faster than a matvec per block
+        out = front[..., 0] @ mat.swapaxes(-1, -2)
+    else:
+        out = mat[..., None, :, :] @ front  # each item's matrix on each of its 2^a blocks
+    if back is not None:
+        out = out.reshape(out.shape[:lead] + (2,) * n).transpose(back)
+    return out.reshape(out.shape[:lead] + tensor.shape[lead:])
 
 
 def superoperator(kraus) -> np.ndarray:
@@ -285,11 +293,11 @@ def superoperator(kraus) -> np.ndarray:
 
 
 def apply_superoperator(rho: np.ndarray, superop: np.ndarray, qubits) -> np.ndarray:
-    """superop on ``qubits`` applied to rho (2^n x 2^n, or a (2,)*2n tensor, kept
-    in its shape; or, as in apply_matrix, a stack of them under a stack of
-    superoperators): apply_matrix on each qubit's (row, column) bit pair."""
-    n = ((rho.size if superop.ndim == 2 else rho.size // len(rho)).bit_length() - 1) // 2
-    return apply_matrix(rho, superop, tuple(a for q in qubits for a in (q, n + q)))
+    """superop on ``qubits`` applied to rho in pair-adjacent order, its bit axes r0 c0 r1 c1 ...
+    (each qubit's row and column bit side by side, as superoperator orders its indices), in any
+    shape of 4^n entries, kept; or, as in apply_matrix, a stack of them under a stack of
+    superoperators: apply_matrix on axes (2q, 2q + 1) of each qubit q."""
+    return apply_matrix(rho, superop, tuple(a for q in qubits for a in (2 * q, 2 * q + 1)))
 
 
 def kron(a, b):

@@ -63,12 +63,12 @@ _PASS_AMPS = 2**14
 # The density entries of one evolve_densities stack: 2 states at 6 qubits, 512 at 2.
 # Slots are fused once for a group of whole stacks, at least _GROUP_CIRCUITS states
 # (4 stacks at 6 qubits). A group of more than one stack holds its fused slots: draining
-# the 60-point encoded grid, attached once, peaks at 0.46 MB traced (real states and
-# stacks), against 1.2 MB fused as one group. Measured in process with real superoperators
-# and grids attached once (2-vCPU shared host, BLAS at one thread): 2^12 to 2^16 entries and
-# groups of 8 to 60 states were within noise of each other (2^14 entries in groups of 16 won
-# 25 of 40 alternating pairs of the exact-density configs, medians 93.3 and 92.8 ms), and
-# one whole-grid stack (2^18, 60 states) was 16-23 % slower; so the sizes stay.
+# the 60-point encoded grid, attached once, peaks at 0.49 MB traced. Measured in process on
+# pair-adjacent stacks (2-vCPU shared host, BLAS at one thread), 10 alternating pairs of the
+# exact-density configs against these sizes (medians 33-35 ms) each: 2^12 entries won 1 pair
+# (+14 %), 2^15 won 1 (+7 %, 1.32 MB); 2^14 in groups of 8 or 16 and 2^13 in groups of 16 won
+# 6 to 8 within 3 % (0.60-0.91 MB); 2^16 won 4 at 2.59 MB, over the 1.5 MB the tests allow.
+# None won 9 of 10, so the sizes stay.
 _STACK_AMPS = 2**13
 _GROUP_CIRCUITS = 8
 
@@ -217,7 +217,8 @@ def evolve_densities(noisy_circuits, rates=None):
     per state or one for all. States are evolved in stacks of at most _STACK_AMPS density
     entries, one alive at a time, real until a complex stack comes, with one contraction per
     stack for each of _fused_steps. Those are built once for a group of whole stacks
-    (_GROUP_CIRCUITS), and each stack reads its own rows of them."""
+    (_GROUP_CIRCUITS), and each stack reads its own rows of them. A stack is in pair-adjacent
+    order (qcore.apply_superoperator); each state is gathered into (2^n, 2^n) as it is yielded."""
     noisy_circuits = list(noisy_circuits)
     if not noisy_circuits:
         return
@@ -235,6 +236,7 @@ def evolve_densities(noisy_circuits, rates=None):
         raise ValueError("rates must hold every channel's rates, in one row per state or one for all")
     per_stack = max(1, _STACK_AMPS >> 2 * n)
     per_group = per_stack * max(1, _GROUP_CIRCUITS // per_stack)
+    standard = np.arange(4**n).reshape((2,) * 2 * n).transpose(np.r_[0:2 * n:2, 1:2 * n:2]).ravel()
     for start in range(0, count, per_group):
         group = min(per_group, count - start)
         steps = _fused_steps(_items(noisy_circuits, start, start + group), _items(rates, start, start + group))
@@ -245,7 +247,8 @@ def evolve_densities(noisy_circuits, rates=None):
             rho = DensityMatrix.zero(n).mat.real.reshape(1, -1).repeat(size, axis=0)
             for stack, qubits in steps:
                 rho = apply_superoperator(rho, _items(stack, lo, lo + size), qubits)
-            for mat in rho.reshape(size, 2**n, 2**n):
+            for state in rho:  # gathered from pair-adjacent into (row bits, column bits) order
+                mat = state[standard].reshape(2**n, 2**n)
                 tr = np.trace(mat).real
                 if abs(tr - 1.0) > 1e-10:
                     raise ValueError(f"evolved density trace drifted to {tr}")
@@ -398,11 +401,6 @@ def _half_planes(amps: np.ndarray, qubit: int):
     return view[:, :, 0, :], view[:, :, 1, :]
 
 
-def _per_row(pick: np.ndarray, on: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """A (B, 2, 2) stack of on where pick is set and off elsewhere; off itself when no row picks."""
-    return np.where(pick[:, None, None], on, off) if pick.any() else off
-
-
 # Fault codes, one per shot and noise location: the Pauli inserted, or at a
 # damping location the shot's uniform when it is below gamma, which jumps when
 # it is below gamma times the row's |1> occupation. _JUMP is the uniform 0.0,
@@ -449,6 +447,7 @@ class _Trajectory:
         # a jump reads the state, so faults up to the last damping location are inserted
         damping = np.flatnonzero(~self._pauli)
         self.head = int(damping[-1]) + 1 if damping.size else 0
+        self._no_jump = {k: np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - self._gamma[k])]]) for k in damping.tolist()}
         self.frames = self._frame_table()
 
     def _frame_table(self) -> np.ndarray:
@@ -518,8 +517,12 @@ class _Trajectory:
 
     def _apply_1q(self, amps, mat, qubit):
         """mat @ (a0, a1) in place on the qubit's half-planes: one (2, 2) matrix for every row,
-        or a (B, 2, 2) stack of one per row."""
+        or a (B, 2, 2) stack of one per row. One matrix diag(1, s) (a damping no-jump, Z, S) only
+        scales a1 by s, the same products but for the sign of a zero."""
         a0, a1 = _half_planes(amps, qubit)
+        if mat.ndim == 2 and mat[0, 0] == 1 and not mat[0, 1] and not mat[1, 0]:
+            a1 *= mat[1, 1]
+            return
         m = mat[:, None, None] if mat.ndim == 3 else mat
         t = m[..., 0, 0] * a0 + m[..., 0, 1] * a1
         a1[...] = m[..., 1, 0] * a0 + m[..., 1, 1] * a1
@@ -563,21 +566,25 @@ class _Trajectory:
                 mat = op.matrix()
                 if op.kind in PARAMETRIC_KINDS:
                     flipped = ((frames[:, b // 64] >> np.uint64(b % 64)) & np.uint64(1)).astype(bool)
-                    mat, b = _per_row(flipped, mat[::-1, ::-1], mat), b + 1
+                    mat = np.where(flipped[:, None, None], mat[::-1, ::-1], mat) if flipped.any() else mat
+                    b += 1
                 self._apply_1q(amps, mat, op.qubits[0])
             for ch in slot:
                 if thresholds is not None:
                     thresholds.append(ch.p_total if self._pauli[k] else ch.gamma * self._pop1_frac(amps, ch.qubit))
                 if not self._pauli[k]:  # damping: a draw below gamma may jump, reading its own row
-                    jump = np.zeros(len(amps), dtype=bool)
                     for r in np.flatnonzero(codes[:, k] < ch.gamma):
-                        jump[r] = codes[r, k] < ch.gamma * self._pop1_frac(amps[r:r + 1], ch.qubit)
-                    no_jump = np.diag([1.0, np.sqrt(1.0 - ch.gamma)])
-                    self._apply_1q(amps, _per_row(jump, _JUMP_OP, no_jump), ch.qubit)
+                        if codes[r, k] < ch.gamma * self._pop1_frac(amps[r:r + 1], ch.qubit):
+                            self._apply_1q(amps[r:r + 1], _JUMP_OP, ch.qubit)
+                    # the no-jump on every row, a jumped one too: diag(1, s) @ jump is the jump
+                    self._apply_1q(amps, self._no_jump[k], ch.qubit)
                     if thresholds is not None and not amps.any():
                         thresholds[-1] = np.inf
-                elif not quiet[k]:  # the Pauli each row drew
-                    self._apply_1q(amps, _PAULIS[(codes[:, k] - _QUIET).astype(np.intp)], ch.qubit)
+                elif not quiet[k]:  # the Pauli each row drew, on those that drew one, as alone
+                    rows = np.flatnonzero(codes[:, k] != _QUIET)
+                    drawn = amps[rows]
+                    self._apply_1q(drawn, _PAULIS[(codes[rows, k] - _QUIET).astype(np.intp)], ch.qubit)
+                    amps[rows] = drawn
                 k += 1
         return amps
 

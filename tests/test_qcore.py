@@ -78,14 +78,18 @@ def test_ry_then_cnot_matches_half_angle_amplitudes():
 
 
 def test_apply_gate_on_density_matches_pure_evolution():
+    # apply_superoperator takes the density in pair-adjacent order, axes r0 c0 r1 c1 r2 c2;
+    # |0><0| is the same array in both orders
     rng = np.random.default_rng(7)
     circ = random_circuit(rng, 3, 12)
     sv = StateVector.zero(3)
-    rho = DensityMatrix.zero(3).mat
+    rho = DensityMatrix.zero(3).mat.reshape((2,) * 6)
+    pairs = [a for q in range(3) for a in (q, 3 + q)]
     for op in circ.ops:
         sv = apply_ket(sv, op)
         rho = apply_superoperator(rho, superoperator((op.matrix(),)), op.qubits)
-        assert np.max(np.abs(rho - sv.outer().mat)) < 1e-10
+        assert rho.shape == (2,) * 6
+        assert np.max(np.abs(rho - sv.outer().mat.reshape((2,) * 6).transpose(pairs))) < 1e-10
 
 
 def dense_oracle(mat, axes, n_bits):
@@ -148,6 +152,49 @@ def test_real_matrix_on_complex_tensor_is_its_complex_product_item_by_item(data,
     for p, item in enumerate(got):
         alone = apply_matrix(tensors[min(p, len(tensors) - 1)], mats[min(p, len(mats) - 1)], axes)
         assert item.tobytes() == alone.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    n_bits=st.integers(1, 8),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    stack=st.integers(0, 5),
+    single=st.sampled_from([None, "mat", "tensor"]),
+    kinds=st.sampled_from(["real on complex", "complex on complex", "real on real", "complex on real"]),
+    contiguous=st.booleans(),
+)
+def test_a_contiguous_run_of_axes_is_one_matmul_on_a_view(data, n_bits, k, seed, stack, single, kinds, contiguous):
+    # axes a .. a + k - 1 at the front (a = 0), in the middle, or at the end (nothing follows:
+    # view @ mat^T), contracted with no transpose: the dense oracle to 1e-12, the complex
+    # product to 1e-15, and each stacked item the bytes it has alone
+    k = min(k, n_bits)
+    a = data.draw(st.sampled_from(sorted({0, (n_bits - k) // 2, n_bits - k})), label="first axis")
+    axes = tuple(range(a, a + k))
+    rng = np.random.default_rng(seed)
+    p = max(stack, 1)
+    mat_kind, tensor_kind = kinds.split(" on ")
+
+    def draw(kind, shape):
+        real = rng.uniform(-0.5, 0.5, shape)
+        return real + 1j * rng.uniform(-0.5, 0.5, shape) if kind == "complex" else real
+
+    mats = draw(mat_kind, (1 if single == "mat" else p, 2**k, 2**k))
+    count = 1 if single == "tensor" else p
+    # a non-contiguous tensor: the transpose of a (2^n, items) array
+    tensors = draw(tensor_kind, (count, 2**n_bits)) if contiguous else draw(tensor_kind, (2**n_bits, count)).T
+    assert tensors.flags.c_contiguous == contiguous or count == 1
+    if stack:
+        got = apply_matrix(tensors, mats, axes)
+    else:
+        got = apply_matrix(tensors[0], mats[0], axes)[None]
+    assert got.shape == (max(len(mats), len(tensors)) if stack else 1, 2**n_bits)
+    assert np.max(np.abs(got - apply_matrix(tensors.astype(complex), mats.astype(complex), axes))) <= 1e-15
+    for i, item in enumerate(got):
+        mat, tensor = mats[min(i, len(mats) - 1)], tensors[min(i, len(tensors) - 1)]
+        assert np.max(np.abs(item - dense_oracle(mat, axes, n_bits) @ tensor)) < 1e-12
+        assert item.tobytes() == apply_matrix(tensor, mat, axes).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))

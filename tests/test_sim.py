@@ -1331,6 +1331,25 @@ def test_one_qubit_kernel_equals_the_plain_products():
                     plain_1q(want[1], m, qubit)
                 assert amps.tobytes() == want.tobytes()
 
+            # diag(1, s), a damping no-jump, Z or S, only scales a1: |a|^2 is the plain products'
+            # bit for bit, and a0 keeps its bytes, a -0.0 too, which 1 * a0 + 0 * a1 turns to +0.0.
+            # RZ, diagonal with [0, 0] != 1, takes the general route: the plain products' bytes.
+            no_jump = np.diag([1.0, math.sqrt(1.0 - rng.uniform())])
+            rz = make_gate("RZ", [qubit], rng.uniform(-math.pi, math.pi)).matrix()
+            for mat in (no_jump, qcore.PAULI_Z, make_gate("S", [qubit], None).matrix(), rz):
+                amps = rng.standard_normal((3, 2**n)) + 1j * rng.standard_normal((3, 2**n))
+                amps[:, 0] = complex(-0.0, -0.0)  # index 0 is in the a0 half-plane of every qubit
+                want, a0 = amps.copy(), sim._half_planes(amps, qubit)[0].copy()
+                traj._apply_1q(amps, mat, qubit)
+                for row in want:
+                    plain_1q(row, mat, qubit)
+                if mat is rz:
+                    assert amps.tobytes() == want.tobytes()
+                else:
+                    assert (np.abs(amps) ** 2).tobytes() == (np.abs(want) ** 2).tobytes()
+                    assert sim._half_planes(amps, qubit)[0].tobytes() == a0.tobytes()
+                    assert sim._half_planes(want, qubit)[0].tobytes() != a0.tobytes()
+
 
 def test_faulty_passes_stay_within_the_amplitude_budget(monkeypatch):
     # a rotation on every qubit, so that the faulty shots fall into many flip patterns
