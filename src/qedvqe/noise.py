@@ -252,9 +252,10 @@ class NoisyCircuit:
     def __post_init__(self):
         if len(self.channels) != len(self.circuit.ops):
             raise ValueError("channel list must align with the gate list")
-        kernel = self.readout
-        if kernel.shape != (2, 2) or np.any(kernel < 0.0) or np.any(kernel.sum(axis=0) > 1.0 + 1e-12):
-            raise ValueError("readout must be a 2x2 kernel with non-negative entries and column sums <= 1")
+        # checked on plain floats, a wrong shape as NaNs: a NaN or an inf entry fails a comparison
+        (a, b), (c, d) = self.readout.tolist() if self.readout.shape == (2, 2) else [[np.nan] * 2] * 2
+        if not (min(a, b, c, d) >= 0.0 and a + c <= 1.0 + 1e-12 and b + d <= 1.0 + 1e-12):
+            raise ValueError("readout must be a finite 2x2 kernel with non-negative entries and column sums <= 1")
 
     def noise_locations(self):
         """Flattened (location, channel) pairs; pre-channels use location -1."""

@@ -61,16 +61,16 @@ TRAJECTORY_QUBIT_CAP = 20
 _CHUNK_BYTES = 2**23
 _PASS_AMPS = 2**14
 # The density entries of one evolve_densities stack: 2 states at 6 qubits, 512 at 2.
-# Slots are fused once for a group of whole stacks, at least _GROUP_CIRCUITS states
-# (4 stacks at 6 qubits). A group of more than one stack holds its fused slots: draining
-# the 60-point encoded grid, attached once, peaks at 0.49 MB traced. Measured in process on
-# pair-adjacent stacks (2-vCPU shared host, BLAS at one thread), 10 alternating pairs of the
-# exact-density configs against these sizes (medians 33-35 ms) each: 2^12 entries won 1 pair
-# (+14 %), 2^15 won 1 (+7 %, 1.32 MB); 2^14 in groups of 8 or 16 and 2^13 in groups of 16 won
-# 6 to 8 within 3 % (0.60-0.91 MB); 2^16 won 4 at 2.59 MB, over the 1.5 MB the tests allow.
-# None won 9 of 10, so the sizes stay.
+# Slots are fused once for a group of whole stacks, at least _GROUP_CIRCUITS states (16
+# stacks at 6 qubits); a group of more stacks than one holds its fused slots. Draining the
+# 60-point encoded grid, attached once, peaks at 0.77 MB traced (0.45 in groups of 8, 1.17 in
+# one of 64; the tests allow 1.5). In process with the planned pair orders (2-vCPU shared
+# host, BLAS at one thread, minima of 31 runs in 5 alternating rounds), the exact-density
+# configs took 26.2-27.2 ms in groups of 8, 24.5-25.3 in 16, 23.4-24.7 in 32 and 23.1-24.1 in
+# one of 64: 32 keeps most of that, with two thirds of the held slots. The stack size was
+# measured in groups of 8: 2^12 and 2^15 entries were slower, and 2^16 held 2.59 MB.
 _STACK_AMPS = 2**13
-_GROUP_CIRCUITS = 8
+_GROUP_CIRCUITS = 32
 
 
 @dataclass(frozen=True)
@@ -178,30 +178,66 @@ def density_layout(noisy: NoisyCircuit) -> tuple:
     return noisy.circuit.n_qubits, [(op.kind, op.qubits) for op in ops], channels
 
 
-def _fused_steps(circuits, rates):
-    """The contractions of an evolve_densities group, in order, as (stack, qubits) with one item
-    per state or one for all: each init flip, then per slot a unitary gate fused with the slot's
-    channels on its qubits (one superoperator), and each other channel on its own pair. Gates
-    come from the circuits (_stacked), channels from their rate columns by their class
-    (PauliNoise.superoperators, DampingNoise.superoperators)."""
-    first, columns = circuits[0], iter(rates.T)
+def _path_order(pairs, n: int):
+    """An order of the n qubits with each pair's qubits side by side, or None where the pairs
+    allow none (a qubit with three neighbours, or a cycle): each path walked from an end."""
+    near = [{b for a, b in pairs + [p[::-1] for p in pairs] if a == q} for q in range(n)]
+    order = []
+    for q in sorted(range(n), key=lambda q: len(near[q])):
+        while q is not None and q not in order:
+            order.append(q)
+            q = next((r for r in near[q] if r not in order), None)
+    return order if all(abs(order.index(a) - order.index(b)) == 1 for a, b in pairs) else None
+
+
+def _pair_orders(layout) -> list:
+    """(first op, order) per segment: the longest run of two-qubit gates, from its first, whose
+    pairs fit one order (_path_order); the first holds from the start, |0..0><0..0| fitting any."""
+    n, ops, _ = layout
+    plan = [(0, [])]  # (first op, pairs) per segment
+    for i, qubits in ((i, qubits) for i, (_, qubits) in enumerate(ops) if len(qubits) == 2):
+        if _path_order(plan[-1][1] + [qubits], n) is None:
+            plan.append((i, []))
+        plan[-1][1].append(qubits)
+    return [(cut, _path_order(pairs, n)) for cut, pairs in plan]
+
+
+def _fused_steps(circuits, rates, plan):
+    """The contractions of an evolve_densities group, in order, as (stack, positions) with one
+    item per state or one for all: each init flip, then per slot a unitary gate fused with the
+    slot's channels on its qubits (one superoperator), and each other channel on its own pair.
+    Gates come from the circuits (_stacked), channels from their rate columns by their class
+    (PauliNoise.superoperators, DampingNoise.superoperators). Positions, each an ascending run,
+    are the plan's (_pair_orders): a gate on a descending pair is fused as U conjugated by the
+    qubit exchange, and (None, axes) moves the stack (_moved) before a segment's first gate."""
+    first, columns, orders, where = circuits[0], iter(rates.T), dict(plan[1:]), plan[0][1].index
 
     def stack(ch):
         return type(ch).superoperators(*(next(columns) for _ in ch.rates))
 
     for ch in first.pre_channels:
-        yield stack(ch), (ch.qubit,)
+        yield stack(ch), (where(ch.qubit),)
     for i, (op, slot) in enumerate(zip(first.circuit.ops, first.channels)):
+        if i in orders:
+            yield None, [0, *(1 + 2 * where(q) + b for q in orders[i] for b in (0, 1))]
+            where = orders[i].index
         stacks, rest = [stack(ch) for ch in slot], range(len(slot))
         if op.is_unitary:
-            fused = _stacked([nc.circuit.ops[i] for nc in circuits])
-            for j in (j for j in rest if slot[j].qubit in op.qubits):
-                pair = op.qubits.index(slot[j].qubit)
+            on, fused = op.qubits, _stacked([nc.circuit.ops[i] for nc in circuits])
+            if len(on) == 2 and where(on[0]) > where(on[1]):  # as U on the exchanged pair
+                on, fused = on[::-1], fused.reshape(-1, *(4,) * 4).transpose(0, 2, 1, 4, 3).reshape(-1, 16, 16)
+            for j in (j for j in rest if slot[j].qubit in on):
+                pair = on.index(slot[j].qubit)
                 fused = apply_matrix(fused, stacks[j], (2 * pair, 2 * pair + 1))
-            yield fused, op.qubits
-            rest = [j for j in rest if slot[j].qubit not in op.qubits]  # these commute with it and follow
+            yield fused, tuple(map(where, on))
+            rest = [j for j in rest if slot[j].qubit not in on]  # these commute with it and follow
         for j in rest:
-            yield stacks[j], (slot[j].qubit,)
+            yield stacks[j], (where(slot[j].qubit),)
+
+
+def _moved(rho: np.ndarray, axes) -> np.ndarray:
+    """A stack of pair-adjacent densities moved into the next segment's qubit order: one copy."""
+    return rho.reshape(len(rho), *(2,) * (len(axes) - 1)).transpose(axes).reshape(len(rho), -1)
 
 
 def _items(seq, lo: int, hi: int):
@@ -218,7 +254,8 @@ def evolve_densities(noisy_circuits, rates=None):
     entries, one alive at a time, real until a complex stack comes, with one contraction per
     stack for each of _fused_steps. Those are built once for a group of whole stacks
     (_GROUP_CIRCUITS), and each stack reads its own rows of them. A stack is in pair-adjacent
-    order (qcore.apply_superoperator); each state is gathered into (2^n, 2^n) as it is yielded."""
+    order (qcore.apply_superoperator) of a planned qubit order (_pair_orders), copied once into
+    each later one; each state is gathered into (2^n, 2^n) as it is yielded."""
     noisy_circuits = list(noisy_circuits)
     if not noisy_circuits:
         return
@@ -236,17 +273,19 @@ def evolve_densities(noisy_circuits, rates=None):
         raise ValueError("rates must hold every channel's rates, in one row per state or one for all")
     per_stack = max(1, _STACK_AMPS >> 2 * n)
     per_group = per_stack * max(1, _GROUP_CIRCUITS // per_stack)
-    standard = np.arange(4**n).reshape((2,) * 2 * n).transpose(np.r_[0:2 * n:2, 1:2 * n:2]).ravel()
+    plan = _pair_orders(layout)
+    pos = np.argsort(plan[-1][1])  # each qubit's position in the last order, which states are gathered from
+    standard = np.arange(4**n).reshape((2,) * 2 * n).transpose(np.r_[2 * pos, 2 * pos + 1]).ravel()
     for start in range(0, count, per_group):
         group = min(per_group, count - start)
-        steps = _fused_steps(_items(noisy_circuits, start, start + group), _items(rates, start, start + group))
+        steps = _fused_steps(_items(noisy_circuits, start, start + group), _items(rates, start, start + group), plan)
         if group > per_stack:  # held, as every stack of the group reads each step
             steps = list(steps)
         for lo in range(0, group, per_stack):
             size = min(per_stack, group - lo)
             rho = DensityMatrix.zero(n).mat.real.reshape(1, -1).repeat(size, axis=0)
-            for stack, qubits in steps:
-                rho = apply_superoperator(rho, _items(stack, lo, lo + size), qubits)
+            for stack, at in steps:
+                rho = _moved(rho, at) if stack is None else apply_superoperator(rho, _items(stack, lo, lo + size), at)
             for state in rho:  # gathered from pair-adjacent into (row bits, column bits) order
                 mat = state[standard].reshape(2**n, 2**n)
                 tr = np.trace(mat).real

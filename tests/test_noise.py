@@ -233,6 +233,24 @@ def test_attach_noise_reads_depolarizing_params_as_their_device_model():
         attach_noise(circ, ReadoutParams())
 
 
+@pytest.mark.parametrize("kernel", [
+    [[math.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, math.nan]],
+    [[math.inf, 0.0], [0.0, 1.0]],
+    [[1.0, -math.inf], [0.0, 1.0]],
+    [[0.5, 0.0], [-0.1, 1.0]],
+    [[0.6, 0.0], [0.5, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+], ids=["nan", "nan-last", "inf", "minus-inf", "negative", "column-over-one", "shape"])
+def test_a_readout_kernel_must_be_finite_non_negative_and_lose_mass_only(kernel):
+    # a NaN passed the array checks once, and shot_limit_table then gave NaN weights
+    nc = attach_noise(builders.build_unencoded_ansatz(0.2, "Z"), DepolarizingParams(p2=0.01))
+    with pytest.raises(ValueError, match="readout must be a finite 2x2 kernel"):
+        dataclasses.replace(nc, readout=np.array(kernel))
+    lossy = dataclasses.replace(nc, readout=np.array([[0.6, 0.1], [0.2, 0.5]]))  # column sums below 1
+    assert lossy.readout.tolist() == [[0.6, 0.1], [0.2, 0.5]]
+
+
 def test_device_model_emission_split_and_init():
     model = DeviceModel(
         depol=DepolarizingParams(p2=1e-3, p1=1e-4),

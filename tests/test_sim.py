@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import statistics
 from collections import Counter
@@ -93,65 +94,132 @@ def test_evolve_density_trace_and_cap(monkeypatch):
         evolve_density(noise.noiseless(all_measured(sim.DENSITY_QUBIT_CAP + 1)))
 
 
+def embedded(k, qubits, n):
+    """The operator k on qubits of an n-qubit register, entry by entry: <i|K|j> is k's entry at
+    i's and j's bits on those qubits (the first the most significant) where i and j agree on
+    every other qubit, and 0 elsewhere; qubit 0 is the most significant bit of i."""
+    bits = [[(i >> (n - 1 - q)) & 1 for q in range(n)] for i in range(2**n)]
+
+    def sub(i):  # i's bits on those qubits, as an index of k
+        return sum(bits[i][q] << (len(qubits) - 1 - s) for s, q in enumerate(qubits))
+
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for i, j in np.ndindex(full.shape):
+        if all(bits[i][q] == bits[j][q] for q in range(n) if q not in qubits):
+            full[i, j] = k[sub(i), sub(j)]
+    return full
+
+
 @st.composite
 def noisy_circuits(draw):
-    """A random 1-2 qubit circuit with init flips and random depolarizing and
+    """A random 1-4 qubit circuit with init flips and random depolarizing and
     damping slots, and its Kraus-sum oracle: per step, the weighted operators
-    (w, K) on the whole register, rho -> sum w K rho K^dagger. The oracle's
-    channels are written out here: the four weighted Paulis and the damping pair."""
-    n = draw(st.integers(1, 2))
+    (w, k, qubits), rho -> sum w K rho K^dagger with K the operator k on those qubits
+    (embedded). The oracle's channels are written out here: the four weighted
+    Paulis and the damping pair. A two-qubit gate takes any ordered pair, so
+    descending pairs and chains that fit no one qubit order (a qubit with three
+    partners, a cycle) come up."""
+    n = draw(st.integers(1, 4))
     prob = st.floats(0.0, 1.0)
-
-    def on(op, q):  # a one-qubit operator on qubit q; qubit 0 is the most significant
-        return np.kron(np.kron(np.eye(2**q), op), np.eye(2 ** (n - 1 - q)))
-
     flips = [draw(prob) for _ in range(n)]
     pre = tuple(noise.PauliNoise(q, p, 0.0, 0.0) for q, p in enumerate(flips))
     bit_flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    steps = [[(1.0 - p, on(np.eye(2), q)), (p, on(bit_flip, q))] for q, p in enumerate(flips)]
-    kinds = UNITARY_KINDS if n == 2 else qcore.UNITARY_1Q_KINDS
+    steps = [[(1.0 - p, np.eye(2), (q,)), (p, bit_flip, (q,))] for q, p in enumerate(flips)]
+    # two-qubit kinds weighted up, so that chains of them are drawn
+    kinds = UNITARY_KINDS + qcore.UNITARY_2Q_KINDS * 6 if n >= 2 else qcore.UNITARY_1Q_KINDS
     ops, channels = [], []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(kinds))
         c = draw(st.integers(0, n - 1))
-        op = make_gate(kind, (c, 1 - c), draw(st.floats(-math.pi, math.pi)))
-        if len(op.qubits) == 1:
-            u = on(op.matrix(), op.qubits[0])
-        else:  # a (1, 0) gate is its (0, 1) matrix conjugated by the qubit exchange
-            exchange = np.eye(4)[[0, 2, 1, 3]]
-            u = op.matrix() if op.qubits == (0, 1) else exchange @ op.matrix() @ exchange
+        if kind in qcore.UNITARY_2Q_KINDS:
+            op = make_gate(kind, (c, draw(st.sampled_from([q for q in range(n) if q != c]))), None)
+        else:
+            op = make_gate(kind, (c,), draw(st.floats(-math.pi, math.pi)))
         ops.append(op)
-        steps.append([(1.0, u)])
+        steps.append([(1.0, op.matrix(), op.qubits)])
         slot = []
         for q in op.qubits:
             for damping, p in draw(st.lists(st.tuples(st.booleans(), prob), max_size=2)):
                 if damping:
                     slot.append(noise.DampingNoise(q, p))
                     pair = (np.diag([1.0, math.sqrt(1.0 - p)]), np.array([[0.0, math.sqrt(p)], [0.0, 0.0]]))
-                    steps.append([(1.0, on(k, q)) for k in pair])
+                    steps.append([(1.0, k, (q,)) for k in pair])
                 else:
                     slot.append(noise.PauliNoise(q, p / 3.0, p / 3.0, p / 3.0))
                     paulis = (np.eye(2), qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z)
-                    steps.append([(w, on(k, q)) for w, k in zip((1.0 - p, p / 3, p / 3, p / 3), paulis)])
+                    steps.append([(w, k, (q,)) for w, k in zip((1.0 - p, p / 3, p / 3, p / 3), paulis)])
         channels.append(tuple(slot))
     circ = Circuit(n, tuple(ops), (ROLE_DATA,) * n)
     return noise.NoisyCircuit(circ, tuple(channels), pre), steps
 
 
+def _three_segments():
+    """A noiseless 4-qubit case of noisy_circuits' form whose CNOTs fit three qubit orders, cut
+    where qubit 0 takes a third partner and where (1, 2) would close the cycle 1-3-0-2; its
+    density is complex before the first cut, so a move that transposed it would show."""
+    pairs = [(0, 1), (2, 0), (0, 3), (3, 1), (0, 2), (1, 2), (2, 3)]
+    ops = [qcore.ry(0.3 + q, q) for q in range(4)] + [qcore.s(1), qcore.rz(0.9, 3)]
+    ops += [qcore.cnot(c, t) for c, t in pairs] + [qcore.rz(0.5, 2)]
+    return noise.noiseless(Circuit(4, tuple(ops), (ROLE_DATA,) * 4)), [[(1.0, op.matrix(), op.qubits)] for op in ops]
+
+
 @settings(max_examples=150, deadline=None)
 @given(noisy_circuits())
+@example(_three_segments())
 def test_evolve_density_matches_a_kraus_sum_oracle(case):
     noisy, steps = case
-    dim = 2**noisy.circuit.n_qubits
-    want = np.zeros((dim, dim), dtype=complex)
+    n = noisy.circuit.n_qubits
+    want = np.zeros((2**n, 2**n), dtype=complex)
     want[0, 0] = 1.0
     for step in steps:
-        want = sum(w * k @ want @ k.conj().T for w, k in step)
+        want = sum(w * K @ want @ K.conj().T for w, K in ((w, embedded(k, qubits, n)) for w, k, qubits in step))
     rho = evolve_density(noisy).mat
     assert np.max(np.abs(rho - want)) <= 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_a_path_order_puts_each_pair_side_by_side_or_is_refused(n, data):
+    # oracle: every order of the register, tried one by one
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(tuple)
+    pairs = data.draw(st.lists(pair, max_size=7)) if n > 1 else []
+    fits = [order for order in itertools.permutations(range(n))
+            if all(abs(order.index(a) - order.index(b)) == 1 for a, b in pairs)]
+    order = sim._path_order(pairs, n)
+    if not fits:
+        assert order is None
+    else:
+        assert tuple(order) in fits
+
+
+def test_the_encoded_circuit_contracts_on_runs_with_one_move_per_stack(monkeypatch):
+    # the encoded circuit's CNOTs (1,2) (1,3) | (1,4) (1,0) (2,0) (5,2) (5,3) fit two qubit
+    # orders: every contraction is on an ascending run of axes, a CNOT on a descending pair
+    # taking its exchanged superoperator, and each stack is moved once, at the cut
+    axes_seen, moves = [], []
+    contract, move = qcore.apply_matrix, sim._moved
+
+    def recording(tensor, mat, axes):
+        axes_seen.append(tuple(axes))
+        return contract(tensor, mat, axes)
+
+    monkeypatch.setattr(qcore, "apply_matrix", recording)
+    monkeypatch.setattr(sim, "apply_matrix", recording)
+    monkeypatch.setattr(sim, "_moved", lambda rho, axes: moves.append(len(rho)) or move(rho, axes))
+    assert [order for _, order in sim._pair_orders(sim.density_layout(noise.noiseless(ENCODED)))] == [
+        [0, 4, 5, 2, 1, 3], [3, 5, 2, 0, 1, 4]]
+    ((noisy, rates),) = noise.attach_grid(ENCODED, [dataclasses.replace(DEVICE, depol=DepolarizingParams(p2=p2))
+                                                    for p2 in (0.001, 0.002, 0.003, 0.004, 0.005)])
+    got = list(sim.evolve_densities([noisy], rates))
+    assert axes_seen and all(axes == tuple(range(axes[0], axes[0] + len(axes))) for axes in axes_seen)
+    assert moves == [2, 2, 1]  # the 5 states' stacks of at most 2, each moved once
+    monkeypatch.undo()
+    for rho, p2 in zip(got, (0.001, 0.002, 0.003, 0.004, 0.005)):
+        alone = sim.evolve_density(noise.attach_noise(ENCODED, dataclasses.replace(DEVICE, depol=DepolarizingParams(p2=p2))))
+        assert rho.mat.tobytes() == alone.mat.tobytes()
 
 
 def test_evolve_density_applies_channels_off_the_gate_and_after_a_measurement():
@@ -620,7 +688,7 @@ def first_fault_draws(draw):
     unit = st.floats(0.0, 1.0, exclude_max=True)
     rate = st.sampled_from((0.0, 1.0 / 3.0)) | st.floats(0.0, 1.0 / 3.0)
     locations, thresholds = [], []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, 10))):
         if draw(st.booleans()):
             ch = noise.PauliNoise(0, draw(rate), draw(rate), draw(rate))
             thresholds.append(ch.p_total)
