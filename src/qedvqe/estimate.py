@@ -41,6 +41,7 @@ class H2Hamiltonian:
     g2: float
     g3: float
     g4: float
+    _observables: dict = field(default_factory=dict, init=False, repr=False)  # by mode
 
     def __post_init__(self):
         if not all(map(math.isfinite, self.coeffs)):
@@ -51,8 +52,11 @@ class H2Hamiltonian:
         return (self.g0, self.g1, self.g2, self.g3, self.g4)
 
     def observable(self, mode: str) -> np.ndarray:
-        """The Hamiltonian as a matrix on the mode's register."""
-        return sum(g * pauli_word(w) for g, w in zip(self.coeffs, WORDS[mode]))
+        """The Hamiltonian as a matrix on the mode's register, built once per mode and shared, so read-only."""
+        if mode not in self._observables:
+            self._observables[mode] = sum(g * pauli_word(w) for g, w in zip(self.coeffs, WORDS[mode]))
+            self._observables[mode].setflags(write=False)
+        return self._observables[mode]
 
     def matrix(self) -> np.ndarray:
         return self.observable(MODE_UNENCODED)
@@ -103,7 +107,7 @@ def _term_means(table: ShotTable, mode: str, basis: str):
     """
     layout = table.layout
     words = [w for w in WORDS[mode][1:] if set(w) <= {"I", basis}]
-    supports = [[p for p, c in enumerate(w) if c != "I"] for w in words]
+    supports = [tuple(p for p, c in enumerate(w) if c != "I") for w in words]
     if len(words[0]) != len(layout.roles) or any(layout.roles[p] != ROLE_DATA for s in supports for p in s):
         raise ValueError(f"the {mode} words do not read the data qubits of a layout with roles {layout.roles}")
     total = table.n_shots

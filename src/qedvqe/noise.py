@@ -31,9 +31,13 @@ import numpy as np
 from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, superoperator
 
 
-def _check_prob(value, name):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+def _check_prob(obj, *names):
+    """Each named field of a frozen dataclass, checked to lie in [0, 1] and set as a Python float."""
+    for name in names:
+        value = getattr(obj, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+        object.__setattr__(obj, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -44,10 +48,10 @@ class DepolarizingParams:
     p1: float | None = None
 
     def __post_init__(self):
-        _check_prob(self.p2, "p2")  # first, as a bad p2 would make a bad derived p1
+        _check_prob(self, "p2")  # first, as a bad p2 would make a bad derived p1
         if self.p1 is None:
             object.__setattr__(self, "p1", self.p2 / 10.0)
-        _check_prob(self.p1, "p1")
+        _check_prob(self, "p1")
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,7 @@ class ReadoutParams:
     p_flip1: float = 0.0
 
     def __post_init__(self):
-        _check_prob(self.p_flip0, "p_flip0")
-        _check_prob(self.p_flip1, "p_flip1")
+        _check_prob(self, "p_flip0", "p_flip1")
 
     @property
     def kernel(self) -> np.ndarray:
@@ -91,9 +94,7 @@ class DeviceModel:
     crosstalk_init: float = 0.0
 
     def __post_init__(self):
-        for name in ("p_init", "emission_ratio_1q", "emission_ratio_2q",
-                     "crosstalk_meas", "crosstalk_init"):
-            _check_prob(getattr(self, name), name)
+        _check_prob(self, "p_init", "emission_ratio_1q", "emission_ratio_2q", "crosstalk_meas", "crosstalk_init")
 
 
 # Config keys mirror the device data-sheet row names verbatim.
@@ -178,8 +179,7 @@ class PauliNoise:
     p_z: float
 
     def __post_init__(self):
-        for name in ("p_x", "p_y", "p_z"):
-            _check_prob(getattr(self, name), name)
+        _check_prob(self, "p_x", "p_y", "p_z")
         if self.p_total > 1.0:
             raise ValueError(f"p_total = p_x + p_y + p_z must be at most 1, got {self.p_total}")
 
@@ -212,7 +212,7 @@ class DampingNoise:
     gamma: float
 
     def __post_init__(self):
-        _check_prob(self.gamma, "gamma")
+        _check_prob(self, "gamma")
 
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:

@@ -3,14 +3,14 @@
 The trajectory backend unravels each attached channel into stochastic Pauli
 insertions plus jump/no-jump amplitude-damping branches on statevectors, so
 it reaches registers (up to TRAJECTORY_QUBIT_CAP qubits) that the density
-backend cannot. A circuit's shots split into the fault-free ones, whose read
-outcomes are one multinomial draw from the no-jump reference, and the faulty
-ones, each resolved from the fault codes its uniforms give under the
-first-fault law (_first_fault_codes). The Pauli faults after the last damping
-location act as Pauli frames: an outcome mask, and a sign flip of the
-rotations they anticommute with. So one state is evolved per distinct (codes
-up to that location, rotation-flip pattern), as a row of one (B, 2^n)
-statevector array, not one per fault history. Each drawn quantity reads words
+backend cannot. A circuit's shots split into the fault-free ones, whose read outcomes are one
+multinomial draw from the no-jump reference, and the faulty ones, each resolved from the fault it
+draws first (_first_fault_codes). The Pauli faults after the last damping location, the tail, act
+as Pauli frames: an outcome mask, and a sign flip of the rotations they anticommute with. A tail
+fault is an integer index into its location's frames; only the head has float codes. One sort of
+the faulty shots' keys groups them by (head codes, rotation-flip pattern), and one state is evolved
+per group, as a row of one (B, 2^n) statevector array; without damping, the no-jump reference is
+the quiet, zero-frame row of the first such pass. Each drawn quantity reads words
 of its own SplitMix64 counter stream (splitmix), any word of which is computed
 directly, so no chunk or pass size moves a count (sample_shots).
 Both backends read measured bits through the circuit's per-bit read kernel,
@@ -94,11 +94,13 @@ class MeasurementLayout:
             raise ValueError(f"layout has {len(pos)} qubits of role {role!r}")
         return pos[0]
 
-    def parity(self, positions) -> np.ndarray:
-        """The XOR of the bits at these positions of each outcome index, 0 or 1 by index."""
+    @functools.lru_cache(maxsize=64)
+    def parity(self, positions: tuple) -> np.ndarray:
+        """The XOR of the bits at these positions of each outcome index, 0 or 1 by index; cached, so read-only."""
         m = len(self.qubits)
-        mask = sum(1 << (m - 1 - p) for p in positions)
-        return np.bitwise_count(np.arange(1 << m) & mask) & 1
+        out = np.bitwise_count(np.arange(1 << m) & sum(1 << (m - 1 - p) for p in positions)) & 1
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,9 +473,9 @@ class _Trajectory:
     def __init__(self, noisy: NoisyCircuit):
         self.noisy = noisy
         self.n = noisy.circuit.n_qubits
-        # (gates, channels) in order: the init flips, then each op and its slot
+        # (gates, channels) in order: the init flips, then each op, with its matrix, and its slot
         self._steps = [((), noisy.pre_channels)] + [
-            ((op,) if op.is_unitary else (), slot) for op, slot in zip(noisy.circuit.ops, noisy.channels)
+            (((op, op.matrix()),) if op.is_unitary else (), slot) for op, slot in zip(noisy.circuit.ops, noisy.channels)
         ]
         # per noise location, the thresholds fault_codes compares against
         locations = [ch for _, slot in self._steps for ch in slot]
@@ -503,7 +505,7 @@ class _Trajectory:
         and Z_t to Z_c Z_t, H swaps X and Z, S maps X to XZ, and X, Y, Z keep both. A rotation
         adds its bit to the Paulis that anticommute with its generator (RZ: X, RY: X and Z).
         """
-        n_rot = sum(op.kind in PARAMETRIC_KINDS for gates, _ in self._steps for op in gates)
+        n_rot = sum(op.kind in PARAMETRIC_KINDS for gates, _ in self._steps for op, _ in gates)
         frame_x = [1 << (self.n - 1 - q) for q in range(self.n)]
         frame_z = [0] * self.n
         frames, k, b = [], self._pauli.size, self.n + n_rot
@@ -514,7 +516,7 @@ class _Trajectory:
                 k -= 1
                 fx, fz = frame_x[ch.qubit], frame_z[ch.qubit]
                 frames.append((0, fx, fx ^ fz, fz))
-            for op in reversed(gates):
+            for op, _ in reversed(gates):
                 q = op.qubits[-1]
                 if op.kind == "CNOT":
                     frame_x[op.control] ^= frame_x[q]
@@ -534,17 +536,16 @@ class _Trajectory:
         return np.array(words, dtype=np.uint64).reshape(n_words, 4 * len(frames))
 
     def fault_codes(self, u_loc: np.ndarray) -> np.ndarray:
-        """The fault signature of each row of uniforms: one code per location.
-
-        Rows with equal codes evolve through the same float operations, so a
-        shot may take its distribution from any shot with the same codes.
-        """
+        """The fault signature of each row of uniforms, one code per location from the first on: rows
+        with equal codes evolve through the same float operations, so a shot may take its
+        distribution from any shot with the same codes."""
+        at = slice(u_loc.shape[1])
         kind = np.where(
-            u_loc >= self._p_total,
+            u_loc >= self._p_total[at],
             _QUIET,
-            np.where(u_loc < self._p_x, _X, np.where(u_loc < self._p_xy, _Y, _Z)),
+            np.where(u_loc < self._p_x[at], _X, np.where(u_loc < self._p_xy[at], _Y, _Z)),
         )
-        return np.where(self._pauli, kind, np.where(u_loc < self._gamma, u_loc, _QUIET))
+        return np.where(self._pauli[at], kind, np.where(u_loc < self._gamma[at], u_loc, _QUIET))
 
     def _pop1_frac(self, amps, qubit):
         """Occupation of |1> on the qubit of a one-row batch, relative to its norm, at most 1:
@@ -598,11 +599,10 @@ class _Trajectory:
         amps = self._zero(len(codes))
         k, b = 0, self.n
         for gates, slot in self._steps:
-            for op in gates:
+            for op, mat in gates:
                 if op.kind == "CNOT":
                     self._apply_cnot(amps, op)
                     continue
-                mat = op.matrix()
                 if op.kind in PARAMETRIC_KINDS:
                     flipped = ((frames[:, b // 64] >> np.uint64(b % 64)) & np.uint64(1)).astype(bool)
                     mat = np.where(flipped[:, None, None], mat[::-1, ::-1], mat) if flipped.any() else mat
@@ -630,18 +630,21 @@ class _Trajectory:
     def no_jump_reference(self):
         """run on one row with no Pauli faults, no damping jumps and zero frames.
 
-        Returns (final normalized amps, fault thresholds): a shot is fault-free
-        when every location's uniform reaches its threshold, which is p_total
-        for Pauli noise and, for damping, the reference p_jump, gamma times the
-        row's |1> occupation just before the location. Such a shot is resolved
-        without evolving. A damping location that empties the no-jump branch
-        (gamma = 1 on a qubit with no |0> weight) makes every shot jump there:
-        its threshold is infinite, and the returned amps are all zero.
+        Returns (final normalized amps, fault thresholds): a shot is fault-free when every
+        location's uniform reaches its threshold, which is p_total for Pauli noise and, for damping,
+        the reference p_jump, gamma times the row's |1> occupation just before the location. Such a
+        shot is resolved without evolving. A damping location that empties the no-jump branch
+        (gamma = 1 on a qubit with no |0> weight) makes every shot jump there: its threshold is
+        infinite, and the returned amps are all zero.
         """
         thresholds, frames = [], np.zeros((1, len(self.frames)), np.uint64)
         amps = self.run(np.full((1, self._pauli.size), _QUIET), frames, thresholds)[0]
-        norm = np.linalg.norm(amps)
-        return amps / (norm or 1.0), np.array(thresholds)
+        return _normalized(amps), np.array(thresholds)
+
+
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """A statevector over its norm, and the zero vector as it is: the reference's normalization."""
+    return amps / (np.linalg.norm(amps) or 1.0)
 
 
 def _search_rows(table: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -660,66 +663,73 @@ def _search_rows(table: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarra
     return base + (table[row, base] <= u)
 
 
-def _first_fault_codes(traj: _Trajectory, th, fault_cdf, u_f, v) -> np.ndarray:
-    """Fault codes of faulty shots (u_f < fault_cdf[-1]) under the exact law given their first
-    fault, at K = searchsorted(fault_cdf, u_f, "right"): _QUIET before K; at K the Pauli that
-    th_K v_K draws, or at a damping location _JUMP; and fault_codes(v) after K.
+def _first_fault_codes(traj: _Trajectory, th, fault_cdf, u_f, v):
+    """(N, head) codes, by fault_codes' rule, and (N, words) frames of faulty shots (u_f <
+    fault_cdf[-1]) given their first fault, at K = searchsorted(fault_cdf, u_f, "right"): quiet
+    before K, at K the Pauli th_K v_K draws or _JUMP, and after K v's. A tail Pauli is an integer
+    c = (u < p_total) (1 + (u >= p_x) + (u >= p_xy)), and a frame XORs columns c + 4 j of traj.frames.
 
     The no-jump reference is run on one quiet row, which a shot is up to K (frames flip only
     rotations after the last damping location), so its damping threshold at K is the reference's
     th_K = gamma * _pop1_frac > 0, below which th_K v_K lies, as does 0.0: both jump. A draw
     in [th_j, gamma) before K would not jump, so quiet is the same history there.
     """
-    k = np.searchsorted(fault_cdf, u_f, side="right")
-    rows = np.arange(k.size)
-    u = v.copy()
-    u[rows, k] *= th[k]
-    codes = traj.fault_codes(u)
-    codes[np.arange(th.size) < k[:, None]] = _QUIET
-    codes[rows, k] = np.where(traj._pauli[k], codes[rows, k], _JUMP)
-    return codes
+    k, head = np.searchsorted(fault_cdf, u_f, side="right"), traj.head
+    u = np.where(np.arange(th.size)[:, None] < k, 1.0, v.T)  # by location; 1.0 is at or above every threshold
+    u[k, np.arange(k.size)] *= th[k]
+    codes = traj.fault_codes(u[:head].T)
+    jump = np.flatnonzero(~traj._pauli[k])  # a damping location is in the head
+    codes[jump, k[jump]] = _JUMP
+    b = [(u[head:] < limit[head:, None]).view(np.uint8) for limit in (traj._p_x, traj._p_xy, traj._p_total)]
+    c = b[2] * (3 - b[0] - b[1])  # (u < p_total) (1 + (u >= p_x) + (u >= p_xy)), in bytes
+    return codes, np.bitwise_xor.reduce(traj.frames.take(c + 4 * np.arange(len(c))[:, None], axis=1), axis=1).T
 
 
-def _faulty_outcomes(traj: _Trajectory, codes, u_out) -> np.ndarray:
-    """Read outcome indices of shots that carry a fault, one per row of codes (fault_codes):
-    an index over the measured qubits, as in ShotTable, or 2^m for a shot the read drops.
+def _faulty_outcomes(traj: _Trajectory, codes, frames, u_out, ref=None):
+    """Read outcome indices of shots that carry a fault, one per row of head codes and frame words
+    (_first_fault_codes): an index over the measured qubits, as in ShotTable, or 2^m for a shot the
+    read drops; and the no-jump reference, ref, or without it the state of a quiet, zero-frame row
+    put first, normalized as no_jump_reference's (_normalized).
 
-    A shot's tail faults are resolved as Pauli frames: the XOR of their columns of traj.frames
-    gives its outcome mask and the rotations it runs at minus their angle (its flip pattern).
-    Shots are grouped by the bytes of their head codes and flip pattern; each group is evolved
-    once, from its first shot's head codes, in passes of at most _PASS_AMPS amplitudes. Its
-    Born vector read at i ^ mask is that of the shot's own state with its faults inserted, and
-    its read weights (_read_measured, as the fault-free shots') make one cdf per distinct
-    (group, mask), built in chunks of at most _PASS_AMPS Born entries; u_out is searched in it
-    by _search_rows.
+    A frame's bits 0 to n - 1 are the shot's outcome mask, the rest its flip pattern: the rotations
+    it runs at minus their angle. A shot's key is its head codes' bytes, then its frame words from
+    the highest down, big-endian, so one np.unique gives the (group, mask) classes in (head codes,
+    flip pattern, mask) order; a group is a run of classes that differ only in the mask. Each
+    group is evolved once, from any of its rows, in passes of at most _PASS_AMPS amplitudes. Its
+    Born vector read at i ^ mask is that of the shot's own state with its faults inserted, and its
+    read weights (_read_measured, as the fault-free shots') make one cdf per class, built in chunks
+    of at most _PASS_AMPS Born entries; u_out is searched in it by _search_rows.
     """
-    head, n = traj.head, traj.n
-    column = (codes[:, head:] - _QUIET).astype(np.intp) + 4 * np.arange(codes.shape[1] - head)
-    frames = np.stack([np.bitwise_xor.reduce(words.take(column), axis=1) for words in traj.frames], axis=1)
+    n, head, quiet = traj.n, codes.shape[1], int(ref is None)  # without ref, a quiet row goes first
+    codes = np.concatenate([np.full((quiet, head), _QUIET), codes])
+    frames = np.concatenate([np.zeros((quiet, frames.shape[1]), np.uint64), frames])
+    u_out = np.concatenate([[0.0] * quiet, u_out])
     mask = frames[:, 0] & np.uint64((1 << n) - 1)
-    # One np.void item per row, so np.unique compares whole rows by memcmp.
-    # Byte equality is float equality here: no code is NaN or -0.0, as Pauli
-    # codes are 1 to 4 and damping codes are uniforms (w >> 11) * 2^-53 in [0, 1).
-    key = np.concatenate([codes[:, :head].view(np.uint64), frames], axis=1)
-    key[:, head] ^= mask  # the flip pattern alone
-    _, first, group = np.unique(key.view(np.dtype((np.void, key.strides[0]))).ravel(),
-                                return_index=True, return_inverse=True)
-    cdfs, cdf_of = np.unique((group << n) | mask.astype(np.intp), return_inverse=True)
-    outcomes = np.arange(1 << n)
-    per_pass = max(1, _PASS_AMPS >> n)
-    idx = np.empty(group.size, dtype=np.intp)
-    for lo in range(0, first.size, per_pass):
-        rows = first[lo:lo + per_pass]
-        born = np.abs(traj.run(codes[rows, :head], frames[rows])) ** 2
-        start, stop = np.searchsorted(cdfs >> n, (lo, lo + per_pass))  # the cdfs of this pass's groups
+    # One np.void item per row, so np.unique compares whole rows by memcmp; a key of one word is the
+    # word itself, whose numeric order is its big-endian byte order. Byte equality is float equality
+    # here: no code is NaN or -0.0, as Pauli codes are 1 to 4 and damping codes are (w >> 11) 2^-53.
+    key = np.concatenate([codes.view(np.uint64), frames[:, ::-1].astype(">u8").view(np.uint64)], axis=1)
+    items = frames[:, 0] if key.shape[1] == 1 else key.view(np.dtype((np.void, key.strides[0]))).ravel()
+    _, first, cls = np.unique(items, return_index=True, return_inverse=True)
+    rest = np.concatenate([key[first, :-1], frames[first, :1] >> np.uint64(n)], axis=1)  # head codes, flip pattern
+    new = np.concatenate([[True], (rest[1:] != rest[:-1]).any(axis=1)])
+    group, evolved = np.cumsum(new) - 1, first[new]  # each class's group, and a row of each group
+    masks, outcomes, per_pass = mask[first].astype(np.intp), np.arange(1 << n), max(1, _PASS_AMPS >> n)
+    idx = np.empty(cls.size, dtype=np.intp)
+    for lo in range(0, evolved.size, per_pass):
+        amps = traj.run(codes[evolved[lo:lo + per_pass]], frames[evolved[lo:lo + per_pass]])
+        if quiet and lo <= group[cls[0]] < lo + per_pass:
+            ref = _normalized(amps[group[cls[0]] - lo])
+        born = np.abs(amps) ** 2
+        start, stop = np.searchsorted(group, (lo, lo + per_pass))  # the classes of this pass's groups
         for c in range(start, stop, per_pass):
-            sel = cdfs[c:min(c + per_pass, stop)]
-            own = born[(sel >> n)[:, None] - lo, outcomes ^ (sel & outcomes[-1])[:, None]]  # each class's Born row
+            sel = np.arange(c, min(c + per_pass, stop))
+            own = born[(group[sel] - lo)[:, None], outcomes ^ masks[sel][:, None]]  # each class's Born row
             table = np.cumsum(_read_measured(own, traj.noisy.circuit, traj.noisy.readout), axis=1)
             table /= table[:, -1:].copy()
-            mine = np.flatnonzero((cdf_of >= c) & (cdf_of < c + sel.size))
-            idx[mine] = _search_rows(table, cdf_of[mine] - c, u_out[mine])
-    return idx
+            mine = np.flatnonzero((cls >= c) & (cls < c + sel.size))
+            idx[mine] = _search_rows(table, cls[mine] - c, u_out[mine])
+    return idx[quiet:], ref
 
 
 def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
@@ -732,16 +742,17 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
     Multinomial(n_shots - N_F, read weights of the reference) (_multinomial). Each faulty shot
     draws, in order, u (its first fault at u_f = P_F u), u_out, which it inverts on the cdf of
     its own state's read weights, and v, one per noise location; _first_fault_codes turns u_f
-    and v into its fault codes. The table holds the kept shots, as counts by outcome index.
+    and v into its head codes and frame. The table holds the kept shots, as counts by outcome index.
+    The reference is run first where damping thresholds read it, else in the first faulty pass
+    (_faulty_outcomes) or alone; the multinomial is drawn last.
 
     Each quantity has its own stream (_stream), read as raw words, so no internal size moves a
     count: family 0 gives N_F's uniform, family 1 the multinomial's, and in family 2 faulty shot j
     owns words j row to (j + 1) row, row = 2 + locations, drawn in chunks of at most _CHUNK_BYTES.
     With k_f the key of family f and word(k, i) = splitmix.mix(k + (i + 1) gamma mod 2^64):
     N_F = _binomial(n_shots, P_F, _uniforms(word(k_0, 0))), and entry i of shot j's row is
-    _uniforms(word(k_2, j row + i)). Each chunk evolves one state per distinct (head codes,
-    rotation-flip pattern) and resolves every shot on it through its Pauli frame
-    (_faulty_outcomes), to the outcome that evolving the shot alone with its faults inserted gives.
+    _uniforms(word(k_2, j row + i)). Each chunk resolves its shots through their Pauli frames
+    (_faulty_outcomes), to the outcomes that evolving each alone with its faults inserted gives.
     """
     circ = noisy.circuit
     if circ.n_qubits > TRAJECTORY_QUBIT_CAP:
@@ -752,24 +763,24 @@ def sample_shots(noisy: NoisyCircuit, cfg: TrajectoryConfig) -> ShotTable:
         raise ValueError("circuit has no terminal measurements")
     traj = _Trajectory(noisy)
 
-    ref_amps, thresholds = traj.no_jump_reference()
+    ref, thresholds = traj.no_jump_reference() if traj.head else (None, traj._p_total)
     # an infinite threshold (gamma = 1 on an emptied no-jump branch) faults every shot
     th = np.minimum(thresholds, 1.0)
     fault_cdf = 1.0 - np.cumprod(1.0 - th)
     p_fault = fault_cdf[-1] if th.size else 0.0
     u = _uniforms(_stream(cfg.seed, 0).random_raw(1))
     n_faulty = int(_binomial(np.array([cfg.n_shots]), np.array([p_fault]), u)[0])
-    weights = _read_measured(np.abs(ref_amps) ** 2, circ, noisy.readout)
-    tally = _multinomial(cfg.n_shots - n_faulty, weights, _stream(cfg.seed, 1))
 
-    row = 2 + th.size
-    bits = _stream(cfg.seed, 2)
+    row, bits, tally = 2 + th.size, _stream(cfg.seed, 2), np.zeros((1 << len(circ.measured_qubits)) + 1, np.int64)
     per_chunk = max(1, _CHUNK_BYTES // (8 * row))
     for lo in range(0, n_faulty, per_chunk):
         u = _uniforms(bits.random_raw(min(per_chunk, n_faulty - lo) * row).reshape(-1, row))
         # u_f = P_F u < P_F, as P_F is 0 or a normal double from 2^-53 up and u < 1
-        idx = _faulty_outcomes(traj, _first_fault_codes(traj, th, fault_cdf, p_fault * u[:, 0], u[:, 2:]), u[:, 1])
+        codes, frames = _first_fault_codes(traj, th, fault_cdf, p_fault * u[:, 0], u[:, 2:])
+        idx, ref = _faulty_outcomes(traj, codes, frames, u[:, 1], ref)
         tally += np.bincount(idx, minlength=tally.size)
+    weights = _read_measured(np.abs(traj.no_jump_reference()[0] if ref is None else ref) ** 2, circ, noisy.readout)
+    tally += _multinomial(cfg.n_shots - n_faulty, weights, _stream(cfg.seed, 1))
     return ShotTable(tally[:-1], MeasurementLayout.of(circ))
 
 

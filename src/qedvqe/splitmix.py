@@ -2,8 +2,8 @@
 sampler's random words, one stream per drawn quantity (sim.sample_shots).
 
 Word j under key k is mix(k + (j + 1) GAMMA mod 2^64), so any word is computed directly
-and no chunk size moves a word. sim imports this module on its first draw, so a run that
-never samples does not load it.
+and no chunk size moves a word; a stream's key is one word, computed in Python ints (mix_int).
+sim imports this module on its first draw, so a run that never samples does not load it.
 """
 from __future__ import annotations
 
@@ -22,6 +22,13 @@ def mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def mix_int(z: int) -> int:
+    """mix on one Python int in [0, 2^64), its products taken mod 2^64."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
 class Stream:
     """The words of one key in order: random_raw(n) returns the next n."""
 
@@ -38,6 +45,4 @@ class Stream:
 
 def stream(seed: int, family: int) -> Stream:
     """The stream of quantity `family` under a seed: key mix(mix(seed mod 2^64) + (family + 1) GAMMA)."""
-    key = mix(np.array([seed % 2**64], np.uint64))
-    key += np.uint64((family + 1) * GAMMA % 2**64)
-    return Stream(int(mix(key)[0]))
+    return Stream(mix_int((mix_int(seed % 2**64) + (family + 1) * GAMMA) % 2**64))

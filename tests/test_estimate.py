@@ -90,6 +90,31 @@ def test_logical_matrix_reproduces_energy_on_encoded_state():
         )
 
 
+def test_each_mode_observable_is_built_once_and_shared_read_only(monkeypatch):
+    # table2 reads the encoded observable once per strategy (cli._projected_energy): each
+    # Hamiltonian sums its five Pauli words once per mode, and hands out that array, unwritable,
+    # holding the sum it held when built fresh
+    from qedvqe import cli, estimate
+
+    words = []
+    monkeypatch.setattr(estimate, "pauli_word", lambda w: words.append(w) or qcore.pauli_word(w))
+    ham = H2Hamiltonian(*default_h2().coeffs)
+    rho = builders.encoded_branch_state(THETA_STAR, 0).outer()
+    energies = [cli._projected_energy(ham, rho, kind) for kind in ("NONE", "PSA", "PSP", "PSAP")]
+    assert words == list(WORDS[MODE_ENCODED])
+    assert ham.matrix() is ham.observable(MODE_UNENCODED) and ham.logical_matrix() is ham.observable(MODE_ENCODED)
+    assert words == list(WORDS[MODE_ENCODED]) + list(WORDS[MODE_UNENCODED])
+    for mode in (MODE_UNENCODED, MODE_ENCODED):
+        obs = ham.observable(mode)
+        assert not obs.flags.writeable
+        with pytest.raises(ValueError):
+            obs[0, 0] = 0.0
+        fresh = sum(g * qcore.pauli_word(w) for g, w in zip(ham.coeffs, WORDS[mode]))
+        assert obs.tobytes() == fresh.tobytes()
+    assert energies[0] == pytest.approx(ham.closed_form_energy(THETA_STAR), abs=1e-10)
+    assert H2Hamiltonian(*ham.coeffs).observable(MODE_ENCODED) is not ham.observable(MODE_ENCODED)
+
+
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------

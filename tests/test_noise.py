@@ -168,6 +168,51 @@ def test_an_empty_grid_attaches_nothing():
     assert list(attach_grid(builders.build_encoded_ansatz(0.3, "Z"), [])) == []
 
 
+@st.composite
+def scalar_typed_models(draw):
+    """A model of noise_models()' numbers with each field drawn as a Python float, an np.float64 or
+    an np.float32 (p1 passed, or derived from such a p2), and the model of the same fields each
+    passed through float."""
+    model = draw(noise_models())
+    device = model if isinstance(model, DeviceModel) else DeviceModel(model)
+    names = ("p2", "p1", "p_flip0", "p_flip1", "p_init", "emission_ratio_1q", "emission_ratio_2q")
+    numbers = (device.depol.p2, device.depol.p1, draw(PROB), draw(PROB), device.p_init,
+               device.emission_ratio_1q, device.emission_ratio_2q)
+    typed = dict(zip(names, (draw(st.sampled_from((float, np.float64, np.float32)))(x) for x in numbers)))
+    if draw(st.booleans()):
+        typed["p1"] = None
+
+    def build(f):
+        depol = DepolarizingParams(p2=f(typed["p2"]), p1=None if typed["p1"] is None else f(typed["p1"]))
+        if isinstance(model, DepolarizingParams):
+            return depol
+        return DeviceModel(depol, ReadoutParams(f(typed["p_flip0"]), f(typed["p_flip1"])), p_init=f(typed["p_init"]),
+                           emission_ratio_1q=f(typed["emission_ratio_1q"]), emission_ratio_2q=f(typed["emission_ratio_2q"]))
+
+    return build(lambda x: x), build(float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["encoded", "unencoded"]), st.lists(scalar_typed_models(), min_size=1, max_size=4))
+@example("encoded", [(DepolarizingParams(p2=np.float64(0.01)), DepolarizingParams(p2=0.01))])
+def test_numpy_scalar_rates_attach_as_their_floats(which, pairs):
+    # a model's fields may be numpy scalars (a grid from np.geomspace): attach_noise and
+    # attach_grid give the same channels, readout and rate rows, bit for bit, as the model of
+    # their floats, and every rate is a Python float
+    circuit = (builders.build_encoded_ansatz if which == "encoded" else builders.build_unencoded_ansatz)(0.3, "Z")
+    for typed, floats in pairs:
+        got, want = attach_noise(circuit, typed), attach_noise(circuit, floats)
+        slots = [[[(type(ch), ch.qubit, ch.rates) for ch in slot] for slot in (nc.pre_channels,) + nc.channels]
+                 for nc in (got, want)]
+        assert repr(slots[0]) == repr(slots[1])  # repr tells every float bit apart
+        assert all(type(r) is float for slot in slots[0] for *_, rates in slot for r in rates)
+        assert got.readout.dtype == want.readout.dtype and got.readout.tobytes() == want.readout.tobytes()
+    grids = [list(attach_grid(circuit, models)) for models in zip(*pairs)]
+    assert [rates.tobytes() for _, rates in grids[0]] == [rates.tobytes() for _, rates in grids[1]]
+    assert [repr((nc.pre_channels, nc.channels)) for nc, _ in grids[0]] == [
+        repr((nc.pre_channels, nc.channels)) for nc, _ in grids[1]]
+
+
 @pytest.mark.parametrize("cls, rates, field", [
     (PauliNoise, (0.5, 0.5, 0.5), "p_total"),
     (PauliNoise, (-0.1, 0.0, 0.0), "p_x"),

@@ -673,6 +673,39 @@ def first_fault_law(thresholds):
     return th, 1.0 - np.cumprod(1.0 - th)
 
 
+def float_first_fault_codes(traj, th, fault_cdf, u_f, v):
+    """The float-code rule of the first-fault law, kept as the oracle of sim._first_fault_codes:
+    one float code per location of each faulty shot, _QUIET before its first fault K, at K the
+    Pauli that th_K v_K draws or, at a damping location, _JUMP, and fault_codes(v) after K."""
+    k = np.searchsorted(fault_cdf, u_f, side="right")
+    rows = np.arange(k.size)
+    u = v.copy()
+    u[rows, k] *= th[k]
+    codes = traj.fault_codes(u)
+    codes[np.arange(th.size) < k[:, None]] = sim._QUIET
+    codes[rows, k] = np.where(traj._pauli[k], codes[rows, k], sim._JUMP)
+    return codes
+
+
+def head_and_frames(traj, codes):
+    """Rows of float codes, one per location, as (head codes, frame words): the head's columns,
+    and the XOR of the frame table's columns that the tail's codes pick."""
+    head = traj.head
+    column = (codes[:, head:] - sim._QUIET).astype(np.intp) + 4 * np.arange(codes.shape[1] - head)
+    frames = np.stack([np.bitwise_xor.reduce(words.take(column), axis=1) for words in traj.frames], axis=1)
+    return codes[:, :head], frames
+
+
+def assert_first_fault_codes_match_the_float_rule(traj, th, fault_cdf, u_f, v):
+    """sim._first_fault_codes against the float-code rule, byte for byte; returns the rule's codes."""
+    want = float_first_fault_codes(traj, th, fault_cdf, u_f, v)
+    codes, frames = sim._first_fault_codes(traj, th, fault_cdf, u_f, v)
+    want_codes, want_frames = head_and_frames(traj, want)
+    assert codes.shape == want_codes.shape and codes.tobytes() == want_codes.tobytes()
+    assert frames.dtype == np.uint64 and frames.tobytes() == want_frames.tobytes()
+    return want
+
+
 def init_trajectory(locations):
     """The trajectory of a one-qubit read whose noise locations are these init channels."""
     circ = Circuit(1, (qcore.measure(0),), (ROLE_DATA,))
@@ -716,7 +749,8 @@ def test_first_fault_codes_fault_first_where_the_first_fault_draw_says(case):
     assert (u_f < fault_cdf[-1]) == (k < thresholds.size)
     if k == thresholds.size:
         return
-    codes = sim._first_fault_codes(traj, th, fault_cdf, np.array([u_f]), v[None])[0]
+    # the program's head codes and frames are the float rule's, whose codes are checked here
+    codes = assert_first_fault_codes_match_the_float_rule(traj, th, fault_cdf, np.array([u_f]), v[None])[0]
     assert np.all(codes[:k] == sim._QUIET)
     ch, x = locations[k], th[k] * v[k]
     if isinstance(ch, noise.PauliNoise):
@@ -739,7 +773,7 @@ def test_first_fault_location_follows_the_survival_law():
     n = 10**5
     u_f = rng.random(n)
     faulty = u_f < fault_cdf[-1]
-    codes = sim._first_fault_codes(traj, th, fault_cdf, u_f[faulty], rng.random((faulty.sum(), 3)))
+    codes = assert_first_fault_codes_match_the_float_rule(traj, th, fault_cdf, u_f[faulty], rng.random((faulty.sum(), 3)))
     first = np.argmax(codes != sim._QUIET, axis=1)
     assert np.all(codes[np.arange(len(codes)), first] == np.array([sim._X, sim._JUMP, sim._Z])[first])
     tally = np.bincount(first, minlength=3).tolist() + [n - faulty.sum()]
@@ -917,14 +951,15 @@ def test_a_decided_jump_evolves_as_the_drawn_uniform(noisy, seed):
     v[rng.random(v.shape) < 0.3] = 1.0 - 2.0**-53
     k = np.searchsorted(fault_cdf, u_f, side="right")
     faulty = np.flatnonzero(k < th.size)
-    codes = sim._first_fault_codes(traj, th, fault_cdf, u_f[faulty], v[faulty])
+    codes, frames = sim._first_fault_codes(traj, th, fault_cdf, u_f[faulty], v[faulty])
     k, v = k[faulty], v[faulty]
-    jumped = np.flatnonzero(codes[np.arange(len(k)), k] == sim._JUMP)
+    # a damping location is in the head, which codes hold; tail faults act through the frames
+    in_head = np.flatnonzero(k < traj.head)
+    jumped = in_head[codes[in_head, k[in_head]] == sim._JUMP]
     assume(jumped.size > 0)
     drawn = codes.copy()
     at = k[jumped]
     drawn[jumped, at] = np.minimum(th[at] * v[jumped, at], np.nextafter(traj._gamma[at], 0.0))
-    frames = np.zeros((len(codes), traj.frames.shape[0]), dtype=np.uint64)
     assert traj.run(codes, frames).tobytes() == traj.run(drawn, frames).tobytes()
 
 
@@ -1112,7 +1147,7 @@ def test_flip_bits_past_the_first_word_resolve_as_each_row_alone():
     for u, x in zip(u_loc, u_out):
         cdf = np.cumsum(np.abs(run_alone(traj, u[None])[0]) ** 2)
         want.append(int(np.searchsorted(cdf / cdf[-1], x, side="right")))
-    assert sim._faulty_outcomes(traj, traj.fault_codes(u_loc), u_out).tolist() == want
+    assert sim._faulty_outcomes(traj, *head_and_frames(traj, traj.fault_codes(u_loc)), u_out)[0].tolist() == want
 
 
 @st.composite
@@ -1169,7 +1204,110 @@ def test_faulty_outcomes_equal_each_row_resolved_alone(case):
         cdf = np.cumsum(np.abs(run_alone(traj, u[None])[0]) ** 2)
         cdf /= cdf[-1]
         want.append(int(np.searchsorted(cdf, x, side="right")))
-    assert sim._faulty_outcomes(traj, traj.fault_codes(u_loc), u_out).tolist() == want
+    assert sim._faulty_outcomes(traj, *head_and_frames(traj, traj.fault_codes(u_loc)), u_out)[0].tolist() == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=frame_cases(), pass_amps=st.sampled_from((1, 2**3, sim._PASS_AMPS)))
+def test_the_quiet_row_of_a_faulty_pass_is_the_no_jump_reference(case, pass_amps):
+    # without a reference, _faulty_outcomes evolves the quiet, zero-frame row with the groups,
+    # as the state of a group that holds it or as one row more: that state, normalized, is the
+    # no-jump reference byte for byte, every row resolves as with the reference given, and each
+    # distinct row of keys is evolved once, in passes of at most pass_amps amplitudes
+    noisy, head, u_loc, u_out = case
+    traj = sim._Trajectory(noisy)
+    codes, frames = head_and_frames(traj, traj.fault_codes(u_loc))
+    want_ref, _ = traj.no_jump_reference()
+    given, _ = sim._faulty_outcomes(traj, codes, frames, u_out, want_ref)
+    flips = frames.copy()
+    flips[:, 0] >>= np.uint64(traj.n)
+    keys = {(c.tobytes(), f.tobytes()) for c, f in zip(codes, flips)}
+    held = (np.full(head, sim._QUIET).tobytes(), np.zeros(frames.shape[1], np.uint64).tobytes()) in keys
+    rows = []
+    run = sim._Trajectory.run
+
+    def recording_run(self, codes, frames, thresholds=None):
+        rows.append(len(codes))
+        return run(self, codes, frames, thresholds)
+
+    with mock.patch.object(sim._Trajectory, "run", recording_run), mock.patch.object(sim, "_PASS_AMPS", pass_amps):
+        idx, ref = sim._faulty_outcomes(traj, codes, frames, u_out)
+    assert ref.tobytes() == want_ref.tobytes()
+    assert idx.tolist() == given.tolist()
+    assert sum(rows) == len(keys) + (not held) and max(rows) <= max(1, pass_amps >> traj.n)
+
+
+# one X before the rotation on every faulty shot: no faulty group holds the zero flip pattern
+INIT_X = noise.NoisyCircuit(
+    Circuit(1, (qcore.ry(0.7, 0), qcore.measure(0)), (ROLE_DATA,)), ((), ()), (noise.PauliNoise(0, 0.3, 0.0, 0.0),),
+    np.eye(2),
+)
+
+
+@pytest.mark.parametrize("pass_amps", [sim._PASS_AMPS, 2])
+@pytest.mark.parametrize(
+    "noisy, groups",
+    [(noise.attach_noise(ENCODED, DepolarizingParams(p2=0.10)), 2), (INIT_X, 1)],
+    ids=["encoded-p2=10%", "init-X"],
+)
+def test_a_depolarizing_circuit_takes_one_run_per_faulty_pass(noisy, groups, pass_amps):
+    # no location reads the state, so nothing runs before the draw: the reference is the quiet,
+    # zero-frame row of the first faulty pass, the zero-flip group's state where one holds it
+    # (the encoded RY unflipped) and else one row more (INIT_X), and no run records thresholds.
+    # With one row per pass (pass_amps = 2^n), each group and that row take a run each.
+    runs = []
+    run = sim._Trajectory.run
+
+    def recording_run(self, codes, frames, thresholds=None):
+        runs.append((len(codes), thresholds is not None))
+        return run(self, codes, frames, thresholds)
+
+    with mock.patch.object(sim._Trajectory, "run", recording_run), mock.patch.object(sim, "_PASS_AMPS", pass_amps):
+        table, weights, _ = sample_recording(noisy, TrajectoryConfig(2000, seed=6))
+    n_rows = groups + (noisy is INIT_X)
+    per_pass = max(1, pass_amps >> noisy.circuit.n_qubits)
+    assert runs == [(min(per_pass, n_rows - lo), False) for lo in range(0, n_rows, per_pass)]
+    assert weights.tobytes() == read_weights(noisy, sim._Trajectory(noisy).no_jump_reference()[0]).tobytes()
+    assert_matches_per_shot_loop(noisy, 2000, seed=6)
+
+
+@st.composite
+def first_fault_circuits(draw):
+    """A circuit with its trajectory, and whether its rows fault first in the head or in the tail:
+    the encoded ansatz under depolarizing noise (all tail), under the device model (all head), or
+    under the device model without damping in two-qubit gates (a tail after the last 1q gate's
+    damping); or a frame_cases circuit, whose one damping location puts the head anywhere."""
+    p2 = draw(st.sampled_from((0.0009, 0.02, 0.10)))
+    models = [DepolarizingParams(p2=p2), dataclasses.replace(DEVICE, depol=DepolarizingParams(p2=p2)),
+              dataclasses.replace(DEVICE, emission_ratio_2q=0.0)]
+    noisy = draw(st.sampled_from([noise.attach_noise(ENCODED, m) for m in models]) | frame_cases().map(lambda c: c[0]))
+    return sim._Trajectory(noisy), draw(st.sampled_from(("head", "tail")))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=first_fault_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_first_fault_codes_equal_the_float_rule_in_head_and_tail(case, seed):
+    # the head's float codes and the frames of the tail's integer Pauli indices are the float
+    # rule's head columns and the XOR of the frame columns its tail codes pick, byte for byte,
+    # with the first fault K drawn in the head or in the tail, and v at 0, at the top uniform
+    # and on each location's thresholds, where the Pauli an integer index picks could part from
+    # the float rule's
+    traj, where = case
+    th, fault_cdf = first_fault_law(traj.no_jump_reference()[1])
+    cut = fault_cdf[traj.head - 1] if traj.head else 0.0
+    lo, hi = (0.0, cut) if where == "head" else (cut, fault_cdf[-1] if th.size else 0.0)
+    assume(lo < hi)
+    rng = np.random.default_rng(seed)
+    n_rows = 80
+    u_f = np.minimum(lo + (hi - lo) * rng.random(n_rows), np.nextafter(hi, 0.0))
+    v = rng.random((n_rows, th.size))
+    edges = np.stack([traj._p_x, traj._p_xy, traj._p_total, traj._gamma, np.zeros(th.size), np.full(th.size, 1.0 - 2.0**-53)])
+    pick = rng.random(v.shape) < 0.3
+    v[pick] = edges[rng.integers(len(edges), size=pick.sum()), np.nonzero(pick)[1]]
+    v[pick & (v >= 1.0)] = 1.0 - 2.0**-53
+    k = np.searchsorted(fault_cdf, u_f, side="right")
+    assert np.all((k < traj.head) if where == "head" else (k >= traj.head) & (k < th.size))
+    assert_first_fault_codes_match_the_float_rule(traj, th, fault_cdf, u_f, v)
 
 
 @st.composite
@@ -1223,6 +1361,35 @@ def test_the_no_jump_threshold_of_a_qubit_in_one_is_at_most_gamma():
     noisy = noise.NoisyCircuit(Circuit(3, ops, (ROLE_DATA,) * 3), channels, (), np.eye(2))
     _, thresholds = sim._Trajectory(noisy).no_jump_reference()
     assert thresholds.tolist() == [0.5]
+
+
+def test_parity_masks_are_built_once_per_layout_and_positions_and_read_only():
+    # the strategies and the estimator read the same masks over and over: each is the XOR of its
+    # positions' bits of every outcome index, built once and unwritable
+    layout = sim.MeasurementLayout(tuple(range(6)), (ROLE_DATA,) * 6)
+    for r in range(7):
+        for positions in itertools.combinations(range(6), r):
+            mask = layout.parity(positions)
+            want = [sum((i >> (5 - p)) & 1 for p in positions) % 2 for i in range(64)]
+            assert mask.tolist() == want and not mask.flags.writeable
+            assert layout.parity(positions) is mask
+            assert sim.MeasurementLayout(tuple(range(6)), (ROLE_DATA,) * 6).parity(positions) is mask
+
+
+def test_a_trajectory_builds_each_gate_matrix_once(monkeypatch):
+    # each unitary op's matrix is built when the trajectory is, and no run builds one: a faulty
+    # pass and the reference read the same arrays
+    calls = []
+    matrix = qcore.Gate.matrix
+    monkeypatch.setattr(qcore.Gate, "matrix", lambda self: calls.append(self) or matrix(self))
+    noisy = noise.attach_noise(ENCODED, DepolarizingParams(p2=0.05))
+    traj = sim._Trajectory(noisy)
+    assert calls == [op for op in ENCODED.ops if op.is_unitary]
+    calls.clear()
+    traj.no_jump_reference()
+    u_loc = np.random.default_rng(2).random((50, traj._pauli.size)) ** 3
+    sim._faulty_outcomes(traj, *head_and_frames(traj, traj.fault_codes(u_loc)), np.random.default_rng(3).random(50))
+    assert calls == []
 
 
 def test_shot_tables_hold_one_weight_per_measured_outcome():
