@@ -17,12 +17,11 @@ the study uses each in its own context.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .builders import codeword
-from .qcore import DensityMatrix, StateVector, kron_all
+from .qcore import DensityMatrix, Record, StateVector, kron_all
 
 PROJECTOR_KINDS = ("PI_A", "PI_P", "PI_AP", "S_A", "S_P", "S_AP")
 
@@ -137,8 +136,7 @@ def fidelity(rho1, rho2) -> float:
     return float(min(max(np.trace(inner).real ** 2, 0.0), 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class LogicalErrorReport:
+class LogicalErrorReport(Record):
     """Error-probability split of a noisy encoded state against the ideal one.
 
     p_eps_all is any deviation from the ideal state, p_eps_NL the weight
@@ -147,18 +145,15 @@ class LogicalErrorReport:
     a1-projected state.
     """
 
-    p_ideal: float
-    p_logical: float
-    p_eps_all: float
-    p_eps_NL: float
-    p_eps_L: float
-    p_eps_A: float
+    __slots__ = ("p_ideal", "p_logical", "p_eps_all", "p_eps_NL", "p_eps_L", "p_eps_A")
 
-    def __post_init__(self):
-        for name in ("p_ideal", "p_logical", "p_eps_all", "p_eps_NL", "p_eps_L", "p_eps_A"):
-            v = getattr(self, name)
+    def __init__(
+        self, p_ideal: float, p_logical: float, p_eps_all: float, p_eps_NL: float, p_eps_L: float, p_eps_A: float,
+    ):
+        for name, v in zip(self.__slots__, (p_ideal, p_logical, p_eps_all, p_eps_NL, p_eps_L, p_eps_A)):
             if not -1e-10 <= v <= 1.0 + 1e-10:
                 raise ValueError(f"{name}={v} outside [0, 1]")
+            object.__setattr__(self, name, v)
 
 
 def logical_error_report(rho_noisy: DensityMatrix, rho_ideal) -> LogicalErrorReport:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import collections
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -208,7 +207,7 @@ def _study_rows(ham, model, theta, strategies, red=False, shots=None, seed=0, ta
         for basis in ("Z", "X"):
             nc = noise.attach_noise(build(theta, basis), model)
             if red:
-                nc = dataclasses.replace(nc, readout=vote)
+                nc = nc.replace(readout=vote)
             if shots is None:
                 tables[basis], raw[basis] = sim.shot_limit_table(nc)
             else:

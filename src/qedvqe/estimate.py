@@ -10,12 +10,11 @@ and the scan take the per-term pieces from one rule, ``term_variances``.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .postselect import EmptySelectionError
-from .qcore import ROLE_DATA, pauli_word
+from .qcore import ROLE_DATA, Record, pauli_word
 from .sim import MeasurementLayout, ShotTable
 
 MODE_UNENCODED = "unencoded"
@@ -32,20 +31,20 @@ WORDS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class H2Hamiltonian:
+class H2Hamiltonian(Record):
     """g0 I + g1 Z0 + g2 Z1 + g3 Z0Z1 + g4 X0X1, coefficients in Hartree."""
 
-    g0: float
-    g1: float
-    g2: float
-    g3: float
-    g4: float
-    _observables: dict = field(default_factory=dict, init=False, repr=False)  # by mode
+    __slots__ = ("g0", "g1", "g2", "g3", "g4", "_observables")
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, self.coeffs)):
+    def __init__(self, g0: float, g1: float, g2: float, g3: float, g4: float):
+        coeffs = (g0, g1, g2, g3, g4)
+        for name, g in zip(self._fields, coeffs):
+            object.__setattr__(self, name, g)
+        object.__setattr__(self, "_observables", {})  # by mode
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError("coefficients must be finite")
+        if not math.isfinite(sum(g * g for g in coeffs)):  # the term variances g^2 (1 - m^2) would overflow
+            raise ValueError("the sum of the squared coefficients must be finite")
 
     @property
     def coeffs(self) -> tuple[float, ...]:
@@ -85,15 +84,19 @@ THETA_STAR = -0.22967
 E_STAR_HA = -1.13712
 
 
-@dataclass(eq=False)
-class EnergyEstimate:
-    """Energy mean, per-shot variance and SEM in Hartree, with the kept shots and survival by basis."""
+class EnergyEstimate(Record):
+    """Energy mean, per-shot variance and SEM in Hartree, with the kept shots and survival by basis
+    (eta, by default a new {"Z": 1.0, "X": 1.0}); the one record whose fields can be reassigned."""
 
-    mean: float  # Ha
-    variance: float  # Ha^2
-    sem: float  # Ha
-    n_used: dict[str, int]
-    eta: dict[str, float] = field(default_factory=lambda: {"Z": 1.0, "X": 1.0})
+    __slots__ = ("mean", "variance", "sem", "n_used", "eta")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, mean: float, variance: float, sem: float, n_used: dict[str, int], eta: dict | None = None):
+        self.mean = mean  # Ha
+        self.variance = variance  # Ha^2
+        self.sem = sem  # Ha
+        self.n_used = n_used
+        self.eta = {"Z": 1.0, "X": 1.0} if eta is None else eta
 
 
 def _term_means(table: ShotTable, mode: str, basis: str):
@@ -193,31 +196,28 @@ def shot_budget(variance: float, target_sem: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Integrals:
+class Integrals(Record):
     """One- and two-body integrals of the 4-spin-orbital H2 Hamiltonian."""
 
-    h00: float
-    h11: float
-    h22: float
-    h33: float
-    h2002: float
-    h3113: float
-    h2112: float
-    h0330: float
-    h2103: float
-    h2013: float
-    h2332: float = 0.0
-    h2323: float = 0.0
-    h0110: float = 0.0
-    h0101: float = 0.0
+    __slots__ = (
+        "h00", "h11", "h22", "h33", "h2002", "h3113", "h2112", "h0330", "h2103", "h2013",
+        "h2332", "h2323", "h0110", "h0101",
+    )
 
-    def __post_init__(self, tol: float = 1e-10):
-        if not all(map(math.isfinite, astuple(self))):
+    def __init__(
+        self, h00: float, h11: float, h22: float, h33: float, h2002: float, h3113: float, h2112: float,
+        h0330: float, h2103: float, h2013: float,
+        h2332: float = 0.0, h2323: float = 0.0, h0110: float = 0.0, h0101: float = 0.0,
+    ):
+        values = (h00, h11, h22, h33, h2002, h3113, h2112, h0330, h2103, h2013, h2332, h2323, h0110, h0101)
+        for name, h in zip(self.__slots__, values):
+            object.__setattr__(self, name, h)
+        tol = 1e-10
+        if not all(map(math.isfinite, values)):
             raise ValueError("integrals must be finite")
-        if abs(self.h2013 - self.h2103) > tol:
+        if abs(h2013 - h2103) > tol:
             raise ValueError("integral symmetry violated: h2013 != h2103")
-        if abs(self.h2112 - self.h0330) > tol:
+        if abs(h2112 - h0330) > tol:
             raise ValueError("integral symmetry violated: h2112 != h0330")
 
 
@@ -246,17 +246,17 @@ def integrals_to_coeffs(ints: Integrals) -> tuple[float, float, float, float, fl
     return (g0, g1, g2, g3, g4)
 
 
-@dataclass(frozen=True, eq=False)
-class ResourceCount:
+class ResourceCount(Record):
     """Gate and measurement counts of one circuit, with its shot count: the input of hqc_cost."""
 
-    n_1q: int
-    n_2q: int
-    n_meas: int
-    shots: int
+    __slots__ = ("n_1q", "n_2q", "n_meas", "shots")
 
-    def __post_init__(self):
-        if min(self.n_1q, self.n_2q, self.n_meas, self.shots) < 0:
+    def __init__(self, n_1q: int, n_2q: int, n_meas: int, shots: int):
+        object.__setattr__(self, "n_1q", n_1q)
+        object.__setattr__(self, "n_2q", n_2q)
+        object.__setattr__(self, "n_meas", n_meas)
+        object.__setattr__(self, "shots", shots)
+        if min(n_1q, n_2q, n_meas, shots) < 0:
             raise ValueError("resource counts must be nonnegative")
 
 

@@ -24,45 +24,37 @@ import functools
 import itertools
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, superoperator
+from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, Record, superoperator
 
 
-def _check_prob(obj, *names):
-    """Each named field of a frozen dataclass, checked to lie in [0, 1] and set as a Python float."""
-    for name in names:
-        value = getattr(obj, name)
+def _check_prob(record, **values):
+    """Each named field of a record, checked to lie in [0, 1] and set once, as a Python float."""
+    for name, value in values.items():
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
-        object.__setattr__(obj, name, float(value))
+        object.__setattr__(record, name, float(value))
 
 
-@dataclass(frozen=True)
-class DepolarizingParams:
+class DepolarizingParams(Record, value=True):
     """Per-gate depolarizing probabilities; p1 defaults to p2/10."""
 
-    p2: float
-    p1: float | None = None
+    __slots__ = ("p2", "p1")
 
-    def __post_init__(self):
-        _check_prob(self, "p2")  # first, as a bad p2 would make a bad derived p1
-        if self.p1 is None:
-            object.__setattr__(self, "p1", self.p2 / 10.0)
-        _check_prob(self, "p1")
+    def __init__(self, p2: float, p1: float | None = None):
+        _check_prob(self, p2=p2)  # first, as a bad p2 would make a bad derived p1
+        _check_prob(self, p1=self.p2 / 10.0 if p1 is None else p1)
 
 
-@dataclass(frozen=True)
-class ReadoutParams:
+class ReadoutParams(Record, value=True):
     """Asymmetric readout flips: p_flip0 = P(read 1 | 0), p_flip1 = P(read 0 | 1)."""
 
-    p_flip0: float = 0.0
-    p_flip1: float = 0.0
+    __slots__ = ("p_flip0", "p_flip1")
 
-    def __post_init__(self):
-        _check_prob(self, "p_flip0", "p_flip1")
+    def __init__(self, p_flip0: float = 0.0, p_flip1: float = 0.0):
+        _check_prob(self, p_flip0=p_flip0, p_flip1=p_flip1)
 
     @property
     def kernel(self) -> np.ndarray:
@@ -75,8 +67,11 @@ class ReadoutParams:
         )
 
 
-@dataclass(frozen=True)
-class DeviceModel:
+# A device model's default readout and the read of DepolarizingParams: no flip.
+_NO_FLIPS = ReadoutParams()
+
+
+class DeviceModel(Record, value=True):
     """Device-style noise: depolarizing + emission + init flips + readout flips.
 
     The crosstalk fields are accepted for config compatibility but not
@@ -85,16 +80,26 @@ class DeviceModel:
     already imported; until then no handler could show the record.
     """
 
-    depol: DepolarizingParams
-    readout: ReadoutParams = ReadoutParams()
-    p_init: float = 0.0
-    emission_ratio_1q: float = 0.0
-    emission_ratio_2q: float = 0.0
-    crosstalk_meas: float = 0.0
-    crosstalk_init: float = 0.0
+    __slots__ = (
+        "depol", "readout", "p_init", "emission_ratio_1q", "emission_ratio_2q", "crosstalk_meas", "crosstalk_init",
+    )
 
-    def __post_init__(self):
-        _check_prob(self, "p_init", "emission_ratio_1q", "emission_ratio_2q", "crosstalk_meas", "crosstalk_init")
+    def __init__(
+        self,
+        depol: DepolarizingParams,
+        readout: ReadoutParams = _NO_FLIPS,
+        p_init: float = 0.0,
+        emission_ratio_1q: float = 0.0,
+        emission_ratio_2q: float = 0.0,
+        crosstalk_meas: float = 0.0,
+        crosstalk_init: float = 0.0,
+    ):
+        object.__setattr__(self, "depol", depol)
+        object.__setattr__(self, "readout", readout)
+        _check_prob(
+            self, p_init=p_init, emission_ratio_1q=emission_ratio_1q, emission_ratio_2q=emission_ratio_2q,
+            crosstalk_meas=crosstalk_meas, crosstalk_init=crosstalk_init,
+        )
 
 
 # Config keys mirror the device data-sheet row names verbatim.
@@ -169,17 +174,14 @@ def _damping_basis() -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True)
-class PauliNoise:
+class PauliNoise(Record, value=True):
     """Stochastic single-qubit Pauli insertion after a gate."""
 
-    qubit: int
-    p_x: float
-    p_y: float
-    p_z: float
+    __slots__ = ("qubit", "p_x", "p_y", "p_z")
 
-    def __post_init__(self):
-        _check_prob(self, "p_x", "p_y", "p_z")
+    def __init__(self, qubit: int, p_x: float, p_y: float, p_z: float):
+        object.__setattr__(self, "qubit", qubit)
+        _check_prob(self, p_x=p_x, p_y=p_y, p_z=p_z)
         if self.p_total > 1.0:
             raise ValueError(f"p_total = p_x + p_y + p_z must be at most 1, got {self.p_total}")
 
@@ -204,15 +206,14 @@ class PauliNoise:
         return _weighted_sum((1.0 - (p_x + p_y + p_z), p_x, p_y, p_z), _pauli_basis())
 
 
-@dataclass(frozen=True, eq=False)
-class DampingNoise:
+class DampingNoise(Record):
     """Amplitude damping (spontaneous emission to |0>) with probability gamma."""
 
-    qubit: int
-    gamma: float
+    __slots__ = ("qubit", "gamma")
 
-    def __post_init__(self):
-        _check_prob(self, "gamma")
+    def __init__(self, qubit: int, gamma: float):
+        object.__setattr__(self, "qubit", qubit)
+        _check_prob(self, gamma=gamma)
 
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:
@@ -231,29 +232,31 @@ class DampingNoise:
         return _weighted_sum((np.ones_like(gamma), np.sqrt(1.0 - gamma), gamma), _damping_basis())
 
 
-@dataclass(frozen=True, eq=False)
-class NoisyCircuit:
+class NoisyCircuit(Record):
     """A circuit with channel assignments per gate, init flips, and a read stage.
 
     ``channels[i]`` lists the noise applied after ``circuit.ops[i]``;
     ``pre_channels`` holds the initialization bit-flip channels applied at
     circuit start. ``readout`` is the per-bit read kernel K[read, true]
-    applied to every measured bit. A column may sum to less than one:
+    applied to every measured bit, by default a new identity kernel. A column may sum to less than one:
     1 - K[0, b] - K[1, b] is the probability that reading a true b drops
     the shot, as a failed readout-encoding vote does. Plain readout flips
     (``ReadoutParams.kernel``) drop nothing.
     """
 
-    circuit: Circuit
-    channels: tuple[tuple, ...]
-    pre_channels: tuple = ()
-    readout: np.ndarray = field(default_factory=lambda: ReadoutParams().kernel)
+    __slots__ = ("circuit", "channels", "pre_channels", "readout")
 
-    def __post_init__(self):
-        if len(self.channels) != len(self.circuit.ops):
+    def __init__(self, circuit: Circuit, channels: tuple[tuple, ...], pre_channels: tuple = (), readout=None):
+        if readout is None:
+            readout = _NO_FLIPS.kernel
+        object.__setattr__(self, "circuit", circuit)
+        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "pre_channels", pre_channels)
+        object.__setattr__(self, "readout", readout)
+        if len(channels) != len(circuit.ops):
             raise ValueError("channel list must align with the gate list")
         # checked on plain floats, a wrong shape as NaNs: a NaN or an inf entry fails a comparison
-        (a, b), (c, d) = self.readout.tolist() if self.readout.shape == (2, 2) else [[np.nan] * 2] * 2
+        (a, b), (c, d) = readout.tolist() if readout.shape == (2, 2) else [[np.nan] * 2] * 2
         if not (min(a, b, c, d) >= 0.0 and a + c <= 1.0 + 1e-12 and b + d <= 1.0 + 1e-12):
             raise ValueError("readout must be a finite 2x2 kernel with non-negative entries and column sums <= 1")
 
@@ -290,7 +293,7 @@ def _attach(circuit: Circuit, model, row, attached):
     of their rates in sim._channels order: init flips, then slot by slot. A 1q gate is followed
     by its class's channels on its qubit, a 2q gate by independent ones on both; equal channels
     are one frozen object. DepolarizingParams read through the identity."""
-    read = DeviceModel.readout  # its default, the identity
+    read = _NO_FLIPS
     if isinstance(model, DeviceModel):
         read = model.readout
         logging = sys.modules.get("logging")  # the package never imports it; before anything does, no handler exists

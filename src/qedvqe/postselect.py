@@ -10,11 +10,10 @@ that multiplies its weights, sampled or exact (sim.shot_limit_table), and never 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ROLE_A1, ROLE_A2, ROLE_DATA
+from .qcore import ROLE_A1, ROLE_A2, ROLE_DATA, Record
 from .sim import MeasurementLayout, ShotTable
 
 STRATEGY_NONE = "NONE"
@@ -28,25 +27,27 @@ class EmptySelectionError(RuntimeError):
     """Post-selection rejected every shot; downstream estimates are undefined."""
 
 
-@dataclass(frozen=True, eq=False)
-class Strategy:
+class Strategy(Record):
     """A post-selection rule by name: one of STRATEGIES."""
 
-    kind: str
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.kind!r}")
+    def __init__(self, kind: str):
+        object.__setattr__(self, "kind", kind)
+        if kind not in STRATEGIES:
+            raise ValueError(f"unknown strategy {kind!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SurvivalStats:
+class SurvivalStats(Record):
     """Fraction retained by a filter, with its binomial standard error."""
 
-    eta: float
-    sigma_eta: float
-    n_before: int
-    n_after: int
+    __slots__ = ("eta", "sigma_eta", "n_before", "n_after")
+
+    def __init__(self, eta: float, sigma_eta: float, n_before: int, n_after: int):
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "sigma_eta", sigma_eta)
+        object.__setattr__(self, "n_before", n_before)
+        object.__setattr__(self, "n_after", n_after)
 
     @classmethod
     def of(cls, n_before: int, n_after: int) -> "SurvivalStats":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -60,30 +60,70 @@ def _rz(t: float) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class Gate:
+class Record:
+    """The base of the package's records. A record class lists its fields as ``__slots__`` (a slot
+    whose name starts with an underscore is a private cache, not a field), and its ``__init__``
+    checks them and sets each once with ``object.__setattr__``. A record is frozen: assigning or
+    deleting an attribute raises AttributeError. Its repr lists every field, and ``replace``
+    builds a changed copy through ``__init__``, so every check runs again. Declared with
+    ``value=True``, a record class compares and hashes by its fields; otherwise by identity."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, value=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if value:
+            cls._values = operator.attrgetter(*cls._fields)
+            cls.__eq__, cls.__hash__ = Record._same_values, Record._hash_values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built through ``__init__``: every check runs again."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+    def _same_values(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def _hash_values(self):
+        return hash(self._values(self))
+
+
+class Gate(Record, value=True):
     """One circuit operation: kind, one target qubit, optional control and angle."""
 
-    kind: str
-    targets: tuple[int, ...]
-    control: int | None = None
-    angle: float | None = None
+    __slots__ = ("kind", "targets", "control", "angle")
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind in PARAMETRIC_KINDS:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} requires one finite angle")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} takes no angle")
-        if self.kind == "CNOT" and self.control is None:
+    def __init__(self, kind: str, targets: tuple[int, ...], control: int | None = None, angle: float | None = None):
+        targets = tuple(targets)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "angle", angle)
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if kind in PARAMETRIC_KINDS:
+            if angle is None or not math.isfinite(angle):
+                raise ValueError(f"{kind} requires one finite angle")
+        elif angle is not None:
+            raise ValueError(f"{kind} takes no angle")
+        if kind == "CNOT" and control is None:
             raise ValueError("CNOT takes a control")
-        if self.kind != "CNOT" and self.control is not None:
-            raise ValueError(f"{self.kind} takes no control")
-        if len(self.targets) != 1:
-            raise ValueError(f"{self.kind} takes one target")
+        if kind != "CNOT" and control is not None:
+            raise ValueError(f"{kind} takes no control")
+        if len(targets) != 1:
+            raise ValueError(f"{kind} takes one target")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
         if any(q < 0 for q in self.qubits):
@@ -148,32 +188,31 @@ def measure(q):
     return Gate("MEASURE_Z", (q,))
 
 
-@dataclass(frozen=True, eq=False)
-class Circuit:
+class Circuit(Record):
     """Ordered gate list over a fixed register with per-qubit role tags.
 
     All measurements are terminal: a MEASURE_Z on qubit q must come after the
     last unitary touching q. This is validated at construction.
     """
 
-    n_qubits: int
-    ops: tuple[Gate, ...]
-    roles: tuple[str, ...]
+    __slots__ = ("n_qubits", "ops", "roles")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(self, "roles", tuple(self.roles))
-        if self.n_qubits < 1 or self.n_qubits > MAX_QUBITS:
+    def __init__(self, n_qubits: int, ops: tuple[Gate, ...], roles: tuple[str, ...]):
+        ops, roles = tuple(ops), tuple(roles)
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "roles", roles)
+        if n_qubits < 1 or n_qubits > MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
-        if len(self.roles) != self.n_qubits:
+        if len(roles) != n_qubits:
             raise ValueError("roles must tag every qubit")
-        for r in self.roles:
+        for r in roles:
             if r not in ROLES:
                 raise ValueError(f"unknown role {r!r}")
         measured = set()
-        for op in self.ops:
-            if any(q >= self.n_qubits for q in op.qubits):
-                raise ValueError(f"gate {op} out of range for {self.n_qubits} qubits")
+        for op in ops:
+            if any(q >= n_qubits for q in op.qubits):
+                raise ValueError(f"gate {op} out of range for {n_qubits} qubits")
             if op.kind == "MEASURE_Z":
                 measured.add(op.targets[0])
             elif op.is_unitary and measured.intersection(op.qubits):
@@ -325,15 +364,17 @@ def pauli_word(word: str) -> np.ndarray:
 
 
 def expectation(rho: DensityMatrix, observable: np.ndarray) -> float:
-    """Tr(O rho) for an observable Hermitian within 1e-10, as vdot(O, rho) = Tr(O^dagger rho);
-    an imaginary residue below 1e-9 is discarded."""
+    """Tr(O rho) for an observable Hermitian within 1e-10 scale, as vdot(O, rho) = Tr(O^dagger rho);
+    an imaginary residue below 1e-9 scale is discarded. The scale is the largest real or imaginary
+    part of an entry of O, taken as at least 1, so that both tolerances hold at any magnitude."""
     obs = np.asarray(observable, dtype=complex)
     if obs.shape != rho.mat.shape:
         raise ValueError("observable dimension mismatch")
-    if np.max(np.abs(obs - obs.conj().T)) > 1e-10:
+    scale = max(1.0, np.abs(obs.view(float)).max(initial=0.0))
+    if np.max(np.abs(obs - obs.conj().T)) > 1e-10 * scale:
         raise ValueError("observable not Hermitian")
     val = complex(np.vdot(obs, rho.mat))
-    if abs(val.imag) >= 1e-9:
+    if abs(val.imag) >= 1e-9 * scale:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 

@@ -25,7 +25,6 @@ probabilities from shot_limit_table); bitstrings appear only in dict adapters.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -45,6 +44,7 @@ from .qcore import (
     Circuit,
     DensityMatrix,
     Gate,
+    Record,
     apply_matrix,
     apply_superoperator,
     bitstring,
@@ -73,12 +73,14 @@ _STACK_AMPS = 2**13
 _GROUP_CIRCUITS = 32
 
 
-@dataclass(frozen=True)
-class MeasurementLayout:
+class MeasurementLayout(Record, value=True):
     """Measured qubits in ascending index order, with their roles."""
 
-    qubits: tuple[int, ...]
-    roles: tuple[str, ...]
+    __slots__ = ("qubits", "roles")
+
+    def __init__(self, qubits: tuple[int, ...], roles: tuple[str, ...]):
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "roles", roles)
 
     @classmethod
     def of(cls, circuit: Circuit) -> "MeasurementLayout":
@@ -103,16 +105,16 @@ class MeasurementLayout:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class ShotTable:
+class ShotTable(Record):
     """Weights by outcome index over the measured qubits, the first measured qubit the most
     significant bit: integer weights are shot counts, float ones probabilities (shot_limit_table)."""
 
-    weights: np.ndarray
-    layout: MeasurementLayout
+    __slots__ = ("weights", "layout")
 
-    def __post_init__(self):
-        if self.weights.shape != (1 << len(self.layout.qubits),):
+    def __init__(self, weights: np.ndarray, layout: MeasurementLayout):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "layout", layout)
+        if weights.shape != (1 << len(layout.qubits),):
             raise ValueError("weights must hold one entry per outcome of the measured qubits")
 
     @classmethod
@@ -130,15 +132,15 @@ class ShotTable:
         return MappingProxyType(_outcomes(self.weights))
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryConfig:
+class TrajectoryConfig(Record):
     """Shot count of one sample_shots call, and the seed of its random streams."""
 
-    n_shots: int
-    seed: int = 0
+    __slots__ = ("n_shots", "seed")
 
-    def __post_init__(self):
-        if self.n_shots < 1:
+    def __init__(self, n_shots: int, seed: int = 0):
+        object.__setattr__(self, "n_shots", n_shots)
+        object.__setattr__(self, "seed", seed)
+        if n_shots < 1:
             raise ValueError("n_shots must be >= 1")
 
 
@@ -810,8 +812,7 @@ def red_vote_kernel_for(model) -> np.ndarray:
     for b in (0, 1):
         read = Circuit(1, (x(0),) * b + (measure(0),), (ROLE_DATA,))
         gadget = attach_noise(wrap_with_red(read), model)
-        gadget = replace(
-            gadget,
+        gadget = gadget.replace(
             channels=((),) * b + gadget.channels[b:],
             pre_channels=tuple(ch for ch in gadget.pre_channels if ch.qubit != 0),
         )

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import dis
 import errno
 import inspect
@@ -117,6 +116,31 @@ def test_a_bad_p2_is_named_as_p2_not_as_the_p1_derived_from_it(tmp_path, capsys,
     assert cli.main(["scan", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert f"(p2 must be in [0, 1], got {float(p2)})" in err and "p1" not in err
+
+
+def test_a_hamiltonian_at_any_finite_scale_runs_or_is_refused_by_name(tmp_path, capsys):
+    # every coefficient times 10^k: each run writes finite numbers, or, where the sum of the
+    # squared coefficients (and so a variance) would overflow, exits 2 naming the key; the
+    # absolute tolerances of qcore.expectation once made a 1e25 scale an internal error
+    scan_means = {}
+    for k in range(309):
+        ham = {key: g * 10.0**k for key, g in H2_COEFFS.items()}
+        overflows = not math.isfinite(sum(g * g for g in ham.values()))
+        for experiment, cfg in (("scan", {"points": 5}), ("table2", {"shots": 10})):
+            out = tmp_path / f"{experiment}-{k}"
+            code = cli.run({"experiment": experiment, "hamiltonian": ham, **cfg}, out)
+            err = capsys.readouterr().err
+            assert code == (cli.EXIT_BAD_CONFIG if overflows else cli.EXIT_OK), (k, experiment, err)
+            if overflows:
+                assert "config key 'hamiltonian'" in err
+                continue
+            for path in out.glob("*.csv"):
+                rows = read_rows(path)
+                assert rows and all(math.isfinite(float(v)) for row in rows for c, v in row.items() if c != "label")
+            if experiment == "scan":
+                scan_means[k] = [float(row["mean_Ha"]) for row in read_rows(out / "scan.csv")]
+    assert max(scan_means) == 154  # the default coefficients' squares sum to 0.46
+    assert scan_means[25] == pytest.approx([1e25 * m for m in scan_means[0]], rel=1e-12)
 
 
 @pytest.mark.parametrize("experiment", [["scan"], {"name": "scan"}, None, "sacn"])
@@ -568,14 +592,15 @@ def test_sampled_run_never_imports_numpy_random(tmp_path):
 def test_fresh_import_leaves_parser_logging_and_traceback_unloaded(tmp_path):
     # argparse loads in main, traceback on the error path, and logging never: a run
     # in a fresh process (pytest itself has all three loaded) imports none of them,
-    # even when a crosstalk note is due, and still prints a traceback on a bug
+    # even when a crosstalk note is due, and still prints a traceback on a bug; nor
+    # dataclasses, whose generated methods are compiled as each class is created
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = (
         "import sys\n"
         "from qedvqe import builders, cli, estimate, noise\n"
         "noise.attach_noise(builders.build_encoded_ansatz(estimate.THETA_STAR, 'Z'), noise.default_device_model())\n"
-        "loaded = {'argparse', 'logging', 'traceback'} & set(sys.modules)\n"
+        "loaded = {'argparse', 'dataclasses', 'logging', 'traceback'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
         "def broken(*args, **kwargs):\n"
         "    raise ValueError('sampler bug')\n"
@@ -713,7 +738,7 @@ def test_lossy_read_keeps_the_vote_survival(encoded):
     build = builders.build_encoded_ansatz if encoded else builders.build_unencoded_ansatz
     for basis in "ZX":
         nc = noise.attach_noise(build(estimate.THETA_STAR, basis), model)
-        table, raw = sim.shot_limit_table(dataclasses.replace(nc, readout=kernel))
+        table, raw = sim.shot_limit_table(nc.replace(readout=kernel))
         _, eta = sim.red_vote_distribution(sim.born_distribution(sim.evolve_density(nc)), kernel)
         assert eta < 0.999  # the kernel is lossy
         assert abs(table.n_shots - eta) <= 1e-15

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -227,9 +226,9 @@ def test_channels_refuse_invalid_rates_on_both_backends(cls, rates, field):
     for run in (sim.evolve_density, lambda nc: sim.sample_shots(nc, sim.TrajectoryConfig(100))):
         with pytest.raises(ValueError, match=field):
             run(noise.NoisyCircuit(circ, ((cls(0, *rates),), ())))
-    names = [f.name for f in dataclasses.fields(cls)[1:]]
+    names = cls._fields[1:]
     with pytest.raises(ValueError, match=field):  # nor can a valid channel be given them
-        dataclasses.replace(cls(0, *(0.0 for _ in rates)), **dict(zip(names, rates)))
+        cls(0, *(0.0 for _ in rates)).replace(**dict(zip(names, rates)))
 
 
 def test_attach_noise_zero_params_reproduces_noiseless_evolution():
@@ -291,8 +290,8 @@ def test_a_readout_kernel_must_be_finite_non_negative_and_lose_mass_only(kernel)
     # a NaN passed the array checks once, and shot_limit_table then gave NaN weights
     nc = attach_noise(builders.build_unencoded_ansatz(0.2, "Z"), DepolarizingParams(p2=0.01))
     with pytest.raises(ValueError, match="readout must be a finite 2x2 kernel"):
-        dataclasses.replace(nc, readout=np.array(kernel))
-    lossy = dataclasses.replace(nc, readout=np.array([[0.6, 0.1], [0.2, 0.5]]))  # column sums below 1
+        nc.replace(readout=np.array(kernel))
+    lossy = nc.replace(readout=np.array([[0.6, 0.1], [0.2, 0.5]]))  # column sums below 1
     assert lossy.readout.tolist() == [[0.6, 0.1], [0.2, 0.5]]
 
 

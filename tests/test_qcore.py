@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qedvqe import analysis, estimate, noise, postselect, sim
 from qedvqe.qcore import (
     Circuit,
     DensityMatrix,
     Gate,
     ROLE_DATA,
+    Record,
     StateVector,
     apply_matrix,
     apply_superoperator,
@@ -310,3 +313,84 @@ def test_pauli_words_are_built_once_and_read_only():
     assert not word.flags.writeable
     table = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
     assert word.tobytes() == kron_all(*(table[c] for c in "XIZYIX")).tobytes()
+
+
+def test_expectation_tolerances_scale_with_the_observable():
+    # a large but finite observable once failed the absolute 1e-9 imaginary-residue check
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = DensityMatrix(3, (m @ m.conj().T) / np.trace(m @ m.conj().T).real)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    obs = a + a.conj().T
+    for scale in (1e-3, 1.0, 1e25, 1e300):
+        assert expectation(rho, scale * obs) == pytest.approx(scale * expectation(rho, obs), rel=1e-12)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            expectation(rho, scale * (obs + 1e-6 * a))
+
+
+def _records():
+    """One valid instance of each record class, built anew on every call, and a change its
+    constructor refuses (None where it checks nothing), with the words of the refusal."""
+    circuit = Circuit(1, (h(0), measure(0)), (ROLE_DATA,))
+    layout = sim.MeasurementLayout.of(circuit)
+    return [
+        (Gate("RY", (0,), angle=0.3), {"angle": math.nan}, "finite angle"),
+        (circuit, {"n_qubits": 0}, "n_qubits"),
+        (noise.DepolarizingParams(0.01), {"p2": 2.0}, "p2"),
+        (noise.ReadoutParams(0.01, 0.02), {"p_flip1": -0.1}, "p_flip1"),
+        (noise.default_device_model(), {"p_init": 1.5}, "p_init"),
+        (noise.PauliNoise(0, 0.01, 0.02, 0.03), {"p_z": 0.99}, "p_total"),
+        (noise.DampingNoise(0, 0.1), {"gamma": 2.0}, "gamma"),
+        (noise.attach_noise(circuit, noise.DepolarizingParams(0.01)), {"readout": np.full((2, 2), np.nan)}, "readout"),
+        (layout, None, None),
+        (sim.ShotTable(np.array([3, 1]), layout), {"weights": np.zeros(3)}, "one entry per outcome"),
+        (sim.TrajectoryConfig(100, 7), {"n_shots": 0}, "n_shots"),
+        (postselect.Strategy("PSAP"), {"kind": "PSQ"}, "unknown strategy"),
+        (postselect.SurvivalStats.of(10, 7), None, None),
+        (estimate.default_h2(), {"g4": math.inf}, "finite"),
+        (estimate.EnergyEstimate(-1.1, 0.05, 0.001, {"Z": 10, "X": 10}), None, None),
+        (estimate.Integrals(-1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), {"h2013": 1.0}, "symmetry"),
+        (estimate.ResourceCount(1, 2, 3, 4), {"shots": -1}, "nonnegative"),
+        (analysis.LogicalErrorReport(0.9, 0.95, 0.1, 0.05, 0.05, 0.01), {"p_eps_A": 2.0}, "p_eps_A"),
+    ]
+
+
+VALUE_RECORDS = {"Gate", "DepolarizingParams", "ReadoutParams", "DeviceModel", "PauliNoise", "MeasurementLayout"}
+
+
+@pytest.mark.parametrize("index", range(18), ids=lambda i: type(_records()[i][0]).__name__)
+def test_records_are_frozen_print_every_field_and_replace_through_their_checks(index):
+    rec, bad, refusal = _records()[index]
+    cls, again = type(rec), _records()[index][0]
+    assert {type(r) for r, _, _ in _records()} == set(Record.__subclasses__())
+    assert list(inspect.signature(cls).parameters) == list(cls._fields)  # replace passes each field by name
+    # frozen, but for EnergyEstimate; no record takes an attribute beyond its fields
+    for name in cls._fields:
+        if cls is estimate.EnergyEstimate:
+            setattr(rec, name, getattr(again, name))
+            assert getattr(rec, name) is getattr(again, name)
+        else:
+            with pytest.raises(AttributeError, match=name):
+                setattr(rec, name, getattr(rec, name))
+            with pytest.raises(AttributeError, match=name):
+                delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.not_a_field = 1
+    # the repr lists every field, as the dataclasses these records replaced printed them
+    assert repr(Gate("RY", (0,), angle=0.3)) == "Gate(kind='RY', targets=(0,), control=None, angle=0.3)"
+    assert repr(rec) == f"{cls.__name__}({', '.join(f'{name}={getattr(rec, name)!r}' for name in cls._fields)})"
+    # replace() keeps every field; value records compare and hash by them, the others by identity
+    twin = rec.replace()
+    assert type(twin) is cls and twin is not rec
+    assert all(getattr(twin, name) is getattr(rec, name) for name in cls._fields)
+    if cls.__name__ in VALUE_RECORDS:
+        assert twin == rec == again and hash(twin) == hash(rec) == hash(again)
+        assert rec != cls.__name__ and len({rec, twin, again}) == 1
+    else:
+        assert twin != rec != again and hash(rec) == object.__hash__(rec)
+    # a change goes through the constructor's checks, and an unknown field is refused
+    if bad is not None:
+        with pytest.raises(ValueError, match=refusal):
+            rec.replace(**bad)
+    with pytest.raises(TypeError):
+        rec.replace(not_a_field=1)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import statistics
@@ -211,14 +210,14 @@ def test_the_encoded_circuit_contracts_on_runs_with_one_move_per_stack(monkeypat
     monkeypatch.setattr(sim, "_moved", lambda rho, axes: moves.append(len(rho)) or move(rho, axes))
     assert [order for _, order in sim._pair_orders(sim.density_layout(noise.noiseless(ENCODED)))] == [
         [0, 4, 5, 2, 1, 3], [3, 5, 2, 0, 1, 4]]
-    ((noisy, rates),) = noise.attach_grid(ENCODED, [dataclasses.replace(DEVICE, depol=DepolarizingParams(p2=p2))
+    ((noisy, rates),) = noise.attach_grid(ENCODED, [DEVICE.replace(depol=DepolarizingParams(p2=p2))
                                                     for p2 in (0.001, 0.002, 0.003, 0.004, 0.005)])
     got = list(sim.evolve_densities([noisy], rates))
     assert axes_seen and all(axes == tuple(range(axes[0], axes[0] + len(axes))) for axes in axes_seen)
     assert moves == [2, 2, 1]  # the 5 states' stacks of at most 2, each moved once
     monkeypatch.undo()
     for rho, p2 in zip(got, (0.001, 0.002, 0.003, 0.004, 0.005)):
-        alone = sim.evolve_density(noise.attach_noise(ENCODED, dataclasses.replace(DEVICE, depol=DepolarizingParams(p2=p2))))
+        alone = sim.evolve_density(noise.attach_noise(ENCODED, DEVICE.replace(depol=DepolarizingParams(p2=p2))))
         assert rho.mat.tobytes() == alone.mat.tobytes()
 
 
@@ -257,15 +256,15 @@ def test_channel_superoperators_are_built_once_and_read_only(op):
     # stacks' property is test_noise.test_rate_built_superoperator_stacks_match_kraus_and_each_channel_alone
     if isinstance(op, qcore.Gate):
         shared = sim._superoperator(op)
-        assert sim._superoperator(dataclasses.replace(op)) is shared  # keyed by the gate's value
+        assert sim._superoperator(op.replace()) is shared  # keyed by the gate's value
         assert np.array_equal(shared, qcore.superoperator((op.matrix(),)))
         # a gate every circuit of a stack shares is broadcast from the cache, not copied
-        assert sim._stacked([op, dataclasses.replace(op)]).base is shared
+        assert sim._stacked([op, op.replace()]).base is shared
     else:
         basis = {noise.PauliNoise: noise._pauli_basis, noise.DampingNoise: noise._damping_basis}[type(op)]
         shared = basis()
         assert basis() is shared
-        sup = type(op).superoperators(*(np.array([rate]) for rate in dataclasses.replace(op).rates))
+        sup = type(op).superoperators(*(np.array([rate]) for rate in op.replace().rates))
         assert sup.shape == (1, 4, 4)
         assert np.max(np.abs(sup[0] - qcore.superoperator(op.kraus))) <= 1e-15
     with pytest.raises(ValueError, match="read-only"):
@@ -298,7 +297,7 @@ def test_evolve_densities_equals_each_circuit_evolved_alone(build, device, point
     # flips, whose rates move with p2 too
     def model(p2):
         depol = DepolarizingParams(p2=p2)
-        return dataclasses.replace(noise.default_device_model(), depol=depol, p_init=p2 / 20) if device else depol
+        return noise.default_device_model().replace(depol=depol, p_init=p2 / 20) if device else depol
 
     noisy = [noise.attach_noise(build(theta, "Z"), model(p2)) for p2, theta in points]
     with mock.patch.object(sim, "_STACK_AMPS", stack_amps), mock.patch.object(sim, "_GROUP_CIRCUITS", group_circuits):
@@ -324,7 +323,7 @@ def test_a_grid_attached_once_evolves_each_point_as_it_would_alone(build, device
     # evolved alone, wherever a run, a stack or a group starts (CI's split-grid cmp)
     def model(p2):
         depol = DepolarizingParams(p2=p2)
-        return dataclasses.replace(noise.default_device_model(), depol=depol, p_init=p2 / 20) if device else depol
+        return noise.default_device_model().replace(depol=depol, p_init=p2 / 20) if device else depol
 
     circuit, models = build(theta, "Z"), [model(p2) for p2 in grid]
     with mock.patch.object(sim, "_STACK_AMPS", stack_amps), mock.patch.object(sim, "_GROUP_CIRCUITS", group_circuits):
@@ -362,7 +361,7 @@ def _bell(first=qcore.h(0), register=2, p2=0.01, slot0=None, pre=()):
     """A noisy Bell-pair circuit under depolarizing p2, its first slot and init flips replaceable."""
     circ = Circuit(register, (first, qcore.cnot(0, 1), qcore.measure(0), qcore.measure(1)), (ROLE_DATA,) * register)
     nc = noise.attach_noise(circ, DepolarizingParams(p2=p2))
-    return dataclasses.replace(nc, channels=(nc.channels[0] if slot0 is None else slot0,) + nc.channels[1:], pre_channels=pre)
+    return nc.replace(channels=(nc.channels[0] if slot0 is None else slot0,) + nc.channels[1:], pre_channels=pre)
 
 
 @pytest.mark.parametrize("other", [
@@ -790,7 +789,7 @@ LOSSY_KERNEL = np.array([[0.6, 0.1], [0.2, 0.5]])
 
 
 def with_readout(noisy, kernel):
-    return dataclasses.replace(noisy, readout=kernel)
+    return noisy.replace(readout=kernel)
 
 
 @pytest.mark.parametrize("p2", [1e-9, 0.0009, 0.1, 0.9])
@@ -969,7 +968,7 @@ def chi_square_threshold(dof: int, z: float = 6.0) -> float:
 
 
 # the device model with p2 raised to 5 %: most encoded shots carry a fault
-DEVICE_P2_5 = dataclasses.replace(DEVICE, depol=dataclasses.replace(DEVICE.depol, p2=0.05))
+DEVICE_P2_5 = DEVICE.replace(depol=DEVICE.depol.replace(p2=0.05))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -1123,7 +1122,7 @@ def test_frame_table_moves_each_pauli_through_each_gate(gate, read):
             word = int(traj.frames[0, 4 * q + code])
             mask, flip = word & 3, word >> 2
             assert flip in ((0, 1) if gate.kind in qcore.PARAMETRIC_KINDS else (0,))
-            flipped = dataclasses.replace(gate, angle=-gate.angle) if flip else gate
+            flipped = gate.replace(angle=-gate.angle) if flip else gate
             lhs, rhs = qcore.apply_matrix(psi, pauli, (q,)), psi
             for op, op_flipped in zip((gate,) + after, (flipped,) + after):
                 lhs = qcore.apply_matrix(lhs, op.matrix(), op.qubits)
@@ -1278,8 +1277,8 @@ def first_fault_circuits(draw):
     under the device model without damping in two-qubit gates (a tail after the last 1q gate's
     damping); or a frame_cases circuit, whose one damping location puts the head anywhere."""
     p2 = draw(st.sampled_from((0.0009, 0.02, 0.10)))
-    models = [DepolarizingParams(p2=p2), dataclasses.replace(DEVICE, depol=DepolarizingParams(p2=p2)),
-              dataclasses.replace(DEVICE, emission_ratio_2q=0.0)]
+    models = [DepolarizingParams(p2=p2), DEVICE.replace(depol=DepolarizingParams(p2=p2)),
+              DEVICE.replace(emission_ratio_2q=0.0)]
     noisy = draw(st.sampled_from([noise.attach_noise(ENCODED, m) for m in models]) | frame_cases().map(lambda c: c[0]))
     return sim._Trajectory(noisy), draw(st.sampled_from(("head", "tail")))
 
